@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gf2m import Field
+from .spectra import _MATRIX_LIMIT, TooLargeError, _fwht_rows
 from .vbf import (
     ContextMismatchError,
     FuncTable,
@@ -36,9 +36,6 @@ from .vbf import (
     invert,
     is_permutation,
 )
-
-_EXHAUSTIVE_LIMIT = 5
-_SCAN_BLOCK = 1 << 16
 
 
 class SingularError(ValueError):
@@ -65,12 +62,8 @@ class OddDegreeError(ValueError):
     """Criterion only applies to even extension degrees."""
 
 
-class BudgetRequiredError(ValueError):
-    """Search space too large to sweep; an explicit budget is needed."""
-
-
 class BudgetExceededError(RuntimeError):
-    """Wall-clock limit ran out before the search finished."""
+    """Node or wall-clock budget ran out before the search finished."""
 
 
 def pack_point(x: int, y: int, m: int) -> int:
@@ -184,24 +177,13 @@ def map_inverse(L: BinLinearMap) -> BinLinearMap:
     if L.n_in != L.n_out:
         raise ValueError("only square maps can be inverted")
     n = L.n_in
-    rows = list(L.rows)
-    aug = [1 << r for r in range(n)]
-    used = [False] * n
-    for col in range(n):
-        piv = next(
-            (r for r in range(n) if not used[r] and (rows[r] >> col) & 1), None
-        )
-        if piv is None:
-            raise SingularError("map is singular")
-        used[piv] = True
-        for r in range(n):
-            if r != piv and (rows[r] >> col) & 1:
-                rows[r] ^= rows[piv]
-                aug[r] ^= aug[piv]
-    inv_rows = [0] * n
-    for r in range(n):
-        inv_rows[rows[r].bit_length() - 1] = aug[r]
-    return BinLinearMap(n, n, inv_rows)
+    # eliminate [rows | identity]; a pivot at bit n + j leaves the row
+    # combination summing to e_j in the low half, which is inverse row j
+    ech = _echelon((row << n) | (1 << r) for r, row in enumerate(L.rows))
+    inv_rows = [v & ((1 << n) - 1) for p, v in ech if p >= n]
+    if len(inv_rows) < n:
+        raise SingularError("map is singular")
+    return BinLinearMap(n, n, inv_rows[::-1])
 
 
 def map_transpose(L: BinLinearMap) -> BinLinearMap:
@@ -314,20 +296,13 @@ class Subspace:
     def __init__(self, ambient: int, basis):
         if ambient < 1:
             raise ValueError("ambient dimension must be positive")
-        ech: list[tuple[int, int]] = []
-        for v in basis:
-            v = int(v)
+        vs = [int(v) for v in basis]
+        for v in vs:
             if not 0 <= v < (1 << ambient):
                 raise ValueError(f"vector {v:#x} outside F_2^{ambient}")
-            for p, w in ech:
-                if (v >> p) & 1:
-                    v ^= w
-            if v == 0:
-                raise ValueError("basis vectors are linearly dependent")
-            p = v.bit_length() - 1
-            ech = [(q, u ^ v if (u >> p) & 1 else u) for q, u in ech]
-            ech.append((p, v))
-        ech.sort(reverse=True)
+        ech = _echelon(vs)
+        if len(ech) < len(vs):
+            raise ValueError("basis vectors are linearly dependent")
         self.ambient = ambient
         self._ech = tuple(ech)
         self._basis = tuple(v for _, v in ech)
@@ -612,133 +587,52 @@ def gold_perm_criterion_even(L: UnivariatePoly, i: int) -> bool:
 # search for a linear summand making a table a permutation
 
 
-def _scan_span(args) -> int | None:
-    """Row-major sweep of candidate maps k in [start, stop); first hit wins."""
-    m, fvals, start, stop, deadline = args
-    n = 1 << m
-    full = np.uint64((1 << n) - 1)
-    farr = np.asarray(fvals, dtype=np.uint64)
-    one = np.uint64(1)
-    for b0 in range(start, stop, _SCAN_BLOCK):
-        if deadline is not None and time.monotonic() >= deadline:
-            raise BudgetExceededError("time budget exhausted during sweep")
-        ks = np.arange(b0, min(b0 + _SCAN_BLOCK, stop), dtype=np.uint64)
-        cols = []
-        for j in range(m):
-            c = np.zeros(len(ks), dtype=np.uint64)
-            for r in range(m):
-                c |= ((ks >> np.uint64(r * m + j)) & one) << np.uint64(r)
-            cols.append(c)
-        tab = np.zeros((len(ks), n), dtype=np.uint64)
-        for x in range(1, n):
-            lsb = x & -x
-            tab[:, x] = tab[:, x ^ lsb] ^ cols[lsb.bit_length() - 1]
-        tab ^= farr[None, :]
-        occ = np.bitwise_or.reduce(one << tab, axis=1)
-        good = np.nonzero(occ == full)[0]
-        if good.size:
-            return int(ks[good[0]])
-    return None
-
-
-def _sample_span(args) -> list[int] | None:
-    """Random candidate maps, checked in draw order; first hit wins."""
-    m, fvals, count, seed_key, deadline = args
-    rng = np.random.default_rng(seed_key)
-    n = 1 << m
-    one = np.uint64(1)
-    target = np.arange(n, dtype=np.uint64)
-    farr = np.asarray(fvals, dtype=np.uint64)
-    batch_cap = max(1, (1 << 22) // n)
-    done = 0
-    while done < count:
-        if deadline is not None and time.monotonic() >= deadline:
-            raise BudgetExceededError("time budget exhausted during sampling")
-        b = min(batch_cap, count - done)
-        rows = rng.integers(0, n, size=(b, m), dtype=np.uint64)
-        cols = []
-        for j in range(m):
-            c = np.zeros(b, dtype=np.uint64)
-            for r in range(m):
-                c |= ((rows[:, r] >> np.uint64(j)) & one) << np.uint64(r)
-            cols.append(c)
-        tab = np.zeros((b, n), dtype=np.uint64)
-        for x in range(1, n):
-            lsb = x & -x
-            tab[:, x] = tab[:, x ^ lsb] ^ cols[lsb.bit_length() - 1]
-        tab ^= farr[None, :]
-        tab.sort(axis=1)
-        hit = np.nonzero((tab == target[None, :]).all(axis=1))[0]
-        if hit.size:
-            return [int(v) for v in rows[hit[0]]]
-        done += b
-    return None
-
-
 def linear_completion_search(
-    f: FuncTable,
-    budget: int | None = None,
-    workers: int = 1,
-    time_limit: float | None = None,
-    seed: int = 0,
+    f: FuncTable, budget: int | None = None, time_limit: float | None = None
 ) -> BinLinearMap | None:
     """Find a linear map L with x -> f(x) + L(x) a permutation, or None.
 
-    Without a budget the whole space of 2^(m*m) maps is swept in row-major
-    order and the first witness is returned, deterministically regardless of
-    the worker count.  With a budget, that many random candidates are tried
-    instead (deterministic for a fixed seed and worker count).  A wall-clock
-    time_limit aborts either mode with BudgetExceededError.
+    f + L permutes exactly when W_f(L^T b, b) = 0 for every b != 0, with the
+    dot-product Walsh transform.  The rows of L, which are L^T(e_k), are
+    chosen from rows[m-1] down to rows[0]; a candidate for row k must put
+    L^T(u + e_k) in the Walsh-zero set of row u + e_k for every u in the span
+    fixed so far.  Candidates are tried in ascending order, so the result is
+    the first witness of the row-major order on all 2^(m*m) maps, and None
+    means no map exists.  ``budget`` caps the search nodes (partial
+    assignments visited, the root included) and ``time_limit`` the seconds;
+    running out of either raises BudgetExceededError.
     """
-    ctx = f.ctx
-    m = ctx.m
-    if workers < 1:
-        raise ValueError("worker count must be positive")
+    m, n = f.ctx.m, f.ctx.size
+    if m > _MATRIX_LIMIT:
+        raise TooLargeError(f"the search holds 2^(2m) Walsh values; m={m} > {_MATRIX_LIMIT}")
+    if budget is not None and budget < 1:
+        raise ValueError("budget must be a positive node count")
     deadline = None if time_limit is None else time.monotonic() + float(time_limit)
-    fvals = tuple(int(v) for v in f.values)
+    xs = np.arange(n, dtype=np.int64)
+    parity = np.bitwise_count(xs[:, None] & f.as_array()[None, :]) & 1
+    zero = _fwht_rows(1 - 2 * parity.astype(np.int32)) == 0
+    rows = [0] * m
+    nodes = 0
 
-    if budget is None:
-        if m > _EXHAUSTIVE_LIMIT:
-            raise BudgetRequiredError(
-                f"sweeping 2^{m * m} candidate maps is not feasible; "
-                "pass a sampling budget"
-            )
-        total = 1 << (m * m)
-        chunk = -(-total // workers)
-        args = [
-            (m, fvals, s, min(s + chunk, total), deadline)
-            for s in range(0, total, chunk)
-        ]
-        if workers == 1:
-            hits = [_scan_span(a) for a in args]
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                hits = list(pool.map(_scan_span, args))
-        found = [k for k in hits if k is not None]
-        if not found:
-            return None
-        k = min(found)
-        rows = [(k >> (r * m)) & ((1 << m) - 1) for r in range(m)]
-        return BinLinearMap(m, m, rows)
+    def extend(k: int, us: np.ndarray, images: np.ndarray) -> bool:
+        # rows[k+1:] are fixed; us spans e_(k+1)..e_(m-1), images[j] = L^T us[j]
+        nonlocal nodes
+        nodes += 1
+        if budget is not None and nodes > budget:
+            raise BudgetExceededError(f"node budget of {budget} exhausted")
+        if deadline is not None and time.monotonic() >= deadline:
+            raise BudgetExceededError("time budget exhausted during search")
+        if k < 0:
+            return True
+        ek = 1 << k
+        fits = zero[(us ^ ek)[:, None], images[:, None] ^ xs[None, :]].all(axis=0)
+        for c in np.flatnonzero(fits).tolist():
+            rows[k] = c
+            span = np.concatenate((us, us ^ ek))
+            if extend(k - 1, span, np.concatenate((images, images ^ c))):
+                return True
+        return False
 
-    budget = int(budget)
-    if budget < 1:
-        raise ValueError("budget must be a positive candidate count")
-    share = -(-budget // workers)
-    args = []
-    left = budget
-    for w in range(workers):
-        take = min(share, left)
-        if take <= 0:
-            break
-        args.append((m, fvals, take, (seed, w), deadline))
-        left -= take
-    if workers == 1:
-        hits = [_sample_span(a) for a in args]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            hits = list(pool.map(_sample_span, args))
-    for rows in hits:
-        if rows is not None:
-            return BinLinearMap(m, m, rows)
-    return None
+    if not extend(m - 1, xs[:1], xs[:1]):
+        return None
+    return BinLinearMap(m, m, rows)

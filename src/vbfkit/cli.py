@@ -18,14 +18,14 @@ Three subcommands:
     per check.
 
 Exit codes: 0 success / all checks confirmed; 1 a verification check
-failed; 2 usage or precondition error; 3 search budget exhausted.
+failed or an internal identity broke; 2 usage or precondition error; 3 search
+budget exhausted.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
@@ -336,14 +336,11 @@ def verify_remark4(args: argparse.Namespace) -> int:
         f = read_lut(args.lut)
     else:
         f = theorem1(_field(args), args.i)
-    count, seconds = _parse_budget(args.budget)
-    found = linear_completion_search(
-        f, budget=count, workers=args.threads, time_limit=seconds, seed=args.seed
-    )
-    m = f.ctx.m
-    space = f"all 2^{m * m} linear maps" if count is None else f"{count} sampled linear maps"
+    nodes, seconds = _parse_budget(args.budget)
+    found = linear_completion_search(f, budget=nodes, time_limit=seconds)
     if found is None:
-        print(f"ok   no linear completion to a permutation among {space}")
+        m = f.ctx.m
+        print(f"ok   no linear completion to a permutation among all 2^{m * m} linear maps")
         return 0
     rows = ", ".join(f"0x{r:x}" for r in found.rows)
     print(f"FAIL linear completion found: rows [{rows}]")
@@ -377,7 +374,13 @@ def _random_linearized(ctx: Field, rng: random.Random) -> UnivariatePoly:
     return UnivariatePoly(ctx, terms)
 
 
+def _require_trials(args: argparse.Namespace) -> None:
+    if args.count < 1:
+        raise ConditionViolatedError(f"--count must be at least 1, got {args.count}")
+
+
 def verify_prop_gold_perm(args: argparse.Namespace) -> int:
+    _require_trials(args)
     ctx = _field(args)
     rng = random.Random(args.seed)
     xs = np.arange(ctx.size, dtype=np.int64)
@@ -394,6 +397,7 @@ def verify_prop_gold_perm(args: argparse.Namespace) -> int:
 
 
 def verify_prop_gold_perm_even(args: argparse.Namespace) -> int:
+    _require_trials(args)
     ctx = _field(args)
     rng = random.Random(args.seed)
     xs = np.arange(ctx.size, dtype=np.int64)
@@ -513,12 +517,10 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--lut", help="table to search instead of a constructed one")
     pv.add_argument("--count", type=int, default=60, help="random trials for sampled bundles")
     pv.add_argument("--seed", type=int, default=0, help="seed for sampled bundles")
-    pv.add_argument(
-        "--threads", type=int, default=os.cpu_count() or 1, help="search worker count"
-    )
+    pv.add_argument("--threads", type=int, help="ignored; the search runs in one thread")
     pv.add_argument(
         "--budget",
-        help="search budget: integer candidate count or decimal wall-clock seconds",
+        help="search budget: integer node count or decimal wall-clock seconds",
     )
     pv.set_defaults(handler=cmd_verify, i=1)
 
@@ -532,6 +534,10 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"error: search budget exceeded ({exc})", file=sys.stderr)
         return 3
+    except RuntimeError as exc:
+        # a failed internal identity, e.g. a graph witness or the AB cross-check
+        print(f"FAIL {exc}")
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

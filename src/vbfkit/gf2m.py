@@ -87,9 +87,19 @@ def default_poly(m: int) -> int:
     if path:
         with open(path) as fh:
             table = json.load(fh)
+        if not isinstance(table, dict):
+            raise ValueError("VBF_DEFAULT_POLY_TABLE must hold a JSON object of degree: bitmask")
         entry = table.get(str(m))
+        if isinstance(entry, int):
+            return entry
         if entry is not None:
-            return entry if isinstance(entry, int) else int(entry, 0)
+            try:
+                return int(entry, 0)
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"VBF_DEFAULT_POLY_TABLE entry for degree {m} is {entry!r}, "
+                    "not an integer or a numeric string"
+                ) from None
     return _scan_lowest_irreducible(m)
 
 

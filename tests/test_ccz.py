@@ -8,7 +8,6 @@ import pytest
 from vbfkit.ccz import (
     BinLinearMap,
     BudgetExceededError,
-    BudgetRequiredError,
     GcdViolationError,
     NotLinearizedError,
     OddDegreeError,
@@ -41,6 +40,7 @@ from vbfkit.ccz import (
     split_point,
     subfield_trace_subgroup,
 )
+from vbfkit.constructions import theorem1
 from vbfkit.gf2m import Field
 from vbfkit.spectra import differential_spectrum, walsh_spectrum
 from vbfkit.vbf import (
@@ -774,31 +774,64 @@ def test_search_witness_actually_works():
         assert len(set(summed)) == 16
 
 
-def test_search_worker_split_is_deterministic():
-    rng = random.Random(21)
-    f = Field(4)
-    tab = FuncTable(f, [rng.randrange(16) for _ in range(16)])
-    one = linear_completion_search(tab, workers=1)
-    two = linear_completion_search(tab, workers=2)
-    three = linear_completion_search(tab, workers=3)
-    results = [None if r is None else list(r.rows) for r in (one, two, three)]
-    assert results[0] == results[1] == results[2]
+def _sweep_oracle(tab: FuncTable) -> list[int] | None:
+    """Rows of the first map k = sum rows[r] << (r*m) in ascending k with
+    tab + L a permutation, by checking all 2^(m*m) maps at once (m <= 4)."""
+    m, n = tab.ctx.m, tab.ctx.size
+    one = np.uint64(1)
+    ks = np.arange(1 << (m * m), dtype=np.uint64)
+    cols = []
+    for j in range(m):
+        c = np.zeros(len(ks), dtype=np.uint64)
+        for r in range(m):
+            c |= ((ks >> np.uint64(r * m + j)) & one) << np.uint64(r)
+        cols.append(c)
+    lin = np.zeros((len(ks), n), dtype=np.uint64)
+    for x in range(1, n):
+        lsb = x & -x
+        lin[:, x] = lin[:, x ^ lsb] ^ cols[lsb.bit_length() - 1]
+    occ = np.bitwise_or.reduce(one << (lin ^ tab.as_array().astype(np.uint64)), axis=1)
+    good = np.flatnonzero(occ == np.uint64((1 << n) - 1))
+    if not good.size:
+        return None
+    k = int(good[0])
+    return [(k >> (r * m)) & (n - 1) for r in range(m)]
 
 
-def test_search_requires_budget_for_wide_fields():
-    f = Field(6)
-    with pytest.raises(BudgetRequiredError):
-        linear_completion_search(monomial(f, 5))
+def _search_case(seed: int) -> FuncTable:
+    """A random m=3 or m=4 table; every third one is a permutation plus a
+    random linear map, so it certainly has a completion."""
+    rng = random.Random(seed)
+    ctx = Field(3 + seed % 2)
+    n = ctx.size
+    if seed % 3:
+        return FuncTable(ctx, [rng.randrange(n) for _ in range(n)])
+    perm = rng.sample(range(n), n)
+    lin = BinLinearMap(ctx.m, ctx.m, [rng.randrange(n) for _ in range(ctx.m)])
+    return FuncTable(ctx, [perm[x] ^ lin.apply(x) for x in range(n)])
 
 
-def test_search_sampled_mode_is_seed_deterministic():
-    f = Field(6)
-    tab = monomial(f, 5)
-    a = linear_completion_search(tab, budget=500, seed=42)
-    b = linear_completion_search(tab, budget=500, seed=42)
-    ra = None if a is None else list(a.rows)
-    rb = None if b is None else list(b.rows)
-    assert ra == rb
+@pytest.mark.parametrize("seed", range(120))
+def test_search_matches_sweep_oracle(seed):
+    tab = _search_case(seed)
+    got = linear_completion_search(tab)
+    if seed % 3 == 0:
+        assert got is not None
+    assert (None if got is None else list(got.rows)) == _sweep_oracle(tab)
+
+
+def test_search_settles_m7_without_budget():
+    assert linear_completion_search(theorem1(Field(7), 1)) is None
+
+
+def test_search_node_budget_trips():
+    with pytest.raises(BudgetExceededError):
+        linear_completion_search(theorem1(Field(5), 1), budget=1)
+
+
+def test_search_rejects_fields_beyond_the_walsh_matrix_limit():
+    with pytest.raises(ValueError):
+        linear_completion_search(monomial(Field(15), 3))
 
 
 def test_search_time_limit_trips():

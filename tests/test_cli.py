@@ -267,6 +267,18 @@ def test_verify_remark4_workers(capsys):
     assert rc == 0
 
 
+def test_verify_remark4_exhaustive_at_m7(capsys):
+    rc, stdout, _ = run(capsys, "verify", "remark4", "--m", "7", "--i", "1")
+    assert rc == 0
+    assert stdout == "ok   no linear completion to a permutation among all 2^49 linear maps\n"
+
+
+def test_verify_remark4_node_budget_exit3(capsys):
+    rc, _, err = run(capsys, "verify", "remark4", "--m", "5", "--i", "1", "--budget", "3")
+    assert rc == 3
+    assert "budget" in err.lower()
+
+
 def test_verify_remark4_found_completion_exit1(tmp_path, capsys):
     # the zero table is completed by every invertible linear map, so the
     # claim that no completion exists must fail
@@ -317,9 +329,40 @@ def test_verify_prop_gold_perm_even(capsys):
     assert rc2 == 2
 
 
+@pytest.mark.parametrize("claim", ["prop-gold-perm", "prop-gold-perm-even"])
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_verify_gold_perm_rejects_empty_trial_count(capsys, claim, count):
+    rc, stdout, err = run(capsys, "verify", claim, "--m", "4", "--i", "1", "--count", count)
+    assert rc == 2
+    assert "ok" not in stdout
+    assert len(err.strip().splitlines()) == 1
+    assert "--count" in err
+
+
 def test_verify_ccz_invariance(capsys):
     rc, _, _ = run(capsys, "verify", "ccz-invariance", "--m", "4", "--count", "8", "--seed", "1")
     assert rc == 0
+
+
+def test_failed_internal_identity_is_a_fail_line(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("graph witness identity broke")
+
+    monkeypatch.setattr("vbfkit.cli.theorem12_ccz_witness", broken)
+    rc, stdout, err = run(capsys, "verify", "ccz-invariance", "--m", "5", "--count", "2")
+    assert rc == 1
+    assert stdout.splitlines() == ["FAIL graph witness identity broke"]
+    assert "Traceback" not in stdout + err
+
+
+def test_malformed_poly_table_entry_exit2(tmp_path, monkeypatch, capsys):
+    table = tmp_path / "polys.json"
+    table.write_text(json.dumps({"5": [1]}))
+    monkeypatch.setenv("VBF_DEFAULT_POLY_TABLE", str(table))
+    rc, _, err = run(capsys, "construct", "--family", "gold", "--m", "5", "--i", "1")
+    assert rc == 2
+    assert len(err.strip().splitlines()) == 1
+    assert "degree 5" in err
 
 
 def test_verify_unknown_claim_exit2():

@@ -136,6 +136,23 @@ def test_poly_table_env_override(tmp_path, monkeypatch):
     assert default_poly(4) == 0b10011
 
 
+@pytest.mark.parametrize("entry", [[1], "x^5+x^2+1", {"poly": 41}])
+def test_poly_table_rejects_malformed_entry(tmp_path, monkeypatch, entry):
+    table = tmp_path / "polys.json"
+    table.write_text(json.dumps({"5": entry}))
+    monkeypatch.setenv("VBF_DEFAULT_POLY_TABLE", str(table))
+    with pytest.raises(ValueError, match="degree 5"):
+        default_poly(5)
+
+
+def test_poly_table_must_be_an_object(tmp_path, monkeypatch):
+    table = tmp_path / "polys.json"
+    table.write_text(json.dumps([41]))
+    monkeypatch.setenv("VBF_DEFAULT_POLY_TABLE", str(table))
+    with pytest.raises(ValueError, match="JSON object"):
+        default_poly(5)
+
+
 # ---------------------------------------------------------------- mul/pow/inv
 
 def test_generator_has_full_order_gf8():
