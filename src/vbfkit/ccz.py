@@ -22,19 +22,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf2m import Field
-from .spectra import _MATRIX_LIMIT, TooLargeError, _fwht_rows
+from .spectra import _MATRIX_LIMIT, TooLargeError, _dual_reindex, _fwht_rows, _sign_rows
 from .vbf import (
     ContextMismatchError,
     FuncTable,
     NotAPermutationError,
     UnivariatePoly,
-    algebraic_degree,
-    component_degree,
     compose,
     evaluate,
     interpolate,
     invert,
     is_permutation,
+    packed_anf,
 )
 
 
@@ -515,15 +514,42 @@ def ea_to_ccz_map(
 # inequivalence and permutation criteria
 
 
+def component_degrees(f: FuncTable) -> np.ndarray:
+    """deg[u] = ANF degree of the component x -> parity(u & F(x)), every u.
+
+    The component's ANF coefficient of x^M is parity(u & A[M]) for the
+    packed ANF A, so it reaches weight w exactly when parity(u & b) = 1 for
+    some b in an echelon basis of the packed coefficients of weight-w
+    monomials: at most m vectors per weight, one parity sweep each.
+    """
+    n = f.ctx.size
+    anf = packed_anf(f)
+    us = np.arange(n, dtype=np.uint32)
+    weights = np.bitwise_count(us)
+    deg = np.zeros(n, dtype=np.int64)
+    for w in range(1, f.ctx.m + 1):
+        coeffs = np.unique(anf[weights == w])
+        reached = np.zeros(n, dtype=np.uint8)
+        for _, b in _echelon(coeffs[coeffs != 0].tolist()):
+            reached |= np.bitwise_count(us & np.uint32(b)) & 1
+        deg[reached != 0] = w
+    return deg
+
+
 def power_inequivalence_witness(f: FuncTable) -> int | None:
     """A component whose degree rules out extended-affine equivalence to any
-    power map; None when every component looks like a power map's."""
-    deg = algebraic_degree(f)
-    allowed = {0, 1, deg}
-    for c in range(1, f.ctx.size):
-        if component_degree(f, c) not in allowed:
-            return c
-    return None
+    power map; None when every component looks like a power map's.
+
+    The witness is the smallest c >= 1 whose component trace(c*F(x)) has a
+    degree outside {0, 1, deg F}.  All component degrees come from one
+    packed ANF pass (``component_degrees``); trace(c*y) = parity(D[c] & y)
+    with the dual index map D, so component c has degree deg[D[c]].
+    """
+    deg = component_degrees(f)
+    top = int(deg.max())
+    comp = deg[_dual_reindex(f.ctx)]
+    odd = np.flatnonzero((comp > 1) & (comp != top))
+    return int(odd[0]) if odd.size else None
 
 
 def gold_perm_criterion(L: UnivariatePoly, Lp: UnivariatePoly, i: int) -> bool:
@@ -609,8 +635,7 @@ def linear_completion_search(
         raise ValueError("budget must be a positive node count")
     deadline = None if time_limit is None else time.monotonic() + float(time_limit)
     xs = np.arange(n, dtype=np.int64)
-    parity = np.bitwise_count(xs[:, None] & f.as_array()[None, :]) & 1
-    zero = _fwht_rows(1 - 2 * parity.astype(np.int32)) == 0
+    zero = _fwht_rows(_sign_rows(f, xs)) == 0
     rows = [0] * m
     nodes = 0
 

@@ -11,7 +11,8 @@ Three subcommands:
     Compute degree, nonlinearity, differential uniformity, the full Walsh
     and difference-count distributions, and the power-map inequivalence
     witness for a table, emitted as canonical JSON (sorted keys, stable
-    formatting, byte-identical across runs).
+    formatting, byte-identical across runs).  ``--timing`` adds the total
+    ``timing_ms`` and a per-stage ``timing_breakdown_ms``.
 
 ``verify``
     Run a named bundle of identity and property checks, printing one line
@@ -165,14 +166,25 @@ def build_family(args: argparse.Namespace) -> FuncTable:
 # -- analysis report ---------------------------------------------------------
 
 
-def analysis_report(f: FuncTable) -> dict:
+def analysis_report(f: FuncTable, timings: dict | None = None) -> dict:
+    """The canonical report of a table.  When ``timings`` is a dict, the
+    seconds spent in the walsh, differential and degree_witness stages are
+    stored in it."""
+    t0 = time.perf_counter()
     ws = walsh_spectrum(f)
+    t1 = time.perf_counter()
     ds = differential_spectrum(f)
+    t2 = time.perf_counter()
+    degree = algebraic_degree(f)
+    witness = power_inequivalence_witness(f)
+    t3 = time.perf_counter()
+    if timings is not None:
+        timings.update(walsh=t1 - t0, differential=t2 - t1, degree_witness=t3 - t2)
     report = {
         "schema": 1,
         "m": f.ctx.m,
         "reduction_poly": f"0x{f.ctx.poly:x}",
-        "degree": int(algebraic_degree(f)),
+        "degree": int(degree),
         "nonlinearity": int(nonlinearity(f, ws)),
         "differential_uniformity": int(differential_uniformity(f, ds)),
         "is_apn": bool(is_apn(f, ds)),
@@ -180,7 +192,6 @@ def analysis_report(f: FuncTable) -> dict:
         "walsh_distribution": {str(int(k)): int(v) for k, v in ws.distribution.items()},
         "delta_distribution": {str(int(k)): int(v) for k, v in ds.distribution.items()},
     }
-    witness = power_inequivalence_witness(f)
     if witness is not None:
         report["ea_power_witness"] = f"0x{witness:x}"
     return report
@@ -206,11 +217,14 @@ def cmd_construct(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     if (args.lut is None) == (args.family is None):
         raise ConditionViolatedError("pass exactly one of a LUT path or --family")
+    timings = {"build": 0.0, "io": 0.0}
     start = time.perf_counter()
     f = read_lut(args.lut) if args.lut else build_family(args)
-    report = analysis_report(f)
+    timings["io" if args.lut else "build"] = time.perf_counter() - start
+    report = analysis_report(f, timings)
     if args.timing:
         report["timing_ms"] = int((time.perf_counter() - start) * 1000)
+        report["timing_breakdown_ms"] = {k: int(v * 1000) for k, v in timings.items()}
     text = render_report(report)
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
@@ -507,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("lut", nargs="?", help="LUT file to analyze")
     _add_family_params(pa)
     pa.add_argument("--out", help="report path (default: stdout)")
-    pa.add_argument("--timing", action="store_true", help="include wall-clock timing_ms")
+    pa.add_argument("--timing", action="store_true", help="add timing_ms and timing_breakdown_ms")
     pa.set_defaults(handler=cmd_analyze)
 
     pv = sub.add_parser("verify", help="run a named bundle of checks")

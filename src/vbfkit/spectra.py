@@ -1,10 +1,13 @@
 """Walsh and differential spectra, nonlinearity, and APN/AB verdicts.
 
-The fast Walsh path transforms one sign table per output mask b with a
-vectorized Walsh-Hadamard butterfly, then reindexes the result so that the
-row/column convention matches the trace inner product <a, x> = tr(ax) used
-by the naive oracle ``walsh_value``.  Distributions are aggregated in
-ascending b order so reports are deterministic however the work is split.
+The fast Walsh path builds one sign row (-1)^parity(b & F(x)) per
+dot-product output mask b, with no field multiplication, and transforms the
+rows with a vectorized Walsh-Hadamard butterfly.  The multiset over all
+(a, b != 0) is the same in the dot-product and the trace convention, since
+tr(ax) = parity(D[a] & x) for a bijection D fixing 0, so ``walsh_spectrum``
+counts the dot-product values directly; ``walsh_matrix`` reindexes rows and
+columns by D to match the trace inner product <a, x> = tr(ax) used by the
+naive oracle ``walsh_value``.
 """
 
 from __future__ import annotations
@@ -71,21 +74,24 @@ def _fwht_rows(mat: np.ndarray) -> np.ndarray:
 
 def _dual_reindex(ctx) -> np.ndarray:
     """Index map D with tr(alpha * x) = parity(D[alpha] & x) for all x,
-    converting dot-product transform columns to trace-convention columns."""
-    tr = ctx.trace_table()
+    converting dot-product transform columns to trace-convention columns.
+
+    D is F_2-linear in alpha, so it is spread from the m images of the
+    basis elements 2^k, whose bit j is tr(2^k * 2^j).
+    """
+    m = ctx.m
     alphas = np.arange(ctx.size, dtype=np.int64)
     mask = np.zeros(ctx.size, dtype=np.int64)
-    for j in range(ctx.m):
-        mask |= tr[ctx.mul_many(alphas, 1 << j)].astype(np.int64) << j
+    for k in range(m):
+        dk = sum(ctx.trace(ctx.mul(1 << k, 1 << j)) << j for j in range(m))
+        mask ^= ((alphas >> k) & 1) * dk
     return mask
 
 
-def _sign_block(f: FuncTable, bs: np.ndarray) -> np.ndarray:
-    """Rows of (-1)^tr(b F(x)) for each b in bs, as int32."""
-    ctx = f.ctx
-    tr = ctx.trace_table()
-    prods = ctx.mul_many(bs[:, None], f.as_array()[None, :])
-    return 1 - 2 * tr[prods].astype(np.int32)
+def _sign_rows(f: FuncTable, masks: np.ndarray) -> np.ndarray:
+    """Rows of (-1)^parity(b & F(x)) for each dot-product mask b, as int32."""
+    prods = masks.astype(np.uint32)[:, None] & f.as_array()[None, :]
+    return 1 - 2 * (np.bitwise_count(prods) & 1).astype(np.int32)
 
 
 def walsh_matrix(f: FuncTable) -> np.ndarray:
@@ -93,28 +99,32 @@ def walsh_matrix(f: FuncTable) -> np.ndarray:
     ctx = f.ctx
     if ctx.m > _MATRIX_LIMIT:
         raise TooLargeError(f"walsh_matrix holds 2^(2m) ints; m={ctx.m} > {_MATRIX_LIMIT}")
-    bs = np.arange(1, ctx.size, dtype=np.int64)
-    mat = _fwht_rows(_sign_block(f, bs))
-    return mat[:, _dual_reindex(ctx)]
+    dual = _dual_reindex(ctx)
+    mat = _fwht_rows(_sign_rows(f, dual[1:]))
+    return mat[:, dual]
 
 
 def walsh_spectrum(f: FuncTable) -> WalshSpectrum:
-    """Multiset of walsh(a, b) over all a and all b != 0."""
+    """Multiset of walsh(a, b) over all a and all b != 0.
+
+    Counted in the dot-product convention, whose multiset is the trace
+    convention's: the sign rows need no field multiplication, and the
+    values, all in [-2^m, 2^m], are tallied with one bincount per block.
+    """
     ctx = f.ctx
     if ctx.m > _SPECTRUM_LIMIT:
         raise TooLargeError(f"walsh_spectrum costs m*2^(2m); m={ctx.m} > {_SPECTRUM_LIMIT}")
     n = ctx.size
     block = max(1, (1 << 22) // n)
-    dist: dict[int, int] = {}
-    max_abs = 0
+    counts = np.zeros(2 * n + 1, dtype=np.int64)
     for start in range(1, n, block):
         bs = np.arange(start, min(start + block, n), dtype=np.int64)
-        mat = _fwht_rows(_sign_block(f, bs))
-        vals, counts = np.unique(mat, return_counts=True)
-        for v, c in zip(vals.tolist(), counts.tolist()):
-            dist[v] = dist.get(v, 0) + c
-            if abs(v) > max_abs:
-                max_abs = abs(v)
+        mat = _fwht_rows(_sign_rows(f, bs))
+        mat += n
+        counts += np.bincount(mat.ravel(), minlength=2 * n + 1)
+    values = np.flatnonzero(counts)
+    dist = {int(v) - n: int(counts[v]) for v in values}
+    max_abs = max(abs(v) for v in dist)
     return WalshSpectrum(ctx.m, dist, max_abs)
 
 

@@ -2,9 +2,12 @@
 
 A function is stored either as its full value table (FuncTable) or as the
 unique univariate polynomial of degree below 2^m that represents it
-(UnivariatePoly).  The algebraic degree is the maximum binary weight of
-an exponent carrying a nonzero coefficient, which agrees with the maximum
-ANF degree over the component functions x -> trace(c*F(x)).
+(UnivariatePoly).  Degrees come from the packed algebraic normal form:
+one Moebius pass over the uint32 value table gives every output
+coordinate's ANF at once, and the algebraic degree is the largest weight of
+a monomial whose packed coefficient is nonzero.  That equals the maximum
+binary weight of a univariate exponent with a nonzero coefficient and the
+maximum ANF degree over the components x -> trace(c*F(x)).
 """
 
 from __future__ import annotations
@@ -145,36 +148,48 @@ def two_weight(k: int) -> int:
     return int(k).bit_count()
 
 
-def algebraic_degree(f: FuncTable) -> int:
-    """Maximum 2-weight over exponents of the univariate representation
-    (0 for constants)."""
-    terms = interpolate(f).terms
-    return max((two_weight(e) for e in terms), default=0)
-
-
-def mobius_transform(bits: np.ndarray) -> np.ndarray:
-    """Binary Moebius transform (self-inverse): table of a Boolean function
-    <-> its ANF coefficient table, index = monomial support mask."""
-    a = np.array(bits, dtype=np.uint8, copy=True)
+def _moebius(a: np.ndarray) -> np.ndarray:
+    """In-place binary Moebius butterfly along a power-of-two length array."""
     n = a.shape[0]
     if n & (n - 1):
         raise ValueError("table length must be a power of two")
     h = 1
     while h < n:
-        a = a.reshape(-1, 2 * h)
-        a[:, h:] ^= a[:, :h]
+        v = a.reshape(-1, 2 * h)
+        v[:, h:] ^= v[:, :h]
         h *= 2
-    return a.reshape(n)
+    return a
+
+
+def mobius_transform(bits: np.ndarray) -> np.ndarray:
+    """Binary Moebius transform (self-inverse): table of a Boolean function
+    <-> its ANF coefficient table, index = monomial support mask."""
+    return _moebius(np.array(bits, dtype=np.uint8, copy=True))
+
+
+def packed_anf(f: FuncTable) -> np.ndarray:
+    """ANF of every output coordinate at once: bit j of entry M is the
+    coefficient of the monomial x^M in coordinate j of F."""
+    return _moebius(f.as_array().copy())
+
+
+def _top_weight(anf: np.ndarray) -> int:
+    """Largest weight of a monomial index with a nonzero entry (0 if none)."""
+    idx = np.flatnonzero(anf).astype(np.uint32)
+    return int(np.bitwise_count(idx).max()) if idx.size else 0
+
+
+def algebraic_degree(f: FuncTable) -> int:
+    """Largest weight of a monomial with a nonzero packed ANF coefficient
+    (0 for constants); equal to the maximum 2-weight over exponents of the
+    univariate representation."""
+    return _top_weight(packed_anf(f))
 
 
 def anf_degree(bits: np.ndarray) -> int:
     """Degree of the ANF of a Boolean function given by its value table
     (0 for the constant functions)."""
-    anf = mobius_transform(bits)
-    idx = np.nonzero(anf)[0]
-    if idx.size == 0:
-        return 0
-    return int(np.bitwise_count(idx.astype(np.uint32)).max())
+    return _top_weight(mobius_transform(bits))
 
 
 def component_table(f: FuncTable, c: int) -> np.ndarray:

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from vbfkit.cli import main
+from vbfkit.cli import main, render_report
 from vbfkit.constructions import f8_side_condition
 from vbfkit.gf2m import Field
 from vbfkit.spectra import differential_spectrum, walsh_spectrum
@@ -173,6 +173,34 @@ def test_analyze_ea_power_witness_present(capsys):
 def test_analyze_timing_flag(capsys):
     rep = analyze_json(capsys, "--family", "gold", "--m", "4", "--i", "1", "--timing")
     assert isinstance(rep["timing_ms"], int)
+
+
+STAGES = {"build", "walsh", "differential", "degree_witness", "io"}
+
+
+@pytest.mark.parametrize("source", ["family", "lut"])
+def test_analyze_timing_breakdown(tmp_path, capsys, source):
+    if source == "lut":
+        lut = tmp_path / "t1.lut"
+        assert run(capsys, "construct", "--family", "thm1", "--m", "7", "--i", "1", "--out", str(lut))[0] == 0
+        argv = ["analyze", str(lut)]
+    else:
+        argv = ["analyze", "--family", "thm1", "--m", "7", "--i", "1"]
+    rc, plain, _ = run(capsys, *argv)
+    assert rc == 0
+    assert "timing" not in plain
+    rc, timed, _ = run(capsys, *argv, "--timing")
+    assert rc == 0
+    rep = json.loads(timed)
+    assert rep["schema"] == 1
+    total = rep.pop("timing_ms")
+    stages = rep.pop("timing_breakdown_ms")
+    assert isinstance(total, int)
+    assert set(stages) == STAGES
+    assert all(isinstance(v, int) and v >= 0 for v in stages.values())
+    assert sum(stages.values()) <= total
+    assert stages["io" if source == "family" else "build"] == 0
+    assert render_report(rep) == plain
 
 
 def test_analyze_json_out_file(tmp_path, capsys):

@@ -153,6 +153,18 @@ def test_poly_table_must_be_an_object(tmp_path, monkeypatch):
         default_poly(5)
 
 
+def test_poly_table_same_size_rewrite_is_seen(tmp_path, monkeypatch):
+    # the file is read on every call, so a rewrite of the same length
+    # within one mtime tick still takes effect
+    table = tmp_path / "polys.json"
+    monkeypatch.setenv("VBF_DEFAULT_POLY_TABLE", str(table))
+    table.write_text(json.dumps({"5": 41}))
+    assert default_poly(5) == 41
+    table.write_text(json.dumps({"5": 59}))
+    assert default_poly(5) == 59
+    assert Field(5).poly == 59
+
+
 # ---------------------------------------------------------------- mul/pow/inv
 
 def test_generator_has_full_order_gf8():
