@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -567,13 +568,26 @@ def gold_perm_criterion(L: UnivariatePoly, Lp: UnivariatePoly, i: int) -> bool:
         raise GcdViolationError(f"gcd({i}, {m}) != 1")
     _linear_terms(L)
     _linear_terms(Lp)
-    e = (1 << i) + 1
     Ltab = evaluate(L).as_array()
     Lptab = evaluate(Lp).as_array()
-    vs = np.nonzero(ctx.trace_table() == ctx.trace(1))[0].astype(np.int64)
+    return not bool(np.any(Ltab[_gold_grid(ctx, i)] == Lptab[1:, None]))
+
+
+@lru_cache(maxsize=8)
+def _gold_grid(ctx: Field, i: int) -> np.ndarray:
+    """Read-only grid u^(2^i+1) * v for u != 0 (rows) and every v with
+    trace(v) = trace(1) (columns), in the narrowest unsigned dtype.
+
+    It depends only on the field and i, and callers check many summand
+    pairs against one grid; building it per call costs a 2^m x 2^(m-1)
+    field product with int64 temporaries.
+    """
+    vs = np.flatnonzero(ctx.trace_table() == ctx.trace(1))
     us = np.arange(1, ctx.size, dtype=np.int64)
-    prods = ctx.mul_many(ctx.pow_many(us, e)[:, None], vs[None, :])
-    return not bool(np.any(Ltab[prods] == Lptab[us][:, None]))
+    prods = ctx.mul_many(ctx.pow_many(us, (1 << i) + 1)[:, None], vs[None, :])
+    grid = prods.astype(np.min_scalar_type(ctx.order))
+    grid.flags.writeable = False
+    return grid
 
 
 def gold_perm_criterion_even(L: UnivariatePoly, i: int) -> bool:

@@ -2,17 +2,22 @@
 
 The fast Walsh path builds one sign row (-1)^parity(b & F(x)) per
 dot-product output mask b, with no field multiplication, and transforms the
-rows with a vectorized Walsh-Hadamard butterfly.  The multiset over all
-(a, b != 0) is the same in the dot-product and the trace convention, since
-tr(ax) = parity(D[a] & x) for a bijection D fixing 0, so ``walsh_spectrum``
-counts the dot-product values directly; ``walsh_matrix`` reindexes rows and
-columns by D to match the trace inner product <a, x> = tr(ax) used by the
-naive oracle ``walsh_value``.
+rows with two dense matrix products: the Sylvester-Hadamard matrix factors
+as H_(2^k) = H_(2^p) (x) H_(2^q), so a row reshaped to a 2^p x 2^q matrix X
+transforms as H_p X H_q.  The products run in float32, which is exact here
+because every partial sum is an integer of magnitude at most 2^k <= 2^24.
+
+The multiset over all (a, b != 0) is the same in the dot-product and the
+trace convention, since tr(ax) = parity(D[a] & x) for a bijection D fixing
+0, so ``walsh_spectrum`` counts the dot-product values directly;
+``walsh_matrix`` reindexes rows and columns by D to match the trace inner
+product <a, x> = tr(ax) used by the naive oracle ``walsh_value``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -58,18 +63,35 @@ def walsh_value(f: FuncTable, a: int, b: int) -> int:
 
 # ---------------------------------------------------------------- fast path
 
+@lru_cache(maxsize=None)
+def _sylvester(k: int) -> np.ndarray:
+    """Read-only float32 Sylvester-Hadamard matrix H[i, j] = (-1)^parity(i & j)
+    of order 2^k."""
+    idx = np.arange(1 << k, dtype=np.uint32)
+    h = 1 - 2 * (np.bitwise_count(idx[:, None] & idx[None, :]) & 1).astype(np.float32)
+    h.flags.writeable = False
+    return h
+
+
 def _fwht_rows(mat: np.ndarray) -> np.ndarray:
-    """In-place Walsh-Hadamard transform along axis 1 (length a power of 2)."""
+    """Walsh-Hadamard transform of each +-1 row (length 2^k), as a new int32 array.
+
+    Row x = (x_hi, x_lo) with x_hi the top p = floor(k/2) bits is the matrix
+    X[x_hi, x_lo]; since (-1)^(a.x) = (-1)^(a_hi.x_hi) (-1)^(a_lo.x_lo), the
+    transform is H_p X H_q.  Each partial sum of either product is an integer
+    of magnitude at most 2^k, and float32 holds every integer up to 2^24
+    exactly, so the result is exact whatever the summation order; longer rows
+    raise TooLargeError.
+    """
     rows, n = mat.shape
-    h = 1
-    while h < n:
-        m3 = mat.reshape(rows, -1, 2, h)
-        top = m3[:, :, 0, :].copy()
-        bot = m3[:, :, 1, :]
-        m3[:, :, 0, :] = top + bot
-        m3[:, :, 1, :] = top - bot
-        h *= 2
-    return mat
+    k = n.bit_length() - 1
+    if k > _SPECTRUM_LIMIT:
+        raise TooLargeError(f"float32 transform is exact up to 2^{_SPECTRUM_LIMIT}; row length 2^{k}")
+    p = k // 2
+    q = k - p
+    x = mat.astype(np.float32).reshape(rows << p, 1 << q) @ _sylvester(q)
+    out = _sylvester(p) @ x.reshape(rows, 1 << p, 1 << q)
+    return out.reshape(rows, n).astype(np.int32)
 
 
 def _dual_reindex(ctx) -> np.ndarray:
@@ -115,7 +137,7 @@ def walsh_spectrum(f: FuncTable) -> WalshSpectrum:
     if ctx.m > _SPECTRUM_LIMIT:
         raise TooLargeError(f"walsh_spectrum costs m*2^(2m); m={ctx.m} > {_SPECTRUM_LIMIT}")
     n = ctx.size
-    block = max(1, (1 << 22) // n)
+    block = max(1, (1 << 18) // n)  # rows per block: each float32 temporary stays near 1 MB
     counts = np.zeros(2 * n + 1, dtype=np.int64)
     for start in range(1, n, block):
         bs = np.arange(start, min(start + block, n), dtype=np.int64)
@@ -180,16 +202,12 @@ def differential_spectrum(f: FuncTable) -> DifferentialSpectrum:
     n = ctx.size
     vals = f.as_array()
     xs = np.arange(n, dtype=np.int64)
-    dist: dict[int, int] = {}
-    dmax = 0
+    hist = np.zeros(n + 1, dtype=np.int64)  # fiber size -> number of (a, b)
     for a in range(1, n):
-        diffs = vals[xs ^ a] ^ vals
-        counts = np.bincount(diffs, minlength=n)
-        cv, cc = np.unique(counts, return_counts=True)
-        for v, c in zip(cv.tolist(), cc.tolist()):
-            dist[v] = dist.get(v, 0) + c
-            if v > dmax:
-                dmax = v
+        hist += np.bincount(np.bincount(vals[xs ^ a] ^ vals, minlength=n), minlength=n + 1)
+    sizes = np.flatnonzero(hist)
+    dist = {int(v): int(hist[v]) for v in sizes}
+    dmax = int(sizes[-1])
     return DifferentialSpectrum(ctx.m, dist, dmax)
 
 

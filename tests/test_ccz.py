@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from vbfkit.ccz import (
+    _gold_grid,
     BinLinearMap,
     BudgetExceededError,
     GcdViolationError,
@@ -684,6 +685,42 @@ def test_perm_criterion_matches_brute_force():
             ]
             want = is_permutation(FuncTable(f, table))
             assert gold_perm_criterion(L, Lp, 1) == want
+
+
+def test_gold_grid_is_cached_per_field_and_index():
+    f, g = Field(7), Field(7, poly=0x89)
+    assert f != g
+    grid = _gold_grid(f, 1)
+    assert _gold_grid(Field(7), 1) is grid  # equal fields share one grid
+    assert grid.shape == (127, 64) and grid.dtype == np.uint8
+    assert not np.array_equal(grid, _gold_grid(g, 1))
+    assert not np.array_equal(grid, _gold_grid(f, 2))
+    assert not grid.flags.writeable
+    with pytest.raises(ValueError):
+        grid[0, 0] = 0
+    for ctx, i in ((g, 2), (Field(9), 1)):  # uint8 and uint16 grids
+        vs = [v for v in range(ctx.size) if ctx.trace(v) == ctx.trace(1)]
+        want = [[ctx.mul(ctx.pow(u, (1 << i) + 1), v) for v in vs] for u in range(1, ctx.size)]
+        assert _gold_grid(ctx, i).tolist() == want
+
+
+def test_perm_criterion_matches_brute_force_across_cached_grids():
+    # fields and indices interleave, so a grid served for the wrong key shows
+    rng = random.Random(20)
+    cases = [(Field(5), 1), (Field(7), 2), (Field(7, poly=0x89), 2), (Field(7), 1), (Field(5), 2)]
+    verdicts = set()
+    for _ in range(6):
+        for f, i in cases:
+            L = _random_linearized(f, rng)
+            Lp = _random_linearized(f, rng)
+            Ltab = evaluate(L)
+            Lptab = evaluate(Lp)
+            e = (1 << i) + 1
+            table = [Ltab.values[f.pow(x, e)] ^ Lptab.values[x] for x in range(f.size)]
+            verdict = gold_perm_criterion(L, Lp, i)
+            assert verdict == is_permutation(FuncTable(f, table))
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_perm_criterion_gcd_guard():

@@ -8,6 +8,8 @@ import pytest
 from vbfkit.gf2m import Field
 from vbfkit.spectra import (
     ParityMismatchError,
+    TooLargeError,
+    _fwht_rows,
     differential_spectrum,
     differential_uniformity,
     is_ab,
@@ -93,6 +95,57 @@ def test_fast_spectrum_matches_oracle_sampled_gf64():
     for _ in range(60):
         a, b = rng.randrange(64), rng.randrange(1, 64)
         assert int(mat[b - 1, a]) == walsh_value(tab, a, b)
+
+
+def _butterfly_oracle(mat: np.ndarray) -> np.ndarray:
+    """Walsh-Hadamard transform along axis 1 by log2(n) int butterfly passes on a copy."""
+    mat = mat.copy()
+    rows, n = mat.shape
+    h = 1
+    while h < n:
+        m3 = mat.reshape(rows, -1, 2, h)
+        top = m3[:, :, 0, :].copy()
+        bot = m3[:, :, 1, :]
+        m3[:, :, 0, :] = top + bot
+        m3[:, :, 1, :] = top - bot
+        h *= 2
+    return mat
+
+
+def test_fwht_rows_matches_butterfly_oracle():
+    rng = np.random.default_rng(21)
+    for k in range(13):  # both parities of k, so both factor shapes
+        rows = (1 - 2 * rng.integers(0, 2, size=(7, 1 << k))).astype(np.int32)
+        got = _fwht_rows(rows)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, _butterfly_oracle(rows))
+
+
+def test_fwht_rows_all_ones_row_is_exact():
+    n = 1 << 14
+    got = _fwht_rows(np.ones((1, n), dtype=np.int32))
+    assert got[0, 0] == n
+    assert not got[0, 1:].any()
+
+
+def test_fwht_rows_refuses_rows_beyond_float32_exactness():
+    with pytest.raises(TooLargeError):
+        _fwht_rows(np.zeros((0, 1 << 25), dtype=np.int32))
+
+
+def test_walsh_spectrum_multi_block_matches_butterfly_oracle():
+    rng = np.random.default_rng(22)
+    for m in (11, 12):  # more than one block of rows each
+        n = 1 << m
+        tab = FuncTable(Field(m), rng.integers(0, n, size=n))
+        vals = tab.as_array()
+        counts = np.zeros(2 * n + 1, dtype=np.int64)
+        for start in range(1, n, 512):
+            bs = np.arange(start, min(start + 512, n), dtype=np.uint32)
+            signs = 1 - 2 * (np.bitwise_count(bs[:, None] & vals[None, :]) & 1).astype(np.int32)
+            counts += np.bincount((_butterfly_oracle(signs) + n).ravel(), minlength=2 * n + 1)
+        want = {int(v) - n: int(counts[v]) for v in np.flatnonzero(counts)}
+        assert walsh_spectrum(tab).distribution == want
 
 
 def test_identity_spectrum_distribution_gf8():
