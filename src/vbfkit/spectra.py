@@ -7,11 +7,23 @@ as H_(2^k) = H_(2^p) (x) H_(2^q), so a row reshaped to a 2^p x 2^q matrix X
 transforms as H_p X H_q.  The products run in float32, which is exact here
 because every partial sum is an integer of magnitude at most 2^k <= 2^24.
 
-The multiset over all (a, b != 0) is the same in the dot-product and the
-trace convention, since tr(ax) = parity(D[a] & x) for a bijection D fixing
-0, so ``walsh_spectrum`` counts the dot-product values directly;
+Since tr(ax) = parity(D[a] & x) for a bijection D fixing 0, the trace row
+b is the dot-product row of mask D[b] with its columns permuted, so
+``walsh_spectrum`` tallies the dot-product rows of masks D[b] directly;
 ``walsh_matrix`` reindexes rows and columns by D to match the trace inner
 product <a, x> = tr(ax) used by the naive oracle ``walsh_value``.
+
+Both spectra are reduced to one row per squaring orbit when F commutes
+with squaring, F(x^2) = F(x)^2, as every polynomial with coefficients in
+GF(2) does (the Gold, Theorem 1 and 2 and inverse maps among them).
+Substituting x = y^2 gives W_F(a^2, b^2) = W_F(a, b) and
+delta_F(a^2, b^2) = delta_F(a, b), so the multiset of Walsh values in row
+b equals that of row b^2, and the fiber sizes of direction a equal those
+of direction a^2: each orbit's row is computed once and counted once per
+element.  ``_frobenius_orbits`` checks the identity on the whole table
+and otherwise returns every nonzero element as its own orbit, so a table
+without the symmetry (a random table, say) still gets every row and an
+exact spectrum.
 """
 
 from __future__ import annotations
@@ -94,6 +106,14 @@ def _fwht_rows(mat: np.ndarray) -> np.ndarray:
     return out.reshape(rows, n).astype(np.int32)
 
 
+def _linear_table(images: list[int]) -> np.ndarray:
+    """Table of the F_2-linear map that sends basis element 2^k to images[k]."""
+    tab = np.zeros(1 << len(images), dtype=np.int64)
+    for k, image in enumerate(images):
+        tab[1 << k:2 << k] = tab[:1 << k] ^ image
+    return tab
+
+
 def _dual_reindex(ctx) -> np.ndarray:
     """Index map D with tr(alpha * x) = parity(D[alpha] & x) for all x,
     converting dot-product transform columns to trace-convention columns.
@@ -102,12 +122,33 @@ def _dual_reindex(ctx) -> np.ndarray:
     basis elements 2^k, whose bit j is tr(2^k * 2^j).
     """
     m = ctx.m
-    alphas = np.arange(ctx.size, dtype=np.int64)
-    mask = np.zeros(ctx.size, dtype=np.int64)
-    for k in range(m):
-        dk = sum(ctx.trace(ctx.mul(1 << k, 1 << j)) << j for j in range(m))
-        mask ^= ((alphas >> k) & 1) * dk
-    return mask
+    return _linear_table([sum(ctx.trace(ctx.mul(1 << k, 1 << j)) << j for j in range(m))
+                          for k in range(m)])
+
+
+def _frobenius_orbits(f: FuncTable) -> tuple[np.ndarray, np.ndarray]:
+    """Squaring-orbit minima on GF(2^m)* and their orbit sizes, if F commutes
+    with squaring; otherwise every nonzero element, each with size 1.
+
+    Squaring is F_2-linear, so its table is spread from the m scalar squares
+    of the basis elements 2^k, with no log/exp tables.  The minimum of each
+    orbit comes from m - 1 gathers through that table, and an orbit's size
+    is the number of elements whose minimum it is.
+    """
+    ctx = f.ctx
+    n = ctx.size
+    sq = _linear_table([ctx.mul(1 << k, 1 << k) for k in range(ctx.m)])
+    vals = f.as_array()
+    if not np.array_equal(vals[sq], sq[vals]):
+        return np.arange(1, n, dtype=np.int64), np.ones(n - 1, dtype=np.int64)
+    low = np.arange(n, dtype=np.int64)
+    cur = low
+    for _ in range(ctx.m - 1):
+        cur = sq[cur]
+        np.minimum(low, cur, out=low)
+    sizes = np.bincount(low, minlength=n)
+    reps = np.flatnonzero(sizes)[1:]  # drop the orbit {0}
+    return reps, sizes[reps]
 
 
 def _sign_rows(f: FuncTable, masks: np.ndarray) -> np.ndarray:
@@ -129,21 +170,27 @@ def walsh_matrix(f: FuncTable) -> np.ndarray:
 def walsh_spectrum(f: FuncTable) -> WalshSpectrum:
     """Multiset of walsh(a, b) over all a and all b != 0.
 
-    Counted in the dot-product convention, whose multiset is the trace
-    convention's: the sign rows need no field multiplication, and the
+    Trace row b is the transformed dot-product sign row of mask D[b]; its
     values, all in [-2^m, 2^m], are tallied with one bincount per block.
+    Only the orbit minima b from ``_frobenius_orbits`` are transformed, each
+    tally counted once per orbit element: if F(x^2) = F(x)^2, then
+    W(a^2, b^2) = W(a, b), so rows b and b^2 hold the same multiset.  A
+    table without that symmetry gets every row b != 0.
     """
     ctx = f.ctx
     if ctx.m > _SPECTRUM_LIMIT:
         raise TooLargeError(f"walsh_spectrum costs m*2^(2m); m={ctx.m} > {_SPECTRUM_LIMIT}")
     n = ctx.size
+    reps, sizes = _frobenius_orbits(f)
+    masks = _dual_reindex(ctx)[reps]
     block = max(1, (1 << 18) // n)  # rows per block: each float32 temporary stays near 1 MB
     counts = np.zeros(2 * n + 1, dtype=np.int64)
-    for start in range(1, n, block):
-        bs = np.arange(start, min(start + block, n), dtype=np.int64)
-        mat = _fwht_rows(_sign_rows(f, bs))
-        mat += n
-        counts += np.bincount(mat.ravel(), minlength=2 * n + 1)
+    for size in np.unique(sizes).tolist():
+        group = masks[sizes == size]
+        for start in range(0, len(group), block):
+            mat = _fwht_rows(_sign_rows(f, group[start:start + block]))
+            mat += n
+            counts += size * np.bincount(mat.ravel(), minlength=2 * n + 1)
     values = np.flatnonzero(counts)
     dist = {int(v) - n: int(counts[v]) for v in values}
     max_abs = max(abs(v) for v in dist)
@@ -195,7 +242,14 @@ def is_three_valued(f: FuncTable, s: int, spectrum: WalshSpectrum | None = None)
 
 
 def differential_spectrum(f: FuncTable) -> DifferentialSpectrum:
-    """Multiset of fiber sizes |{x : F(x+a)+F(x) = b}| over a != 0, all b."""
+    """Multiset of fiber sizes |{x : F(x+a)+F(x) = b}| over a != 0, all b.
+
+    Only the orbit minima a from ``_frobenius_orbits`` are scanned, each
+    direction's histogram counted once per orbit element: if
+    F(x^2) = F(x)^2, then delta(a^2, b^2) = delta(a, b), so directions a and
+    a^2 have the same fiber sizes.  A table without that symmetry gets every
+    direction a != 0.
+    """
     ctx = f.ctx
     if ctx.m > _SPECTRUM_LIMIT:
         raise TooLargeError(f"differential_spectrum costs 2^(2m); m={ctx.m} > {_SPECTRUM_LIMIT}")
@@ -203,8 +257,9 @@ def differential_spectrum(f: FuncTable) -> DifferentialSpectrum:
     vals = f.as_array()
     xs = np.arange(n, dtype=np.int64)
     hist = np.zeros(n + 1, dtype=np.int64)  # fiber size -> number of (a, b)
-    for a in range(1, n):
-        hist += np.bincount(np.bincount(vals[xs ^ a] ^ vals, minlength=n), minlength=n + 1)
+    reps, weights = _frobenius_orbits(f)
+    for a, w in zip(reps.tolist(), weights.tolist()):
+        hist += w * np.bincount(np.bincount(vals[xs ^ a] ^ vals, minlength=n), minlength=n + 1)
     sizes = np.flatnonzero(hist)
     dist = {int(v): int(hist[v]) for v in sizes}
     dmax = int(sizes[-1])

@@ -36,19 +36,25 @@ class FuncTable:
     __slots__ = ("ctx", "values", "_arr")
 
     def __init__(self, ctx: Field, values):
-        vals = tuple(int(v) for v in values)
-        if len(vals) != ctx.size:
-            raise ValueError(f"table needs {ctx.size} entries, got {len(vals)}")
-        for v in vals:
-            if not 0 <= v < ctx.size:
-                raise ValueError(f"table entry {v} outside [0, {ctx.size})")
+        arr = values
+        if not (isinstance(arr, np.ndarray) and arr.dtype.kind in "iu"):
+            try:
+                arr = np.asarray(values, dtype=np.int64)
+            except (OverflowError, TypeError):  # an entry beyond int64, or an iterator
+                arr = np.array([int(v) for v in values], dtype=object)
+        if arr.shape != (ctx.size,):
+            got = len(arr) if arr.ndim == 1 else arr.shape
+            raise ValueError(f"table needs {ctx.size} entries, got {got}")
+        high = arr >> ctx.m  # nonzero exactly at the negative entries and those >= 2^m
+        if np.count_nonzero(high):
+            raise ValueError(f"table entry {arr[np.flatnonzero(high)[0]]} outside [0, {ctx.size})")
         self.ctx = ctx
-        self.values = vals
-        self._arr: np.ndarray | None = None
+        self.values = tuple(arr.tolist())
+        self._arr = arr.astype(np.uint32)
+        self._arr.setflags(write=False)
 
     def as_array(self) -> np.ndarray:
-        if self._arr is None:
-            self._arr = np.array(self.values, dtype=np.uint32)
+        """The table as a read-only uint32 array."""
         return self._arr
 
     def __eq__(self, other) -> bool:

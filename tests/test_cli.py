@@ -227,6 +227,7 @@ def test_analyze_all_zero_lut(tmp_path, capsys):
     [
         "m=5 poly=0x25\n" + "0x1\n" * 31,          # one entry short
         "m=5 poly=0x25\n" + "0x20\n" * 32,          # value out of range
+        "m=5 poly=0x25\n0x" + "f" * 20 + "\n" + "0x0\n" * 31,  # value beyond int64
         "poly=0x25 n=5\n" + "0x0\n" * 32,           # bad header keys
         "m=5 poly=0x24\n" + "0x0\n" * 32,           # reducible modulus
         "m=5 poly=0x25\nbanana\n" + "0x0\n" * 31,   # non-hex entry

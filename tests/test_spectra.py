@@ -4,12 +4,17 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vbfkit.gf2m import Field
+from vbfkit.constructions import theorem1
+from vbfkit.gf2m import Field, is_irreducible
 from vbfkit.spectra import (
     ParityMismatchError,
     TooLargeError,
+    _frobenius_orbits,
     _fwht_rows,
+    _sign_rows,
     differential_spectrum,
     differential_uniformity,
     is_ab,
@@ -366,3 +371,128 @@ def test_spectra_invariant_under_affine_shifts():
         assert differential_spectrum(shifted).distribution == d0
         assert nonlinearity(shifted, spec) == 12
         assert is_ab(shifted, spec)
+
+
+# ---------------------------------------------------------------- squaring orbits
+
+def _all_rows_oracle(f: FuncTable) -> tuple[dict, dict]:
+    """Walsh and differential distributions from every row: each dot-product
+    sign row b != 0 and each direction a != 0, with no orbit reduction."""
+    n = f.ctx.size
+    block = max(1, (1 << 18) // n)
+    counts = np.zeros(2 * n + 1, dtype=np.int64)
+    for start in range(1, n, block):
+        bs = np.arange(start, min(start + block, n), dtype=np.int64)
+        mat = _fwht_rows(_sign_rows(f, bs))
+        mat += n
+        counts += np.bincount(mat.ravel(), minlength=2 * n + 1)
+    walsh = {int(v) - n: int(counts[v]) for v in np.flatnonzero(counts)}
+    vals = f.as_array()
+    xs = np.arange(n, dtype=np.int64)
+    hist = np.zeros(n + 1, dtype=np.int64)
+    for a in range(1, n):
+        hist += np.bincount(np.bincount(vals[xs ^ a] ^ vals, minlength=n), minlength=n + 1)
+    diff = {int(v): int(hist[v]) for v in np.flatnonzero(hist)}
+    return walsh, diff
+
+
+def _assert_matches_all_rows(f: FuncTable) -> None:
+    walsh, diff = _all_rows_oracle(f)
+    wspec = walsh_spectrum(f)
+    dspec = differential_spectrum(f)
+    assert wspec.distribution == walsh
+    assert wspec.max_abs == max(abs(v) for v in walsh)
+    assert dspec.distribution == diff
+    assert dspec.max == max(diff)
+
+
+def _two_polys(m: int) -> list[int]:
+    """The two lowest irreducible reduction polynomials of degree m (one for m = 2)."""
+    return [p for p in range((1 << m) + 1, 1 << (m + 1), 2) if is_irreducible(p)][:2]
+
+
+def _is_fallback(f: FuncTable) -> bool:
+    reps, sizes = _frobenius_orbits(f)
+    return np.array_equal(reps, np.arange(1, f.ctx.size)) and not (sizes - 1).any()
+
+
+@st.composite
+def orbit_cases(draw):
+    m = draw(st.integers(2, 9))
+    ctx = Field(m, draw(st.sampled_from(_two_polys(m))))
+    n = ctx.size
+    kind = draw(st.sampled_from(("gf2-poly", "random", "perturbed")))
+    if kind == "random":
+        seed = draw(st.integers(0, 2**32 - 1))
+        return kind, FuncTable(ctx, np.random.default_rng(seed).integers(0, n, size=n))
+    exps = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=5))
+    tab = evaluate(UnivariatePoly(ctx, {e: 1 for e in exps}))
+    if kind == "perturbed":  # x >= 2 is not fixed by squaring, so F(x^2) = F(x)^2 breaks
+        x = draw(st.integers(2, n - 1))
+        vals = list(tab.values)
+        vals[x] ^= draw(st.integers(1, n - 1))
+        tab = FuncTable(ctx, vals)
+    return kind, tab
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(orbit_cases())
+def test_orbit_spectra_match_all_rows_oracle(case):
+    kind, tab = case
+    if kind == "gf2-poly":
+        assert not _is_fallback(tab)
+    elif kind == "perturbed":
+        assert _is_fallback(tab)
+    _assert_matches_all_rows(tab)
+
+
+@pytest.mark.parametrize("poly", _two_polys(11))
+def test_orbit_spectra_span_several_blocks_at_m11(poly):
+    ctx = Field(11, poly)
+    rows_per_block = (1 << 18) >> 11
+    for tab in (monomial(ctx, 3), monomial(ctx, 5), theorem1(ctx, 1)):
+        reps, _ = _frobenius_orbits(tab)
+        assert len(reps) > rows_per_block
+        _assert_matches_all_rows(tab)
+
+
+def _squaring_orbit(ctx: Field, x: int) -> list[int]:
+    orbit = [x]
+    y = ctx.mul(x, x)
+    while y != x:
+        orbit.append(y)
+        y = ctx.mul(y, y)
+    return orbit
+
+
+@pytest.mark.parametrize("m", range(2, 11))
+def test_frobenius_orbits_partition_the_multiplicative_group(m):
+    for poly in _two_polys(m):
+        ctx = Field(m, poly)
+        n = ctx.size
+        reps, sizes = _frobenius_orbits(monomial(ctx, 3))
+        assert int(sizes.sum()) == n - 1
+        assert all(m % int(s) == 0 for s in sizes)
+        seen = set()
+        for r, s in zip(reps.tolist(), sizes.tolist()):
+            orbit = _squaring_orbit(ctx, r)
+            assert min(orbit) == r and len(orbit) == s
+            seen.update(orbit)
+        assert seen == set(range(1, n))
+
+
+def test_frobenius_orbits_of_gold_m13():
+    reps, sizes = _frobenius_orbits(monomial(Field(13), 3))
+    assert len(reps) == 631
+    assert sorted(sizes.tolist()) == [1] + [13] * 630
+    assert reps[0] == 1
+
+
+def test_frobenius_orbits_fall_back_without_the_symmetry():
+    rng = random.Random(19)
+    for m in (4, 7, 10):
+        ctx = Field(m)
+        assert _is_fallback(_random_table(ctx, rng))
+        assert not _is_fallback(monomial(ctx, (1 << m) - 2))
+        assert not _is_fallback(monomial(ctx, 3, c=1))
+        assert _is_fallback(monomial(ctx, 3, c=ctx.generator))

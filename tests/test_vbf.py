@@ -324,6 +324,76 @@ def test_functable_validates_shape_and_range():
         FuncTable(f, [8] + [0] * 7)
 
 
+_NEG = [0, 3, -1, 2, -5, 0, 0, 0]
+_HIGH = [0, 1, 2, 8, 9, 0, 0, 0]
+_HUGE = [0] * 7 + [1 << 70]
+
+
+@pytest.mark.parametrize(
+    "values, bad",
+    [
+        (_NEG, -1),
+        (np.array(_NEG, dtype=np.int64), -1),
+        (_HIGH, 8),
+        (np.array(_HIGH, dtype=np.int64), 8),
+        (np.array(_HIGH, dtype=np.uint32), 8),
+        (_HUGE, 1 << 70),
+        (np.array(_HUGE, dtype=object), 1 << 70),
+    ],
+)
+def test_functable_names_first_out_of_range_entry(values, bad):
+    with pytest.raises(ValueError, match=rf"^table entry {bad} outside \[0, 8\)$"):
+        FuncTable(Field(3), values)
+
+
+def test_functable_rejects_uint_entries_of_2_to_the_m():
+    f = Field(4)
+    for dtype in (np.uint8, np.uint32, np.uint64):
+        vals = np.arange(16, dtype=dtype)
+        vals[5] = 16
+        with pytest.raises(ValueError, match=r"^table entry 16 outside \[0, 16\)$"):
+            FuncTable(f, vals)
+    with pytest.raises(ValueError, match=r"^table entry -1 outside \[0, 16\)$"):
+        FuncTable(f, np.full(16, -1, dtype=np.int8))
+
+
+def test_functable_wrong_length_names_the_count():
+    f = Field(4)
+    for values in ([0] * 15, np.zeros(17, dtype=np.uint32), (0,) * 32):
+        with pytest.raises(ValueError, match=rf"^table needs 16 entries, got {len(values)}$"):
+            FuncTable(f, values)
+    with pytest.raises(ValueError, match=r"^table needs 16 entries"):
+        FuncTable(f, np.zeros((4, 4), dtype=np.int64))
+
+
+def test_functable_input_kinds_give_equal_tables():
+    rng = random.Random(31)
+    f = Field(5)
+    entries = [rng.randrange(32) for _ in range(32)]
+    tables = [
+        FuncTable(f, entries),
+        FuncTable(f, tuple(entries)),
+        FuncTable(f, np.array(entries, dtype=np.uint32)),
+        FuncTable(f, np.array(entries, dtype=np.int64)),
+        FuncTable(f, (v for v in entries)),
+    ]
+    for tab in tables:
+        assert tab == tables[0] and hash(tab) == hash(tables[0])
+        assert tab.values == tuple(entries)
+        assert all(type(v) is int for v in tab.values)
+        arr = tab.as_array()
+        assert arr.dtype == np.uint32 and arr.tolist() == entries
+        assert not arr.flags.writeable
+
+
+def test_functable_copies_its_input_array():
+    f = Field(3)
+    src = np.arange(8, dtype=np.uint32)
+    tab = FuncTable(f, src)
+    src[0] = 7
+    assert tab.values[0] == 0 and tab.as_array()[0] == 0
+
+
 def test_poly_validates_terms():
     f = Field(3)
     with pytest.raises(ValueError):
