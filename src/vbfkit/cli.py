@@ -30,6 +30,7 @@ import json
 import random
 import sys
 import time
+from functools import lru_cache
 
 import numpy as np
 
@@ -505,7 +506,10 @@ def _add_family_params(p: argparse.ArgumentParser, with_family: bool = True) -> 
     p.add_argument("--relaxed", action="store_true", help="allow gcd(i, m) > 1 variants")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    ``main`` call (parsing does not change it)."""
     parser = argparse.ArgumentParser(
         prog="vbfkit",
         description="Construct, analyze, and verify vectorial Boolean functions over GF(2^m).",

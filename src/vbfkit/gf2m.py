@@ -103,7 +103,8 @@ def default_poly(m: int) -> int:
     return _scan_lowest_irreducible(m)
 
 
-def _factorize(n: int) -> list[int]:
+@lru_cache(maxsize=None)
+def _factorize(n: int) -> tuple[int, ...]:
     """Distinct prime factors by trial division (n < 2^32 here)."""
     out = []
     d = 2
@@ -115,7 +116,15 @@ def _factorize(n: int) -> list[int]:
         d += 1
     if n > 1:
         out.append(n)
-    return out
+    return tuple(out)
+
+
+def _linear_table(images: list[int]) -> np.ndarray:
+    """Table of the F_2-linear map that sends basis element 2^k to images[k]."""
+    tab = np.zeros(1 << len(images), dtype=np.int64)
+    for k, image in enumerate(images):
+        tab[1 << k:2 << k] = tab[:1 << k] ^ image
+    return tab
 
 
 # ---------------------------------------------------------------- the field
@@ -180,16 +189,17 @@ class Field:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return self.pow(x, self.order - 1)
 
+    def is_primitive(self, x: int) -> bool:
+        """True iff x generates the multiplicative group GF(2^m)*."""
+        return x != 0 and all(self.pow(x, self.order // q) != 1 for q in _factorize(self.order))
+
     @property
     def generator(self) -> int:
         if self._generator is None:
-            primes = _factorize(self.order)
             g = 2
-            while True:
-                if all(self.pow(g, self.order // q) != 1 for q in primes):
-                    self._generator = g
-                    break
+            while not self.is_primitive(g):
                 g += 1
+            self._generator = g
         return self._generator
 
     # -- traces -----------------------------------------------------------
@@ -238,18 +248,31 @@ class Field:
 
     # -- vectorized arithmetic --------------------------------------------
 
+    def scale_table(self, c: int) -> np.ndarray:
+        """int64 table of x -> c*x, spread from the m products c * 2^k
+        (multiplication by c is F_2-linear)."""
+        return _linear_table([self.mul(c, 1 << k) for k in range(self.m)])
+
     def _logexp(self) -> tuple[np.ndarray, np.ndarray]:
+        """exp[k] = g^k for the generator g, and log its inverse on nonzero x.
+
+        exp is filled by doubling: with step the table of x -> g^k * x,
+        exp[k:2k] = step[exp[:k]], then step[step] is the table for g^(2k).
+        """
         if self._log is None:
             if self.m > _TABLE_LIMIT:
                 raise ValueError(f"log/exp tables would need 2^{self.m} entries; m > {_TABLE_LIMIT} is evaluation-only")
-            g = self.generator
             exp = np.empty(self.order, dtype=np.uint32)
+            exp[0] = 1
+            step = self.scale_table(self.generator)
+            k = 1
+            while k < self.order:
+                span = min(k, self.order - k)
+                exp[k:k + span] = step[exp[:span]]
+                step = step[step]
+                k *= 2
             log = np.zeros(self.size, dtype=np.int64)
-            acc = 1
-            for i in range(self.order):
-                exp[i] = acc
-                log[acc] = i
-                acc = self.mul(acc, g)
+            log[exp] = np.arange(self.order)
             self._log, self._exp = log, exp
         return self._log, self._exp
 

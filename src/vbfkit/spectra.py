@@ -13,17 +13,20 @@ b is the dot-product row of mask D[b] with its columns permuted, so
 ``walsh_matrix`` reindexes rows and columns by D to match the trace inner
 product <a, x> = tr(ax) used by the naive oracle ``walsh_value``.
 
-Both spectra are reduced to one row per squaring orbit when F commutes
-with squaring, F(x^2) = F(x)^2, as every polynomial with coefficients in
-GF(2) does (the Gold, Theorem 1 and 2 and inverse maps among them).
-Substituting x = y^2 gives W_F(a^2, b^2) = W_F(a, b) and
-delta_F(a^2, b^2) = delta_F(a, b), so the multiset of Walsh values in row
-b equals that of row b^2, and the fiber sizes of direction a equal those
-of direction a^2: each orbit's row is computed once and counted once per
-element.  ``_frobenius_orbits`` checks the identity on the whole table
-and otherwise returns every nonzero element as its own orbit, so a table
-without the symmetry (a random table, say) still gets every row and an
-exact spectrum.
+Both spectra are reduced to one row per orbit of a symmetry group of F.
+If F commutes with squaring, F(x^2) = F(x)^2, as every polynomial with
+coefficients in GF(2) does (the Gold, Theorem 1 and 2 and inverse maps
+among them), substituting x = y^2 gives W(a^2, b^2) = W(a, b) and
+delta(a^2, b^2) = delta(a, b).  If F scales, F(gx) = lam*F(x) for the
+generator g, as every power map c*x^d does, substituting x = gy gives
+W(a, b) = W(ga, lam*b) and delta(a, b) = delta(ga, lam*b).  So the
+multiset of Walsh values in row b is that of rows b^2 and lam*b, and the
+fiber sizes of direction a are those of a^2 and ga: each orbit's row is
+computed once and counted once per element.  For a power map the
+directions form one orbit, and the rows one orbit when
+gcd(d, 2^m - 1) = 1 (Gold at odd m, the inverse map).  ``_orbits`` checks
+each identity on the whole table; a table with neither (a random table,
+say) still gets every row and an exact spectrum.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from vbfkit.gf2m import _linear_table
 from vbfkit.vbf import FuncTable
 
 _SPECTRUM_LIMIT = 24  # 2^(2m) work beyond this is out of scope
@@ -106,46 +110,55 @@ def _fwht_rows(mat: np.ndarray) -> np.ndarray:
     return out.reshape(rows, n).astype(np.int32)
 
 
-def _linear_table(images: list[int]) -> np.ndarray:
-    """Table of the F_2-linear map that sends basis element 2^k to images[k]."""
-    tab = np.zeros(1 << len(images), dtype=np.int64)
-    for k, image in enumerate(images):
-        tab[1 << k:2 << k] = tab[:1 << k] ^ image
-    return tab
-
-
+@lru_cache(maxsize=8)
 def _dual_reindex(ctx) -> np.ndarray:
-    """Index map D with tr(alpha * x) = parity(D[alpha] & x) for all x,
-    converting dot-product transform columns to trace-convention columns.
+    """Read-only index map D with tr(alpha * x) = parity(D[alpha] & x) for
+    all x, converting dot-product transform columns to trace-convention
+    columns.
 
     D is F_2-linear in alpha, so it is spread from the m images of the
     basis elements 2^k, whose bit j is tr(2^k * 2^j).
     """
     m = ctx.m
-    return _linear_table([sum(ctx.trace(ctx.mul(1 << k, 1 << j)) << j for j in range(m))
+    dual = _linear_table([sum(ctx.trace(ctx.mul(1 << k, 1 << j)) << j for j in range(m))
                           for k in range(m)])
+    dual.flags.writeable = False
+    return dual
 
 
-def _frobenius_orbits(f: FuncTable) -> tuple[np.ndarray, np.ndarray]:
-    """Squaring-orbit minima on GF(2^m)* and their orbit sizes, if F commutes
-    with squaring; otherwise every nonzero element, each with size 1.
+def _orbits(f: FuncTable, walsh: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Orbit minima on GF(2^m)* and their orbit sizes, for the Walsh rows b
+    (``walsh``) or the difference directions a, under the symmetries that
+    F shows on the whole table (see the module docstring).
 
-    Squaring is F_2-linear, so its table is spread from the m scalar squares
-    of the basis elements 2^k, with no log/exp tables.  The minimum of each
-    orbit comes from m - 1 gathers through that table, and an orbit's size
-    is the number of elements whose minimum it is.
+    If F(gx) = lam*F(x), the directions form one orbit, and the rows the
+    cycles of b -> lam*b: one if lam is primitive, else their minima come
+    from m rounds of pointer doubling, low = min(low, low[P]), P = P[P].
+    If F(x^2) = F(x)^2, the minimum of low[x], low[x^2], ... merges orbits,
+    through m - 1 gathers.  A table with neither gets every nonzero
+    element, each with size 1.
     """
     ctx = f.ctx
     n = ctx.size
-    sq = _linear_table([ctx.mul(1 << k, 1 << k) for k in range(ctx.m)])
     vals = f.as_array()
-    if not np.array_equal(vals[sq], sq[vals]):
-        return np.arange(1, n, dtype=np.int64), np.ones(n - 1, dtype=np.int64)
     low = np.arange(n, dtype=np.int64)
-    cur = low
-    for _ in range(ctx.m - 1):
-        cur = sq[cur]
-        np.minimum(low, cur, out=low)
+    f1 = int(vals[1])
+    if f1:
+        lam = ctx.mul(int(vals[ctx.generator]), ctx.inv(f1))
+        step = ctx.scale_table(lam)
+        if np.array_equal(vals[ctx.scale_table(ctx.generator)], step[vals]):
+            if not walsh or ctx.is_primitive(lam):  # one cycle of x -> gx or b -> lam*b
+                return np.ones(1, dtype=np.int64), np.full(1, n - 1, dtype=np.int64)
+            for _ in range(ctx.m):  # each cycle is shorter than 2^m
+                np.minimum(low, low[step], out=low)
+                step = step[step]
+    sq = _linear_table([ctx.mul(1 << k, 1 << k) for k in range(ctx.m)])
+    if np.array_equal(vals[sq], sq[vals]):
+        base = low.copy()
+        cur = np.arange(n, dtype=np.int64)
+        for _ in range(ctx.m - 1):
+            cur = sq[cur]
+            np.minimum(low, base[cur], out=low)
     sizes = np.bincount(low, minlength=n)
     reps = np.flatnonzero(sizes)[1:]  # drop the orbit {0}
     return reps, sizes[reps]
@@ -172,16 +185,16 @@ def walsh_spectrum(f: FuncTable) -> WalshSpectrum:
 
     Trace row b is the transformed dot-product sign row of mask D[b]; its
     values, all in [-2^m, 2^m], are tallied with one bincount per block.
-    Only the orbit minima b from ``_frobenius_orbits`` are transformed, each
-    tally counted once per orbit element: if F(x^2) = F(x)^2, then
-    W(a^2, b^2) = W(a, b), so rows b and b^2 hold the same multiset.  A
-    table without that symmetry gets every row b != 0.
+    Only the row orbit minima b from ``_orbits`` are transformed, each
+    tally counted once per orbit element: rows b, b^2 (if F(x^2) = F(x)^2)
+    and lam*b (if F(gx) = lam*F(x)) hold the same multiset.  A table
+    without either symmetry gets every row b != 0.
     """
     ctx = f.ctx
     if ctx.m > _SPECTRUM_LIMIT:
         raise TooLargeError(f"walsh_spectrum costs m*2^(2m); m={ctx.m} > {_SPECTRUM_LIMIT}")
     n = ctx.size
-    reps, sizes = _frobenius_orbits(f)
+    reps, sizes = _orbits(f, walsh=True)
     masks = _dual_reindex(ctx)[reps]
     block = max(1, (1 << 18) // n)  # rows per block: each float32 temporary stays near 1 MB
     counts = np.zeros(2 * n + 1, dtype=np.int64)
@@ -244,11 +257,11 @@ def is_three_valued(f: FuncTable, s: int, spectrum: WalshSpectrum | None = None)
 def differential_spectrum(f: FuncTable) -> DifferentialSpectrum:
     """Multiset of fiber sizes |{x : F(x+a)+F(x) = b}| over a != 0, all b.
 
-    Only the orbit minima a from ``_frobenius_orbits`` are scanned, each
-    direction's histogram counted once per orbit element: if
-    F(x^2) = F(x)^2, then delta(a^2, b^2) = delta(a, b), so directions a and
-    a^2 have the same fiber sizes.  A table without that symmetry gets every
-    direction a != 0.
+    Only the direction orbit minima a from ``_orbits`` are scanned, each
+    histogram counted once per orbit element: directions a, a^2 (if
+    F(x^2) = F(x)^2) and ga (if F(gx) = lam*F(x)) have the same fiber
+    sizes, so a power map needs the one direction a = 1.  A table without
+    either symmetry gets every direction a != 0.
     """
     ctx = f.ctx
     if ctx.m > _SPECTRUM_LIMIT:
@@ -257,7 +270,7 @@ def differential_spectrum(f: FuncTable) -> DifferentialSpectrum:
     vals = f.as_array()
     xs = np.arange(n, dtype=np.int64)
     hist = np.zeros(n + 1, dtype=np.int64)  # fiber size -> number of (a, b)
-    reps, weights = _frobenius_orbits(f)
+    reps, weights = _orbits(f, walsh=False)
     for a, w in zip(reps.tolist(), weights.tolist()):
         hist += w * np.bincount(np.bincount(vals[xs ^ a] ^ vals, minlength=n), minlength=n + 1)
     sizes = np.flatnonzero(hist)

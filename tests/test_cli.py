@@ -1,12 +1,13 @@
 """Command-line front end: LUT files, JSON reports, claim verification."""
 
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
-from vbfkit.cli import main, render_report
+from vbfkit.cli import build_parser, main, render_report
 from vbfkit.constructions import f8_side_condition
 from vbfkit.gf2m import Field
 from vbfkit.spectra import differential_spectrum, walsh_spectrum
@@ -404,6 +405,41 @@ def test_verify_missing_m_exit2(capsys):
     rc, _, err = run(capsys, "verify", "thm1", "--i", "1")
     assert rc == 2
     assert "--m" in err
+
+
+# SHA-256 of the report bytes, as computed one squaring orbit at a time
+# (631 Walsh rows and difference directions for gold at m = 13); the scaling
+# orbits, one row and one direction here, must give the same bytes.
+REPORT_DIGESTS = [
+    (("gold", "--m", "14", "--i", "1"),
+     "756a0da35d6e502963e03d8f1a6d465a436834f79a12222f651dccf7e016d411"),
+    (("gold", "--m", "15", "--i", "1"),
+     "ba77aa7248582426c19250cf56c5e4d9eb9544ca423b7ce70f4e06f3a01a2b73"),
+    (("inverse", "--m", "15"),
+     "e1ae654c238acd7cd00105fe70a067e805234555fc3d076f24ccec4bf0c4c4dd"),
+]
+
+
+@pytest.mark.parametrize(
+    "family_args, digest", REPORT_DIGESTS, ids=["gold-m14", "gold-m15", "inverse-m15"]
+)
+def test_analyze_report_digests_at_m14_m15(tmp_path, capsys, family_args, digest):
+    out = tmp_path / "report.json"
+    rc, _, _ = run(capsys, "analyze", "--family", *family_args, "--out", str(out))
+    assert rc == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_parser_is_built_once_and_shared(capsys):
+    assert build_parser() is build_parser()
+    rc, _, _ = run(capsys, "analyze", "--family", "gold", "--m", "5", "--i", "2")
+    with pytest.raises(SystemExit) as ei:
+        main(["verify", "thm9", "--m", "5"])
+    assert ei.value.code == 2
+    assert "invalid choice: 'thm9'" in capsys.readouterr().err
+    rc2, out, _ = run(capsys, "verify", "thm1", "--m", "7")  # --i falls back to 1
+    assert rc == rc2 == 0
+    assert out.count("ok   ") == 5
 
 
 # -- entry points ------------------------------------------------------------

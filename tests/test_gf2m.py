@@ -8,6 +8,7 @@ the library never get to grade their own homework.
 import json
 import random
 
+import numpy as np
 import pytest
 
 from vbfkit.gf2m import Field, default_poly, is_irreducible
@@ -176,6 +177,51 @@ def test_generator_has_full_order_gf8():
         x = f.mul(x, g)
         seen.add(x)
     assert len(seen) == 7 and x == 1
+
+
+@pytest.mark.parametrize("m, poly", [(4, None), (4, 0x1F), (6, None), (6, 0x49), (7, None)])
+def test_is_primitive_matches_multiplicative_order(m, poly):
+    f = Field(m, poly)
+    assert not f.is_primitive(0)
+    for x in range(1, f.size):
+        order, y = 1, x
+        while y != 1:
+            y = f.mul(y, x)
+            order += 1
+        assert f.is_primitive(x) == (order == f.order)
+
+
+def _logexp_oracle(f: Field) -> tuple[list[int], list[int]]:
+    """log and exp tables by one scalar multiplication per power of the generator."""
+    exp, log = [], [0] * f.size
+    acc = 1
+    for k in range(f.order):
+        exp.append(acc)
+        log[acc] = k
+        acc = f.mul(acc, f.generator)
+    return log, exp
+
+
+# 0x1f, 0x49 and 0x11b are irreducible but not primitive: x is no generator
+@pytest.mark.parametrize(
+    "m, poly", [(m, None) for m in range(2, 17)] + [(4, 0x1F), (6, 0x49), (8, 0x11B)]
+)
+def test_logexp_tables_match_scalar_powers(m, poly):
+    f = Field(m, poly)
+    if poly is not None:
+        assert f.generator != 2
+    log, exp = f._logexp()
+    want_log, want_exp = _logexp_oracle(f)
+    assert exp.dtype == np.uint32 and log.dtype == np.int64
+    assert exp.tolist() == want_exp
+    assert log.tolist() == want_log
+
+
+def test_scale_table_matches_scalar_mul():
+    for m, poly in ((5, None), (8, 0x11B)):
+        f = Field(m, poly)
+        for c in (0, 1, 2, f.generator, f.size - 1):
+            assert f.scale_table(c).tolist() == [f.mul(c, x) for x in range(f.size)]
 
 
 def test_inverse_is_pow_14_in_gf16():

@@ -1,5 +1,6 @@
 """Walsh / differential spectra against naive double-loop oracles."""
 
+import math
 import random
 
 import numpy as np
@@ -12,8 +13,9 @@ from vbfkit.gf2m import Field, is_irreducible
 from vbfkit.spectra import (
     ParityMismatchError,
     TooLargeError,
-    _frobenius_orbits,
+    _dual_reindex,
     _fwht_rows,
+    _orbits,
     _sign_rows,
     differential_spectrum,
     differential_uniformity,
@@ -373,7 +375,7 @@ def test_spectra_invariant_under_affine_shifts():
         assert is_ab(shifted, spec)
 
 
-# ---------------------------------------------------------------- squaring orbits
+# ---------------------------------------------------------------- symmetry orbits
 
 def _all_rows_oracle(f: FuncTable) -> tuple[dict, dict]:
     """Walsh and differential distributions from every row: each dot-product
@@ -412,8 +414,12 @@ def _two_polys(m: int) -> list[int]:
 
 
 def _is_fallback(f: FuncTable) -> bool:
-    reps, sizes = _frobenius_orbits(f)
-    return np.array_equal(reps, np.arange(1, f.ctx.size)) and not (sizes - 1).any()
+    everything = np.arange(1, f.ctx.size)
+    for walsh in (True, False):
+        reps, sizes = _orbits(f, walsh)
+        if not np.array_equal(reps, everything) or (sizes - 1).any():
+            return False
+    return True
 
 
 @st.composite
@@ -450,18 +456,39 @@ def test_orbit_spectra_match_all_rows_oracle(case):
 def test_orbit_spectra_span_several_blocks_at_m11(poly):
     ctx = Field(11, poly)
     rows_per_block = (1 << 18) >> 11
-    for tab in (monomial(ctx, 3), monomial(ctx, 5), theorem1(ctx, 1)):
-        reps, _ = _frobenius_orbits(tab)
+    for tab in (evaluate(UnivariatePoly(ctx, {3: 1, 5: 1})), theorem1(ctx, 1)):
+        reps, _ = _orbits(tab, walsh=True)
         assert len(reps) > rows_per_block
+        _assert_matches_all_rows(tab)
+    for d in (3, 5):  # gcd(d, 2^11 - 1) = 1: one row and one direction
+        tab = monomial(ctx, d)
+        for walsh in (True, False):
+            assert _orbits(tab, walsh)[0].tolist() == [1]
         _assert_matches_all_rows(tab)
 
 
-def _squaring_orbit(ctx: Field, x: int) -> list[int]:
-    orbit = [x]
-    y = ctx.mul(x, x)
-    while y != x:
-        orbit.append(y)
-        y = ctx.mul(y, y)
+def _symmetries(tab: FuncTable) -> tuple[int | None, bool]:
+    """(lam with F(gx) = lam*F(x) for the generator g, or None; whether
+    F(x^2) = F(x)^2), by scalar arithmetic over the whole table."""
+    ctx, v, g = tab.ctx, tab.values, tab.ctx.generator
+    squaring = all(v[ctx.mul(x, x)] == ctx.mul(v[x], v[x]) for x in range(ctx.size))
+    if v[1] == 0:
+        return None, squaring
+    lam = ctx.mul(v[g], ctx.inv(v[1]))
+    scales = all(v[ctx.mul(g, x)] == ctx.mul(lam, v[x]) for x in range(ctx.size))
+    return (lam if scales else None), squaring
+
+
+def _closure(ctx: Field, x: int, lam: int | None, squaring: bool) -> set:
+    """The orbit of x under x -> x^2 (if squaring) and x -> lam*x (if lam)."""
+    orbit, todo = {x}, [x]
+    while todo:
+        y = todo.pop()
+        images = ([ctx.mul(y, y)] if squaring else []) + ([ctx.mul(lam, y)] if lam else [])
+        for z in images:
+            if z not in orbit:
+                orbit.add(z)
+                todo.append(z)
     return orbit
 
 
@@ -470,22 +497,69 @@ def test_frobenius_orbits_partition_the_multiplicative_group(m):
     for poly in _two_polys(m):
         ctx = Field(m, poly)
         n = ctx.size
-        reps, sizes = _frobenius_orbits(monomial(ctx, 3))
-        assert int(sizes.sum()) == n - 1
-        assert all(m % int(s) == 0 for s in sizes)
-        seen = set()
-        for r, s in zip(reps.tolist(), sizes.tolist()):
-            orbit = _squaring_orbit(ctx, r)
-            assert min(orbit) == r and len(orbit) == s
-            seen.update(orbit)
-        assert seen == set(range(1, n))
+        cases = (
+            (monomial(ctx, 3), True, True),
+            (monomial(ctx, 3, c=ctx.generator), True, False),  # scaling without squaring
+            (evaluate(UnivariatePoly(ctx, {3: 1, 1: 1})), False, True),  # squaring only
+        )
+        for tab, want_scaling, want_squaring in cases:
+            lam, squaring = _symmetries(tab)
+            assert (lam is not None, squaring) == (want_scaling, want_squaring)
+            reps, sizes = _orbits(tab, walsh=True)
+            assert int(sizes.sum()) == n - 1
+            seen = set()
+            for r, s in zip(reps.tolist(), sizes.tolist()):
+                orbit = _closure(ctx, r, lam, squaring)
+                assert min(orbit) == r and len(orbit) == s
+                seen.update(orbit)
+            assert seen == set(range(1, n))
+            dreps, dsizes = _orbits(tab, walsh=False)
+            if lam is None:
+                assert np.array_equal(dreps, reps) and np.array_equal(dsizes, sizes)
+            else:  # x -> gx is transitive on the directions
+                assert dreps.tolist() == [1] and dsizes.tolist() == [n - 1]
+
+
+@pytest.mark.parametrize("m", range(2, 11))
+def test_power_map_orbit_spectra_match_all_rows_oracle(m):
+    ctx = Field(m)
+    n, q = ctx.size, ctx.order
+    rng = random.Random(m)
+    coprime = sorted({d for d in (3, 5, n - 2) if d < n and math.gcd(d, q) == 1})
+    shared = [d for d in range(3, n) if math.gcd(d, q) > 1][:2] or [q]
+    for d in coprime + shared:
+        for c in (1, ctx.generator):
+            tab = monomial(ctx, d, c=c)
+            assert (len(_orbits(tab, walsh=True)[0]) == 1) == (math.gcd(d, q) == 1)
+            assert _orbits(tab, walsh=False)[0].tolist() == [1]
+            _assert_matches_all_rows(tab)
+            vals = list(tab.values)  # one entry changed breaks both identities
+            vals[rng.randrange(2, n)] ^= rng.randrange(1, n)
+            changed = FuncTable(ctx, vals)
+            assert _is_fallback(changed)
+            _assert_matches_all_rows(changed)
 
 
 def test_frobenius_orbits_of_gold_m13():
-    reps, sizes = _frobenius_orbits(monomial(Field(13), 3))
+    ctx = Field(13)
+    for walsh in (True, False):
+        reps, sizes = _orbits(monomial(ctx, 3), walsh)
+        assert reps.tolist() == [1] and sizes.tolist() == [8191]
+    thm1 = theorem1(ctx, 1)  # commutes with squaring, does not scale
+    reps, sizes = _orbits(thm1, walsh=True)
     assert len(reps) == 631
     assert sorted(sizes.tolist()) == [1] + [13] * 630
     assert reps[0] == 1
+    dreps, dsizes = _orbits(thm1, walsh=False)
+    assert np.array_equal(dreps, reps) and np.array_equal(dsizes, sizes)
+
+
+def test_gold_row_orbits_at_even_m14():
+    # lam = g^3 leaves 3 cosets; squaring fixes the cubes and swaps the other two
+    reps, sizes = _orbits(monomial(Field(14), 3), walsh=True)
+    q = (1 << 14) - 1
+    assert reps.tolist()[0] == 1
+    assert sorted(sizes.tolist()) == [q // 3, 2 * q // 3]
 
 
 def test_frobenius_orbits_fall_back_without_the_symmetry():
@@ -495,4 +569,20 @@ def test_frobenius_orbits_fall_back_without_the_symmetry():
         assert _is_fallback(_random_table(ctx, rng))
         assert not _is_fallback(monomial(ctx, (1 << m) - 2))
         assert not _is_fallback(monomial(ctx, 3, c=1))
-        assert _is_fallback(monomial(ctx, 3, c=ctx.generator))
+        scaled = monomial(ctx, 3, c=ctx.generator)
+        assert not _is_fallback(scaled)
+        vals = list(scaled.values)
+        vals[rng.randrange(2, ctx.size)] ^= 1
+        assert _is_fallback(FuncTable(ctx, vals))
+
+
+def test_dual_reindex_is_cached_read_only_and_exact():
+    for m, poly in ((5, None), (5, 0b101001), (6, None)):
+        ctx = Field(m, poly)
+        dual = _dual_reindex(ctx)
+        assert _dual_reindex(Field(m, poly)) is dual
+        assert not dual.flags.writeable
+        for a in range(ctx.size):
+            for x in range(ctx.size):
+                assert ctx.trace(ctx.mul(a, x)) == int(dual[a] & x).bit_count() & 1
+    assert not np.array_equal(_dual_reindex(Field(5)), _dual_reindex(Field(5, 0b101001)))
