@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -556,9 +555,15 @@ def power_inequivalence_witness(f: FuncTable) -> int | None:
 def gold_perm_criterion(L: UnivariatePoly, Lp: UnivariatePoly, i: int) -> bool:
     """Is L(x^(2^i+1)) + L'(x) a permutation, decided without building it?
 
-    Differences of the power part at step u sweep u^(2^i+1) * v over all v
-    with trace(v) = trace(1), so the sum is a permutation exactly when
-    L(u^(2^i+1) * v) != L'(u) everywhere on that set.
+    Differences of the power part at step u != 0 sweep u^(2^i+1) * v over
+    all v with trace(v) = trace(1), so the sum fails to permute exactly when
+    some u has such a v with L(u^(2^i+1) * v) = L'(u).  The solutions
+    w = u^(2^i+1) * v of L(w) = L'(u) are empty unless L'(u) = L(w0) for
+    some w0, and then they form the coset w0 + ker L, on which
+    trace(v) = trace(w * s) with s = u^-(2^i+1).  That functional takes
+    both values on the coset when trace(k * s) = 1 for some basis vector k
+    of ker L, and otherwise only the value trace(w0 * s).  So each u costs
+    one product for w0 and one per kernel basis vector.
     """
     ctx = L.ctx
     if Lp.ctx != ctx:
@@ -569,25 +574,19 @@ def gold_perm_criterion(L: UnivariatePoly, Lp: UnivariatePoly, i: int) -> bool:
     _linear_terms(L)
     _linear_terms(Lp)
     Ltab = evaluate(L).as_array()
-    Lptab = evaluate(Lp).as_array()
-    return not bool(np.any(Ltab[_gold_grid(ctx, i)] == Lptab[1:, None]))
-
-
-@lru_cache(maxsize=8)
-def _gold_grid(ctx: Field, i: int) -> np.ndarray:
-    """Read-only grid u^(2^i+1) * v for u != 0 (rows) and every v with
-    trace(v) = trace(1) (columns), in the narrowest unsigned dtype.
-
-    It depends only on the field and i, and callers check many summand
-    pairs against one grid; building it per call costs a 2^m x 2^(m-1)
-    field product with int64 temporaries.
-    """
-    vs = np.flatnonzero(ctx.trace_table() == ctx.trace(1))
-    us = np.arange(1, ctx.size, dtype=np.int64)
-    prods = ctx.mul_many(ctx.pow_many(us, (1 << i) + 1)[:, None], vs[None, :])
-    grid = prods.astype(np.min_scalar_type(ctx.order))
-    grid.flags.writeable = False
-    return grid
+    preimage = np.full(ctx.size, -1, dtype=np.int64)
+    preimage[Ltab] = np.arange(ctx.size)
+    w0 = preimage[evaluate(Lp).as_array()[1:]]
+    reached = w0 >= 0
+    # ker L listed ascending: entry 2^j is its j-th reduced echelon basis vector
+    kernel = np.flatnonzero(Ltab == 0)
+    basis = kernel[1 << np.arange(kernel.size.bit_length() - 1)]
+    us = np.flatnonzero(reached) + 1
+    s = ctx.pow_many(us, -((1 << i) + 1) % ctx.order)
+    trace = ctx.trace_table()
+    hit = trace[ctx.mul_many(w0[reached], s)] == trace[1]
+    hit |= trace[ctx.mul_many(s[:, None], basis[None, :])].any(axis=1)
+    return not bool(hit.any())
 
 
 def gold_perm_criterion_even(L: UnivariatePoly, i: int) -> bool:

@@ -49,6 +49,7 @@ __all__ = [
     "theorem3_f1",
     "theorem4",
     "theorem4_f1_inverse",
+    "theorem4_f1_tables",
 ]
 
 
@@ -289,6 +290,18 @@ def theorem4(ctx: Field, n: int, i: int) -> FuncTable:
     out = out ^ ctx.mul_many(root, x2i ^ t2i ^ 1)
     out = out ^ ctx.mul_many(root2i, xs ^ t)
     return FuncTable(ctx, out)
+
+
+def theorem4_f1_tables(ctx: Field, n: int, i: int) -> tuple[FuncTable, FuncTable]:
+    """Tables of the shift F1(x) = x + tr_{m/n}(x) + tr_{m/n}(x^(2^i+1)) and
+    of its closed-form inverse (`theorem4_f1_inverse` at every point)."""
+    _theorem4_preconditions(ctx, n, i)
+    xs = np.arange(ctx.size, dtype=np.int64)
+    e = (1 << i) + 1
+    t = _rel_trace_many(ctx, xs, n)
+    te = _rel_trace_many(ctx, ctx.pow_many(xs, e), n)
+    root = ctx.pow_many(ctx.pow_many(t, e) ^ te ^ t, ctx.inverse_exponent(e))
+    return FuncTable(ctx, xs ^ t ^ te), FuncTable(ctx, xs ^ root ^ t)
 
 
 def theorem4_f1_inverse(ctx: Field, n: int, i: int, y: int) -> int:

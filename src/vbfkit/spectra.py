@@ -71,7 +71,7 @@ def walsh_value(f: FuncTable, a: int, b: int) -> int:
     """Naive O(2^m) character sum with inner product tr(xy)."""
     ctx = f.ctx
     total = 0
-    for x, y in enumerate(f.values):
+    for x, y in enumerate(f.as_array().tolist()):
         sign = ctx.trace(ctx.mul(b, y)) ^ ctx.trace(ctx.mul(a, x))
         total += -1 if sign else 1
     return total

@@ -33,7 +33,7 @@ def _require_same_ctx(a: FuncTable, b: FuncTable) -> None:
 class FuncTable:
     """Value table of F; entry at index x is F(x)."""
 
-    __slots__ = ("ctx", "values", "_arr")
+    __slots__ = ("ctx", "_arr")
 
     def __init__(self, ctx: Field, values):
         arr = values
@@ -49,7 +49,6 @@ class FuncTable:
         if np.count_nonzero(high):
             raise ValueError(f"table entry {arr[np.flatnonzero(high)[0]]} outside [0, {ctx.size})")
         self.ctx = ctx
-        self.values = tuple(arr.tolist())
         self._arr = arr.astype(np.uint32)
         self._arr.setflags(write=False)
 
@@ -57,18 +56,23 @@ class FuncTable:
         """The table as a read-only uint32 array."""
         return self._arr
 
+    @property
+    def values(self) -> tuple:
+        """The entries as a tuple of ints, built on each access."""
+        return tuple(self._arr.tolist())
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FuncTable)
             and self.ctx == other.ctx
-            and self.values == other.values
+            and np.array_equal(self._arr, other._arr)
         )
 
     def __hash__(self) -> int:
-        return hash((self.ctx, self.values))
+        return hash((self.ctx, self._arr.tobytes()))
 
     def __repr__(self) -> str:
-        return f"FuncTable(m={self.ctx.m}, {len(self.values)} entries)"
+        return f"FuncTable(m={self.ctx.m}, {self.ctx.size} entries)"
 
 
 class UnivariatePoly:
@@ -103,12 +107,19 @@ class UnivariatePoly:
 # ---------------------------------------------------------------- conversions
 
 def evaluate(p: UnivariatePoly) -> FuncTable:
-    """Tabulate the polynomial at every field element (0^0 counts as 1)."""
+    """Tabulate the polynomial at every field element (0^0 counts as 1).
+
+    Works in the log domain: at x != 0 the term c*x^e is
+    exp[(e*log x + log c) mod (2^m - 1)], and at x = 0 only the constant
+    term survives.
+    """
     ctx = p.ctx
-    xs = np.arange(ctx.size, dtype=np.int64)
+    log, exp = ctx._logexp()
+    logx = log[1:]
     acc = np.zeros(ctx.size, dtype=np.uint32)
     for e, c in p.terms.items():
-        acc ^= ctx.mul_many(c, ctx.pow_many(xs, e))
+        acc[1:] ^= exp[(logx * e + log[c]) % ctx.order]
+    acc[0] = p.terms.get(0, 0)
     return FuncTable(ctx, acc)
 
 
@@ -212,15 +223,14 @@ def component_degree(f: FuncTable, c: int) -> int:
 # ---------------------------------------------------------------- algebra
 
 def is_permutation(f: FuncTable) -> bool:
-    return len(set(f.values)) == f.ctx.size
+    return np.count_nonzero(np.bincount(f.as_array())) == f.ctx.size
 
 
 def invert(f: FuncTable) -> FuncTable:
     if not is_permutation(f):
         raise NotAPermutationError("table has repeated values")
-    out = [0] * f.ctx.size
-    for x, y in enumerate(f.values):
-        out[y] = x
+    out = np.empty(f.ctx.size, dtype=np.uint32)
+    out[f.as_array()] = np.arange(f.ctx.size, dtype=np.uint32)
     return FuncTable(f.ctx, out)
 
 

@@ -1,12 +1,12 @@
 """Linear maps over F_2, graph transforms, transversality, and searches."""
 
+import math
 import random
 
 import numpy as np
 import pytest
 
 from vbfkit.ccz import (
-    _gold_grid,
     BinLinearMap,
     BudgetExceededError,
     GcdViolationError,
@@ -42,7 +42,7 @@ from vbfkit.ccz import (
     subfield_trace_subgroup,
 )
 from vbfkit.constructions import theorem1
-from vbfkit.gf2m import Field
+from vbfkit.gf2m import Field, is_irreducible
 from vbfkit.spectra import differential_spectrum, walsh_spectrum
 from vbfkit.vbf import (
     FuncTable,
@@ -687,23 +687,6 @@ def test_perm_criterion_matches_brute_force():
             assert gold_perm_criterion(L, Lp, 1) == want
 
 
-def test_gold_grid_is_cached_per_field_and_index():
-    f, g = Field(7), Field(7, poly=0x89)
-    assert f != g
-    grid = _gold_grid(f, 1)
-    assert _gold_grid(Field(7), 1) is grid  # equal fields share one grid
-    assert grid.shape == (127, 64) and grid.dtype == np.uint8
-    assert not np.array_equal(grid, _gold_grid(g, 1))
-    assert not np.array_equal(grid, _gold_grid(f, 2))
-    assert not grid.flags.writeable
-    with pytest.raises(ValueError):
-        grid[0, 0] = 0
-    for ctx, i in ((g, 2), (Field(9), 1)):  # uint8 and uint16 grids
-        vs = [v for v in range(ctx.size) if ctx.trace(v) == ctx.trace(1)]
-        want = [[ctx.mul(ctx.pow(u, (1 << i) + 1), v) for v in vs] for u in range(1, ctx.size)]
-        assert _gold_grid(ctx, i).tolist() == want
-
-
 def test_perm_criterion_matches_brute_force_across_cached_grids():
     # fields and indices interleave, so a grid served for the wrong key shows
     rng = random.Random(20)
@@ -720,6 +703,46 @@ def test_perm_criterion_matches_brute_force_across_cached_grids():
             verdict = gold_perm_criterion(L, Lp, i)
             assert verdict == is_permutation(FuncTable(f, table))
             verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def _scalar_linear_table(f: Field, poly: UnivariatePoly) -> np.ndarray:
+    """Table of a linearized polynomial: m scalar images, spread by linearity."""
+    tab = np.zeros(f.size, dtype=np.int64)
+    for k in range(f.m):
+        image = 0
+        for e, c in poly.terms.items():
+            image ^= f.mul(c, f.pow(1 << k, e))
+        tab[1 << k:2 << k] = tab[:1 << k] ^ image
+    return tab
+
+
+def test_perm_criterion_kernel_coset_matches_brute_force():
+    rng = random.Random(707)
+    verdicts = set()
+    for m in range(3, 10):
+        polys = [p for p in range((1 << m) + 1, 1 << (m + 1), 2) if is_irreducible(p)][:2]
+        for poly in polys:
+            f = Field(m, poly)
+            zero = UnivariatePoly(f, {})
+            ident = UnivariatePoly(f, {1: 1})
+            fixed = [(zero, zero), (zero, ident), (ident, zero), (zero, _random_linearized(f, rng))]
+            if m == 6:  # kernels GF(4) and GF(8), of dimensions 2 and 3
+                for sub in ({4: 1, 1: 1}, {8: 1, 1: 1}):
+                    fixed += [(UnivariatePoly(f, sub), _random_linearized(f, rng)) for _ in range(6)]
+            for i in range(1, m):
+                if math.gcd(i, m) != 1:
+                    continue
+                e = (1 << i) + 1
+                powered = np.array([f.pow(x, e) for x in range(f.size)])
+                pairs = fixed + [
+                    (_random_linearized(f, rng, 3), _random_linearized(f, rng, 3)) for _ in range(6)
+                ]
+                for L, Lp in pairs:
+                    table = _scalar_linear_table(f, L)[powered] ^ _scalar_linear_table(f, Lp)
+                    want = np.unique(table).size == f.size
+                    assert gold_perm_criterion(L, Lp, i) == want, (m, hex(poly), i, L, Lp)
+                    verdicts.add(want)
     assert verdicts == {True, False}
 
 

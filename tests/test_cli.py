@@ -8,10 +8,10 @@ import sys
 import pytest
 
 from vbfkit.cli import build_parser, main, render_report
-from vbfkit.constructions import f8_side_condition
+from vbfkit.constructions import f8_side_condition, theorem4_f1_tables
 from vbfkit.gf2m import Field
 from vbfkit.spectra import differential_spectrum, walsh_spectrum
-from vbfkit.vbf import monomial
+from vbfkit.vbf import FuncTable, monomial
 
 
 def run(capsys, *argv):
@@ -284,6 +284,59 @@ def test_verify_thm3_gcd_violation_exit2(capsys):
 def test_verify_thm4(capsys):
     rc, _, _ = run(capsys, "verify", "thm4", "--m", "9", "--n", "3", "--i", "1")
     assert rc == 0
+
+
+THM4_LINES = [
+    "ok   almost bent",
+    "ok   algebraic degree 5",
+    "ok   closed-form shift inverse at every point",
+    "ok   EA-inequivalent to power maps",
+]
+
+
+def test_verify_thm4_lines_at_m9(capsys):
+    for i in (1, 2, 4):
+        rc, stdout, _ = run(capsys, "verify", "thm4", "--m", "9", "--n", "3", "--i", str(i))
+        assert (rc, stdout.splitlines()) == (0, THM4_LINES)
+
+
+def test_verify_thm4_wrong_inverse_table_is_a_fail_line(capsys, monkeypatch):
+    def swapped(ctx, n, i):  # the inverse is still a permutation, wrong at two points
+        f1, inv = theorem4_f1_tables(ctx, n, i)
+        vals = inv.as_array().copy()
+        vals[[3, 5]] = vals[[5, 3]]
+        return f1, FuncTable(ctx, vals)
+
+    monkeypatch.setattr("vbfkit.cli.theorem4_f1_tables", swapped)
+    rc, stdout, err = run(capsys, "verify", "thm4", "--m", "9", "--n", "3", "--i", "1")
+    assert rc == 1
+    want = list(THM4_LINES)
+    want[2] = "FAIL closed-form shift inverse at every point"
+    assert stdout.splitlines() == want
+    assert "Traceback" not in stdout + err
+
+
+def test_verify_thm3_lines_and_failed_shift(capsys, monkeypatch):
+    rc, stdout, _ = run(capsys, "verify", "thm3", "--m", "6", "--i", "1")
+    assert rc == 0
+    assert stdout.splitlines() == [
+        "ok   octic side condition",
+        "ok   composition shift of order 6",
+        "ok   sixth power is the identity",
+        "ok   differentially 2-uniform",
+        "ok   algebraic degree 4",
+    ]
+
+    def broken(ctx, i):
+        raise RuntimeError("sixth compositional power is not the identity")
+
+    monkeypatch.setattr("vbfkit.cli.theorem3", broken)
+    rc, stdout, _ = run(capsys, "verify", "thm3", "--m", "6", "--i", "1")
+    assert rc == 1
+    assert stdout.splitlines() == [
+        "ok   octic side condition",
+        "FAIL composition shift of order 6 (sixth compositional power is not the identity)",
+    ]
 
 
 def test_verify_remark4_sampled(capsys):

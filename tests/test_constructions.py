@@ -30,6 +30,7 @@ from vbfkit.constructions import (
     theorem3_f1,
     theorem4,
     theorem4_f1_inverse,
+    theorem4_f1_tables,
 )
 from vbfkit.gf2m import Field, is_irreducible
 from vbfkit.spectra import (
@@ -457,6 +458,20 @@ def test_theorem4_f1_closed_form_inverse_everywhere():
     assert is_permutation(f1)
     for y in range(ctx.size):
         assert f1.values[theorem4_f1_inverse(ctx, n, i, y)] == y
+
+
+def test_theorem4_f1_tables_match_scalar_closed_forms():
+    rng = random.Random(415)
+    for m, n, i, points in ((9, 1, 1, None), (9, 3, 1, None), (9, 3, 2, None), (15, 5, 1, 2000)):
+        ctx = Field(m)
+        e = (1 << i) + 1
+        f1, inv = (tab.as_array() for tab in theorem4_f1_tables(ctx, n, i))
+        ys = range(ctx.size) if points is None else rng.sample(range(ctx.size), points)
+        for y in ys:
+            x = theorem4_f1_inverse(ctx, n, i, y)
+            assert inv[y] == x
+            assert f1[y] == y ^ ctx.subfield_trace(y, n) ^ ctx.subfield_trace(ctx.pow(y, e), n)
+        assert np.array_equal(f1[inv], np.arange(ctx.size))
 
 
 def test_theorem4_f1_inverse_zero_trace_branch():

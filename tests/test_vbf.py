@@ -62,6 +62,34 @@ def test_evaluate_honors_zero_to_the_zero():
     assert got.values[0] == 5
 
 
+def _horner(f: Field, terms: dict, x: int) -> int:
+    """p(x) by Horner's rule over the exponent gaps, in scalar arithmetic."""
+    acc, prev = 0, None
+    for e in sorted(terms, reverse=True):
+        if prev is not None:
+            acc = f.mul(acc, f.pow(x, prev - e))
+        acc ^= terms[e]
+        prev = e
+    return f.mul(acc, f.pow(x, prev)) if prev else acc
+
+
+def test_evaluate_matches_scalar_horner_oracle():
+    rng = random.Random(42)
+    for m in range(2, 11):
+        for poly in [None] + ([0x1F] if m == 4 else []):  # 0x1f: x is not primitive
+            f = Field(m, poly)
+            top = f.order  # x^(2^m - 1) is 1 except at 0
+            cases = [{0: 1}, {top: 1}, {0: f.size - 1, top: 2}, {1: 1, top: 3}]
+            for _ in range(6):
+                exps = {0, top} | {rng.randrange(f.size) for _ in range(rng.randrange(4))}
+                picked = rng.sample(sorted(exps), rng.randrange(1, len(exps) + 1))
+                cases.append({e: rng.randrange(1, f.size) for e in picked})
+            for terms in cases:
+                got = evaluate(UnivariatePoly(f, terms)).as_array().tolist()
+                assert got == [_horner(f, terms, x) for x in range(f.size)], (m, terms)
+                assert got[0] == terms.get(0, 0)
+
+
 # ---------------------------------------------------------------- interpolate
 
 def test_interpolate_constants():
@@ -392,6 +420,34 @@ def test_functable_copies_its_input_array():
     tab = FuncTable(f, src)
     src[0] = 7
     assert tab.values[0] == 0 and tab.as_array()[0] == 0
+
+
+def test_functable_compares_and_hashes_on_the_array():
+    rng = random.Random(33)
+    f, g = Field(5), Field(5, 0x29)
+    entries = [rng.randrange(32) for _ in range(32)]
+    tab = FuncTable(f, entries)
+    assert tab == FuncTable(f, np.array(entries)) and hash(tab) == hash(FuncTable(f, entries))
+    assert tab != FuncTable(g, entries)  # same entries, other field
+    changed = list(entries)
+    changed[31] ^= 1
+    assert tab != FuncTable(f, changed)
+    assert len({tab, FuncTable(f, entries), FuncTable(f, changed)}) == 2
+
+
+def test_is_permutation_and_invert_match_set_oracle():
+    rng = random.Random(34)
+    for m in (2, 3, 6, 9):
+        f = Field(m)
+        perm = list(range(f.size))
+        rng.shuffle(perm)
+        hit = list(perm)
+        hit[1 + rng.randrange(f.size - 1)] = hit[0]  # one value twice, another never
+        for vals in (perm, hit, [0] * f.size, [f.order] * f.size):
+            tab = FuncTable(f, vals)
+            assert is_permutation(tab) == (len(set(vals)) == f.size)
+        inv = invert(FuncTable(f, perm)).as_array()
+        assert [int(inv[y]) for y in perm] == list(range(f.size))
 
 
 def test_poly_validates_terms():
