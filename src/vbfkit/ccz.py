@@ -421,7 +421,7 @@ def gold_avoidance_subgroup(ctx: Field, a: int, i: int) -> Subspace:
     if math.gcd(i, m) != 1:
         raise GcdViolationError(f"gcd({i}, {m}) != 1")
     c = ctx.inv(ctx.pow(a, (1 << i) + 1))
-    mask = sum(ctx.trace(ctx.mul(c, 1 << k)) << k for k in range(m))
+    mask = ctx.trace_mask(c)
     hyper = kernel_basis(BinLinearMap(m, 1, [mask]))
     basis = [h << m for h in hyper]
     if m & 1:
@@ -613,12 +613,7 @@ def gold_perm_criterion_even(L: UnivariatePoly, i: int) -> bool:
     roots = root[b[live]]
     if np.any(roots == 0):
         return False
-    ratio = ctx.mul_many(us[live], ctx.inv_many(roots)).astype(np.int64)
-    rel = ratio.copy()
-    frob = ratio
-    for _ in range(m // 2 - 1):
-        frob = ctx.pow_many(frob, 4).astype(np.int64)
-        rel = rel ^ frob
+    rel = ctx.subfield_trace_many(ctx.mul_many(us[live], ctx.inv_many(roots)), 2)
     return not bool(np.any(rel == 0))
 
 

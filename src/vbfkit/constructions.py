@@ -143,16 +143,6 @@ def family_exponent(spec: FamilySpec) -> int:
 
 # ------------------------------------------------------- twisted families
 
-def _rel_trace_many(ctx: Field, arr: np.ndarray, n: int) -> np.ndarray:
-    """Relative trace onto the 2^n-element subfield, elementwise."""
-    out = np.asarray(arr).copy()
-    cur = arr
-    for _ in range(ctx.m // n - 1):
-        cur = ctx.pow_many(cur, 1 << n)
-        out = out ^ cur
-    return out
-
-
 def theorem1(ctx: Field, i: int, relaxed: bool = False) -> FuncTable:
     """Gold map twisted by its own trace gate, for odd extension degrees.
 
@@ -224,7 +214,7 @@ def theorem3_f1(ctx: Field, i: int) -> FuncTable:
         raise DivisibilityViolatedError("m must be divisible by 6")
     _require_index(i, ctx.m, strict=True)
     xs = np.arange(ctx.size, dtype=np.int64)
-    t = _rel_trace_many(ctx, ctx.pow_many(xs, (1 << i) + 1), 3)
+    t = ctx.subfield_trace_many(ctx.pow_many(xs, (1 << i) + 1), 3)
     f1 = FuncTable(ctx, xs ^ ctx.mul_many(t, t) ^ ctx.pow_many(t, 4))
     if not is_permutation(f1):
         raise RuntimeError("subfield shift unexpectedly failed to permute")
@@ -277,8 +267,8 @@ def theorem4(ctx: Field, n: int, i: int) -> FuncTable:
     e = (1 << i) + 1
     xe = ctx.pow_many(xs, e)
     x2i = ctx.pow_many(xs, 1 << i)
-    t = _rel_trace_many(ctx, xs, n)
-    te = _rel_trace_many(ctx, xe, n)
+    t = ctx.subfield_trace_many(xs, n)
+    te = ctx.subfield_trace_many(xe, n)
     t2i = ctx.pow_many(t, 1 << i)
     b = ctx.pow_many(t, e) ^ te ^ t
     d1 = ctx.inverse_exponent(e)
@@ -298,8 +288,8 @@ def theorem4_f1_tables(ctx: Field, n: int, i: int) -> tuple[FuncTable, FuncTable
     _theorem4_preconditions(ctx, n, i)
     xs = np.arange(ctx.size, dtype=np.int64)
     e = (1 << i) + 1
-    t = _rel_trace_many(ctx, xs, n)
-    te = _rel_trace_many(ctx, ctx.pow_many(xs, e), n)
+    t = ctx.subfield_trace_many(xs, n)
+    te = ctx.subfield_trace_many(ctx.pow_many(xs, e), n)
     root = ctx.pow_many(ctx.pow_many(t, e) ^ te ^ t, ctx.inverse_exponent(e))
     return FuncTable(ctx, xs ^ t ^ te), FuncTable(ctx, xs ^ root ^ t)
 
@@ -320,11 +310,6 @@ def theorem4_f1_inverse(ctx: Field, n: int, i: int, y: int) -> int:
 
 
 # -------------------------------------------------------- graph witnesses
-
-def _trace_mask(ctx: Field, d: int) -> int:
-    """Row mask of the functional x -> tr(d x)."""
-    return sum(ctx.trace(ctx.mul(d, 1 << k)) << k for k in range(ctx.m))
-
 
 def _verify_witness(
     ctx: Field, w: CczWitness, base: FuncTable, a: int, e: int
@@ -365,8 +350,8 @@ def theorem12_ccz_witness(ctx: Field, which: int, i: int, a: int = 1) -> CczWitn
     else:
         raise ConditionViolatedError("witness selector must be 1 or 2")
     ae = ctx.pow(a, e)
-    mask_a = _trace_mask(ctx, ctx.inv(a))
-    mask_ae = _trace_mask(ctx, ctx.inv(ae))
+    mask_a = ctx.trace_mask(ctx.inv(a))
+    mask_ae = ctx.trace_mask(ctx.inv(ae))
     rows = []
     if which == 1:
         mix = mask_a | (mask_ae << m)
@@ -400,7 +385,7 @@ def example1_witness(ctx: Field, i: int) -> CczWitness:
         (1 << k) ^ ctx.pow(1 << k, 1 << i) ^ ctx.trace(1 << k) for k in range(m)
     ]
     mix = map_inverse(map_transpose(BinLinearMap(m, m, cols)))
-    tmask = _trace_mask(ctx, 1)
+    tmask = ctx.trace_mask(1)
     # tr(x) lands on the basis coordinate of the element 1, i.e. row 0 only
     rows = [
         (1 << r) ^ (tmask if r == 0 else 0) ^ (mix.rows[r] << m) for r in range(m)

@@ -56,7 +56,7 @@ def is_irreducible(p: int) -> bool:
     degree below m and hence divide one of the x^(2^k) - x.
     """
     m = p.bit_length() - 1
-    if m < 1:
+    if p < 0 or m < 1:
         return False
     if m == 1:
         return True  # x and x+1
@@ -137,8 +137,8 @@ class Field:
             raise ValueError(f"field degree must be in [{_MIN_DEGREE}, {_MAX_DEGREE}], got {m}")
         if poly is None:
             poly = default_poly(m)
-        if poly.bit_length() - 1 != m:
-            raise ValueError(f"reduction polynomial 0x{poly:x} does not have degree {m}")
+        if poly < 0 or poly.bit_length() - 1 != m:
+            raise ValueError(f"reduction polynomial {poly:#x} does not have degree {m}")
         if not is_irreducible(poly):
             raise ValueError(f"reduction polynomial 0x{poly:x} is reducible")
         self.m = m
@@ -146,7 +146,7 @@ class Field:
         self.size = 1 << m
         self.order = self.size - 1  # multiplicative group order
         self._generator: int | None = None
-        self._trace_mask: int | None = None
+        self._basis_mask: int | None = None
         self._log: np.ndarray | None = None
         self._exp: np.ndarray | None = None
         self._trace_tab: np.ndarray | None = None
@@ -205,7 +205,7 @@ class Field:
     # -- traces -----------------------------------------------------------
 
     def _basis_trace_mask(self) -> int:
-        if self._trace_mask is None:
+        if self._basis_mask is None:
             mask = 0
             for k in range(self.m):
                 e = 1 << k
@@ -215,12 +215,19 @@ class Field:
                     t = self.mul(t, t)
                     acc ^= t
                 mask |= acc << k  # acc is 0 or 1
-            self._trace_mask = mask
-        return self._trace_mask
+            self._basis_mask = mask
+        return self._basis_mask
 
     def trace(self, x: int) -> int:
         """Absolute trace GF(2^m) -> GF(2)."""
         return (x & self._basis_trace_mask()).bit_count() & 1
+
+    def trace_mask(self, c: int) -> int:
+        """The mask of the functional x -> trace(c*x), which equals
+        parity(mask & x): bit j is trace(c * 2^j)."""
+        if not 0 <= c < self.size:
+            raise ValueError(f"element {c} outside the field GF(2^{self.m})")
+        return sum(self.trace(self.mul(c, 1 << j)) << j for j in range(self.m))
 
     def subfield_trace(self, x: int, n: int) -> int:
         """Relative trace onto the subfield GF(2^n), n | m: the sum of the
@@ -299,6 +306,18 @@ class Field:
 
     def inv_many(self, x) -> np.ndarray:
         return self.pow_many(x, self.order - 1)
+
+    def subfield_trace_many(self, x, n: int) -> np.ndarray:
+        """`subfield_trace` elementwise: x + x^(2^n) + ... over the m/n
+        conjugates, as a uint32 array."""
+        if n < 1 or self.m % n != 0:
+            raise ValueError(f"{n} does not divide the field degree {self.m}")
+        acc = np.asarray(x).astype(np.uint32)
+        cur = acc
+        for _ in range(self.m // n - 1):
+            cur = self.pow_many(cur, 1 << n)
+            acc = acc ^ cur
+        return acc
 
     def trace_table(self) -> np.ndarray:
         """uint8 array t with t[x] = trace(x)."""

@@ -119,9 +119,7 @@ def _dual_reindex(ctx) -> np.ndarray:
     D is F_2-linear in alpha, so it is spread from the m images of the
     basis elements 2^k, whose bit j is tr(2^k * 2^j).
     """
-    m = ctx.m
-    dual = _linear_table([sum(ctx.trace(ctx.mul(1 << k, 1 << j)) << j for j in range(m))
-                          for k in range(m)])
+    dual = _linear_table([ctx.trace_mask(1 << k) for k in range(ctx.m)])
     dual.flags.writeable = False
     return dual
 

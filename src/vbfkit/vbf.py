@@ -165,29 +165,17 @@ def two_weight(k: int) -> int:
     return int(k).bit_count()
 
 
-def _moebius(a: np.ndarray) -> np.ndarray:
-    """In-place binary Moebius butterfly along a power-of-two length array."""
-    n = a.shape[0]
-    if n & (n - 1):
-        raise ValueError("table length must be a power of two")
+def packed_anf(f: FuncTable) -> np.ndarray:
+    """ANF of every output coordinate at once: bit j of entry M is the
+    coefficient of the monomial x^M in coordinate j of F.  One in-place
+    binary Moebius butterfly over a copy of the table."""
+    a = f.as_array().copy()
     h = 1
-    while h < n:
+    while h < a.size:
         v = a.reshape(-1, 2 * h)
         v[:, h:] ^= v[:, :h]
         h *= 2
     return a
-
-
-def mobius_transform(bits: np.ndarray) -> np.ndarray:
-    """Binary Moebius transform (self-inverse): table of a Boolean function
-    <-> its ANF coefficient table, index = monomial support mask."""
-    return _moebius(np.array(bits, dtype=np.uint8, copy=True))
-
-
-def packed_anf(f: FuncTable) -> np.ndarray:
-    """ANF of every output coordinate at once: bit j of entry M is the
-    coefficient of the monomial x^M in coordinate j of F."""
-    return _moebius(f.as_array().copy())
 
 
 def _top_weight(anf: np.ndarray) -> int:
@@ -203,21 +191,14 @@ def algebraic_degree(f: FuncTable) -> int:
     return _top_weight(packed_anf(f))
 
 
-def anf_degree(bits: np.ndarray) -> int:
-    """Degree of the ANF of a Boolean function given by its value table
-    (0 for the constant functions)."""
-    return _top_weight(mobius_transform(bits))
-
-
-def component_table(f: FuncTable, c: int) -> np.ndarray:
-    """Bit table of the component function x -> trace(c * F(x))."""
-    ctx = f.ctx
-    return ctx.trace_table()[ctx.mul_many(c, f.as_array())]
-
-
 def component_degree(f: FuncTable, c: int) -> int:
-    """ANF degree of the component x -> trace(c * F(x)); 0 when c = 0."""
-    return anf_degree(component_table(f, c))
+    """ANF degree of the component x -> trace(c * F(x)); 0 when c = 0.
+
+    Its coefficient of x^M is trace(c * A[M]) = parity(mask & A[M]) for the
+    packed ANF A and the trace mask of c (``Field.trace_mask``).
+    """
+    mask = np.uint32(f.ctx.trace_mask(c))
+    return _top_weight(np.bitwise_count(packed_anf(f) & mask) & 1)
 
 
 # ---------------------------------------------------------------- algebra

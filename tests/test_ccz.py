@@ -756,6 +756,14 @@ def test_even_criterion_trivial_and_known():
     f = Field(4)
     assert gold_perm_criterion_even(UnivariatePoly(f, {}), 1)  # F = x
     assert not gold_perm_criterion_even(UnivariatePoly(f, {1: 1}), 1)  # x^3 + x
+    # L = 6*tr(x) permutes; the absolute trace in place of the trace onto
+    # F_4 would reject it
+    L = UnivariatePoly(f, {1: 6, 2: 6, 4: 6, 8: 6})
+    Ltab = evaluate(L)
+    for i in (1, 3):
+        e = (1 << i) + 1
+        assert is_permutation(FuncTable(f, [Ltab.values[f.pow(x, e)] ^ x for x in range(16)]))
+        assert gold_perm_criterion_even(L, i)
 
 
 def test_even_criterion_matches_brute_force():

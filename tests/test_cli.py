@@ -2,14 +2,20 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+import tempfile
+from functools import lru_cache
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vbfkit.cli import build_parser, main, render_report
+from vbfkit.cli import build_parser, lut_text, main, read_lut, render_report
 from vbfkit.constructions import f8_side_condition, theorem4_f1_tables
-from vbfkit.gf2m import Field
+from vbfkit.gf2m import Field, is_irreducible
 from vbfkit.spectra import differential_spectrum, walsh_spectrum
 from vbfkit.vbf import FuncTable, monomial
 
@@ -240,6 +246,31 @@ def test_analyze_malformed_lut_exit2(tmp_path, capsys, text):
     rc, _, err = run(capsys, "analyze", str(path))
     assert rc == 2
     assert err.strip()
+
+
+@pytest.mark.parametrize("source", ["lut", "poly", "table"])
+def test_negative_poly_exit2_without_hanging(tmp_path, source):
+    # a negative bitmask has the bit length of a degree-5 polynomial, and
+    # reducing by it used to loop forever; a subprocess turns a hang into
+    # a timeout failure
+    env = dict(os.environ)
+    argv = ["analyze", "--family", "gold", "--m", "5", "--i", "1"]
+    if source == "lut":
+        path = tmp_path / "neg.lut"
+        path.write_text("m=5 poly=-25\n" + "0x0\n" * 32)
+        argv = ["analyze", str(path)]
+    elif source == "poly":
+        argv.append("--poly=-0x25")
+    else:
+        table = tmp_path / "polys.json"
+        table.write_text(json.dumps({"5": -37}))
+        env["VBF_DEFAULT_POLY_TABLE"] = str(table)
+    proc = subprocess.run(
+        [sys.executable, "-m", "vbfkit.cli", *argv], capture_output=True, text=True, env=env, timeout=10
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == ["error: reduction polynomial -0x25 does not have degree 5"]
 
 
 def test_analyze_missing_file_exit2(tmp_path, capsys):
@@ -519,3 +550,29 @@ def test_lut_value_width_padded(capsys):
 def test_verify_uses_poly_override(capsys):
     rc, _, _ = run(capsys, "verify", "thm1", "--m", "5", "--i", "1", "--poly", "0x29")
     assert rc == 0
+
+
+@lru_cache(maxsize=None)
+def _irreducibles(m: int) -> tuple:
+    return tuple(p for p in range((1 << m) + 1, 2 << m, 2) if is_irreducible(p))
+
+
+@st.composite
+def lut_tables(draw):
+    m = draw(st.integers(2, 10))
+    ctx = Field(m, draw(st.sampled_from(_irreducibles(m))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return FuncTable(ctx, rng.permutation(ctx.size))
+    return FuncTable(ctx, rng.integers(0, ctx.size, size=ctx.size))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(lut_tables())
+def test_lut_round_trip_is_the_same_table(f):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.lut")
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(lut_text(f))
+        back = read_lut(path)
+    assert back == f  # equal fields (degree and polynomial) and entries

@@ -7,6 +7,7 @@ the library never get to grade their own homework.
 
 import json
 import random
+import signal
 
 import numpy as np
 import pytest
@@ -111,6 +112,24 @@ def test_is_irreducible_agrees_with_trial_division():
             assert is_irreducible(p) == _is_irreducible_oracle(p)
 
 
+def test_negative_poly_rejected_at_once():
+    # -37 has the bit length of a degree-5 polynomial, and reducing by it
+    # never ends; the alarm turns a hang into a failure
+    def hang(signum, frame):
+        raise TimeoutError("negative polynomial not rejected")
+
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(10)
+    try:
+        for p in (-37, -25, -1, -(1 << 5)):
+            assert not is_irreducible(p)
+        with pytest.raises(ValueError, match=r"-0x25 does not have degree 5"):
+            Field(5, -37)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
 def test_alternate_poly_accepted():
     f = Field(5, poly=0b101001)  # x^5+x^3+1
     assert f.mul(2, 2) == 4
@@ -144,6 +163,15 @@ def test_poly_table_rejects_malformed_entry(tmp_path, monkeypatch, entry):
     monkeypatch.setenv("VBF_DEFAULT_POLY_TABLE", str(table))
     with pytest.raises(ValueError, match="degree 5"):
         default_poly(5)
+
+
+@pytest.mark.parametrize("entry", [-37, "-0x25"])
+def test_poly_table_negative_entry_rejected(tmp_path, monkeypatch, entry):
+    table = tmp_path / "polys.json"
+    table.write_text(json.dumps({"5": entry}))
+    monkeypatch.setenv("VBF_DEFAULT_POLY_TABLE", str(table))
+    with pytest.raises(ValueError, match="does not have degree 5"):
+        Field(5)
 
 
 def test_poly_table_must_be_an_object(tmp_path, monkeypatch):
@@ -325,6 +353,36 @@ def test_relative_trace_to_full_field_is_identity():
     for x in range(64):
         assert f.subfield_trace(x, 6) == x
         assert f.subfield_trace(x, 1) == f.trace(x)
+
+
+@pytest.mark.parametrize("m, poly", [(2, None), (5, None), (5, 0b101001), (6, None), (8, 0x11d), (12, None)])
+def test_trace_mask_gives_trace_of_scaled_element(m, poly):
+    f = Field(m, poly)
+    rng = random.Random(m)
+    for c in {0, 1, f.size - 1, *(rng.randrange(f.size) for _ in range(6))}:
+        mask = f.trace_mask(c)
+        assert 0 <= mask < f.size
+        for x in rng.sample(range(f.size), min(f.size, 64)):
+            assert (mask & x).bit_count() & 1 == f.trace(f.mul(c, x))
+    assert f.trace_mask(0) == 0
+    for c in (-1, f.size):
+        with pytest.raises(ValueError, match="outside the field"):
+            f.trace_mask(c)
+
+
+@pytest.mark.parametrize("m, poly", [(2, None), (6, None), (6, 0b1011011), (9, None), (12, None)])
+def test_subfield_trace_many_matches_scalar(m, poly):
+    f = Field(m, poly)
+    xs = np.arange(f.size)
+    for n in (n for n in range(1, m + 1) if m % n == 0):
+        got = f.subfield_trace_many(xs, n)
+        assert got.dtype == np.uint32
+        assert got.tolist() == [f.subfield_trace(x, n) for x in range(f.size)]
+        assert int(f.subfield_trace_many(np.int64(f.size - 1), n)) == f.subfield_trace(f.size - 1, n)
+    with pytest.raises(ValueError, match="does not divide"):
+        f.subfield_trace_many(xs, m + 1)
+    with pytest.raises(ValueError, match="does not divide"):
+        f.subfield_trace_many(xs, 0)
 
 
 def test_relative_trace_rejects_non_divisor():

@@ -5,6 +5,8 @@ import random
 import numpy as np
 import pytest
 
+from anf_oracle import anf_degree, component_table, mobius_transform
+from anf_oracle import component_degree as oracle_component_degree
 from vbfkit.gf2m import Field
 from vbfkit.vbf import (
     ContextMismatchError,
@@ -13,15 +15,12 @@ from vbfkit.vbf import (
     UnivariatePoly,
     add,
     algebraic_degree,
-    anf_degree,
     component_degree,
-    component_table,
     compose,
     evaluate,
     interpolate,
     invert,
     is_permutation,
-    mobius_transform,
     monomial,
     two_weight,
 )
@@ -305,6 +304,8 @@ def test_context_mismatch_rejected():
 
 
 # ---------------------------------------------------------------- ANF plumbing
+# the uint8 one-component oracle of tests/anf_oracle.py, checked on its own
+# and then against the packed-ANF ``component_degree``
 
 def test_mobius_transform_is_an_involution():
     rng = np.random.default_rng(4)
@@ -340,6 +341,16 @@ def test_component_table_is_trace_of_scaled_output():
         bits = component_table(tab, c)
         for x in range(16):
             assert int(bits[x]) == f.trace(f.mul(c, tab.values[x]))
+
+
+def test_component_degree_matches_uint8_oracle_for_every_component():
+    rng = np.random.default_rng(8)
+    for m, poly in [(m, None) for m in range(2, 9)] + [(5, 0b101001), (8, 0x11d)]:
+        f = Field(m, poly)
+        for _ in range(5):
+            tab = FuncTable(f, rng.integers(0, f.size, size=f.size))
+            for c in range(f.size):
+                assert component_degree(tab, c) == oracle_component_degree(tab, c)
 
 
 # ---------------------------------------------------------------- validation
