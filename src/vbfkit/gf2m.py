@@ -153,7 +153,17 @@ class Field:
 
     # -- scalar arithmetic ------------------------------------------------
 
+    def _outside(self, x: int) -> ValueError:
+        return ValueError(f"element {x} outside the field GF(2^{self.m})")
+
     def mul(self, x: int, y: int) -> int:
+        if not 0 <= x < self.size:
+            raise self._outside(x)
+        if not 0 <= y < self.size:
+            raise self._outside(y)
+        return self._mul(x, y)
+
+    def _mul(self, x: int, y: int) -> int:
         p, m = self.poly, self.m
         top = 1 << m
         r = 0
@@ -167,8 +177,13 @@ class Field:
         return r
 
     def pow(self, x: int, e: int) -> int:
+        if not 0 <= x < self.size:
+            raise self._outside(x)
         if e < 0:
             raise ValueError("negative exponent; use inv() or inverse_exponent()")
+        return self._pow(x, e)
+
+    def _pow(self, x: int, e: int) -> int:
         if e == 0:
             return 1
         if x == 0:
@@ -179,19 +194,23 @@ class Field:
         r = 1
         while e:
             if e & 1:
-                r = self.mul(r, x)
-            x = self.mul(x, x)
+                r = self._mul(r, x)
+            x = self._mul(x, x)
             e >>= 1
         return r
 
     def inv(self, x: int) -> int:
+        if not 0 <= x < self.size:
+            raise self._outside(x)
         if x == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        return self.pow(x, self.order - 1)
+        return self._pow(x, self.order - 1)
 
     def is_primitive(self, x: int) -> bool:
         """True iff x generates the multiplicative group GF(2^m)*."""
-        return x != 0 and all(self.pow(x, self.order // q) != 1 for q in _factorize(self.order))
+        if not 0 <= x < self.size:
+            raise self._outside(x)
+        return x != 0 and all(self._pow(x, self.order // q) != 1 for q in _factorize(self.order))
 
     @property
     def generator(self) -> int:
@@ -212,7 +231,7 @@ class Field:
                 t = e
                 acc = e
                 for _ in range(self.m - 1):
-                    t = self.mul(t, t)
+                    t = self._mul(t, t)
                     acc ^= t
                 mask |= acc << k  # acc is 0 or 1
             self._basis_mask = mask
@@ -220,25 +239,30 @@ class Field:
 
     def trace(self, x: int) -> int:
         """Absolute trace GF(2^m) -> GF(2)."""
+        if not 0 <= x < self.size:
+            raise self._outside(x)
         return (x & self._basis_trace_mask()).bit_count() & 1
 
     def trace_mask(self, c: int) -> int:
         """The mask of the functional x -> trace(c*x), which equals
         parity(mask & x): bit j is trace(c * 2^j)."""
         if not 0 <= c < self.size:
-            raise ValueError(f"element {c} outside the field GF(2^{self.m})")
-        return sum(self.trace(self.mul(c, 1 << j)) << j for j in range(self.m))
+            raise self._outside(c)
+        mask = self._basis_trace_mask()
+        return sum(((self._mul(c, 1 << j) & mask).bit_count() & 1) << j for j in range(self.m))
 
     def subfield_trace(self, x: int, n: int) -> int:
         """Relative trace onto the subfield GF(2^n), n | m: the sum of the
         orbit of x under the n-th Frobenius power."""
+        if not 0 <= x < self.size:
+            raise self._outside(x)
         if n < 1 or self.m % n != 0:
             raise ValueError(f"{n} does not divide the field degree {self.m}")
         t = x
         acc = x
         for _ in range(self.m // n - 1):
             for _ in range(n):
-                t = self.mul(t, t)
+                t = self._mul(t, t)
             acc ^= t
         return acc
 
@@ -258,10 +282,16 @@ class Field:
     def scale_table(self, c: int) -> np.ndarray:
         """int64 table of x -> c*x, spread from the m products c * 2^k
         (multiplication by c is F_2-linear)."""
-        return _linear_table([self.mul(c, 1 << k) for k in range(self.m)])
+        if not 0 <= c < self.size:
+            raise self._outside(c)
+        return _linear_table([self._mul(c, 1 << k) for k in range(self.m)])
 
     def _logexp(self) -> tuple[np.ndarray, np.ndarray]:
-        """exp[k] = g^k for the generator g, and log its inverse on nonzero x.
+        """exp[k] = g^k for the generator g and 0 <= k < 2(2^m - 1), then
+        zeros up to index 4(2^m - 1); log is its inverse on nonzero x, and
+        log[0] = 2(2^m - 1).  So exp[log[x] + log[y]] = x*y for all x and y:
+        a sum of two logs of nonzero elements needs no reduction, and one
+        with log[0] lands in the zero tail.
 
         exp is filled by doubling: with step the table of x -> g^k * x,
         exp[k:2k] = step[exp[:k]], then step[step] is the table for g^(2k).
@@ -269,32 +299,43 @@ class Field:
         if self._log is None:
             if self.m > _TABLE_LIMIT:
                 raise ValueError(f"log/exp tables would need 2^{self.m} entries; m > {_TABLE_LIMIT} is evaluation-only")
-            exp = np.empty(self.order, dtype=np.uint32)
+            order = self.order
+            exp = np.zeros(4 * order + 1, dtype=np.uint32)
             exp[0] = 1
             step = self.scale_table(self.generator)
             k = 1
-            while k < self.order:
-                span = min(k, self.order - k)
+            while k < order:
+                span = min(k, order - k)
                 exp[k:k + span] = step[exp[:span]]
                 step = step[step]
                 k *= 2
-            log = np.zeros(self.size, dtype=np.int64)
-            log[exp] = np.arange(self.order)
+            exp[order:2 * order] = exp[:order]
+            log = np.full(self.size, 2 * order, dtype=np.int64)
+            log[exp[:order]] = np.arange(order)
             self._log, self._exp = log, exp
         return self._log, self._exp
+
+    def _check_many(self, x) -> np.ndarray:
+        """x as an int64 array, every entry checked to lie in [0, 2^m)."""
+        x = np.asarray(x, dtype=np.int64)
+        high = x >> np.int64(self.m)  # nonzero exactly at the negative entries and those >= 2^m
+        if np.count_nonzero(high):
+            raise self._outside(x.flat[np.flatnonzero(high)[0]])
+        return x
 
     def mul_many(self, x, y) -> np.ndarray:
         log, exp = self._logexp()
         x = np.asarray(x, dtype=np.int64)
         y = np.asarray(y, dtype=np.int64)
-        nz = (x != 0) & (y != 0)
-        out = np.zeros(np.broadcast(x, y).shape, dtype=np.uint32)
-        idx = (log[x] + log[y]) % self.order
-        np.copyto(out, exp[idx], where=nz)
-        return out
+        if np.count_nonzero((x | y) >> np.int64(self.m)):  # one test for both operands
+            self._check_many(x)
+            self._check_many(y)
+        return np.asarray(exp[log[x] + log[y]])  # an array for 0-d operands too
 
     def pow_many(self, x, e: int) -> np.ndarray:
-        x = np.asarray(x, dtype=np.int64)
+        return self._pow_many(self._check_many(x), e)
+
+    def _pow_many(self, x: np.ndarray, e: int) -> np.ndarray:
         if e == 0:
             return np.ones(x.shape, dtype=np.uint32)
         log, exp = self._logexp()
@@ -312,10 +353,10 @@ class Field:
         conjugates, as a uint32 array."""
         if n < 1 or self.m % n != 0:
             raise ValueError(f"{n} does not divide the field degree {self.m}")
-        acc = np.asarray(x).astype(np.uint32)
+        acc = self._check_many(x).astype(np.uint32)
         cur = acc
         for _ in range(self.m // n - 1):
-            cur = self.pow_many(cur, 1 << n)
+            cur = self._pow_many(cur, 1 << n)
             acc = acc ^ cur
         return acc
 

@@ -2,10 +2,14 @@
 
 The fast Walsh path builds one sign row (-1)^parity(b & F(x)) per
 dot-product output mask b, with no field multiplication, and transforms the
-rows with two dense matrix products: the Sylvester-Hadamard matrix factors
-as H_(2^k) = H_(2^p) (x) H_(2^q), so a row reshaped to a 2^p x 2^q matrix X
-transforms as H_p X H_q.  The products run in float32, which is exact here
-because every partial sum is an integer of magnitude at most 2^k <= 2^24.
+rows with dense matrix products: the Sylvester-Hadamard matrix factors as
+H_(2^k) = H_(2^s_0) (x) ... (x) H_(2^s_(t-1)) into t near-equal factors
+(t = 2 below k = 12, t = 3 from there on), and each factor is one product
+along its axis of the row reshaped to a 2^s_0 x ... x 2^s_(t-1) array.
+The products run in float32, which is exact here because every partial
+sum, in any factor order, is an integer of magnitude at most 2^k <= 2^24.
+The difference counts visit each pair {x, x + a} once, so a direction
+costs one pass over half the domain.
 
 Since tr(ax) = parity(D[a] & x) for a bijection D fixing 0, the trace row
 b is the dot-product row of mask D[b] with its columns permuted, so
@@ -92,22 +96,31 @@ def _sylvester(k: int) -> np.ndarray:
 def _fwht_rows(mat: np.ndarray) -> np.ndarray:
     """Walsh-Hadamard transform of each +-1 row (length 2^k), as a new int32 array.
 
-    Row x = (x_hi, x_lo) with x_hi the top p = floor(k/2) bits is the matrix
-    X[x_hi, x_lo]; since (-1)^(a.x) = (-1)^(a_hi.x_hi) (-1)^(a_lo.x_lo), the
-    transform is H_p X H_q.  Each partial sum of either product is an integer
-    of magnitude at most 2^k, and float32 holds every integer up to 2^24
-    exactly, so the result is exact whatever the summation order; longer rows
-    raise TooLargeError.
+    The row index x splits into bit fields x = (x_0, ..., x_(t-1)) of
+    near-equal widths s_0 <= ... <= s_(t-1), top field first: t = 2 factors
+    for k < 12 and t = 3 from k = 12 on, where the third factor pays for its
+    extra pass.  Since (-1)^(a.x) is the product of the (-1)^(a_j.x_j), the
+    transform is H_(s_0) (x) ... (x) H_(s_(t-1)): a right product with
+    H_(s_(t-1)) on the last field, then one batched left product with
+    H_(s_j) per field j, with the rows and the fields above j as the batch.
+    Every partial sum of every product, in any factor order, is a signed
+    sum of at most 2^k of the +-1 inputs, and float32 holds every integer up
+    to 2^24 exactly, so the result is exact whatever the summation order;
+    longer rows raise TooLargeError.
     """
     rows, n = mat.shape
     k = n.bit_length() - 1
     if k > _SPECTRUM_LIMIT:
         raise TooLargeError(f"float32 transform is exact up to 2^{_SPECTRUM_LIMIT}; row length 2^{k}")
-    p = k // 2
-    q = k - p
-    x = mat.astype(np.float32).reshape(rows << p, 1 << q) @ _sylvester(q)
-    out = _sylvester(p) @ x.reshape(rows, 1 << p, 1 << q)
-    return out.reshape(rows, n).astype(np.int32)
+    t = 2 if k < 12 else 3
+    widths = [(k + j) // t for j in range(t)]
+    outer, inner = k - widths[-1], widths[-1]
+    y = mat.astype(np.float32).reshape(rows << outer, 1 << inner) @ _sylvester(inner)
+    for s in reversed(widths[:-1]):
+        outer -= s
+        y = np.matmul(_sylvester(s), y.reshape(rows << outer, 1 << s, 1 << inner))
+        inner += s
+    return y.reshape(rows, n).astype(np.int32)
 
 
 @lru_cache(maxsize=8)
@@ -194,7 +207,11 @@ def walsh_spectrum(f: FuncTable) -> WalshSpectrum:
     n = ctx.size
     reps, sizes = _orbits(f, walsh=True)
     masks = _dual_reindex(ctx)[reps]
-    block = max(1, (1 << 18) // n)  # rows per block: each float32 temporary stays near 1 MB
+    # rows per block: each float32 temporary stays near 1 MB, but a block has
+    # at least 16 rows while that keeps it under 16 MB, since each block's
+    # tally costs passes over all 2^(m+1) + 1 counts (at m = 17, blocks of
+    # 2 rows spent about 40 % of the time there)
+    block = max(min(16, (1 << 22) // n), (1 << 18) // n, 1)
     counts = np.zeros(2 * n + 1, dtype=np.int64)
     for size in np.unique(sizes).tolist():
         group = masks[sizes == size]
@@ -260,20 +277,30 @@ def differential_spectrum(f: FuncTable) -> DifferentialSpectrum:
     F(x^2) = F(x)^2) and ga (if F(gx) = lam*F(x)) have the same fiber
     sizes, so a power map needs the one direction a = 1.  A table without
     either symmetry gets every direction a != 0.
+
+    Each pair {x, x + a} lies in one fiber, so a direction is scanned over
+    the half domain where bit h, the top bit of a, is clear: one x per
+    pair, and a pair count c is a fiber of size 2c.  The minima ascend, so
+    that half domain and its values change only when h does.
     """
     ctx = f.ctx
     if ctx.m > _SPECTRUM_LIMIT:
         raise TooLargeError(f"differential_spectrum costs 2^(2m); m={ctx.m} > {_SPECTRUM_LIMIT}")
     n = ctx.size
-    vals = f.as_array()
-    xs = np.arange(n, dtype=np.int64)
-    hist = np.zeros(n + 1, dtype=np.int64)  # fiber size -> number of (a, b)
+    vals = f.as_array().astype(np.intp)
+    xs = np.arange(n, dtype=np.intp)
+    hist = np.zeros(n // 2 + 1, dtype=np.int64)  # pair count -> number of (a, b)
+    h = -1
     reps, weights = _orbits(f, walsh=False)
     for a, w in zip(reps.tolist(), weights.tolist()):
-        hist += w * np.bincount(np.bincount(vals[xs ^ a] ^ vals, minlength=n), minlength=n + 1)
-    sizes = np.flatnonzero(hist)
-    dist = {int(v): int(hist[v]) for v in sizes}
-    dmax = int(sizes[-1])
+        if a.bit_length() - 1 != h:
+            h = a.bit_length() - 1
+            half = xs.reshape(-1, 2, 1 << h)[:, 0, :].ravel()
+            base = vals[half]
+        hist += w * np.bincount(np.bincount(vals[half ^ a] ^ base, minlength=n), minlength=n // 2 + 1)
+    pairs = np.flatnonzero(hist)
+    dist = {2 * int(c): int(hist[c]) for c in pairs}
+    dmax = 2 * int(pairs[-1])
     return DifferentialSpectrum(ctx.m, dist, dmax)
 
 

@@ -493,7 +493,9 @@ def test_verify_missing_m_exit2(capsys):
 
 # SHA-256 of the report bytes, as computed one squaring orbit at a time
 # (631 Walsh rows and difference directions for gold at m = 13); the scaling
-# orbits, one row and one direction here, must give the same bytes.
+# orbits, one row and one direction here, must give the same bytes.  thm1 and
+# thm2 do not scale, so theirs pin the three-factor transform and the
+# half-domain difference counts on many rows.
 REPORT_DIGESTS = [
     (("gold", "--m", "14", "--i", "1"),
      "756a0da35d6e502963e03d8f1a6d465a436834f79a12222f651dccf7e016d411"),
@@ -501,11 +503,17 @@ REPORT_DIGESTS = [
      "ba77aa7248582426c19250cf56c5e4d9eb9544ca423b7ce70f4e06f3a01a2b73"),
     (("inverse", "--m", "15"),
      "e1ae654c238acd7cd00105fe70a067e805234555fc3d076f24ccec4bf0c4c4dd"),
+    (("thm1", "--m", "15", "--i", "1"),
+     "4ecd9871f0fa94ce631a46f1f09a5772f3b334c9c714e3a20133393c6ec9740f"),
+    (("thm2", "--m", "14", "--i", "1"),
+     "daa695c84b77dedba3eb5f134e6eb4e78fcd146cc846b9e0f275c23294b24aad"),
 ]
 
 
 @pytest.mark.parametrize(
-    "family_args, digest", REPORT_DIGESTS, ids=["gold-m14", "gold-m15", "inverse-m15"]
+    "family_args, digest",
+    REPORT_DIGESTS,
+    ids=["gold-m14", "gold-m15", "inverse-m15", "thm1-m15", "thm2-m14"],
 )
 def test_analyze_report_digests_at_m14_m15(tmp_path, capsys, family_args, digest):
     out = tmp_path / "report.json"

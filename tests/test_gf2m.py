@@ -8,6 +8,7 @@ the library never get to grade their own homework.
 import json
 import random
 import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -112,22 +113,29 @@ def test_is_irreducible_agrees_with_trial_division():
             assert is_irreducible(p) == _is_irreducible_oracle(p)
 
 
+@contextmanager
+def _hang_guard(what: str, seconds: int = 10):
+    """Turn a hang in the body into a TimeoutError after ``seconds``."""
+    def hang(signum, frame):
+        raise TimeoutError(what)
+
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
 def test_negative_poly_rejected_at_once():
     # -37 has the bit length of a degree-5 polynomial, and reducing by it
     # never ends; the alarm turns a hang into a failure
-    def hang(signum, frame):
-        raise TimeoutError("negative polynomial not rejected")
-
-    old = signal.signal(signal.SIGALRM, hang)
-    signal.alarm(10)
-    try:
+    with _hang_guard("negative polynomial not rejected"):
         for p in (-37, -25, -1, -(1 << 5)):
             assert not is_irreducible(p)
         with pytest.raises(ValueError, match=r"-0x25 does not have degree 5"):
             Field(5, -37)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
 
 
 def test_alternate_poly_accepted():
@@ -241,8 +249,11 @@ def test_logexp_tables_match_scalar_powers(m, poly):
     log, exp = f._logexp()
     want_log, want_exp = _logexp_oracle(f)
     assert exp.dtype == np.uint32 and log.dtype == np.int64
-    assert exp.tolist() == want_exp
-    assert log.tolist() == want_log
+    # two periods, so a sum of two logs needs no reduction, then a zero tail
+    # for sums with the log of 0
+    assert exp.tolist() == want_exp * 2 + [0] * (2 * f.order + 1)
+    assert log[0] == 2 * f.order
+    assert log[1:].tolist() == want_log[1:]
 
 
 def test_scale_table_matches_scalar_mul():
@@ -385,6 +396,58 @@ def test_subfield_trace_many_matches_scalar(m, poly):
         f.subfield_trace_many(xs, 0)
 
 
+_SCALAR_METHODS = {
+    "mul-left": lambda f, x: f.mul(x, 3),
+    "mul-right": lambda f, x: f.mul(3, x),
+    "pow": lambda f, x: f.pow(x, 3),
+    "pow-zero-exponent": lambda f, x: f.pow(x, 0),
+    "inv": lambda f, x: f.inv(x),
+    "trace": lambda f, x: f.trace(x),
+    "subfield_trace": lambda f, x: f.subfield_trace(x, 1),
+    "is_primitive": lambda f, x: f.is_primitive(x),
+    "scale_table": lambda f, x: f.scale_table(x),
+}
+
+_ARRAY_METHODS = {
+    "mul_many-left": lambda f, xs: f.mul_many(xs, np.full(len(xs), 3)),
+    "mul_many-right": lambda f, xs: f.mul_many(np.full(len(xs), 3), xs),
+    "pow_many": lambda f, xs: f.pow_many(xs, 3),
+    "pow_many-zero-exponent": lambda f, xs: f.pow_many(xs, 0),
+    "inv_many": lambda f, xs: f.inv_many(xs),
+    "subfield_trace_many": lambda f, xs: f.subfield_trace_many(xs, 1),
+}
+
+
+@pytest.mark.parametrize("method", list(_SCALAR_METHODS))
+@pytest.mark.parametrize("m", [2, 5, 8])
+def test_scalar_arithmetic_rejects_elements_outside_the_field(method, m):
+    f = Field(m)
+    call = _SCALAR_METHODS[method]
+    for bad in (-1, f.size, 40 + f.size):
+        # shifting a negative multiplier right never reaches 0, so an
+        # unchecked mul(3, -1) hangs; the alarm turns that into a failure
+        with _hang_guard(f"element {bad} not rejected"), pytest.raises(
+            ValueError, match=f"element {bad} outside the field"
+        ):
+            call(f, bad)
+    for good in (1, f.size - 1):  # the edges of the range still pass
+        call(f, good)
+
+
+@pytest.mark.parametrize("method", list(_ARRAY_METHODS))
+@pytest.mark.parametrize("m", [2, 5, 8])
+def test_array_arithmetic_rejects_entries_outside_the_field(method, m):
+    f = Field(m)
+    call = _ARRAY_METHODS[method]
+    for bad in (-1, f.size):
+        xs = np.array([1, f.size - 1, bad, 0])
+        with pytest.raises(ValueError, match=f"element {bad} outside the field"):
+            call(f, xs)
+        with pytest.raises(ValueError, match=f"element {bad} outside the field"):
+            call(f, [bad])  # a list is checked as well as an array
+    assert call(f, np.arange(f.size)).shape == (f.size,)
+
+
 def test_relative_trace_rejects_non_divisor():
     f = Field(6)
     with pytest.raises(ValueError):
@@ -440,6 +503,11 @@ def test_vectorized_mul_and_pow_match_scalar():
         got = f.mul_many(a, b)
         for k in range(200):
             assert int(got[k]) == f.mul(int(a[k]), int(b[k]))
+        grid = f.mul_many(np.arange(n)[:, None], np.arange(n, dtype=np.uint32)[None, :])
+        assert grid.dtype == np.uint32
+        assert grid.tolist() == [[f.mul(x, y) for y in range(n)] for x in range(n)]
+        for got, want in ((f.mul_many(3, np.int64(5)), f.mul(3, 5)), (f.pow_many(3, 5), f.pow(3, 5))):
+            assert isinstance(got, np.ndarray) and got.shape == () and int(got) == want
         for e in (0, 1, 3, 14, n - 2):
             gp = f.pow_many(np.arange(n), e)
             for x in range(n):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vbfkit.constructions import theorem1
-from vbfkit.gf2m import Field, is_irreducible
+from vbfkit.gf2m import Field, _linear_table, is_irreducible
 from vbfkit.spectra import (
     ParityMismatchError,
     TooLargeError,
@@ -121,8 +121,10 @@ def _butterfly_oracle(mat: np.ndarray) -> np.ndarray:
 
 def test_fwht_rows_matches_butterfly_oracle():
     rng = np.random.default_rng(21)
-    for k in range(13):  # both parities of k, so both factor shapes
-        rows = (1 - 2 * rng.integers(0, 2, size=(7, 1 << k))).astype(np.int32)
+    # two factors below k = 12 and three from there on, each residue of k
+    # mod 2 and mod 3, so every factor shape; fewer rows at large k
+    for k in range(19):
+        rows = (1 - 2 * rng.integers(0, 2, size=(max(1, min(7, (1 << 16) >> k)), 1 << k))).astype(np.int32)
         got = _fwht_rows(rows)
         assert got.dtype == np.int32
         assert np.array_equal(got, _butterfly_oracle(rows))
@@ -389,13 +391,42 @@ def _all_rows_oracle(f: FuncTable) -> tuple[dict, dict]:
         mat += n
         counts += np.bincount(mat.ravel(), minlength=2 * n + 1)
     walsh = {int(v) - n: int(counts[v]) for v in np.flatnonzero(counts)}
+    return walsh, _difference_counts_oracle(f)
+
+
+def _difference_counts_oracle(f: FuncTable) -> dict:
+    """Fiber-size distribution over the full domain: for each direction
+    a != 0 every x is counted, so each pair {x, x + a} is seen twice."""
+    n = f.ctx.size
     vals = f.as_array()
     xs = np.arange(n, dtype=np.int64)
     hist = np.zeros(n + 1, dtype=np.int64)
     for a in range(1, n):
         hist += np.bincount(np.bincount(vals[xs ^ a] ^ vals, minlength=n), minlength=n + 1)
-    diff = {int(v): int(hist[v]) for v in np.flatnonzero(hist)}
-    return walsh, diff
+    return {int(v): int(hist[v]) for v in np.flatnonzero(hist)}
+
+
+@pytest.mark.parametrize("m", range(2, 12))
+def test_half_domain_difference_counts_match_full_domain_oracle(m):
+    ctx = Field(m)
+    n = ctx.size
+    rng = np.random.default_rng(300 + m)
+    linear = FuncTable(ctx, _linear_table(rng.integers(0, n, size=m).tolist()))
+    cases = {
+        "random": FuncTable(ctx, rng.integers(0, n, size=n)),
+        "permutation": FuncTable(ctx, rng.permutation(n)),
+        "constant": FuncTable(ctx, np.full(n, n - 1)),
+        "linear": linear,
+        "squaring-invariant": evaluate(UnivariatePoly(ctx, {e: 1 for e in (3, 5, n - 2) if e < n})),
+    }
+    for name, tab in cases.items():
+        want = _difference_counts_oracle(tab)
+        spec = differential_spectrum(tab)
+        assert spec.distribution == want, name
+        assert spec.max == max(want), name
+    assert differential_spectrum(linear).max == n  # every derivative is constant
+    assert not _is_fallback(cases["squaring-invariant"])
+    assert _is_fallback(cases["permutation"])
 
 
 def _assert_matches_all_rows(f: FuncTable) -> None:
