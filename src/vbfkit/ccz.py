@@ -53,6 +53,10 @@ class RankDeficientError(ValueError):
     """Map does not reach full rank where full rank is required."""
 
 
+class ConditionViolatedError(ValueError):
+    """A family parameter fails a condition the construction needs."""
+
+
 class GcdViolationError(ValueError):
     """Frobenius index shares a factor with the extension degree."""
 
@@ -63,6 +67,14 @@ class OddDegreeError(ValueError):
 
 class BudgetExceededError(RuntimeError):
     """Node or wall-clock budget ran out before the search finished."""
+
+
+def _require_index(i: int, m: int, strict: bool = True) -> None:
+    """Reject a Frobenius index i < 1 and, when ``strict``, gcd(i, m) != 1."""
+    if i < 1:
+        raise ConditionViolatedError("Frobenius index must be positive")
+    if strict and math.gcd(i, m) != 1:
+        raise GcdViolationError(f"gcd({i}, {m}) != 1")
 
 
 def pack_point(x: int, y: int, m: int) -> int:
@@ -418,8 +430,7 @@ def gold_avoidance_subgroup(ctx: Field, a: int, i: int) -> Subspace:
     m = ctx.m
     if not 0 < a < ctx.size:
         raise ValueError("base point a must be a nonzero field element")
-    if math.gcd(i, m) != 1:
-        raise GcdViolationError(f"gcd({i}, {m}) != 1")
+    _require_index(i, m)
     c = ctx.inv(ctx.pow(a, (1 << i) + 1))
     mask = ctx.trace_mask(c)
     hyper = kernel_basis(BinLinearMap(m, 1, [mask]))
@@ -568,9 +579,7 @@ def gold_perm_criterion(L: UnivariatePoly, Lp: UnivariatePoly, i: int) -> bool:
     ctx = L.ctx
     if Lp.ctx != ctx:
         raise ContextMismatchError("summands live in different fields")
-    m = ctx.m
-    if math.gcd(i, m) != 1:
-        raise GcdViolationError(f"gcd({i}, {m}) != 1")
+    _require_index(i, ctx.m)
     _linear_terms(L)
     _linear_terms(Lp)
     Ltab = evaluate(L).as_array()
@@ -601,8 +610,7 @@ def gold_perm_criterion_even(L: UnivariatePoly, i: int) -> bool:
     m = ctx.m
     if m & 1:
         raise OddDegreeError(f"extension degree {m} is odd")
-    if math.gcd(i, m) != 1:
-        raise GcdViolationError(f"gcd({i}, {m}) != 1")
+    _require_index(i, m)
     e = (1 << i) + 1
     adj = evaluate(linearized_adjoint(ctx, L)).as_array().astype(np.int64)
     us = np.arange(1, ctx.size, dtype=np.int64)

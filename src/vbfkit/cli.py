@@ -37,6 +37,7 @@ import numpy as np
 from vbfkit.ccz import (
     BinLinearMap,
     BudgetExceededError,
+    _require_index,
     ccz_transform,
     gold_perm_criterion,
     gold_perm_criterion_even,
@@ -48,6 +49,7 @@ from vbfkit.ccz import (
 from vbfkit.constructions import (
     ConditionViolatedError,
     FamilySpec,
+    _theorem3_preconditions,
     example1_witness,
     f8_side_condition,
     family_exponent,
@@ -82,18 +84,6 @@ from vbfkit.vbf import (
 
 POWER_FAMILIES = ("gold", "kasami", "welch", "niho", "inverse", "dobbertin")
 FAMILIES = POWER_FAMILIES + ("power", "thm1", "thm2", "thm3", "thm4")
-CLAIMS = (
-    "thm1",
-    "thm2",
-    "thm3",
-    "thm4",
-    "remark4",
-    "example1",
-    "prop-gold-perm",
-    "prop-gold-perm-even",
-    "f8-check",
-    "ccz-invariance",
-)
 
 
 # -- LUT files ---------------------------------------------------------------
@@ -294,6 +284,7 @@ def verify_thm2(args: argparse.Namespace) -> int:
 
 def verify_thm3(args: argparse.Namespace) -> int:
     ctx = _field(args)
+    _theorem3_preconditions(ctx, args.i)  # bad parameters are not a failed check
     checks = [("octic side condition", f8_side_condition(args.i))]
     if not checks[0][1]:
         return _emit_checks(checks)
@@ -331,9 +322,14 @@ def verify_thm4(args: argparse.Namespace) -> int:
 def _parse_budget(text: str | None) -> tuple[int | None, float | None]:
     if text is None:
         return None, None
-    if "." in text:
-        return None, float(text)
-    return int(text), None
+    try:
+        if "." in text:
+            return None, float(text)
+        return int(text), None
+    except ValueError:
+        raise ConditionViolatedError(
+            f"--budget must be an integer node count or decimal seconds, got {text!r}"
+        ) from None
 
 
 def verify_remark4(args: argparse.Namespace) -> int:
@@ -379,14 +375,15 @@ def _random_linearized(ctx: Field, rng: random.Random) -> UnivariatePoly:
     return UnivariatePoly(ctx, terms)
 
 
-def _require_trials(args: argparse.Namespace) -> None:
-    if args.count < 1:
-        raise ConditionViolatedError(f"--count must be at least 1, got {args.count}")
+def _require_trials(args: argparse.Namespace, least: int = 1) -> None:
+    if args.count < least:
+        raise ConditionViolatedError(f"--count must be at least {least}, got {args.count}")
 
 
 def verify_prop_gold_perm(args: argparse.Namespace) -> int:
     _require_trials(args)
     ctx = _field(args)
+    _require_index(args.i, ctx.m)  # before the brute-force table uses 2^i
     rng = random.Random(args.seed)
     xs = np.arange(ctx.size, dtype=np.int64)
     powered = ctx.pow_many(xs, (1 << args.i) + 1)
@@ -404,6 +401,7 @@ def verify_prop_gold_perm(args: argparse.Namespace) -> int:
 def verify_prop_gold_perm_even(args: argparse.Namespace) -> int:
     _require_trials(args)
     ctx = _field(args)
+    _require_index(args.i, ctx.m)  # before the brute-force table uses 2^i
     rng = random.Random(args.seed)
     xs = np.arange(ctx.size, dtype=np.int64)
     powered = ctx.pow_many(xs, (1 << args.i) + 1)
@@ -424,6 +422,7 @@ def verify_f8_check(args: argparse.Namespace) -> int:
 
 
 def verify_ccz_invariance(args: argparse.Namespace) -> int:
+    _require_trials(args, least=0)  # the structured maps run even with --count 0
     ctx = _field(args)
     f = monomial(ctx, 3)
     base_w = walsh_spectrum(f).distribution
@@ -519,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.set_defaults(handler=cmd_analyze)
 
     pv = sub.add_parser("verify", help="run a named bundle of checks")
-    pv.add_argument("claim", choices=CLAIMS)
+    pv.add_argument("claim", choices=_VERIFIERS)
     _add_family_params(pv, with_family=False)
     pv.add_argument("--a", type=_int_literal, help="witness scaling point (default: sampled)")
     pv.add_argument("--lut", help="table to search instead of a constructed one")

@@ -3,10 +3,13 @@
 Two kinds of builders live here.  The power families (`family_exponent`)
 catalogue the classical monomial exponents with their parameter conditions.
 The twisted families (`theorem1` .. `theorem4`) modify a Gold power map by
-trace-gated correction terms; each one comes with the graph-side linear
-witness (`theorem12_ccz_witness`, `example1_witness`) that explains where
-the twist comes from, and those witness constructors re-check the defining
-identities (involutions, scaling, inverse closed forms) on every call.
+trace-gated correction terms.  `theorem3` and `theorem4` are built as the
+paper builds them, as CCZ images of the Gold graph: a shift F1 that
+permutes, a second projection F2, and the table F2 o F1^(-1).  The graph-side
+linear witnesses (`theorem12_ccz_witness`, `example1_witness`) explain where
+the twists of `theorem1` and `theorem2` come from, and those witness
+constructors re-check the defining identities (involutions, scaling) on
+every call.
 
 All builders take an explicit :class:`~vbfkit.gf2m.Field` context and return
 plain lookup tables, so outputs from different reduction polynomials can be
@@ -23,7 +26,8 @@ import numpy as np
 from vbfkit.ccz import (
     BinLinearMap,
     CczWitness,
-    GcdViolationError,
+    ConditionViolatedError,
+    _require_index,
     graph_image,
     identity_map,
     map_compose,
@@ -51,10 +55,6 @@ __all__ = [
     "theorem4_f1_inverse",
     "theorem4_f1_tables",
 ]
-
-
-class ConditionViolatedError(ValueError):
-    """A family parameter fails a condition the construction needs."""
 
 
 class ParityViolatedError(ConditionViolatedError):
@@ -85,13 +85,6 @@ class FamilySpec:
     n: int | None = None
     t: int | None = None
     a: int | None = None
-
-
-def _require_index(i: int, m: int, strict: bool) -> None:
-    if i < 1:
-        raise ConditionViolatedError("Frobenius index must be positive")
-    if strict and math.gcd(i, m) != 1:
-        raise GcdViolationError(f"gcd({i}, {m}) != 1")
 
 
 def _checked_i(spec: FamilySpec) -> int:
@@ -191,6 +184,7 @@ def f8_side_condition(i: int) -> bool:
     True iff (u^(2^i+1) w)^2 + (u^(2^i+1) w)^4 != u for every nonzero u and
     every nonzero w of trace zero (7 x 3 pairs; only i mod 3 matters).
     """
+    _require_index(i, 3, strict=False)
     f8 = Field(3)
     e = (1 << (i % 3)) + 1
     for u in range(1, 8):
@@ -204,15 +198,19 @@ def f8_side_condition(i: int) -> bool:
     return True
 
 
+def _theorem3_preconditions(ctx: Field, i: int) -> None:
+    if ctx.m % 6:
+        raise DivisibilityViolatedError("m must be divisible by 6")
+    _require_index(i, ctx.m, strict=True)
+
+
 def theorem3_f1(ctx: Field, i: int) -> FuncTable:
     """The order-6 shift x + T^2 + T^4 with T = tr_{m/3}(x^(2^i+1)).
 
     Verified on construction: the table is a permutation and its sixth
     compositional power is the identity.
     """
-    if ctx.m % 6:
-        raise DivisibilityViolatedError("m must be divisible by 6")
-    _require_index(i, ctx.m, strict=True)
+    _theorem3_preconditions(ctx, i)
     xs = np.arange(ctx.size, dtype=np.int64)
     t = ctx.subfield_trace_many(ctx.pow_many(xs, (1 << i) + 1), 3)
     f1 = FuncTable(ctx, xs ^ ctx.mul_many(t, t) ^ ctx.pow_many(t, 4))
@@ -232,9 +230,7 @@ def theorem3(ctx: Field, i: int) -> FuncTable:
     Built as the Gold power map composed with the inverse of the order-6
     subfield shift; the F_8 side condition guarantees that shift permutes.
     """
-    if ctx.m % 6:
-        raise DivisibilityViolatedError("m must be divisible by 6")
-    _require_index(i, ctx.m, strict=True)
+    _theorem3_preconditions(ctx, i)
     if not f8_side_condition(i):
         raise ConditionViolatedError("octic side condition fails for this index")
     f1 = theorem3_f1(ctx, i)
@@ -260,26 +256,15 @@ def theorem4(ctx: Field, n: int, i: int) -> FuncTable:
         + B^(1/(2^i+1)) (x^(2^i) + t^(2^i) + 1) + B^(2^i/(2^i+1)) (x + t)
 
     The fractional powers are the true e-th-root exponents (0 maps to 0);
-    n = 1 collapses the formula onto `theorem1`.
+    n = 1 collapses the formula onto `theorem1`.  Built as F2 o F1^(-1) on
+    the Gold graph: the shift F1(z) = z + tr_{m/n}(z) + tr_{m/n}(z^(2^i+1))
+    and F2(z) = z^(2^i+1) + tr_{m/n}(z) + tr_{m/n}(z^(2^i+1)), with F1^(-1)
+    from `theorem4_f1_tables`.
     """
-    _theorem4_preconditions(ctx, n, i)
+    f1, f1_inv = theorem4_f1_tables(ctx, n, i)
     xs = np.arange(ctx.size, dtype=np.int64)
-    e = (1 << i) + 1
-    xe = ctx.pow_many(xs, e)
-    x2i = ctx.pow_many(xs, 1 << i)
-    t = ctx.subfield_trace_many(xs, n)
-    te = ctx.subfield_trace_many(xe, n)
-    t2i = ctx.pow_many(t, 1 << i)
-    b = ctx.pow_many(t, e) ^ te ^ t
-    d1 = ctx.inverse_exponent(e)
-    d2 = (d1 * (1 << i)) % ctx.order
-    root = ctx.pow_many(b, d1)
-    root2i = ctx.pow_many(b, d2)
-    out = xe ^ te
-    out = out ^ ctx.mul_many(x2i, t) ^ ctx.mul_many(xs, t2i)
-    out = out ^ ctx.mul_many(root, x2i ^ t2i ^ 1)
-    out = out ^ ctx.mul_many(root2i, xs ^ t)
-    return FuncTable(ctx, out)
+    f2 = FuncTable(ctx, ctx.pow_many(xs, (1 << i) + 1) ^ f1.as_array() ^ xs)
+    return compose(f2, f1_inv)
 
 
 def theorem4_f1_tables(ctx: Field, n: int, i: int) -> tuple[FuncTable, FuncTable]:

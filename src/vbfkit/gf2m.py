@@ -224,17 +224,8 @@ class Field:
     # -- traces -----------------------------------------------------------
 
     def _basis_trace_mask(self) -> int:
-        if self._basis_mask is None:
-            mask = 0
-            for k in range(self.m):
-                e = 1 << k
-                t = e
-                acc = e
-                for _ in range(self.m - 1):
-                    t = self._mul(t, t)
-                    acc ^= t
-                mask |= acc << k  # acc is 0 or 1
-            self._basis_mask = mask
+        if self._basis_mask is None:  # bit k is tr(2^k), which is 0 or 1
+            self._basis_mask = sum(self.subfield_trace(1 << k, 1) << k for k in range(self.m))
         return self._basis_mask
 
     def trace(self, x: int) -> int:

@@ -5,10 +5,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vbfkit.ccz import (
     BinLinearMap,
     BudgetExceededError,
+    ConditionViolatedError,
     GcdViolationError,
     NotLinearizedError,
     OddDegreeError,
@@ -43,7 +46,7 @@ from vbfkit.ccz import (
 )
 from vbfkit.constructions import theorem1
 from vbfkit.gf2m import Field, is_irreducible
-from vbfkit.spectra import differential_spectrum, walsh_spectrum
+from vbfkit.spectra import _orbits, differential_spectrum, walsh_spectrum
 from vbfkit.vbf import (
     FuncTable,
     NotAPermutationError,
@@ -634,6 +637,45 @@ def test_ea_bridge_rejects_singular_blocks():
         ea_to_ccz_map(identity_map(4), bad, None)
 
 
+@st.composite
+def ea_moves(draw):
+    """A random table, a random permutation or a power map c*x^d at m = 2..7,
+    and the graph map of a random move outer o F o inner + summand (on F^-1
+    instead, when F permutes and the draw says so)."""
+    m = draw(st.integers(2, 7))
+    ctx = Field(m)
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("random", "permutation", "power")))
+    if kind == "random":
+        f = FuncTable(ctx, [rng.randrange(ctx.size) for _ in range(ctx.size)])
+    elif kind == "permutation":
+        f = FuncTable(ctx, rng.sample(range(ctx.size), ctx.size))
+    else:
+        d = draw(st.integers(0, ctx.order))
+        f = monomial(ctx, d, c=draw(st.integers(1, ctx.order)))
+    use_inverse = is_permutation(f) and draw(st.booleans())
+    outer, inner = _random_invertible(m, rng), _random_invertible(m, rng)
+    return f, ea_to_ccz_map(outer, inner, _random_map(m, m, rng), use_inverse=use_inverse)
+
+
+def test_ea_moves_keep_walsh_and_differential_spectra():
+    # `paths` records whether `_orbits` found a symmetry of the source table,
+    # so that both the orbit path and the all-rows path are shown to run
+    paths = set()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(ea_moves())
+    def check(case):
+        f, L = case
+        g = ccz_transform(L, f)
+        paths.add(any(_orbits(f, walsh)[0].size < f.ctx.order for walsh in (True, False)))
+        assert walsh_spectrum(g).distribution == walsh_spectrum(f).distribution
+        assert differential_spectrum(g).distribution == differential_spectrum(f).distribution
+
+    check()
+    assert paths == {True, False}
+
+
 # ---------------------------------------------------------------- power test
 
 def test_power_maps_stay_inconclusive():
@@ -800,6 +842,17 @@ def test_even_criterion_guards():
         gold_perm_criterion_even(UnivariatePoly(Field(5), {}), 1)
     with pytest.raises(GcdViolationError):
         gold_perm_criterion_even(UnivariatePoly(Field(4), {}), 2)
+
+
+@pytest.mark.parametrize("i", [0, -1])
+def test_gold_index_guards_reject_nonpositive_index(i):
+    f5, f6 = Field(5), Field(6)
+    with pytest.raises(ConditionViolatedError, match="Frobenius index must be positive"):
+        gold_perm_criterion(UnivariatePoly(f5, {}), UnivariatePoly(f5, {1: 1}), i)
+    with pytest.raises(ConditionViolatedError, match="Frobenius index must be positive"):
+        gold_perm_criterion_even(UnivariatePoly(f6, {}), i)
+    with pytest.raises(ConditionViolatedError, match="Frobenius index must be positive"):
+        gold_avoidance_subgroup(f5, 1, i)
 
 
 # ---------------------------------------------------------------- completion search

@@ -312,6 +312,16 @@ def test_verify_thm3_gcd_violation_exit2(capsys):
     assert err.strip()
 
 
+@pytest.mark.parametrize(
+    ("m", "i", "message"),
+    [("6", "3", "gcd(3, 6) != 1"), ("10", "3", "m must be divisible by 6")],
+)
+def test_verify_thm3_checks_parameters_before_the_octic_scan(capsys, m, i, message):
+    # i = 3 fails the F_8 scan, but only because it breaks a precondition
+    rc, stdout, err = run(capsys, "verify", "thm3", "--m", m, "--i", i)
+    assert (rc, stdout, err) == (2, "", f"error: {message}\n")
+
+
 def test_verify_thm4(capsys):
     rc, _, _ = run(capsys, "verify", "thm4", "--m", "9", "--n", "3", "--i", "1")
     assert rc == 0
@@ -458,6 +468,43 @@ def test_verify_ccz_invariance(capsys):
     assert rc == 0
 
 
+def test_verify_ccz_invariance_count(capsys):
+    rc, stdout, err = run(capsys, "verify", "ccz-invariance", "--m", "5", "--count", "-3")
+    assert (rc, stdout) == (2, "")
+    assert err == "error: --count must be at least 0, got -3\n"
+    # with no random maps the structured graph maps still run
+    rc, stdout, _ = run(capsys, "verify", "ccz-invariance", "--m", "5", "--count", "0")
+    assert rc == 0
+    assert stdout.splitlines() == [
+        "ok   at least one of 3 graph maps produced a function",
+        "ok   spectra preserved by all 3 produced functions",
+    ]
+
+
+@pytest.mark.parametrize("budget", ["1e3", "ten", "1.2.3"])
+def test_verify_remark4_malformed_budget_exit2(capsys, budget):
+    rc, stdout, err = run(capsys, "verify", "remark4", "--m", "5", "--budget", budget)
+    assert (rc, stdout) == (2, "")
+    assert err == (
+        f"error: --budget must be an integer node count or decimal seconds, got {budget!r}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("f8-check", "--i", "0"),
+        ("f8-check", "--i", "-4"),
+        ("thm3", "--m", "6", "--i", "0"),
+        ("prop-gold-perm-even", "--m", "6", "--i", "-1"),
+        ("prop-gold-perm", "--m", "5", "--i", "-1"),
+    ],
+)
+def test_verify_nonpositive_index_exit2(capsys, argv):
+    rc, stdout, err = run(capsys, "verify", *argv)
+    assert (rc, stdout, err) == (2, "", "error: Frobenius index must be positive\n")
+
+
 def test_failed_internal_identity_is_a_fail_line(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("graph witness identity broke")
@@ -483,6 +530,17 @@ def test_verify_unknown_claim_exit2():
     with pytest.raises(SystemExit) as ei:
         main(["verify", "thm9", "--m", "5"])
     assert ei.value.code == 2
+
+
+def test_verify_claim_names_in_order(capsys):
+    with pytest.raises(SystemExit) as ei:
+        main(["verify", "--help"])
+    assert ei.value.code == 0
+    claims = (
+        "thm1,thm2,thm3,thm4,remark4,example1,"
+        "prop-gold-perm,prop-gold-perm-even,f8-check,ccz-invariance"
+    )
+    assert "{" + claims + "}" in capsys.readouterr().out
 
 
 def test_verify_missing_m_exit2(capsys):

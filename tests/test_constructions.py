@@ -1,11 +1,13 @@
 """Construction families: trace-twisted Gold tables, their graph witnesses,
 and the catalogue of power-function exponents."""
 
+import hashlib
 import random
 
 import numpy as np
 import pytest
 
+from vbfkit import ccz
 from vbfkit.ccz import (
     GcdViolationError,
     ccz_transform,
@@ -397,6 +399,16 @@ def test_f8_side_condition_holds_for_both_coprime_shifts():
     assert f8_side_condition(5) is True
 
 
+@pytest.mark.parametrize("i", [0, -1, -4])
+def test_f8_side_condition_rejects_nonpositive_index(i):
+    with pytest.raises(ConditionViolatedError, match="Frobenius index must be positive"):
+        f8_side_condition(i)
+
+
+def test_condition_error_is_the_ccz_class():
+    assert ConditionViolatedError is ccz.ConditionViolatedError
+
+
 # ------------------------------------------------ subfield-mixing family
 
 def test_theorem4_statement_formula_pointwise():
@@ -419,6 +431,21 @@ def test_theorem4_statement_formula_pointwise():
         val ^= ctx.mul(u2, x ^ t)
         expect.append(val)
     assert f == FuncTable(ctx, expect)
+
+
+# SHA-256 of theorem4(Field(15), n, i) as little-endian uint32, recorded from
+# the statement formula evaluated term by term, so they tie F2 o F1^(-1) to it
+THEOREM4_DIGESTS = [
+    (5, 1, "826d123c3aa743205dbc6e343c155ac90adfa3c7fd945fb7d980f015cd18ce0e"),
+    (3, 2, "41fa42ea6f270f1d8d5e9644126dde44d0548a9ee076548e63517d68e8212823"),
+    (3, 7, "45f6bb560c7c9dce7e5510011acde81f9c948cc60b8e6967b4f7d4730561de69"),
+]
+
+
+@pytest.mark.parametrize(("n", "i", "digest"), THEOREM4_DIGESTS)
+def test_theorem4_table_digests_at_m15(n, i, digest):
+    table = theorem4(Field(15), n, i).as_array().astype("<u4").tobytes()
+    assert hashlib.sha256(table).hexdigest() == digest
 
 
 def test_theorem4_ab_degree_five():
