@@ -8,7 +8,6 @@ construction families, plus a small CLI (``vbfkit --help``).
 from vbfkit.ccz import (
     BinLinearMap,
     CczWitness,
-    Subspace,
     ccz_transform,
     graph_image,
     linear_completion_search,
@@ -75,7 +74,6 @@ __all__ = [
     "is_ab",
     "is_apn",
     "BinLinearMap",
-    "Subspace",
     "CczWitness",
     "graph_image",
     "ccz_transform",

@@ -3,10 +3,9 @@
 A vectorial map F on a field of size 2^m has a graph {(x, F(x))} living in
 F_2^(2m).  Invertible linear maps of that doubled space move graphs around;
 whenever the image is again a graph, `ccz_transform` recovers the new table.
-The module also provides the combinatorial side of the same picture:
-subspaces transversal to a graph, subgroup builders that dodge difference
-sets, permutation criteria for tables of the shape L(x^(2^i+1)) + L'(x), and
-a search for linear summands turning a table into a permutation.
+The module also holds the power-map inequivalence witness, permutation
+criteria for tables of the shape L(x^(2^i+1)) + L'(x), and a search for
+linear summands turning a table into a permutation.
 
 Points of F_2^(2m) are packed as ``x | (y << m)`` -- input half in the low
 bits.  Linear maps are stored row-major: output bit r of ``BinLinearMap`` is
@@ -30,7 +29,6 @@ from .vbf import (
     UnivariatePoly,
     compose,
     evaluate,
-    interpolate,
     invert,
     is_permutation,
     packed_anf,
@@ -46,11 +44,7 @@ class NotLinearizedError(ValueError):
 
 
 class WrongDimensionError(ValueError):
-    """Subspace or map dimensions do not fit the operation."""
-
-
-class RankDeficientError(ValueError):
-    """Map does not reach full rank where full rank is required."""
+    """Map dimensions do not fit the operation."""
 
 
 class ConditionViolatedError(ValueError):
@@ -75,14 +69,6 @@ def _require_index(i: int, m: int, strict: bool = True) -> None:
         raise ConditionViolatedError("Frobenius index must be positive")
     if strict and math.gcd(i, m) != 1:
         raise GcdViolationError(f"gcd({i}, {m}) != 1")
-
-
-def pack_point(x: int, y: int, m: int) -> int:
-    return x | (y << m)
-
-
-def split_point(p: int, m: int) -> tuple[int, int]:
-    return p & ((1 << m) - 1), p >> m
 
 
 class BinLinearMap:
@@ -132,9 +118,6 @@ class BinLinearMap:
             if c:
                 out ^= ((xs >> j) & 1) * c
         return out
-
-    def table(self) -> np.ndarray:
-        return self.apply_many(np.arange(1 << self.n_in, dtype=np.int64))
 
     def __eq__(self, other) -> bool:
         return (
@@ -208,45 +191,8 @@ def map_compose(outer: BinLinearMap, inner: BinLinearMap) -> BinLinearMap:
     return _from_cols(inner.n_in, outer.n_out, cols)
 
 
-def kernel_basis(L: BinLinearMap) -> list[int]:
-    """Basis of {x : L(x) = 0}, one vector per free coordinate, ascending."""
-    ech = _echelon(L.rows)
-    pivots = {p for p, _ in ech}
-    basis = []
-    for j in range(L.n_in):
-        if j in pivots:
-            continue
-        vec = 1 << j
-        for p, w in ech:
-            if (w >> j) & 1:
-                vec |= 1 << p
-        basis.append(vec)
-    return basis
-
-
-def block_map(
-    half: int,
-    top_left: BinLinearMap | None,
-    top_right: BinLinearMap | None,
-    bottom_left: BinLinearMap | None,
-    bottom_right: BinLinearMap | None,
-) -> BinLinearMap:
-    """Assemble a 2x2 block map on F_2^(2*half); None means a zero block."""
-    for blk in (top_left, top_right, bottom_left, bottom_right):
-        if blk is not None and (blk.n_in != half or blk.n_out != half):
-            raise WrongDimensionError("blocks must be square of the half size")
-    rows = []
-    for lo, hi in ((top_left, top_right), (bottom_left, bottom_right)):
-        for r in range(half):
-            row = (lo.rows[r] if lo is not None else 0) | (
-                (hi.rows[r] if hi is not None else 0) << half
-            )
-            rows.append(row)
-    return BinLinearMap(2 * half, 2 * half, rows)
-
-
 # --------------------------------------------------------------------------
-# linearized polynomials as matrices
+# linearized polynomials
 
 
 def _linear_terms(poly: UnivariatePoly) -> list[tuple[int, int]]:
@@ -256,30 +202,6 @@ def _linear_terms(poly: UnivariatePoly) -> list[tuple[int, int]]:
             raise NotLinearizedError(f"exponent {e} is not a power of two")
         out.append((e.bit_length() - 1, c))
     return out
-
-
-def linearized_to_matrix(ctx: Field, poly: UnivariatePoly) -> BinLinearMap:
-    if poly.ctx != ctx:
-        raise ContextMismatchError("polynomial belongs to a different field")
-    pairs = _linear_terms(poly)
-    cols = []
-    for j in range(ctx.m):
-        v = 0
-        for k, c in pairs:
-            v ^= ctx.mul(c, ctx.pow(1 << j, 1 << k))
-        cols.append(v)
-    return _from_cols(ctx.m, ctx.m, cols)
-
-
-def matrix_to_linearized(ctx: Field, L: BinLinearMap) -> UnivariatePoly:
-    if L.n_in != ctx.m or L.n_out != ctx.m:
-        raise WrongDimensionError("matrix does not act on the field")
-    tab = FuncTable(ctx, L.table())
-    poly = interpolate(tab)
-    for e in poly.terms:
-        if e <= 0 or e & (e - 1):
-            raise NotLinearizedError(f"table is not additive: exponent {e}")
-    return poly
 
 
 def linearized_adjoint(ctx: Field, poly: UnivariatePoly) -> UnivariatePoly:
@@ -293,62 +215,6 @@ def linearized_adjoint(ctx: Field, poly: UnivariatePoly) -> UnivariatePoly:
         if coeff:
             terms[e] = coeff
     return UnivariatePoly(ctx, terms)
-
-
-# --------------------------------------------------------------------------
-# subspaces of the doubled space
-
-
-class Subspace:
-    """Linear subspace of F_2^ambient with a reduced echelon basis."""
-
-    __slots__ = ("ambient", "_basis", "_ech")
-
-    def __init__(self, ambient: int, basis):
-        if ambient < 1:
-            raise ValueError("ambient dimension must be positive")
-        vs = [int(v) for v in basis]
-        for v in vs:
-            if not 0 <= v < (1 << ambient):
-                raise ValueError(f"vector {v:#x} outside F_2^{ambient}")
-        ech = _echelon(vs)
-        if len(ech) < len(vs):
-            raise ValueError("basis vectors are linearly dependent")
-        self.ambient = ambient
-        self._ech = tuple(ech)
-        self._basis = tuple(v for _, v in ech)
-
-    @property
-    def dim(self) -> int:
-        return len(self._ech)
-
-    @property
-    def basis(self) -> tuple:
-        return self._basis
-
-    def coset_label(self, v: int) -> int:
-        for p, w in self._ech:
-            if (v >> p) & 1:
-                v ^= w
-        return v
-
-    def contains(self, v: int) -> bool:
-        return self.coset_label(v) == 0
-
-    def coset_labels(self, vs) -> np.ndarray:
-        out = np.asarray(vs, dtype=np.int64).copy()
-        for p, w in self._ech:
-            out ^= ((out >> p) & 1) * w
-        return out
-
-    def members(self) -> list[int]:
-        out = [0]
-        for b in self._basis:
-            out.extend(v ^ b for v in list(out))
-        return out
-
-    def __repr__(self) -> str:
-        return f"Subspace(dim={self.dim}, ambient={self.ambient})"
 
 
 # --------------------------------------------------------------------------
@@ -393,132 +259,6 @@ def ccz_transform(
     if not is_permutation(w.F1):
         raise NotAPermutationError("first projected coordinate is not a permutation")
     return compose(w.F2, invert(w.F1))
-
-
-def graph_difference_set(f: FuncTable) -> np.ndarray:
-    """All packed nonzero differences (a, F(x) + F(x+a)) of the graph."""
-    ctx = f.ctx
-    n, m = ctx.size, ctx.m
-    arr = f.as_array().astype(np.int64)
-    xs = np.arange(n)
-    chunks = [np.unique(a | ((arr ^ arr[xs ^ a]) << m)) for a in range(1, n)]
-    return np.unique(np.concatenate(chunks))
-
-
-def is_transversal(f: FuncTable, V: Subspace) -> bool:
-    """Does every coset of V meet the graph of f exactly once?"""
-    ctx = f.ctx
-    if V.ambient != 2 * ctx.m or V.dim != ctx.m:
-        raise WrongDimensionError(
-            f"need a subspace of dimension {ctx.m} in F_2^{2 * ctx.m}"
-        )
-    xs = np.arange(ctx.size, dtype=np.int64)
-    pts = xs | (f.as_array().astype(np.int64) << ctx.m)
-    return int(np.unique(V.coset_labels(pts)).size) == ctx.size
-
-
-# --------------------------------------------------------------------------
-# subgroup builders
-
-
-def gold_avoidance_subgroup(ctx: Field, a: int, i: int) -> Subspace:
-    """Dimension-m subgroup avoiding every graph difference of x^(2^i+1).
-
-    Members have first half in {0, a}; the second halves sit on the side of
-    the hyperplane trace(a^-(2^i+1) * y) that the difference set misses.
-    """
-    m = ctx.m
-    if not 0 < a < ctx.size:
-        raise ValueError("base point a must be a nonzero field element")
-    _require_index(i, m)
-    c = ctx.inv(ctx.pow(a, (1 << i) + 1))
-    mask = ctx.trace_mask(c)
-    hyper = kernel_basis(BinLinearMap(m, 1, [mask]))
-    basis = [h << m for h in hyper]
-    if m & 1:
-        basis.append(a)
-    else:
-        e0 = mask & -mask
-        basis.append(a | (e0 << m))
-    return Subspace(2 * m, basis)
-
-
-def subfield_trace_subgroup(ctx: Field, n: int) -> Subspace:
-    """Subgroup F_(2^n) x ker(relative trace), packed into the doubled space."""
-    m = ctx.m
-    if n < 1 or m % n:
-        raise ValueError(f"{n} does not divide the extension degree {m}")
-    if n == m:
-        basis = [1 << k for k in range(m)]
-        return Subspace(2 * m, basis)
-    sub = kernel_basis(
-        linearized_to_matrix(ctx, UnivariatePoly(ctx, {1: 1, 1 << n: 1}))
-    )
-    tr_ker = kernel_basis(
-        linearized_to_matrix(
-            ctx, UnivariatePoly(ctx, {1 << (j * n): 1 for j in range(m // n)})
-        )
-    )
-    return Subspace(2 * m, sub + [k << m for k in tr_ker])
-
-
-# --------------------------------------------------------------------------
-# completing a half map to a permutation of the doubled space
-
-
-def complete_to_permutation(L1: BinLinearMap, f: FuncTable) -> BinLinearMap:
-    """Extend L1 : F_2^(2m) -> F_2^m to an invertible map of the doubled space.
-
-    Requires x -> L1(x, f(x)) to be a permutation.  The second half is chosen
-    to map ker(L1) bijectively onto F_2^m and to vanish on a complement.
-    """
-    ctx = f.ctx
-    m = ctx.m
-    if L1.n_in != 2 * m or L1.n_out != m:
-        raise WrongDimensionError("need a map from the doubled space to the field")
-    if map_rank(L1) < m:
-        raise RankDeficientError("half map does not reach the whole field")
-    xs = np.arange(ctx.size, dtype=np.int64)
-    composite = L1.apply_many(xs | (f.as_array().astype(np.int64) << m))
-    if int(np.unique(composite).size) != ctx.size:
-        raise NotAPermutationError("x -> L1(x, f(x)) is not a permutation")
-    ker = kernel_basis(L1)
-    pivots = {p for p, _ in _echelon(ker)}
-    free = [j for j in range(2 * m) if j not in pivots]
-    M = _from_cols(2 * m, 2 * m, list(ker) + [1 << j for j in free])
-    L2 = map_compose(
-        BinLinearMap(2 * m, m, [1 << r for r in range(m)]), map_inverse(M)
-    )
-    full = BinLinearMap(2 * m, 2 * m, list(L1.rows) + list(L2.rows))
-    if not map_invertible(full):
-        raise RankDeficientError("completion failed to produce an invertible map")
-    return full
-
-
-def ea_to_ccz_map(
-    outer: BinLinearMap,
-    inner: BinLinearMap,
-    summand: BinLinearMap | None = None,
-    use_inverse: bool = False,
-) -> BinLinearMap:
-    """Doubled-space map realizing outer o F o inner + summand.
-
-    With use_inverse=True the same composition is applied to the inverse of F
-    instead (F must then be a permutation for the transform to succeed).
-    """
-    n = outer.n_in
-    for blk, label in ((outer, "output-side"), (inner, "input-side")):
-        if blk.n_in != n or blk.n_out != n:
-            raise WrongDimensionError(f"{label} map is not square of size {n}")
-        if not map_invertible(blk):
-            raise SingularError(f"{label} map is singular")
-    if summand is not None and (summand.n_in != n or summand.n_out != n):
-        raise WrongDimensionError("additive summand has the wrong shape")
-    inner_inv = map_inverse(inner)
-    mix = map_compose(summand, inner_inv) if summand is not None else None
-    if use_inverse:
-        return block_map(n, None, inner_inv, outer, mix)
-    return block_map(n, inner_inv, None, mix, outer)
 
 
 # --------------------------------------------------------------------------

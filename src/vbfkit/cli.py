@@ -323,13 +323,16 @@ def _parse_budget(text: str | None) -> tuple[int | None, float | None]:
     if text is None:
         return None, None
     try:
-        if "." in text:
-            return None, float(text)
-        return int(text), None
+        if "." not in text:
+            return int(text), None
+        seconds = float(text)
     except ValueError:
         raise ConditionViolatedError(
             f"--budget must be an integer node count or decimal seconds, got {text!r}"
         ) from None
+    if not seconds > 0:
+        raise ConditionViolatedError(f"--budget seconds must be positive, got {text!r}")
+    return None, seconds
 
 
 def verify_remark4(args: argparse.Namespace) -> int:
@@ -484,15 +487,19 @@ def _int_literal(text: str) -> int:
 
 
 def _add_family_params(p: argparse.ArgumentParser, with_family: bool = True) -> None:
+    """Field and family parameters; ``with_family`` adds ``--family`` and the
+    parameters that only the family builders read (``--t``, ``--d``, ``--relaxed``)."""
     if with_family:
         p.add_argument("--family", type=str.lower, choices=FAMILIES)
     p.add_argument("--m", type=int, help="extension degree of the field")
     p.add_argument("--i", type=int, help="Frobenius index parameter")
     p.add_argument("--n", type=int, help="subfield degree parameter")
-    p.add_argument("--t", type=int, help="half-degree parameter (m = 2t + 1)")
-    p.add_argument("--d", type=int, help="raw exponent for the generic power family")
+    if with_family:
+        p.add_argument("--t", type=int, help="half-degree parameter (m = 2t + 1)")
+        p.add_argument("--d", type=int, help="raw exponent for the generic power family")
     p.add_argument("--poly", type=_int_literal, help="reduction polynomial bitmask")
-    p.add_argument("--relaxed", action="store_true", help="allow gcd(i, m) > 1 variants")
+    if with_family:
+        p.add_argument("--relaxed", action="store_true", help="allow gcd(i, m) > 1 variants")
 
 
 @lru_cache(maxsize=None)
@@ -517,7 +524,8 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--timing", action="store_true", help="add timing_ms and timing_breakdown_ms")
     pa.set_defaults(handler=cmd_analyze)
 
-    pv = sub.add_parser("verify", help="run a named bundle of checks")
+    # no abbreviations, so a family-only flag such as --t is not read as --threads
+    pv = sub.add_parser("verify", help="run a named bundle of checks", allow_abbrev=False)
     pv.add_argument("claim", choices=_VERIFIERS)
     _add_family_params(pv, with_family=False)
     pv.add_argument("--a", type=_int_literal, help="witness scaling point (default: sampled)")

@@ -56,11 +56,6 @@ class FuncTable:
         """The table as a read-only uint32 array."""
         return self._arr
 
-    @property
-    def values(self) -> tuple:
-        """The entries as a tuple of ints, built on each access."""
-        return tuple(self._arr.tolist())
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FuncTable)

@@ -1,5 +1,6 @@
-"""Linear maps over F_2, graph transforms, transversality, and searches."""
+"""Linear maps over F_2, graph transforms, criteria, and searches."""
 
+import itertools
 import math
 import random
 
@@ -16,33 +17,19 @@ from vbfkit.ccz import (
     NotLinearizedError,
     OddDegreeError,
     SingularError,
-    Subspace,
-    WrongDimensionError,
-    block_map,
     ccz_transform,
-    complete_to_permutation,
-    ea_to_ccz_map,
-    gold_avoidance_subgroup,
     gold_perm_criterion,
     gold_perm_criterion_even,
-    graph_difference_set,
     graph_image,
     identity_map,
-    is_transversal,
-    kernel_basis,
     linear_completion_search,
     linearized_adjoint,
-    linearized_to_matrix,
     map_compose,
     map_inverse,
     map_invertible,
     map_rank,
     map_transpose,
-    matrix_to_linearized,
-    pack_point,
     power_inequivalence_witness,
-    split_point,
-    subfield_trace_subgroup,
 )
 from vbfkit.constructions import theorem1
 from vbfkit.gf2m import Field, is_irreducible
@@ -87,6 +74,36 @@ def _random_linearized(f: Field, rng: random.Random, max_terms: int = 2) -> Univ
     for _ in range(rng.randrange(0, max_terms + 1)):
         terms[1 << rng.randrange(f.m)] = rng.randrange(1, f.size)
     return UnivariatePoly(f, terms)
+
+
+def _ea_graph_map(
+    outer: BinLinearMap,
+    inner: BinLinearMap,
+    summand: BinLinearMap | None = None,
+    use_inverse: bool = False,
+) -> BinLinearMap:
+    """Doubled-space map that ``ccz_transform`` turns F into
+    outer o F o inner + summand, or the same on F^-1 with ``use_inverse``:
+    (x, y) -> (inner^-1 x, outer y + summand inner^-1 x), the input halves
+    swapped for F^-1."""
+    n = outer.n_in
+    zero = BinLinearMap(n, n, [0] * n)
+    inner_inv = map_inverse(inner)
+    mix = map_compose(summand, inner_inv) if summand is not None else zero
+    halves = ((zero, inner_inv), (outer, mix)) if use_inverse else ((inner_inv, zero), (mix, outer))
+    rows = [lo.rows[r] | (hi.rows[r] << n) for lo, hi in halves for r in range(n)]
+    return BinLinearMap(2 * n, 2 * n, rows)
+
+
+def _transversal(f: FuncTable, basis) -> bool:
+    """Brute force: every coset of V = span(basis), of dimension m, meets the
+    graph of f once exactly when no two graph points differ by a member of V."""
+    span = {0}
+    for b in basis:
+        span |= {v ^ b for v in span}
+    assert len(span) == f.ctx.size
+    points = [x | (y << f.ctx.m) for x, y in enumerate(f.as_array().tolist())]
+    return all(p ^ q not in span for p, q in itertools.combinations(points, 2))
 
 
 # ---------------------------------------------------------------- linear maps
@@ -157,89 +174,33 @@ def test_map_compose_matches_sequential_apply():
 def test_map_rank_and_kernel():
     L = BinLinearMap(4, 4, [0b0001, 0b0010, 0b0011, 0b0000])
     assert map_rank(L) == 2
-    ker = kernel_basis(L)
-    assert len(ker) == 2
-    for v in ker:
-        assert L.apply(v) == 0
-    # kernel vectors are independent
-    assert ker[0] != ker[1] and ker[0] != 0 and ker[1] != 0
-
-
-def test_block_map_assembles_quadrants():
-    rng = random.Random(6)
-    m = 4
-    A, B, C, D = (_random_map(m, m, rng) for _ in range(4))
-    L = block_map(m, A, B, C, D)
-    for _ in range(40):
-        x, y = rng.randrange(16), rng.randrange(16)
-        out = L.apply(pack_point(x, y, m))
-        ox, oy = split_point(out, m)
-        assert ox == A.apply(x) ^ B.apply(y)
-        assert oy == C.apply(x) ^ D.apply(y)
-    # None blocks are zero
-    L0 = block_map(m, None, identity_map(m), identity_map(m), None)
-    assert L0.rows == _swap_map(m).rows
+    # the kernel, by brute force, has 2^(4 - rank) members
+    assert [x for x in range(16) if L.apply(x) == 0] == [0b0000, 0b0100, 0b1000, 0b1100]
 
 
 # ---------------------------------------------------------------- linearized polys
 
-def test_linearized_identity_and_frobenius():
-    f = Field(5)
-    assert linearized_to_matrix(f, UnivariatePoly(f, {1: 1})).rows == identity_map(5).rows
-    sq = linearized_to_matrix(f, UnivariatePoly(f, {2: 1}))
-    twice = map_compose(sq, sq)
-    quad = linearized_to_matrix(f, UnivariatePoly(f, {4: 1}))
-    assert twice.rows == quad.rows
-    for x in range(32):
-        assert sq.apply(x) == f.mul(x, x)
-
-
 def test_linearized_rejects_general_polys():
     f = Field(4)
+    general, ident = UnivariatePoly(f, {3: 1}), UnivariatePoly(f, {1: 1})
     with pytest.raises(NotLinearizedError):
-        linearized_to_matrix(f, UnivariatePoly(f, {3: 1}))
-
-
-def test_matrix_to_linearized_round_trip():
-    rng = random.Random(7)
-    f = Field(4)
-    for _ in range(10):
-        M = _random_map(4, 4, rng)
-        p = matrix_to_linearized(f, M)
-        assert all((e & (e - 1)) == 0 and e > 0 for e in p.terms)
-        tab = evaluate(p)
-        for x in range(16):
-            assert tab.values[x] == M.apply(x)
+        linearized_adjoint(f, general)
+    with pytest.raises(NotLinearizedError):
+        gold_perm_criterion(general, ident, 1)
+    with pytest.raises(NotLinearizedError):
+        gold_perm_criterion(ident, general, 1)
 
 
 def test_trace_row_adjustment_realizes_trace_term():
     # x + x^2 + tr(x) as a matrix: linearized part plus the trace mask on bit 0
     f = Field(5)
-    M = linearized_to_matrix(f, UnivariatePoly(f, {1: 1, 2: 1}))
+    # the matrix of x + x^2: its columns are the images of the basis vectors
+    M = map_transpose(BinLinearMap(5, 5, [(1 << j) ^ f.mul(1 << j, 1 << j) for j in range(5)]))
     rows = list(M.rows)
     rows[0] ^= _trace_mask(f)
     M2 = BinLinearMap(5, 5, rows)
     for x in range(32):
         assert M2.apply(x) == x ^ f.mul(x, x) ^ f.trace(x)
-
-
-def test_kernel_of_frobenius_plus_identity():
-    # x^2 + x vanishes exactly on F_2 = {0, 1}
-    f = Field(6)
-    M = linearized_to_matrix(f, UnivariatePoly(f, {1: 1, 2: 1}))
-    ker = kernel_basis(M)
-    assert len(ker) == 1 and ker[0] == 1
-
-
-def test_kernel_of_relative_trace():
-    f = Field(6)
-    for n in (1, 2, 3):
-        terms = {1 << (j * n): 1 for j in range(6 // n)}
-        M = linearized_to_matrix(f, UnivariatePoly(f, terms))
-        ker = kernel_basis(M)
-        assert len(ker) == 6 - n
-        for v in ker:
-            assert f.subfield_trace(v, n) == 0
 
 
 # ---------------------------------------------------------------- adjoints
@@ -255,8 +216,8 @@ def test_linearized_adjoint_satisfies_trace_identity():
             pstab = evaluate(ps)
             for _ in range(30):
                 v, x = rng.randrange(f.size), rng.randrange(f.size)
-                assert f.trace(f.mul(v, ptab.values[x])) == f.trace(
-                    f.mul(pstab.values[v], x)
+                assert f.trace(f.mul(v, int(ptab.as_array()[x]))) == f.trace(
+                    f.mul(int(pstab.as_array()[v]), x)
                 )
 
 
@@ -266,7 +227,7 @@ def test_adjoint_is_involution():
     for _ in range(10):
         p = _random_linearized(f, rng)
         back = linearized_adjoint(f, linearized_adjoint(f, p))
-        assert evaluate(back).values == evaluate(p).values
+        assert evaluate(back).as_array().tolist() == evaluate(p).as_array().tolist()
 
 
 # ---------------------------------------------------------------- graph images
@@ -275,11 +236,11 @@ def test_graph_image_identity_and_swap():
     f = Field(4)
     cube = monomial(f, 3)
     w = graph_image(identity_map(8), cube)
-    assert list(w.F1.values) == list(range(16))
-    assert w.F2.values == cube.values
+    assert w.F1.as_array().tolist() == list(range(16))
+    assert w.F2.as_array().tolist() == cube.as_array().tolist()
     w = graph_image(_swap_map(4), cube)
-    assert w.F1.values == cube.values
-    assert list(w.F2.values) == list(range(16))
+    assert w.F1.as_array().tolist() == cube.as_array().tolist()
+    assert w.F2.as_array().tolist() == list(range(16))
 
 
 def test_graph_image_trace_shift_block():
@@ -291,9 +252,9 @@ def test_graph_image_trace_shift_block():
     rows += [1 << (4 + r) for r in range(4)]
     L = BinLinearMap(8, 8, rows)
     w = graph_image(L, gold)
-    assert w.F2.values == gold.values
+    assert w.F2.as_array().tolist() == gold.as_array().tolist()
     for x in range(16):
-        assert w.F1.values[x] == x ^ f.trace(gold.values[x])
+        assert w.F1.as_array()[x] == x ^ f.trace(int(gold.as_array()[x]))
 
 
 def test_graph_image_requires_invertible():
@@ -307,14 +268,14 @@ def test_graph_image_requires_invertible():
 def test_ccz_transform_identity_returns_same():
     f = Field(5)
     cube = monomial(f, 3)
-    assert ccz_transform(identity_map(10), cube).values == cube.values
+    assert ccz_transform(identity_map(10), cube).as_array().tolist() == cube.as_array().tolist()
 
 
 def test_ccz_transform_swap_inverts_permutation():
     f = Field(5)
     cube = monomial(f, 3)
     got = ccz_transform(_swap_map(5), cube)
-    assert got.values == invert(cube).values
+    assert got.as_array().tolist() == invert(cube).as_array().tolist()
 
 
 def test_ccz_transform_swap_rejects_non_permutation():
@@ -336,7 +297,7 @@ def test_ccz_transform_trace_mix_formula_gf32():
     for x in range(32):
         x3 = f.pow(x, 3)
         want = x3 ^ (f.mul(x, x) ^ x) * f.trace(x3 ^ x)
-        assert got.values[x] == want
+        assert got.as_array()[x] == want
 
 
 def test_ccz_transform_affine_shift():
@@ -345,7 +306,7 @@ def test_ccz_transform_affine_shift():
     cube = monomial(f, 3)
     got = ccz_transform(identity_map(8), cube, shift=(5, 9))
     for x in range(16):
-        assert got.values[x] == cube.values[x ^ 5] ^ 9
+        assert got.as_array()[x] == cube.as_array()[x ^ 5] ^ 9
 
 
 def _graph_movers(f: Field) -> list[BinLinearMap]:
@@ -376,7 +337,7 @@ def test_ccz_transform_preserves_spectra():
         d0 = differential_spectrum(cube).distribution
         movers = _graph_movers(f)
         for trial in range(9):
-            bridge = ea_to_ccz_map(
+            bridge = _ea_graph_map(
                 _random_invertible(m, rng),
                 _random_invertible(m, rng),
                 _random_map(m, m, rng),
@@ -391,197 +352,27 @@ def test_ccz_success_iff_transversal_preimage():
     rng = random.Random(11)
     f = Field(4)
     cube = monomial(f, 3)
-    agreements = 0
-    for _ in range(40):
-        L = _random_invertible(8, rng)
+    maps = [_random_invertible(8, rng) for _ in range(40)]
+    # random maps of the doubled space almost never carry the graph to a
+    # graph; EA moves after a known graph mover always do
+    movers = _graph_movers(f)
+    for trial in range(10):
+        bridge = _ea_graph_map(
+            _random_invertible(4, rng), _random_invertible(4, rng), _random_map(4, 4, rng)
+        )
+        maps.append(map_compose(bridge, movers[trial % len(movers)]))
+    outcomes = set()
+    for L in maps:
         Li = map_inverse(L)
-        pre = Subspace(8, [Li.apply(1 << (4 + k)) for k in range(4)])
-        ok_transversal = is_transversal(cube, pre)
+        ok_transversal = _transversal(cube, [Li.apply(1 << (4 + k)) for k in range(4)])
         try:
             ccz_transform(L, cube)
             ok_transform = True
         except NotAPermutationError:
             ok_transform = False
         assert ok_transform == ok_transversal
-        agreements += 1
-    assert agreements == 40
-
-
-# ---------------------------------------------------------------- transversality
-
-def test_vertical_space_always_transversal():
-    rng = random.Random(12)
-    f = Field(4)
-    V = Subspace(8, [1 << (4 + k) for k in range(4)])
-    for _ in range(5):
-        tab = FuncTable(f, [rng.randrange(16) for _ in range(16)])
-        assert is_transversal(tab, V)
-
-
-def test_horizontal_space_transversal_iff_permutation():
-    f = Field(4)
-    H = Subspace(8, [1 << k for k in range(4)])
-    assert is_transversal(monomial(f, 1), H)
-    assert not is_transversal(monomial(f, 3), H)  # x^3 not a permutation, m=4
-
-
-def test_transversal_dimension_guard():
-    f = Field(4)
-    with pytest.raises(WrongDimensionError):
-        is_transversal(monomial(f, 3), Subspace(8, [1, 2, 4]))
-
-
-def test_difference_set_matches_brute_force():
-    rng = random.Random(13)
-    f = Field(3)
-    tab = FuncTable(f, [rng.randrange(8) for _ in range(8)])
-    got = set(int(v) for v in graph_difference_set(tab))
-    want = set()
-    for x in range(8):
-        for y in range(8):
-            if x != y:
-                want.add(pack_point(x ^ y, tab.values[x] ^ tab.values[y], 3))
-    assert got == want
-
-
-def test_transversal_agrees_with_difference_avoidance():
-    rng = random.Random(14)
-    f = Field(4)
-    diffs_cache = {}
-    for trial in range(60):
-        tab = FuncTable(f, [rng.randrange(16) for _ in range(16)])
-        vecs = []
-        while len(vecs) < 4:
-            cand = rng.randrange(1, 256)
-            try:
-                Subspace(8, vecs + [cand])
-            except ValueError:
-                continue
-            vecs.append(cand)
-        V = Subspace(8, vecs)
-        diffs = set(int(v) for v in graph_difference_set(tab))
-        avoid = all(not V.contains(d) for d in diffs)
-        assert is_transversal(tab, V) == avoid
-
-
-# ---------------------------------------------------------------- subgroups
-
-def test_gold_avoidance_subgroup_odd_structure():
-    f = Field(5)
-    for a, i in ((1, 1), (7, 1), (19, 2)):
-        V = gold_avoidance_subgroup(f, a, i)
-        assert V.dim == 5
-        c = f.inv(f.pow(a, (1 << i) + 1))
-        for p in V.members():
-            b, y = split_point(p, 5)
-            assert b in (0, a)
-            assert f.trace(f.mul(c, y)) == 0
-
-
-def test_gold_avoidance_subgroup_even_structure():
-    f = Field(4)
-    for a, i in ((1, 1), (9, 3)):
-        V = gold_avoidance_subgroup(f, a, i)
-        assert V.dim == 4
-        c = f.inv(f.pow(a, (1 << i) + 1))
-        for p in V.members():
-            b, y = split_point(p, 4)
-            assert b in (0, a)
-            assert f.trace(f.mul(c, y)) == (0 if b == 0 else 1)
-
-
-def test_gold_avoidance_subgroup_transversal_to_gold():
-    for m, i in ((5, 1), (5, 2), (4, 1), (6, 1)):
-        f = Field(m)
-        gold = monomial(f, (1 << i) + 1)
-        for a in (1, 3):
-            V = gold_avoidance_subgroup(f, a, i)
-            assert is_transversal(gold, V)
-
-
-def test_gold_avoidance_subgroup_rejects_zero():
-    with pytest.raises(ValueError):
-        gold_avoidance_subgroup(Field(5), 0, 1)
-
-
-def test_subfield_trace_subgroup_membership():
-    f = Field(6)
-    for n in (1, 2, 3):
-        V = subfield_trace_subgroup(f, n)
-        assert V.dim == 6
-        members = set(V.members())
-        want = set()
-        for b in range(64):
-            if f.pow(b, 1 << n) == b:
-                for x in range(64):
-                    if f.subfield_trace(x, n) == 0:
-                        want.add(pack_point(b, x, 6))
-        assert members == want
-
-
-def test_subfield_trace_subgroup_transversal_to_cube_gf512():
-    f = Field(9)
-    V = subfield_trace_subgroup(f, 3)
-    assert V.dim == 9
-    assert is_transversal(monomial(f, 3), V)
-
-
-def test_subfield_trace_subgroup_rejects_non_divisor():
-    with pytest.raises(ValueError):
-        subfield_trace_subgroup(Field(6), 4)
-
-
-# ---------------------------------------------------------------- completion
-
-def test_complete_projection_on_x():
-    f = Field(4)
-    L1 = BinLinearMap(8, 4, [1 << r for r in range(4)])
-    full = complete_to_permutation(L1, monomial(f, 3))
-    assert full.n_in == full.n_out == 8
-    assert map_invertible(full)
-    assert full.rows[:4] == L1.rows
-
-
-def test_complete_projection_on_y_needs_permutation():
-    f = Field(5)
-    L1 = BinLinearMap(10, 5, [1 << (5 + r) for r in range(5)])
-    full = complete_to_permutation(L1, monomial(f, 3))
-    assert map_invertible(full)
-    with pytest.raises(NotAPermutationError):
-        complete_to_permutation(
-            BinLinearMap(8, 4, [1 << (4 + r) for r in range(4)]), monomial(Field(4), 3)
-        )
-
-
-def test_completed_map_vanishes_on_complement_and_covers_kernel():
-    rng = random.Random(15)
-    f = Field(4)
-    tab = monomial(f, 3)
-    L1 = BinLinearMap(8, 4, [1 << r for r in range(4)])  # kernel = (0, y)
-    full = complete_to_permutation(L1, tab)
-    L2 = BinLinearMap(8, 4, full.rows[4:])
-    ker_images = {L2.apply(v) for v in (1 << (4 + k) for k in range(4))}
-    # L2 restricted to the kernel basis hits independent values
-    assert map_rank(BinLinearMap(4, 4, sorted(ker_images))) == 4 or len(ker_images) == 4
-
-
-def test_complete_example_style_mixing_rows_gf32():
-    # L1(x, y) = x + tr(x) + (y + y^4 + y^16): permutation over the cube's graph
-    f = Field(5)
-    tmask = _trace_mask(f)
-    Lsum = linearized_to_matrix(f, UnivariatePoly(f, {1: 1, 4: 1, 16: 1}))
-    rows = []
-    for r in range(5):
-        row = (1 << r) | (Lsum.rows[r] << 5)
-        if r == 0:
-            row ^= tmask
-        rows.append(row)
-    L1 = BinLinearMap(10, 5, rows)
-    cube = monomial(f, 3)
-    full = complete_to_permutation(L1, cube)
-    assert map_invertible(full)
-    out = ccz_transform(full, cube)
-    assert sorted(set(out.values)) != []  # transform well-defined
+        outcomes.add(ok_transform)
+    assert outcomes == {True, False}
 
 
 # ---------------------------------------------------------------- EA bridge
@@ -590,10 +381,10 @@ def test_ea_bridge_identity_blocks():
     f = Field(5)
     cube = monomial(f, 3)
     ident = identity_map(5)
-    L = ea_to_ccz_map(ident, ident, None)
-    assert ccz_transform(L, cube).values == cube.values
-    L = ea_to_ccz_map(ident, ident, None, use_inverse=True)
-    assert ccz_transform(L, cube).values == invert(cube).values
+    L = _ea_graph_map(ident, ident, None)
+    assert ccz_transform(L, cube).as_array().tolist() == cube.as_array().tolist()
+    L = _ea_graph_map(ident, ident, None, use_inverse=True)
+    assert ccz_transform(L, cube).as_array().tolist() == invert(cube).as_array().tolist()
 
 
 def test_ea_bridge_matches_direct_composition():
@@ -605,11 +396,11 @@ def test_ea_bridge_matches_direct_composition():
             R1 = _random_invertible(m, rng)
             R2 = _random_invertible(m, rng)
             R = _random_map(m, m, rng)
-            L = ea_to_ccz_map(R1, R2, R)
+            L = _ea_graph_map(R1, R2, R)
             got = ccz_transform(L, cube)
             for x in range(f.size):
-                want = R1.apply(cube.values[R2.apply(x)]) ^ R.apply(x)
-                assert got.values[x] == want
+                want = R1.apply(int(cube.as_array()[R2.apply(x)])) ^ R.apply(x)
+                assert got.as_array()[x] == want
 
 
 def test_ea_bridge_inverse_route_matches():
@@ -621,20 +412,11 @@ def test_ea_bridge_inverse_route_matches():
         R1 = _random_invertible(5, rng)
         R2 = _random_invertible(5, rng)
         R = _random_map(5, 5, rng)
-        L = ea_to_ccz_map(R1, R2, R, use_inverse=True)
+        L = _ea_graph_map(R1, R2, R, use_inverse=True)
         got = ccz_transform(L, cube)
         for x in range(32):
-            want = R1.apply(inv_cube.values[R2.apply(x)]) ^ R.apply(x)
-            assert got.values[x] == want
-
-
-def test_ea_bridge_rejects_singular_blocks():
-    f = Field(4)
-    bad = BinLinearMap(4, 4, [1, 1, 2, 4])
-    with pytest.raises(SingularError):
-        ea_to_ccz_map(bad, identity_map(4), None)
-    with pytest.raises(SingularError):
-        ea_to_ccz_map(identity_map(4), bad, None)
+            want = R1.apply(int(inv_cube.as_array()[R2.apply(x)])) ^ R.apply(x)
+            assert got.as_array()[x] == want
 
 
 @st.composite
@@ -655,7 +437,7 @@ def ea_moves(draw):
         f = monomial(ctx, d, c=draw(st.integers(1, ctx.order)))
     use_inverse = is_permutation(f) and draw(st.booleans())
     outer, inner = _random_invertible(m, rng), _random_invertible(m, rng)
-    return f, ea_to_ccz_map(outer, inner, _random_map(m, m, rng), use_inverse=use_inverse)
+    return f, _ea_graph_map(outer, inner, _random_map(m, m, rng), use_inverse=use_inverse)
 
 
 def test_ea_moves_keep_walsh_and_differential_spectra():
@@ -723,7 +505,7 @@ def test_perm_criterion_matches_brute_force():
             Ltab = evaluate(L)
             Lptab = evaluate(Lp)
             table = [
-                Ltab.values[f.pow(x, e)] ^ Lptab.values[x] for x in range(f.size)
+                Ltab.as_array()[f.pow(x, e)] ^ Lptab.as_array()[x] for x in range(f.size)
             ]
             want = is_permutation(FuncTable(f, table))
             assert gold_perm_criterion(L, Lp, 1) == want
@@ -741,7 +523,7 @@ def test_perm_criterion_matches_brute_force_across_cached_grids():
             Ltab = evaluate(L)
             Lptab = evaluate(Lp)
             e = (1 << i) + 1
-            table = [Ltab.values[f.pow(x, e)] ^ Lptab.values[x] for x in range(f.size)]
+            table = [Ltab.as_array()[f.pow(x, e)] ^ Lptab.as_array()[x] for x in range(f.size)]
             verdict = gold_perm_criterion(L, Lp, i)
             assert verdict == is_permutation(FuncTable(f, table))
             verdicts.add(verdict)
@@ -804,7 +586,7 @@ def test_even_criterion_trivial_and_known():
     Ltab = evaluate(L)
     for i in (1, 3):
         e = (1 << i) + 1
-        assert is_permutation(FuncTable(f, [Ltab.values[f.pow(x, e)] ^ x for x in range(16)]))
+        assert is_permutation(FuncTable(f, [Ltab.as_array()[f.pow(x, e)] ^ x for x in range(16)]))
         assert gold_perm_criterion_even(L, i)
 
 
@@ -816,7 +598,7 @@ def test_even_criterion_matches_brute_force():
         for _ in range(30):
             L = _random_linearized(f, rng)
             Ltab = evaluate(L)
-            table = [Ltab.values[f.pow(x, e)] ^ x for x in range(f.size)]
+            table = [Ltab.as_array()[f.pow(x, e)] ^ x for x in range(f.size)]
             want = is_permutation(FuncTable(f, table))
             assert gold_perm_criterion_even(L, i) == want
 
@@ -851,8 +633,6 @@ def test_gold_index_guards_reject_nonpositive_index(i):
         gold_perm_criterion(UnivariatePoly(f5, {}), UnivariatePoly(f5, {1: 1}), i)
     with pytest.raises(ConditionViolatedError, match="Frobenius index must be positive"):
         gold_perm_criterion_even(UnivariatePoly(f6, {}), i)
-    with pytest.raises(ConditionViolatedError, match="Frobenius index must be positive"):
-        gold_avoidance_subgroup(f5, 1, i)
 
 
 # ---------------------------------------------------------------- completion search
@@ -891,7 +671,7 @@ def test_search_witness_actually_works():
     tab = FuncTable(f, [rng.randrange(16) for _ in range(16)])
     got = linear_completion_search(tab)
     if got is not None:
-        summed = [tab.values[x] ^ got.apply(x) for x in range(16)]
+        summed = [tab.as_array()[x] ^ got.apply(x) for x in range(16)]
         assert len(set(summed)) == 16
 
 
@@ -960,32 +740,3 @@ def test_search_time_limit_trips():
     vals = [x ^ ((x * 7) % 32) for x in range(32)]  # arbitrary non-trivial table
     with pytest.raises(BudgetExceededError):
         linear_completion_search(FuncTable(f, vals), time_limit=0.0)
-
-
-# ---------------------------------------------------------------- subspace type
-
-def test_subspace_rejects_dependent_basis():
-    with pytest.raises(ValueError):
-        Subspace(4, [1, 2, 3])
-    with pytest.raises(ValueError):
-        Subspace(4, [0])
-
-
-def test_subspace_membership_and_labels():
-    V = Subspace(6, [0b000011, 0b001100])
-    assert V.dim == 2
-    assert V.contains(0b001111)
-    assert not V.contains(0b000001)
-    seen = {V.coset_label(v) for v in range(64)}
-    assert len(seen) == 16  # 64 / |V|
-    for v in range(64):
-        assert V.coset_label(v) == V.coset_label(v ^ 0b001100)
-
-
-def test_subspace_members_enumeration():
-    V = Subspace(5, [0b00011, 0b01100])
-    members = sorted(V.members())
-    assert len(members) == 4
-    assert members[0] == 0
-    got = {0, 0b00011, 0b01100, 0b01111}
-    assert set(members) == got

@@ -38,7 +38,7 @@ def test_construct_gold_m5_file(tmp_path, capsys):
     assert len(lines) == 1 + 32
     ctx = Field(5)
     want = monomial(ctx, 3)
-    assert [int(s, 16) for s in lines[1:]] == list(want.values)
+    assert [int(s, 16) for s in lines[1:]] == want.as_array().tolist()
 
 
 def test_construct_stdout_matches_file(tmp_path, capsys):
@@ -50,7 +50,7 @@ def test_construct_stdout_matches_file(tmp_path, capsys):
     assert stdout == out.read_text()
     ctx = Field(7)
     vals = [int(s, 16) for s in stdout.splitlines()[1:]]
-    assert vals == list(monomial(ctx, 57).values)
+    assert vals == monomial(ctx, 57).as_array().tolist()
 
 
 def test_construct_thm3_wrong_m_exit2(capsys):
@@ -84,7 +84,7 @@ def test_construct_power_exponent(capsys):
     assert rc == 0
     ctx = Field(6)
     vals = [int(s, 16) for s in stdout.splitlines()[1:]]
-    assert vals == list(monomial(ctx, 62).values)
+    assert vals == monomial(ctx, 62).as_array().tolist()
 
 
 def test_construct_unknown_family_exit2():
@@ -98,7 +98,7 @@ def test_construct_poly_override(capsys):
     assert rc == 0
     assert stdout.splitlines()[0] == "m=5 poly=0x29"
     ctx = Field(5, 0x29)
-    assert [int(s, 16) for s in stdout.splitlines()[1:]] == list(monomial(ctx, 3).values)
+    assert [int(s, 16) for s in stdout.splitlines()[1:]] == monomial(ctx, 3).as_array().tolist()
 
 
 def test_construct_family_tag_case_insensitive(capsys):
@@ -488,6 +488,28 @@ def test_verify_remark4_malformed_budget_exit2(capsys, budget):
     assert err == (
         f"error: --budget must be an integer node count or decimal seconds, got {budget!r}\n"
     )
+
+
+@pytest.mark.parametrize("budget", ["-0.5", "0.0", "-0.0"])
+def test_verify_remark4_nonpositive_seconds_budget_exit2(capsys, budget):
+    rc, stdout, err = run(capsys, "verify", "remark4", "--m", "5", "--budget", budget)
+    assert (rc, stdout) == (2, "")
+    assert err == f"error: --budget seconds must be positive, got {budget!r}\n"
+
+
+@pytest.mark.parametrize("flag", [("--relaxed",), ("--t", "3"), ("--d", "3")])
+def test_verify_rejects_family_only_flags(capsys, flag):
+    # no claim reads them, so accepting them would silently run the strict claim
+    with pytest.raises(SystemExit) as ei:
+        main(["verify", "thm2", "--m", "8", "--i", "1", *flag])
+    assert ei.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
+    assert "Traceback" not in captured.err
+    for command in ("construct", "analyze"):
+        args = build_parser().parse_args([command, "--family", "thm2", "--m", "8", *flag])
+        assert getattr(args, flag[0][2:]) == (True if len(flag) == 1 else 3)
 
 
 @pytest.mark.parametrize(

@@ -43,7 +43,7 @@ def _random_table(f: Field, rng: random.Random) -> FuncTable:
 
 
 def _diff_count_oracle(tab: FuncTable, a: int, b: int) -> int:
-    vals = tab.values
+    vals = tab.as_array().tolist()
     return sum(1 for x in range(tab.ctx.size) if vals[x ^ a] ^ vals[x] == b)
 
 
@@ -466,7 +466,7 @@ def orbit_cases(draw):
     tab = evaluate(UnivariatePoly(ctx, {e: 1 for e in exps}))
     if kind == "perturbed":  # x >= 2 is not fixed by squaring, so F(x^2) = F(x)^2 breaks
         x = draw(st.integers(2, n - 1))
-        vals = list(tab.values)
+        vals = tab.as_array().tolist()
         vals[x] ^= draw(st.integers(1, n - 1))
         tab = FuncTable(ctx, vals)
     return kind, tab
@@ -501,7 +501,7 @@ def test_orbit_spectra_span_several_blocks_at_m11(poly):
 def _symmetries(tab: FuncTable) -> tuple[int | None, bool]:
     """(lam with F(gx) = lam*F(x) for the generator g, or None; whether
     F(x^2) = F(x)^2), by scalar arithmetic over the whole table."""
-    ctx, v, g = tab.ctx, tab.values, tab.ctx.generator
+    ctx, v, g = tab.ctx, tab.as_array().tolist(), tab.ctx.generator
     squaring = all(v[ctx.mul(x, x)] == ctx.mul(v[x], v[x]) for x in range(ctx.size))
     if v[1] == 0:
         return None, squaring
@@ -564,7 +564,7 @@ def test_power_map_orbit_spectra_match_all_rows_oracle(m):
             assert (len(_orbits(tab, walsh=True)[0]) == 1) == (math.gcd(d, q) == 1)
             assert _orbits(tab, walsh=False)[0].tolist() == [1]
             _assert_matches_all_rows(tab)
-            vals = list(tab.values)  # one entry changed breaks both identities
+            vals = tab.as_array().tolist()  # one entry changed breaks both identities
             vals[rng.randrange(2, n)] ^= rng.randrange(1, n)
             changed = FuncTable(ctx, vals)
             assert _is_fallback(changed)
@@ -602,7 +602,7 @@ def test_frobenius_orbits_fall_back_without_the_symmetry():
         assert not _is_fallback(monomial(ctx, 3, c=1))
         scaled = monomial(ctx, 3, c=ctx.generator)
         assert not _is_fallback(scaled)
-        vals = list(scaled.values)
+        vals = scaled.as_array().tolist()
         vals[rng.randrange(2, ctx.size)] ^= 1
         assert _is_fallback(FuncTable(ctx, vals))
 

@@ -35,16 +35,16 @@ def _cube_by_hand(f: Field) -> FuncTable:
 
 def test_evaluate_identity_zero_constant():
     f = Field(4)
-    assert list(evaluate(UnivariatePoly(f, {1: 1})).values) == list(range(16))
-    assert list(evaluate(UnivariatePoly(f, {})).values) == [0] * 16
-    assert list(evaluate(UnivariatePoly(f, {0: 9})).values) == [9] * 16
+    assert evaluate(UnivariatePoly(f, {1: 1})).as_array().tolist() == list(range(16))
+    assert evaluate(UnivariatePoly(f, {})).as_array().tolist() == [0] * 16
+    assert evaluate(UnivariatePoly(f, {0: 9})).as_array().tolist() == [9] * 16
 
 
 def test_evaluate_cube_matches_repeated_mul():
     for m in (3, 4, 5):
         f = Field(m)
         got = evaluate(UnivariatePoly(f, {3: 1}))
-        assert list(got.values) == list(_cube_by_hand(f).values)
+        assert got.as_array().tolist() == _cube_by_hand(f).as_array().tolist()
 
 
 def test_evaluate_two_term_poly_by_hand():
@@ -52,13 +52,13 @@ def test_evaluate_two_term_poly_by_hand():
     p = UnivariatePoly(f, {1: 3, 5: 6})
     got = evaluate(p)
     for x in range(8):
-        assert got.values[x] == f.mul(3, x) ^ f.mul(6, f.pow(x, 5))
+        assert got.as_array()[x] == f.mul(3, x) ^ f.mul(6, f.pow(x, 5))
 
 
 def test_evaluate_honors_zero_to_the_zero():
     f = Field(3)
     got = evaluate(UnivariatePoly(f, {0: 5, 2: 1}))
-    assert got.values[0] == 5
+    assert got.as_array()[0] == 5
 
 
 def _horner(f: Field, terms: dict, x: int) -> int:
@@ -129,7 +129,7 @@ def test_round_trip_table_poly_table():
         n = 1 << m
         for _ in range(5):
             tab = FuncTable(f, [rng.randrange(n) for _ in range(n)])
-            assert list(evaluate(interpolate(tab)).values) == list(tab.values)
+            assert evaluate(interpolate(tab)).as_array().tolist() == tab.as_array().tolist()
 
 
 def test_interpolate_degree_stays_below_field_size():
@@ -262,10 +262,10 @@ def test_invert_round_trips():
     tab = _cube_by_hand(f)
     inv = invert(tab)
     for x in range(32):
-        assert inv.values[tab.values[x]] == x
-    assert list(invert(inv).values) == list(tab.values)
+        assert inv.as_array()[tab.as_array()[x]] == x
+    assert invert(inv).as_array().tolist() == tab.as_array().tolist()
     ident = evaluate(UnivariatePoly(f, {1: 1}))
-    assert list(invert(ident).values) == list(ident.values)
+    assert invert(ident).as_array().tolist() == ident.as_array().tolist()
 
 
 def test_invert_rejects_non_permutation():
@@ -281,17 +281,17 @@ def test_compose_and_add_semantics():
     c = compose(a, b)
     s = add(a, b)
     for x in range(16):
-        assert c.values[x] == a.values[b.values[x]]
-        assert s.values[x] == a.values[x] ^ b.values[x]
-    assert list(add(a, a).values) == [0] * 16
+        assert c.as_array()[x] == a.as_array()[b.as_array()[x]]
+        assert s.as_array()[x] == a.as_array()[x] ^ b.as_array()[x]
+    assert add(a, a).as_array().tolist() == [0] * 16
     ident = evaluate(UnivariatePoly(f, {1: 1}))
-    assert list(compose(a, ident).values) == list(a.values)
+    assert compose(a, ident).as_array().tolist() == a.as_array().tolist()
 
 
 def test_compose_cube_with_its_inverse_is_identity():
     f = Field(5)
     tab = _cube_by_hand(f)
-    assert list(compose(tab, invert(tab)).values) == list(range(32))
+    assert compose(tab, invert(tab)).as_array().tolist() == list(range(32))
 
 
 def test_context_mismatch_rejected():
@@ -340,7 +340,7 @@ def test_component_table_is_trace_of_scaled_output():
     for c in (1, 5, 11):
         bits = component_table(tab, c)
         for x in range(16):
-            assert int(bits[x]) == f.trace(f.mul(c, tab.values[x]))
+            assert int(bits[x]) == f.trace(f.mul(c, int(tab.as_array()[x])))
 
 
 def test_component_degree_matches_uint8_oracle_for_every_component():
@@ -418,8 +418,6 @@ def test_functable_input_kinds_give_equal_tables():
     ]
     for tab in tables:
         assert tab == tables[0] and hash(tab) == hash(tables[0])
-        assert tab.values == tuple(entries)
-        assert all(type(v) is int for v in tab.values)
         arr = tab.as_array()
         assert arr.dtype == np.uint32 and arr.tolist() == entries
         assert not arr.flags.writeable
@@ -430,7 +428,7 @@ def test_functable_copies_its_input_array():
     src = np.arange(8, dtype=np.uint32)
     tab = FuncTable(f, src)
     src[0] = 7
-    assert tab.values[0] == 0 and tab.as_array()[0] == 0
+    assert tab.as_array()[0] == 0
 
 
 def test_functable_compares_and_hashes_on_the_array():
@@ -474,4 +472,4 @@ def test_poly_validates_terms():
 def test_monomial_helper():
     f = Field(5)
     tab = monomial(f, 3)
-    assert list(tab.values) == list(_cube_by_hand(f).values)
+    assert tab.as_array().tolist() == _cube_by_hand(f).as_array().tolist()
