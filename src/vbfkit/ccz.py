@@ -27,6 +27,7 @@ from .vbf import (
     FuncTable,
     NotAPermutationError,
     UnivariatePoly,
+    _top_weight,
     compose,
     evaluate,
     invert,
@@ -230,32 +231,21 @@ class CczWitness:
     F2: FuncTable
 
 
-def graph_image(
-    L: BinLinearMap, f: FuncTable, shift: tuple[int, int] | None = None
-) -> CczWitness:
+def graph_image(L: BinLinearMap, f: FuncTable) -> CczWitness:
     ctx = f.ctx
     m, n = ctx.m, ctx.size
     if L.n_in != 2 * m or L.n_out != 2 * m:
         raise WrongDimensionError("map must act on the doubled space")
     if not map_invertible(L):
         raise SingularError("graph map is singular")
-    c1, c2 = (0, 0) if shift is None else shift
-    if not (0 <= c1 < n and 0 <= c2 < n):
-        raise ValueError("shift constants outside the field")
     xs = np.arange(n, dtype=np.int64)
     out = L.apply_many(xs | (f.as_array().astype(np.int64) << m))
-    return CczWitness(
-        L,
-        FuncTable(ctx, (out & (n - 1)) ^ c1),
-        FuncTable(ctx, (out >> m) ^ c2),
-    )
+    return CczWitness(L, FuncTable(ctx, out & (n - 1)), FuncTable(ctx, out >> m))
 
 
-def ccz_transform(
-    L: BinLinearMap, f: FuncTable, shift: tuple[int, int] | None = None
-) -> FuncTable:
+def ccz_transform(L: BinLinearMap, f: FuncTable) -> FuncTable:
     """Table of the transformed graph, when the image is again a graph."""
-    w = graph_image(L, f, shift)
+    w = graph_image(L, f)
     if not is_permutation(w.F1):
         raise NotAPermutationError("first projected coordinate is not a permutation")
     return compose(w.F2, invert(w.F1))
@@ -265,26 +255,17 @@ def ccz_transform(
 # inequivalence and permutation criteria
 
 
-def component_degrees(f: FuncTable) -> np.ndarray:
-    """deg[u] = ANF degree of the component x -> parity(u & F(x)), every u.
-
-    The component's ANF coefficient of x^M is parity(u & A[M]) for the
-    packed ANF A, so it reaches weight w exactly when parity(u & b) = 1 for
-    some b in an echelon basis of the packed coefficients of weight-w
-    monomials: at most m vectors per weight, one parity sweep each.
-    """
-    n = f.ctx.size
-    anf = packed_anf(f)
-    us = np.arange(n, dtype=np.uint32)
-    weights = np.bitwise_count(us)
-    deg = np.zeros(n, dtype=np.int64)
-    for w in range(1, f.ctx.m + 1):
-        coeffs = np.unique(anf[weights == w])
-        reached = np.zeros(n, dtype=np.uint8)
-        for _, b in _echelon(coeffs[coeffs != 0].tolist()):
-            reached |= np.bitwise_count(us & np.uint32(b)) & 1
-        deg[reached != 0] = w
-    return deg
+def _off_dual(vectors: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """Which of ``us`` have parity(u & v) = 1 for some v in the span of
+    ``vectors``.  Each round sweeps the largest vector b left, then replaces
+    every v by min(v, v ^ b), which clears b's top bit; the swept b form an
+    echelon basis of the span, so there are at most m rounds."""
+    off = np.zeros(us.shape, dtype=bool)
+    while vectors.any():
+        b = vectors.max()
+        off |= (np.bitwise_count(us & b) & 1).astype(bool)
+        vectors = np.minimum(vectors, vectors ^ b)
+    return off
 
 
 def power_inequivalence_witness(f: FuncTable) -> int | None:
@@ -292,15 +273,19 @@ def power_inequivalence_witness(f: FuncTable) -> int | None:
     power map; None when every component looks like a power map's.
 
     The witness is the smallest c >= 1 whose component trace(c*F(x)) has a
-    degree outside {0, 1, deg F}.  All component degrees come from one
-    packed ANF pass (``component_degrees``); trace(c*y) = parity(D[c] & y)
-    with the dual index map D, so component c has degree deg[D[c]].
+    degree outside {0, 1, deg F}.  For the packed ANF A, the component with
+    mask u has coefficient parity(u & A[M]) at x^M, so its degree lies in
+    2..deg F - 1 exactly when u is orthogonal to every top-weight A[M] but
+    not to every A[M] of weight 2..deg F - 1.  trace(c*y) = parity(D[c] & y)
+    with the dual index map D, so the test runs on u = D[c].
     """
-    deg = component_degrees(f)
-    top = int(deg.max())
-    comp = deg[_dual_reindex(f.ctx)]
-    odd = np.flatnonzero((comp > 1) & (comp != top))
-    return int(odd[0]) if odd.size else None
+    anf = packed_anf(f)
+    weights = np.bitwise_count(np.arange(f.ctx.size, dtype=np.uint32))
+    top = _top_weight(anf)
+    us = _dual_reindex(f.ctx).astype(np.uint32)
+    odd = _off_dual(anf[(weights > 1) & (weights < top)], us)
+    odd &= ~_off_dual(anf[weights == top], us)
+    return int(odd.argmax()) if odd.any() else None
 
 
 def gold_perm_criterion(L: UnivariatePoly, Lp: UnivariatePoly, i: int) -> bool:

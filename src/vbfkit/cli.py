@@ -461,22 +461,37 @@ def verify_ccz_invariance(args: argparse.Namespace) -> int:
     return _emit_checks(checks)
 
 
+# The options each claim reads, with the value of each one not given.  verify
+# rejects every other option; remark4 searches either the --lut table or the
+# one that --m, --i and --poly build.
+_FIELD = {"m": None, "i": 1, "poly": None}
+_TRIALS = {"count": 60, "seed": 0}
+_SEARCH = {"budget": None, "threads": None}
 _VERIFIERS = {
-    "thm1": verify_thm1,
-    "thm2": verify_thm2,
-    "thm3": verify_thm3,
-    "thm4": verify_thm4,
-    "remark4": verify_remark4,
-    "example1": verify_example1,
-    "prop-gold-perm": verify_prop_gold_perm,
-    "prop-gold-perm-even": verify_prop_gold_perm_even,
-    "f8-check": verify_f8_check,
-    "ccz-invariance": verify_ccz_invariance,
+    "thm1": (verify_thm1, {**_FIELD, "a": None}),
+    "thm2": (verify_thm2, {**_FIELD, "a": None}),
+    "thm3": (verify_thm3, _FIELD),
+    "thm4": (verify_thm4, {**_FIELD, "n": None}),
+    "remark4": (verify_remark4, {**_FIELD, "lut": None, **_SEARCH}),
+    "example1": (verify_example1, _FIELD),
+    "prop-gold-perm": (verify_prop_gold_perm, {**_FIELD, **_TRIALS}),
+    "prop-gold-perm-even": (verify_prop_gold_perm_even, {**_FIELD, **_TRIALS}),
+    "f8-check": (verify_f8_check, {"i": 1}),
+    "ccz-invariance": (verify_ccz_invariance, {"m": None, "poly": None, **_TRIALS}),
 }
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    return _VERIFIERS[args.claim](args)
+    # the verify parser stores only the options given on the command line
+    given = {k: v for k, v in vars(args).items() if k not in ("command", "handler", "claim")}
+    claim = args.claim
+    verifier, reads = _VERIFIERS[claim]
+    if claim == "remark4" and "lut" in given:
+        claim, reads = "remark4 --lut", {"lut": None, **_SEARCH}
+    unread = [f"--{k}" for k in given if k not in reads]
+    if unread:
+        raise ConditionViolatedError(f"verify {claim} does not read {', '.join(unread)}")
+    return verifier(argparse.Namespace(**{**reads, **given}))
 
 
 # -- argument parsing --------------------------------------------------------
@@ -524,20 +539,26 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--timing", action="store_true", help="add timing_ms and timing_breakdown_ms")
     pa.set_defaults(handler=cmd_analyze)
 
-    # no abbreviations, so a family-only flag such as --t is not read as --threads
-    pv = sub.add_parser("verify", help="run a named bundle of checks", allow_abbrev=False)
+    # no abbreviations, so a family-only flag such as --t is not read as
+    # --threads; an option not given stays out of the namespace (cmd_verify)
+    pv = sub.add_parser(
+        "verify",
+        help="run a named bundle of checks",
+        allow_abbrev=False,
+        argument_default=argparse.SUPPRESS,
+    )
     pv.add_argument("claim", choices=_VERIFIERS)
     _add_family_params(pv, with_family=False)
     pv.add_argument("--a", type=_int_literal, help="witness scaling point (default: sampled)")
     pv.add_argument("--lut", help="table to search instead of a constructed one")
-    pv.add_argument("--count", type=int, default=60, help="random trials for sampled bundles")
-    pv.add_argument("--seed", type=int, default=0, help="seed for sampled bundles")
+    pv.add_argument("--count", type=int, help="random trials for sampled bundles (default: 60)")
+    pv.add_argument("--seed", type=int, help="seed for sampled bundles (default: 0)")
     pv.add_argument("--threads", type=int, help="ignored; the search runs in one thread")
     pv.add_argument(
         "--budget",
         help="search budget: integer node count or decimal wall-clock seconds",
     )
-    pv.set_defaults(handler=cmd_verify, i=1)
+    pv.set_defaults(handler=cmd_verify)
 
     return parser
 

@@ -84,7 +84,6 @@ class FamilySpec:
     i: int | None = None
     n: int | None = None
     t: int | None = None
-    a: int | None = None
 
 
 def _checked_i(spec: FamilySpec) -> int:

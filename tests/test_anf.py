@@ -1,9 +1,11 @@
 """Bit-sliced ANF layer and sign-row Walsh path against independent oracles.
 
 The oracles are the earlier implementations: the degree read off the
-univariate polynomial from ``interpolate`` and the witness found by
-computing each component's degree on its own uint8 bit table
-(``anf_oracle.component_degree``), one component after another.
+univariate polynomial from ``interpolate``, the witness found by computing
+each component's degree on its own uint8 bit table
+(``anf_oracle.component_degree``), one component after another, and the
+witness read off the degree of every component mask
+(``anf_oracle.component_degrees``).
 """
 
 import random
@@ -14,7 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anf_oracle import component_degree as component_degree_oracle
-from vbfkit.ccz import component_degrees, power_inequivalence_witness
+from anf_oracle import component_degrees
+from vbfkit.ccz import power_inequivalence_witness
+from vbfkit.constructions import theorem1, theorem4
 from vbfkit.gf2m import Field
 from vbfkit.spectra import _dual_reindex, walsh_matrix, walsh_spectrum, walsh_value
 from vbfkit.vbf import (
@@ -149,3 +153,61 @@ def test_walsh_distribution_matches_matrix_and_pointwise_oracle(f):
     pointwise = Counter(walsh_value(f, a, b) for b in range(1, n) for a in range(n))
     assert spec.distribution == dict(from_matrix) == dict(pointwise)
     assert spec.max_abs == max(abs(v) for v in pointwise)
+
+
+def _witness_from_degrees(f: FuncTable) -> int | None:
+    """First c >= 1 whose component degree, read off the per-mask degrees
+    at the dual index D[c], lies outside {0, 1, deg F}."""
+    deg = component_degrees(f)
+    comp = deg[_dual_reindex(f.ctx)]
+    odd = np.flatnonzero((comp > 1) & (comp != deg.max()))
+    return int(odd[0]) if odd.size else None
+
+
+def test_witness_matches_per_mask_degrees_at_m11_to_15():
+    rng = np.random.default_rng(34)
+    tables = [("thm4 m=15 n=5", theorem4(Field(15), 5, 1))]
+    for m in range(11, 16):
+        ctx = Field(m)
+        n = ctx.size
+        tables += [
+            (f"inverse m={m}", monomial(ctx, n - 2)),
+            (f"gold m={m}", monomial(ctx, 3)),
+            (f"random function m={m}", FuncTable(ctx, rng.integers(0, n, n))),
+            (f"random permutation m={m}", FuncTable(ctx, rng.permutation(n))),
+        ]
+        if m % 2:
+            tables.append((f"thm1 m={m}", theorem1(ctx, 1)))
+    seen = set()
+    for name, f in tables:
+        w = power_inequivalence_witness(f)
+        assert w == _witness_from_degrees(f), name
+        seen.add(w)
+    assert None in seen and 1 in seen
+    assert any(w is not None and w > 1 for w in seen)
+
+
+def test_witness_matches_oracle_on_200_seeded_tables():
+    rng = random.Random(35)
+    seen = set()
+    for k in range(200):
+        # ten tables each at m = 9 and 10, where the oracle costs tens of ms
+        m = 2 + k % 7 if k < 180 else 9 + k % 2
+        ctx = Field(m)
+        n = ctx.size
+        kind = k % 3
+        if kind == 0:
+            f = FuncTable(ctx, [rng.randrange(n) for _ in range(n)])
+        elif kind == 1:
+            f = FuncTable(ctx, rng.sample(range(n), n))
+        else:
+            coeffs = {}
+            for _ in range(rng.randrange(1, 6)):
+                mono = rng.randrange(n)
+                coeffs[mono] = coeffs.get(mono, 0) ^ rng.randrange(1, n)
+            f = _table_from_anf(ctx, coeffs)
+        w = power_inequivalence_witness(f)
+        assert w == _witness_oracle(f), (m, k)
+        seen.add(w)
+    assert None in seen and 1 in seen
+    assert any(w is not None and w > 1 for w in seen)

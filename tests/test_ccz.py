@@ -300,15 +300,6 @@ def test_ccz_transform_trace_mix_formula_gf32():
         assert got.as_array()[x] == want
 
 
-def test_ccz_transform_affine_shift():
-    # with L = identity and shift (c1, c2): x -> F(x + c1) + c2
-    f = Field(4)
-    cube = monomial(f, 3)
-    got = ccz_transform(identity_map(8), cube, shift=(5, 9))
-    for x in range(16):
-        assert got.as_array()[x] == cube.as_array()[x ^ 5] ^ 9
-
-
 def _graph_movers(f: Field) -> list[BinLinearMap]:
     # maps known to carry the cube's graph to another graph: the identity,
     # a trace-mixing involution, and (odd m) the coordinate swap

@@ -381,9 +381,12 @@ def test_verify_thm3_lines_and_failed_shift(capsys, monkeypatch):
 
 
 def test_verify_remark4_sampled(capsys):
-    rc, stdout, _ = run(capsys, "verify", "remark4", "--m", "5", "--i", "1", "--budget", "2000", "--seed", "7")
+    rc, stdout, _ = run(capsys, "verify", "remark4", "--m", "5", "--i", "1", "--budget", "2000")
     assert rc == 0
     assert "no " in stdout.lower()
+    # the search draws no samples, so it reads no seed
+    rc, stdout, err = run(capsys, "verify", "remark4", "--m", "5", "--i", "1", "--budget", "2000", "--seed", "7")
+    assert (rc, stdout, err) == (2, "", "error: verify remark4 does not read --seed\n")
 
 
 def test_verify_remark4_workers(capsys):
@@ -408,7 +411,7 @@ def test_verify_remark4_found_completion_exit1(tmp_path, capsys):
     # claim that no completion exists must fail
     path = tmp_path / "probe.lut"
     path.write_text("m=4 poly=0x13\n" + "0x0\n" * 16)
-    rc, stdout, _ = run(capsys, "verify", "remark4", "--lut", str(path))
+    rc, stdout, _ = run(capsys, "verify", "remark4", "--lut", str(path), "--threads", "1")
     assert rc == 1
     assert "completion" in stdout.lower()
 
@@ -525,6 +528,32 @@ def test_verify_rejects_family_only_flags(capsys, flag):
 def test_verify_nonpositive_index_exit2(capsys, argv):
     rc, stdout, err = run(capsys, "verify", *argv)
     assert (rc, stdout, err) == (2, "", "error: Frobenius index must be positive\n")
+
+
+@pytest.mark.parametrize(
+    "argv, unread",
+    [
+        (("thm1", "--m", "7", "--i", "1", "--lut", "/nonexistent", "--budget", "0.5", "--count", "3"),
+         "verify thm1 does not read --lut, --budget, --count"),
+        (("f8-check", "--i", "1", "--m", "99", "--n", "2"), "verify f8-check does not read --m, --n"),
+        (("ccz-invariance", "--m", "5", "--i", "3", "--a", "7", "--count", "2"),
+         "verify ccz-invariance does not read --i, --a"),
+        (("remark4", "--lut", "/nonexistent", "--m", "5", "--i", "1", "--poly", "0x25"),
+         "verify remark4 --lut does not read --m, --i, --poly"),
+        (("thm4", "--m", "9", "--n", "3", "--a", "3"), "verify thm4 does not read --a"),
+    ],
+    ids=["thm1", "f8-check", "ccz-invariance", "remark4-lut", "thm4"],
+)
+def test_verify_rejects_options_its_claim_does_not_read(capsys, argv, unread):
+    rc, stdout, err = run(capsys, "verify", *argv)
+    assert (rc, stdout, err) == (2, "", f"error: {unread}\n")
+
+
+def test_verify_index_defaults_to_one(capsys):
+    rc, stdout, err = run(capsys, "verify", "thm1", "--m", "7")
+    assert (rc, err) == (0, "")
+    assert (rc, stdout, err) == run(capsys, "verify", "thm1", "--m", "7", "--i", "1")
+    assert run(capsys, "verify", "f8-check") == run(capsys, "verify", "f8-check", "--i", "1")
 
 
 def test_failed_internal_identity_is_a_fail_line(capsys, monkeypatch):

@@ -4,10 +4,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anf_oracle import anf_degree, component_table, mobius_transform
 from anf_oracle import component_degree as oracle_component_degree
-from vbfkit.gf2m import Field
+from vbfkit.gf2m import Field, is_irreducible
 from vbfkit.vbf import (
     ContextMismatchError,
     FuncTable,
@@ -473,3 +475,31 @@ def test_monomial_helper():
     f = Field(5)
     tab = monomial(f, 3)
     assert tab.as_array().tolist() == _cube_by_hand(f).as_array().tolist()
+
+
+@st.composite
+def _entries_and_edit(draw):
+    """A field degree, a table of entries, and a one-entry change to it."""
+    m = draw(st.integers(3, 7))
+    n = 1 << m
+    entries = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    return m, entries, draw(st.integers(0, n - 1)), draw(st.integers(1, n - 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_entries_and_edit())
+def test_functable_equality_and_hash_follow_field_and_entries(case):
+    m, entries, at, flip = case
+    f = Field(m)
+    tabs = [
+        FuncTable(f, entries),
+        FuncTable(f, np.array(entries, dtype=np.int64)),
+        FuncTable(f, np.array(entries, dtype=np.uint32)),
+    ]
+    assert all(t == tabs[0] and hash(t) == hash(tabs[0]) for t in tabs)
+    changed = list(entries)
+    changed[at] ^= flip
+    assert tabs[0] != FuncTable(f, changed)
+    other = next(p for p in range(f.poly + 1, 2 << m) if is_irreducible(p))
+    assert tabs[0] != FuncTable(Field(m, other), entries)
+    assert len(set(tabs) | {FuncTable(f, changed)}) == 2
