@@ -17,19 +17,18 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .gf2m import Field
+from .gf2m import _linear_table
 from .spectra import _MATRIX_LIMIT, TooLargeError, _dual_reindex, _fwht_rows, _sign_rows
 from .vbf import (
     ContextMismatchError,
     FuncTable,
     NotAPermutationError,
-    UnivariatePoly,
     _top_weight,
     compose,
-    evaluate,
     invert,
     is_permutation,
     packed_anf,
@@ -41,7 +40,7 @@ class SingularError(ValueError):
 
 
 class NotLinearizedError(ValueError):
-    """Polynomial has exponents other than powers of two."""
+    """A summand table is not an F_2-linear map."""
 
 
 class WrongDimensionError(ValueError):
@@ -193,32 +192,6 @@ def map_compose(outer: BinLinearMap, inner: BinLinearMap) -> BinLinearMap:
 
 
 # --------------------------------------------------------------------------
-# linearized polynomials
-
-
-def _linear_terms(poly: UnivariatePoly) -> list[tuple[int, int]]:
-    out = []
-    for e, c in sorted(poly.terms.items()):
-        if e <= 0 or e & (e - 1):
-            raise NotLinearizedError(f"exponent {e} is not a power of two")
-        out.append((e.bit_length() - 1, c))
-    return out
-
-
-def linearized_adjoint(ctx: Field, poly: UnivariatePoly) -> UnivariatePoly:
-    """The map L* with trace(v * L(x)) = trace(L*(v) * x) for all v, x."""
-    m = ctx.m
-    terms: dict[int, int] = {}
-    for j, c in _linear_terms(poly):
-        k = (m - j) % m
-        e = 1 << k
-        coeff = terms.pop(e, 0) ^ ctx.pow(c, 1 << k)
-        if coeff:
-            terms[e] = coeff
-    return UnivariatePoly(ctx, terms)
-
-
-# --------------------------------------------------------------------------
 # graphs and their images
 
 
@@ -288,15 +261,45 @@ def power_inequivalence_witness(f: FuncTable) -> int | None:
     return int(odd.argmax()) if odd.any() else None
 
 
-def gold_perm_criterion(L: UnivariatePoly, Lp: UnivariatePoly, i: int) -> bool:
+@lru_cache(maxsize=8)
+def _linear_pieces(ctx) -> tuple[np.ndarray, ...]:
+    """Per field: x & (x-1) and x & -x for x >= 1, the basis 2^k, a column of
+    the masks D[2^k] for the dual index map D of ``_dual_reindex``, and the
+    table of D^-1, which sends 2^j to the trace-dual basis element d_j."""
+    xs, bits, dual = np.arange(1, ctx.size), 1 << np.arange(ctx.m), _dual_reindex(ctx)
+    return xs & (xs - 1), xs & -xs, bits, dual[bits, None].astype(np.uint32), np.argsort(dual)
+
+
+def _linear_entries(f: FuncTable) -> np.ndarray:
+    """The entries of f, checked F_2-linear in one pass:
+    f(x) = f(x & (x-1)) ^ f(x & -x) for every x >= 1 (x = 1 gives f(0) = 0)."""
+    tab = f.as_array()
+    rest, low = _linear_pieces(f.ctx)[:2]
+    if (tab[1:] != tab[rest] ^ tab[low]).any():
+        raise NotLinearizedError("table is not F_2-linear")
+    return tab
+
+
+def _adjoint_table(L: FuncTable) -> np.ndarray:
+    """Table of the adjoint L* of a linear table: tr(v * L(x)) = tr(L*(v) * x).
+
+    Read off the trace form, L*(2^k) = sum_j tr(2^k * L(2^j)) * d_j with
+    tr(2^k * y) = parity(D[2^k] & y), and spread from these m images."""
+    *_, bits, masks, inverse = _linear_pieces(L.ctx)
+    parities = np.bitwise_count(masks & _linear_entries(L)[bits]) & 1
+    return _linear_table(inverse[parities @ bits].tolist())
+
+
+def gold_perm_criterion(L: FuncTable, Lp: FuncTable, i: int) -> bool:
     """Is L(x^(2^i+1)) + L'(x) a permutation, decided without building it?
 
-    Differences of the power part at step u != 0 sweep u^(2^i+1) * v over
-    all v with trace(v) = trace(1), so the sum fails to permute exactly when
-    some u has such a v with L(u^(2^i+1) * v) = L'(u).  The solutions
-    w = u^(2^i+1) * v of L(w) = L'(u) are empty unless L'(u) = L(w0) for
-    some w0, and then they form the coset w0 + ker L, on which
-    trace(v) = trace(w * s) with s = u^-(2^i+1).  That functional takes
+    L and L' are the tables of F_2-linear maps; a table that is not raises
+    NotLinearizedError.  Differences of the power part at step u != 0 sweep
+    u^(2^i+1) * v over all v with trace(v) = trace(1), so the sum fails to
+    permute exactly when some u has such a v with L(u^(2^i+1) * v) = L'(u).
+    The solutions w = u^(2^i+1) * v of L(w) = L'(u) are empty unless
+    L'(u) = L(w0) for some w0, and then they form the coset w0 + ker L, on
+    which trace(v) = trace(w * s) with s = u^-(2^i+1).  That functional takes
     both values on the coset when trace(k * s) = 1 for some basis vector k
     of ker L, and otherwise only the value trace(w0 * s).  So each u costs
     one product for w0 and one per kernel basis vector.
@@ -305,12 +308,10 @@ def gold_perm_criterion(L: UnivariatePoly, Lp: UnivariatePoly, i: int) -> bool:
     if Lp.ctx != ctx:
         raise ContextMismatchError("summands live in different fields")
     _require_index(i, ctx.m)
-    _linear_terms(L)
-    _linear_terms(Lp)
-    Ltab = evaluate(L).as_array()
+    Ltab = _linear_entries(L)
     preimage = np.full(ctx.size, -1, dtype=np.int64)
     preimage[Ltab] = np.arange(ctx.size)
-    w0 = preimage[evaluate(Lp).as_array()[1:]]
+    w0 = preimage[_linear_entries(Lp)[1:]]
     reached = w0 >= 0
     # ker L listed ascending: entry 2^j is its j-th reduced echelon basis vector
     kernel = np.flatnonzero(Ltab == 0)
@@ -323,8 +324,8 @@ def gold_perm_criterion(L: UnivariatePoly, Lp: UnivariatePoly, i: int) -> bool:
     return not bool(hit.any())
 
 
-def gold_perm_criterion_even(L: UnivariatePoly, i: int) -> bool:
-    """Is L(x^(2^i+1)) + x a permutation over an even-degree field?
+def gold_perm_criterion_even(L: FuncTable, i: int) -> bool:
+    """Is L(x^(2^i+1)) + x a permutation, for linear L over an even-degree field?
 
     Each component with adjoint value b = L*(v) != 0 is balanced exactly when
     b is a (2^i+1)-th power u^(2^i+1) and the relative trace onto the
@@ -332,16 +333,13 @@ def gold_perm_criterion_even(L: UnivariatePoly, i: int) -> bool:
     which root u is picked.
     """
     ctx = L.ctx
-    m = ctx.m
-    if m & 1:
-        raise OddDegreeError(f"extension degree {m} is odd")
-    _require_index(i, m)
-    e = (1 << i) + 1
-    adj = evaluate(linearized_adjoint(ctx, L)).as_array().astype(np.int64)
+    if ctx.m & 1:
+        raise OddDegreeError(f"extension degree {ctx.m} is odd")
+    _require_index(i, ctx.m)
     us = np.arange(1, ctx.size, dtype=np.int64)
     root = np.zeros(ctx.size, dtype=np.int64)  # 0 marks a non-residue
-    root[ctx.pow_many(us, e)[::-1].astype(np.int64)] = us[::-1]
-    b = adj[us]
+    root[ctx.pow_many(us, (1 << i) + 1)[::-1].astype(np.int64)] = us[::-1]
+    b = _adjoint_table(L)[1:]
     live = b != 0
     roots = root[b[live]]
     if np.any(roots == 0):

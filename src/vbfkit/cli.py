@@ -30,7 +30,7 @@ import json
 import random
 import sys
 import time
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -371,11 +371,12 @@ def verify_example1(args: argparse.Namespace) -> int:
     return _emit_checks(checks)
 
 
-def _random_linearized(ctx: Field, rng: random.Random) -> UnivariatePoly:
+def _random_linearized(ctx: Field, rng: random.Random) -> FuncTable:
+    """Table of a random linearized polynomial of one or two terms."""
     terms = {}
     for _ in range(rng.choice((1, 2))):
         terms[1 << rng.randrange(ctx.m)] = rng.randrange(1, ctx.size)
-    return UnivariatePoly(ctx, terms)
+    return evaluate(UnivariatePoly(ctx, terms))
 
 
 def _require_trials(args: argparse.Namespace, least: int = 1) -> None:
@@ -383,25 +384,10 @@ def _require_trials(args: argparse.Namespace, least: int = 1) -> None:
         raise ConditionViolatedError(f"--count must be at least {least}, got {args.count}")
 
 
-def verify_prop_gold_perm(args: argparse.Namespace) -> int:
-    _require_trials(args)
-    ctx = _field(args)
-    _require_index(args.i, ctx.m)  # before the brute-force table uses 2^i
-    rng = random.Random(args.seed)
-    xs = np.arange(ctx.size, dtype=np.int64)
-    powered = ctx.pow_many(xs, (1 << args.i) + 1)
-    mismatches = 0
-    for _ in range(args.count):
-        L, Lp = _random_linearized(ctx, rng), _random_linearized(ctx, rng)
-        fast = gold_perm_criterion(L, Lp, args.i)
-        table = FuncTable(ctx, evaluate(L).as_array()[powered] ^ evaluate(Lp).as_array()[xs])
-        if fast != is_permutation(table):
-            mismatches += 1
-    name = f"criterion agreed with brute force on {args.count} random summand pairs"
-    return _emit_checks([(name, mismatches == 0)])
-
-
-def verify_prop_gold_perm_even(args: argparse.Namespace) -> int:
+def verify_prop_gold_perm(args: argparse.Namespace, even: bool = False) -> int:
+    """A criterion against brute force on random summands: the Gold one on
+    L(x^(2^i+1)) + L'(x), or with ``even`` the even-degree one on
+    L(x^(2^i+1)) + x."""
     _require_trials(args)
     ctx = _field(args)
     _require_index(args.i, ctx.m)  # before the brute-force table uses 2^i
@@ -411,11 +397,15 @@ def verify_prop_gold_perm_even(args: argparse.Namespace) -> int:
     mismatches = 0
     for _ in range(args.count):
         L = _random_linearized(ctx, rng)
-        fast = gold_perm_criterion_even(L, args.i)
-        table = FuncTable(ctx, evaluate(L).as_array()[powered] ^ xs)
-        if fast != is_permutation(table):
+        if even:
+            fast, summand = gold_perm_criterion_even(L, args.i), xs
+        else:
+            Lp = _random_linearized(ctx, rng)
+            fast, summand = gold_perm_criterion(L, Lp, args.i), Lp.as_array()
+        if fast != is_permutation(FuncTable(ctx, L.as_array()[powered] ^ summand)):
             mismatches += 1
-    name = f"criterion agreed with brute force on {args.count} random summands"
+    drawn = "summands" if even else "summand pairs"
+    name = f"criterion agreed with brute force on {args.count} random {drawn}"
     return _emit_checks([(name, mismatches == 0)])
 
 
@@ -431,11 +421,10 @@ def verify_ccz_invariance(args: argparse.Namespace) -> int:
     base_w = walsh_spectrum(f).distribution
     base_d = differential_spectrum(f).distribution
     movers = [identity_map(2 * ctx.m)]
+    if ctx.m >= 4:  # the twisted families behind Theorems 1 and 2 need m >= 4
+        movers.append(theorem12_ccz_witness(ctx, 2 - ctx.m % 2, 1).L)
     if ctx.m % 2:
-        movers.append(theorem12_ccz_witness(ctx, 1, 1).L)
         movers.append(example1_witness(ctx, 1).L)
-    else:
-        movers.append(theorem12_ccz_witness(ctx, 2, 1).L)
     rng = random.Random(args.seed)
     for _ in range(args.count):
         rows = [rng.randrange(1, 1 << (2 * ctx.m)) for _ in range(2 * ctx.m)]
@@ -475,7 +464,7 @@ _VERIFIERS = {
     "remark4": (verify_remark4, {**_FIELD, "lut": None, **_SEARCH}),
     "example1": (verify_example1, _FIELD),
     "prop-gold-perm": (verify_prop_gold_perm, {**_FIELD, **_TRIALS}),
-    "prop-gold-perm-even": (verify_prop_gold_perm_even, {**_FIELD, **_TRIALS}),
+    "prop-gold-perm-even": (partial(verify_prop_gold_perm, even=True), {**_FIELD, **_TRIALS}),
     "f8-check": (verify_f8_check, {"i": 1}),
     "ccz-invariance": (verify_ccz_invariance, {"m": None, "poly": None, **_TRIALS}),
 }

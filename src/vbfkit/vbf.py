@@ -12,6 +12,9 @@ maximum ANF degree over the components x -> trace(c*F(x)).
 
 from __future__ import annotations
 
+import array
+import operator
+
 import numpy as np
 
 from vbfkit.gf2m import Field
@@ -37,11 +40,16 @@ class FuncTable:
 
     def __init__(self, ctx: Field, values):
         arr = values
-        if not (isinstance(arr, np.ndarray) and arr.dtype.kind in "iu"):
-            try:
-                arr = np.asarray(values, dtype=np.int64)
-            except (OverflowError, TypeError):  # an entry beyond int64, or an iterator
-                arr = np.array([int(v) for v in values], dtype=object)
+        if not (isinstance(arr, np.ndarray) and arr.dtype.kind in "biu"):
+            if not isinstance(values, (list, tuple, np.ndarray)):
+                values = list(values)  # an iterator, read once
+            try:  # both refuse float entries, which np.asarray would truncate
+                try:
+                    arr = np.frombuffer(array.array("I", values), dtype=np.uintc)
+                except OverflowError:  # entries outside uint32, named by the range check
+                    arr = np.array([operator.index(v) for v in values], dtype=object)
+            except TypeError as err:
+                raise ValueError(f"table entries must be integers: {err}") from None
         if arr.shape != (ctx.size,):
             got = len(arr) if arr.ndim == 1 else arr.shape
             raise ValueError(f"table needs {ctx.size} entries, got {got}")

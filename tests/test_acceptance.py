@@ -244,16 +244,17 @@ def test_criterion_08_permutation_criteria_vs_brute_force():
             pool = _two_monomial_pool(ctx, extra=200, seed=800 + m)
             xs = np.arange(ctx.size, dtype=np.int64)
             powered = ctx.pow_many(xs, (1 << i) + 1).astype(np.int64)
-            tabs = [evaluate(L).as_array().astype(np.int64) for L in pool]
+            tabs = [evaluate(L) for L in pool]
             total = len(pool)
-            for k, (L, Ltab) in enumerate(zip(pool, tabs)):
+            for k, Ltab in enumerate(tabs):
                 partner = (7 * k + 11) % total
-                fast = gold_perm_criterion(L, pool[partner], i)
-                brute = _is_perm_array(Ltab[powered] ^ tabs[partner][xs], ctx.size)
+                fast = gold_perm_criterion(Ltab, tabs[partner], i)
+                Larr = Ltab.as_array().astype(np.int64)
+                brute = _is_perm_array(Larr[powered] ^ tabs[partner].as_array()[xs], ctx.size)
                 assert fast == brute
                 if m % 2 == 0:
-                    fast_even = gold_perm_criterion_even(L, i)
-                    brute_even = _is_perm_array(Ltab[powered] ^ xs, ctx.size)
+                    fast_even = gold_perm_criterion_even(Ltab, i)
+                    brute_even = _is_perm_array(Larr[powered] ^ xs, ctx.size)
                     assert fast_even == brute_even
 
 

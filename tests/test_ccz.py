@@ -17,13 +17,13 @@ from vbfkit.ccz import (
     NotLinearizedError,
     OddDegreeError,
     SingularError,
+    _adjoint_table,
     ccz_transform,
     gold_perm_criterion,
     gold_perm_criterion_even,
     graph_image,
     identity_map,
     linear_completion_search,
-    linearized_adjoint,
     map_compose,
     map_inverse,
     map_invertible,
@@ -32,7 +32,7 @@ from vbfkit.ccz import (
     power_inequivalence_witness,
 )
 from vbfkit.constructions import theorem1
-from vbfkit.gf2m import Field, is_irreducible
+from vbfkit.gf2m import Field, _linear_table, is_irreducible
 from vbfkit.spectra import _orbits, differential_spectrum, walsh_spectrum
 from vbfkit.vbf import (
     FuncTable,
@@ -73,6 +73,20 @@ def _random_linearized(f: Field, rng: random.Random, max_terms: int = 2) -> Univ
     terms = {}
     for _ in range(rng.randrange(0, max_terms + 1)):
         terms[1 << rng.randrange(f.m)] = rng.randrange(1, f.size)
+    return UnivariatePoly(f, terms)
+
+
+def linearized_adjoint(f: Field, poly: UnivariatePoly) -> UnivariatePoly:
+    """Reference adjoint of a linearized polynomial: c * x^(2^j) has the
+    adjoint c^(2^(m-j)) * x^(2^(m-j)), the map with
+    trace(v * L(x)) = trace(L*(v) * x) for all v, x."""
+    terms: dict[int, int] = {}
+    for e, c in poly.terms.items():
+        assert e > 0 and e & (e - 1) == 0, f"exponent {e} is not a power of two"
+        k = (f.m - (e.bit_length() - 1)) % f.m
+        coeff = terms.pop(1 << k, 0) ^ f.pow(c, 1 << k)
+        if coeff:
+            terms[1 << k] = coeff
     return UnivariatePoly(f, terms)
 
 
@@ -182,13 +196,22 @@ def test_map_rank_and_kernel():
 
 def test_linearized_rejects_general_polys():
     f = Field(4)
-    general, ident = UnivariatePoly(f, {3: 1}), UnivariatePoly(f, {1: 1})
-    with pytest.raises(NotLinearizedError):
-        linearized_adjoint(f, general)
-    with pytest.raises(NotLinearizedError):
-        gold_perm_criterion(general, ident, 1)
-    with pytest.raises(NotLinearizedError):
-        gold_perm_criterion(ident, general, 1)
+    linear = evaluate(UnivariatePoly(f, {1: 3, 4: 7}))
+    flipped = linear.as_array().copy()
+    flipped[11] ^= 1
+    ident = evaluate(UnivariatePoly(f, {1: 1}))
+    for bad in (
+        monomial(f, 3),
+        FuncTable(f, linear.as_array() ^ 1),  # affine: linear + 1
+        FuncTable(f, flipped),
+    ):
+        for call in (
+            lambda: gold_perm_criterion(bad, ident, 1),
+            lambda: gold_perm_criterion(ident, bad, 1),
+            lambda: gold_perm_criterion_even(bad, 1),
+        ):
+            with pytest.raises(NotLinearizedError, match="^table is not F_2-linear$"):
+                call()
 
 
 def test_trace_row_adjustment_realizes_trace_term():
@@ -228,6 +251,16 @@ def test_adjoint_is_involution():
         p = _random_linearized(f, rng)
         back = linearized_adjoint(f, linearized_adjoint(f, p))
         assert evaluate(back).as_array().tolist() == evaluate(p).as_array().tolist()
+
+
+def test_adjoint_table_matches_reference_adjoint():
+    rng = random.Random(10)
+    for m in range(4, 9):
+        f = Field(m)
+        for _ in range(40):
+            p = _random_linearized(f, rng, max_terms=m)
+            want = evaluate(linearized_adjoint(f, p)).as_array().tolist()
+            assert _adjoint_table(evaluate(p)).tolist() == want, (m, p)
 
 
 # ---------------------------------------------------------------- graph images
@@ -477,12 +510,13 @@ def test_trace_mixed_cube_proven_inequivalent():
 
 def test_perm_criterion_trivial_pairs():
     f = Field(4)
-    zero = UnivariatePoly(f, {})
-    ident = UnivariatePoly(f, {1: 1})
+    zero = evaluate(UnivariatePoly(f, {}))
+    ident = evaluate(UnivariatePoly(f, {1: 1}))
     assert gold_perm_criterion(zero, ident, 1)
     assert not gold_perm_criterion(ident, zero, 1)  # x^3 not a permutation (m even)
     f5 = Field(5)
-    assert gold_perm_criterion(UnivariatePoly(f5, {1: 1}), UnivariatePoly(f5, {}), 1)
+    ident5, zero5 = evaluate(UnivariatePoly(f5, {1: 1})), evaluate(UnivariatePoly(f5, {}))
+    assert gold_perm_criterion(ident5, zero5, 1)
 
 
 def test_perm_criterion_matches_brute_force():
@@ -499,7 +533,7 @@ def test_perm_criterion_matches_brute_force():
                 Ltab.as_array()[f.pow(x, e)] ^ Lptab.as_array()[x] for x in range(f.size)
             ]
             want = is_permutation(FuncTable(f, table))
-            assert gold_perm_criterion(L, Lp, 1) == want
+            assert gold_perm_criterion(Ltab, Lptab, 1) == want
 
 
 def test_perm_criterion_matches_brute_force_across_cached_grids():
@@ -515,7 +549,7 @@ def test_perm_criterion_matches_brute_force_across_cached_grids():
             Lptab = evaluate(Lp)
             e = (1 << i) + 1
             table = [Ltab.as_array()[f.pow(x, e)] ^ Lptab.as_array()[x] for x in range(f.size)]
-            verdict = gold_perm_criterion(L, Lp, i)
+            verdict = gold_perm_criterion(Ltab, Lptab, i)
             assert verdict == is_permutation(FuncTable(f, table))
             verdicts.add(verdict)
     assert verdicts == {True, False}
@@ -556,7 +590,8 @@ def test_perm_criterion_kernel_coset_matches_brute_force():
                 for L, Lp in pairs:
                     table = _scalar_linear_table(f, L)[powered] ^ _scalar_linear_table(f, Lp)
                     want = np.unique(table).size == f.size
-                    assert gold_perm_criterion(L, Lp, i) == want, (m, hex(poly), i, L, Lp)
+                    verdict = gold_perm_criterion(evaluate(L), evaluate(Lp), i)
+                    assert verdict == want, (m, hex(poly), i, L, Lp)
                     verdicts.add(want)
     assert verdicts == {True, False}
 
@@ -564,13 +599,13 @@ def test_perm_criterion_kernel_coset_matches_brute_force():
 def test_perm_criterion_gcd_guard():
     f = Field(4)
     with pytest.raises(GcdViolationError):
-        gold_perm_criterion(UnivariatePoly(f, {}), UnivariatePoly(f, {1: 1}), 2)
+        gold_perm_criterion(evaluate(UnivariatePoly(f, {})), evaluate(UnivariatePoly(f, {1: 1})), 2)
 
 
 def test_even_criterion_trivial_and_known():
     f = Field(4)
-    assert gold_perm_criterion_even(UnivariatePoly(f, {}), 1)  # F = x
-    assert not gold_perm_criterion_even(UnivariatePoly(f, {1: 1}), 1)  # x^3 + x
+    assert gold_perm_criterion_even(evaluate(UnivariatePoly(f, {})), 1)  # F = x
+    assert not gold_perm_criterion_even(evaluate(UnivariatePoly(f, {1: 1})), 1)  # x^3 + x
     # L = 6*tr(x) permutes; the absolute trace in place of the trace onto
     # F_4 would reject it
     L = UnivariatePoly(f, {1: 6, 2: 6, 4: 6, 8: 6})
@@ -578,7 +613,7 @@ def test_even_criterion_trivial_and_known():
     for i in (1, 3):
         e = (1 << i) + 1
         assert is_permutation(FuncTable(f, [Ltab.as_array()[f.pow(x, e)] ^ x for x in range(16)]))
-        assert gold_perm_criterion_even(L, i)
+        assert gold_perm_criterion_even(Ltab, i)
 
 
 def test_even_criterion_matches_brute_force():
@@ -591,7 +626,7 @@ def test_even_criterion_matches_brute_force():
             Ltab = evaluate(L)
             table = [Ltab.as_array()[f.pow(x, e)] ^ x for x in range(f.size)]
             want = is_permutation(FuncTable(f, table))
-            assert gold_perm_criterion_even(L, i) == want
+            assert gold_perm_criterion_even(Ltab, i) == want
 
 
 def test_even_criterion_root_choice_is_irrelevant():
@@ -612,18 +647,69 @@ def test_even_criterion_root_choice_is_irrelevant():
 
 def test_even_criterion_guards():
     with pytest.raises(OddDegreeError):
-        gold_perm_criterion_even(UnivariatePoly(Field(5), {}), 1)
+        gold_perm_criterion_even(evaluate(UnivariatePoly(Field(5), {})), 1)
     with pytest.raises(GcdViolationError):
-        gold_perm_criterion_even(UnivariatePoly(Field(4), {}), 2)
+        gold_perm_criterion_even(evaluate(UnivariatePoly(Field(4), {})), 2)
+
+
+def _random_invertible_table(f: Field, rng: np.random.Generator) -> np.ndarray:
+    while True:
+        tab = _linear_table(rng.integers(0, f.size, size=f.m).tolist())
+        if np.unique(tab).size == f.size:
+            return tab
+
+
+def _random_rank_table(f: Field, rng: np.random.Generator) -> FuncTable:
+    """x -> A(C(x) mod 2^d) for random invertible A, C and d in 0..m: a linear
+    table whose image is a random subspace of dimension d."""
+    d = int(rng.integers(0, f.m + 1))
+    outer, inner = _random_invertible_table(f, rng), _random_invertible_table(f, rng)
+    return FuncTable(f, outer[inner & ((1 << d) - 1)])
+
+
+def _second_index(m: int) -> int:
+    return next(i for i in range(2, m) if math.gcd(i, m) == 1)
+
+
+def test_criteria_see_permutations_among_summands_of_every_rank():
+    # one- and two-term summands almost never give a permutation; summands of
+    # every rank do, so both verdicts occur at every m
+    rng = np.random.default_rng(1313)
+    for m in range(3, 9):
+        f = Field(m)
+        xs = np.arange(f.size)
+        verdicts = []
+        for i in (1, _second_index(m)):
+            powered = f.pow_many(xs, (1 << i) + 1)
+            for _ in range(150):
+                L, Lp = _random_rank_table(f, rng), _random_rank_table(f, rng)
+                want = is_permutation(FuncTable(f, L.as_array()[powered] ^ Lp.as_array()))
+                assert gold_perm_criterion(L, Lp, i) == want, (m, i)
+                verdicts.append(want)
+        assert 0 < sum(verdicts) < len(verdicts), m
+    for m in (4, 6, 8):
+        f = Field(m)
+        xs = np.arange(f.size)
+        verdicts = []
+        for i in (1, _second_index(m)):
+            powered = f.pow_many(xs, (1 << i) + 1)
+            for _ in range(150):
+                L = _random_rank_table(f, rng)
+                want = is_permutation(FuncTable(f, L.as_array()[powered] ^ xs))
+                assert gold_perm_criterion_even(L, i) == want, (m, i)
+                verdicts.append(want)
+        assert 0 < sum(verdicts) < len(verdicts), m
 
 
 @pytest.mark.parametrize("i", [0, -1])
 def test_gold_index_guards_reject_nonpositive_index(i):
     f5, f6 = Field(5), Field(6)
     with pytest.raises(ConditionViolatedError, match="Frobenius index must be positive"):
-        gold_perm_criterion(UnivariatePoly(f5, {}), UnivariatePoly(f5, {1: 1}), i)
+        gold_perm_criterion(
+            evaluate(UnivariatePoly(f5, {})), evaluate(UnivariatePoly(f5, {1: 1})), i
+        )
     with pytest.raises(ConditionViolatedError, match="Frobenius index must be positive"):
-        gold_perm_criterion_even(UnivariatePoly(f6, {}), i)
+        gold_perm_criterion_even(evaluate(UnivariatePoly(f6, {})), i)
 
 
 # ---------------------------------------------------------------- completion search

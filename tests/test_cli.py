@@ -447,6 +447,9 @@ def test_verify_f8_check(capsys):
 def test_verify_prop_gold_perm(capsys):
     rc, _, _ = run(capsys, "verify", "prop-gold-perm", "--m", "5", "--i", "1", "--count", "15", "--seed", "3")
     assert rc == 0
+    # 6 of these 60 trials permute, so the brute-force side is exercised too
+    rc, _, _ = run(capsys, "verify", "prop-gold-perm", "--m", "3", "--seed", "10")
+    assert rc == 0
 
 
 def test_verify_prop_gold_perm_even(capsys):
@@ -482,6 +485,21 @@ def test_verify_ccz_invariance_count(capsys):
         "ok   at least one of 3 graph maps produced a function",
         "ok   spectra preserved by all 3 produced functions",
     ]
+
+
+@pytest.mark.parametrize("m, movers", [("2", 1), ("3", 2)])
+def test_verify_ccz_invariance_below_the_cubic_twist(capsys, m, movers):
+    # the Theorem 1/2 witness needs m >= 4; below it the identity, example1
+    # (odd m) and the random maps still run
+    rc, stdout, err = run(capsys, "verify", "ccz-invariance", "--m", m, "--count", "0")
+    assert (rc, err) == (0, "")
+    assert stdout.splitlines() == [
+        f"ok   at least one of {movers} graph maps produced a function",
+        f"ok   spectra preserved by all {movers} produced functions",
+    ]
+    rc, stdout, err = run(capsys, "verify", "ccz-invariance", "--m", m)
+    assert (rc, err) == (0, "")
+    assert stdout.startswith("ok   at least one of ")
 
 
 @pytest.mark.parametrize("budget", ["1e3", "ten", "1.2.3"])

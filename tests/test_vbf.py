@@ -1,6 +1,7 @@
 """Lookup-table / univariate-polynomial function layer."""
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -380,6 +381,9 @@ _HUGE = [0] * 7 + [1 << 70]
         (np.array(_HIGH, dtype=np.uint32), 8),
         (_HUGE, 1 << 70),
         (np.array(_HUGE, dtype=object), 1 << 70),
+        ([0] * 7 + [1 << 63], 1 << 63),
+        (iter(_NEG), -1),
+        ((v for v in _HUGE), 1 << 70),
     ],
 )
 def test_functable_names_first_out_of_range_entry(values, bad):
@@ -407,6 +411,26 @@ def test_functable_wrong_length_names_the_count():
         FuncTable(f, np.zeros((4, 4), dtype=np.int64))
 
 
+@pytest.mark.parametrize(
+    "values, kind",
+    [
+        ([0.5, 1.7, 2, 3, 4, 5, 6, 7], "float"),
+        (np.arange(8, dtype=np.float64), "numpy.float64"),
+        (np.arange(8, dtype=np.float32) + 0.25, "numpy.float32"),
+        (np.arange(8) + 0j, "numpy.complex128"),
+        ([0] * 7 + [(1 << 70) + 0.5], "float"),
+        ([1 << 70] + [0] * 6 + [7.0], "float"),
+        ((v / 1 for v in range(8)), "float"),
+    ],
+    ids=["list", "float64", "float32", "complex", "beyond-int64", "after-big-int", "iterator"],
+)
+def test_functable_rejects_float_and_complex_entries(values, kind):
+    # the rest of the line is CPython's TypeError text
+    message = re.escape(f"table entries must be integers: '{kind}' object")
+    with pytest.raises(ValueError, match=message):
+        FuncTable(Field(3), values)
+
+
 def test_functable_input_kinds_give_equal_tables():
     rng = random.Random(31)
     f = Field(5)
@@ -417,12 +441,19 @@ def test_functable_input_kinds_give_equal_tables():
         FuncTable(f, np.array(entries, dtype=np.uint32)),
         FuncTable(f, np.array(entries, dtype=np.int64)),
         FuncTable(f, (v for v in entries)),
+        FuncTable(f, np.array(entries, dtype=np.int8)),
+        FuncTable(f, np.array(entries, dtype=np.uint16)),
+        FuncTable(f, [np.uint64(v) for v in entries]),
+        FuncTable(f, np.array(entries, dtype=object)),
     ]
     for tab in tables:
         assert tab == tables[0] and hash(tab) == hash(tables[0])
         arr = tab.as_array()
         assert arr.dtype == np.uint32 and arr.tolist() == entries
         assert not arr.flags.writeable
+    bits = [v & 1 for v in entries]
+    for flags in ([bool(b) for b in bits], np.array(bits, dtype=bool)):
+        assert FuncTable(f, flags).as_array().tolist() == bits
 
 
 def test_functable_copies_its_input_array():
