@@ -31,7 +31,7 @@ from vbfkit.vbf import NotAPermutationError, compose, is_permutation
 def witness_anatomy() -> None:
     print("witness anatomy on GF(2^5):")
     ctx = Field(5)
-    w = theorem12_ccz_witness(ctx, 1, 1, a=1)
+    w = theorem12_ccz_witness(ctx, 1, a=1)
     print(f"  map rows (2m x 2m bit matrix): {[hex(r) for r in w.L.rows]}")
     print(f"  first projection is a permutation: {is_permutation(w.F1)}")
     moved = compose(w.F2, invert(w.F1))

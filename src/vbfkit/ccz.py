@@ -111,14 +111,6 @@ class BinLinearMap:
             x ^= lsb
         return out
 
-    def apply_many(self, xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=np.int64)
-        out = np.zeros_like(xs)
-        for j, c in enumerate(self.columns):
-            if c:
-                out ^= ((xs >> j) & 1) * c
-        return out
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BinLinearMap)
@@ -205,14 +197,15 @@ class CczWitness:
 
 
 def graph_image(L: BinLinearMap, f: FuncTable) -> CczWitness:
+    """Image of the graph of f under L, from L(x, F(x)) = L_x(x) ^ L_y(F(x))
+    for the maps L_x and L_y of the first and last m columns of L."""
     ctx = f.ctx
     m, n = ctx.m, ctx.size
     if L.n_in != 2 * m or L.n_out != 2 * m:
         raise WrongDimensionError("map must act on the doubled space")
     if not map_invertible(L):
         raise SingularError("graph map is singular")
-    xs = np.arange(n, dtype=np.int64)
-    out = L.apply_many(xs | (f.as_array().astype(np.int64) << m))
+    out = _linear_table(L.columns[:m]) ^ _linear_table(L.columns[m:])[f.as_array()]
     return CczWitness(L, FuncTable(ctx, out & (n - 1)), FuncTable(ctx, out >> m))
 
 

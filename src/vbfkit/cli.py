@@ -98,17 +98,26 @@ def lut_text(f: FuncTable) -> str:
 
 
 def read_lut(path: str) -> FuncTable:
-    with open(path, encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    try:
+        with open(path, encoding="ascii") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not ASCII text (byte 0x{exc.object[exc.start]:02x})") from None
     if not lines:
         raise ValueError(f"{path}: empty LUT file")
-    try:
-        head = dict(tok.split("=", 1) for tok in lines[0].split())
-    except ValueError:
-        head = {}
+    head = {}
+    for key, _, value in (tok.partition("=") for tok in lines[0].split()):
+        if key in head:
+            raise ValueError(f"{path}: header field {key} given more than once")
+        head[key] = value
     if set(head) != {"m", "poly"}:
         raise ValueError(f"{path}: first line must be 'm=<int> poly=<hex>'")
-    ctx = Field(int(head["m"]), int(head["poly"], 16))
+    for key, base, kind in (("m", 10, "decimal"), ("poly", 16, "hex")):
+        try:
+            head[key] = int(head[key], base)
+        except ValueError:
+            raise ValueError(f"{path}: field {key} is not a {kind} number: {head[key]!r}") from None
+    ctx = Field(head["m"], head["poly"])
     try:
         values = [int(tok, 16) for tok in lines[1:]]
     except ValueError:
@@ -145,7 +154,7 @@ def build_family(args: argparse.Namespace) -> FuncTable:
         # Table slot only covers odd degrees; on even ones serve the
         # proper multiplicative inverse x^(2^m - 2).
         return monomial(ctx, ctx.size - 2)
-    d = family_exponent(FamilySpec(fam, ctx.m, i=args.i, n=args.n, t=args.t))
+    d = family_exponent(FamilySpec(fam, ctx.m, i=args.i, t=args.t))
     if d >= ctx.size:
         # formula exponents can exceed the field size on tiny degrees;
         # x^d agrees with x^(d mod 2^m - 1) away from zero
@@ -248,10 +257,10 @@ def _witness_points(ctx: Field, a: int | None) -> list[int]:
     return sorted(pts)
 
 
-def _witness_check(ctx: Field, which: int, i: int, a: int | None) -> tuple[str, bool]:
+def _witness_check(ctx: Field, i: int, a: int | None) -> tuple[str, bool]:
     for point in _witness_points(ctx, a):
         try:
-            theorem12_ccz_witness(ctx, which, i, point)
+            theorem12_ccz_witness(ctx, i, point)
         except RuntimeError as exc:
             return (f"graph witness identities at a=0x{point:x} ({exc})", False)
     return ("graph witness identities", True)
@@ -265,7 +274,7 @@ def verify_thm1(args: argparse.Namespace) -> int:
         ("algebraic degree 3", algebraic_degree(f) == 3),
         ("unit component degree 2", component_degree(f, 1) == 2),
         ("EA-inequivalent to power maps", power_inequivalence_witness(f) is not None),
-        _witness_check(ctx, 1, args.i, args.a),
+        _witness_check(ctx, args.i, args.a),
     ]
     return _emit_checks(checks)
 
@@ -277,7 +286,7 @@ def verify_thm2(args: argparse.Namespace) -> int:
         ("differentially 2-uniform", is_apn(f)),
         ("algebraic degree 3", algebraic_degree(f) == 3),
         ("EA-inequivalent to power maps", power_inequivalence_witness(f) is not None),
-        _witness_check(ctx, 2, args.i, args.a),
+        _witness_check(ctx, args.i, args.a),
     ]
     return _emit_checks(checks)
 
@@ -422,7 +431,7 @@ def verify_ccz_invariance(args: argparse.Namespace) -> int:
     base_d = differential_spectrum(f).distribution
     movers = [identity_map(2 * ctx.m)]
     if ctx.m >= 4:  # the twisted families behind Theorems 1 and 2 need m >= 4
-        movers.append(theorem12_ccz_witness(ctx, 2 - ctx.m % 2, 1).L)
+        movers.append(theorem12_ccz_witness(ctx, 1).L)
     if ctx.m % 2:
         movers.append(example1_witness(ctx, 1).L)
     rng = random.Random(args.seed)

@@ -82,7 +82,6 @@ class FamilySpec:
     family: str
     m: int
     i: int | None = None
-    n: int | None = None
     t: int | None = None
 
 
@@ -244,6 +243,8 @@ def _theorem4_preconditions(ctx: Field, n: int, i: int) -> None:
         raise ConditionViolatedError("subfield degree must divide m")
     if n == ctx.m:
         raise ConditionViolatedError("a proper subfield is required (n != m)")
+    if ctx.m <= 3:  # then n = 1, Theorem 1's formula, which fails at m = 3
+        raise ConditionViolatedError("the subfield-trace family needs m > 3")
 
 
 def theorem4(ctx: Field, n: int, i: int) -> FuncTable:
@@ -255,10 +256,10 @@ def theorem4(ctx: Field, n: int, i: int) -> FuncTable:
         + B^(1/(2^i+1)) (x^(2^i) + t^(2^i) + 1) + B^(2^i/(2^i+1)) (x + t)
 
     The fractional powers are the true e-th-root exponents (0 maps to 0);
-    n = 1 collapses the formula onto `theorem1`.  Built as F2 o F1^(-1) on
-    the Gold graph: the shift F1(z) = z + tr_{m/n}(z) + tr_{m/n}(z^(2^i+1))
-    and F2(z) = z^(2^i+1) + tr_{m/n}(z) + tr_{m/n}(z^(2^i+1)), with F1^(-1)
-    from `theorem4_f1_tables`.
+    n = 1 collapses the formula onto `theorem1`, so m > 3 as there.  Built
+    as F2 o F1^(-1) on the Gold graph: the shift F1(z) = z + tr_{m/n}(z) +
+    tr_{m/n}(z^(2^i+1)) and F2(z) = z^(2^i+1) + tr_{m/n}(z) +
+    tr_{m/n}(z^(2^i+1)), with F1^(-1) from `theorem4_f1_tables`.
     """
     f1, f1_inv = theorem4_f1_tables(ctx, n, i)
     xs = np.arange(ctx.size, dtype=np.int64)
@@ -311,15 +312,16 @@ def _verify_witness(
         raise RuntimeError("scaling identity failed")
 
 
-def theorem12_ccz_witness(ctx: Field, which: int, i: int, a: int = 1) -> CczWitness:
+def theorem12_ccz_witness(ctx: Field, i: int, a: int = 1) -> CczWitness:
     """Graph-side witness carrying the Gold graph onto a twisted family.
 
-    `which` = 1 builds the odd-degree witness (both output halves mix both
-    inputs), `which` = 2 the even-degree one (only the first half mixes).
-    The returned map is an involution, its first projection F1 is an
-    involution, and F2 o F1^(-1) equals the twisted table scaled by a — all
-    three identities are re-verified here on every call, against the direct
-    `theorem1`/`theorem2` output.  `a` = 1 gives the twisted table exactly.
+    The parity of m picks the family: odd m gets the witness of `theorem1`
+    (both output halves mix both inputs), even m that of `theorem2` (only
+    the first half mixes).  The returned map is an involution, its first
+    projection F1 is an involution, and F2 o F1^(-1) equals the twisted
+    table scaled by a — all three identities are re-verified here on every
+    call, against the direct `theorem1`/`theorem2` output.  `a` = 1 gives
+    the twisted table exactly.
     """
     if not 0 <= a < ctx.size:
         raise ValueError("element outside the field")
@@ -327,26 +329,13 @@ def theorem12_ccz_witness(ctx: Field, which: int, i: int, a: int = 1) -> CczWitn
         raise ZeroElementError("the scaling element must be nonzero")
     m = ctx.m
     e = (1 << i) + 1
-    if which == 1:
-        base = theorem1(ctx, i)
-    elif which == 2:
-        base = theorem2(ctx, i)
-    else:
-        raise ConditionViolatedError("witness selector must be 1 or 2")
+    base = theorem1(ctx, i) if m % 2 else theorem2(ctx, i)
     ae = ctx.pow(a, e)
     mask_a = ctx.trace_mask(ctx.inv(a))
     mask_ae = ctx.trace_mask(ctx.inv(ae))
-    rows = []
-    if which == 1:
-        mix = mask_a | (mask_ae << m)
-        for r in range(m):
-            rows.append((1 << r) ^ (mix if (a >> r) & 1 else 0))
-        for r in range(m):
-            rows.append((1 << (m + r)) ^ (mix if (ae >> r) & 1 else 0))
-    else:
-        for r in range(m):
-            rows.append((1 << r) ^ ((mask_ae << m) if (a >> r) & 1 else 0))
-        rows.extend(1 << (m + r) for r in range(m))
+    mix = mask_a | (mask_ae << m) if m % 2 else mask_ae << m
+    rows = [(1 << r) ^ (mix if (a >> r) & 1 else 0) for r in range(m)]
+    rows += [(1 << (m + r)) ^ (mix if m % 2 and (ae >> r) & 1 else 0) for r in range(m)]
     w = graph_image(BinLinearMap(2 * m, 2 * m, rows), monomial(ctx, e))
     _verify_witness(ctx, w, base, a, e)
     return w

@@ -13,9 +13,9 @@ costs one pass over half the domain.
 
 Since tr(ax) = parity(D[a] & x) for a bijection D fixing 0, the trace row
 b is the dot-product row of mask D[b] with its columns permuted, so
-``walsh_spectrum`` tallies the dot-product rows of masks D[b] directly;
-``walsh_matrix`` reindexes rows and columns by D to match the trace inner
-product <a, x> = tr(ax) used by the naive oracle ``walsh_value``.
+``walsh_spectrum`` tallies the dot-product rows of masks D[b] directly:
+entry a of that row, reindexed to column D[a], is the value that the naive
+oracle ``walsh_value`` computes with the trace inner product <a, x> = tr(ax).
 
 Both spectra are reduced to one row per orbit of a symmetry group of F.
 If F commutes with squaring, F(x^2) = F(x)^2, as every polynomial with
@@ -44,15 +44,11 @@ from vbfkit.gf2m import _linear_table
 from vbfkit.vbf import FuncTable
 
 _SPECTRUM_LIMIT = 24  # 2^(2m) work beyond this is out of scope
-_MATRIX_LIMIT = 14  # full (2^m - 1) x 2^m matrix kept in memory
+_MATRIX_LIMIT = 14  # the completion search keeps a 2^m x 2^m table of Walsh zeros
 
 
 class TooLargeError(ValueError):
     """Field degree too large for a full-spectrum computation."""
-
-
-class ParityMismatchError(ValueError):
-    """m + s must be even for a {0, +-2^((m+s)/2)} support test."""
 
 
 @dataclass(frozen=True)
@@ -181,16 +177,6 @@ def _sign_rows(f: FuncTable, masks: np.ndarray) -> np.ndarray:
     return 1 - 2 * (np.bitwise_count(prods) & 1).astype(np.int32)
 
 
-def walsh_matrix(f: FuncTable) -> np.ndarray:
-    """Full matrix W[b-1, a] = walsh(a, b) for b = 1..2^m-1 (trace convention)."""
-    ctx = f.ctx
-    if ctx.m > _MATRIX_LIMIT:
-        raise TooLargeError(f"walsh_matrix holds 2^(2m) ints; m={ctx.m} > {_MATRIX_LIMIT}")
-    dual = _dual_reindex(ctx)
-    mat = _fwht_rows(_sign_rows(f, dual[1:]))
-    return mat[:, dual]
-
-
 def walsh_spectrum(f: FuncTable) -> WalshSpectrum:
     """Multiset of walsh(a, b) over all a and all b != 0.
 
@@ -254,19 +240,6 @@ def is_ab(f: FuncTable, spectrum: WalshSpectrum | None = None) -> bool:
             "spectrum computation is inconsistent"
         )
     return by_support
-
-
-def is_three_valued(f: FuncTable, s: int, spectrum: WalshSpectrum | None = None) -> bool:
-    """Spectrum support contained in {0, +-2^((m+s)/2)} for 0 <= s < m."""
-    m = f.ctx.m
-    if not 0 <= s < m:
-        raise ValueError(f"s must lie in [0, {m}), got {s}")
-    if (m + s) % 2:
-        raise ParityMismatchError(f"m + s = {m + s} is odd; no integer peak 2^((m+s)/2)")
-    if spectrum is None:
-        spectrum = walsh_spectrum(f)
-    peak = 1 << ((m + s) // 2)
-    return set(spectrum.distribution) <= {0, peak, -peak}
 
 
 def differential_spectrum(f: FuncTable) -> DifferentialSpectrum:

@@ -5,13 +5,25 @@ Oracles for the packed-ANF path of ``vbfkit``.  ``component_degree`` takes
 the bit table of x -> trace(c*F(x)) from the trace table and ``mul_many``,
 one uint8 Moebius pass, then the largest weight of a monomial with a nonzero
 coefficient.  ``component_degrees`` gives the degree of every mask u, with
-one echelon basis per monomial weight.
+one echelon basis per monomial weight, from its own elimination over Python
+ints (not the eliminator of ``vbfkit.ccz``).
 """
 
 import numpy as np
 
-from vbfkit.ccz import _echelon
 from vbfkit.vbf import packed_anf
+
+
+def echelon_basis(vectors) -> list[int]:
+    """A basis of the span of the masks, kept in descending order, so that
+    their top bits differ and min(v, v ^ b) clears b's top bit from v."""
+    basis: list[int] = []
+    for v in vectors:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis = sorted(basis + [v], reverse=True)
+    return basis
 
 
 def mobius_transform(bits) -> np.ndarray:
@@ -59,7 +71,7 @@ def component_degrees(f) -> np.ndarray:
     for w in range(1, f.ctx.m + 1):
         coeffs = np.unique(anf[weights == w])
         reached = np.zeros(n, dtype=np.uint8)
-        for _, b in _echelon(coeffs[coeffs != 0].tolist()):
+        for b in echelon_basis(coeffs[coeffs != 0].tolist()):
             reached |= np.bitwise_count(us & np.uint32(b)) & 1
         deg[reached != 0] = w
     return deg

@@ -20,7 +20,7 @@ from anf_oracle import component_degrees
 from vbfkit.ccz import power_inequivalence_witness
 from vbfkit.constructions import theorem1, theorem4
 from vbfkit.gf2m import Field
-from vbfkit.spectra import _dual_reindex, walsh_matrix, walsh_spectrum, walsh_value
+from vbfkit.spectra import _dual_reindex, _fwht_rows, _sign_rows, walsh_spectrum, walsh_value
 from vbfkit.vbf import (
     FuncTable,
     algebraic_degree,
@@ -149,7 +149,9 @@ def test_families_match_oracles_up_to_m9():
 def test_walsh_distribution_matches_matrix_and_pointwise_oracle(f):
     n = f.ctx.size
     spec = walsh_spectrum(f)
-    from_matrix = Counter(walsh_matrix(f).ravel().tolist())
+    # the trace rows and columns are the dot-product ones permuted by the
+    # dual index, so every nonzero mask's transformed row has the same tally
+    from_matrix = Counter(_fwht_rows(_sign_rows(f, np.arange(1, n))).ravel().tolist())
     pointwise = Counter(walsh_value(f, a, b) for b in range(1, n) for a in range(n))
     assert spec.distribution == dict(from_matrix) == dict(pointwise)
     assert spec.max_abs == max(abs(v) for v in pointwise)

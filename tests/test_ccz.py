@@ -31,7 +31,7 @@ from vbfkit.ccz import (
     map_transpose,
     power_inequivalence_witness,
 )
-from vbfkit.constructions import theorem1
+from vbfkit.constructions import theorem1, theorem12_ccz_witness
 from vbfkit.gf2m import Field, _linear_table, is_irreducible
 from vbfkit.spectra import _orbits, differential_spectrum, walsh_spectrum
 from vbfkit.vbf import (
@@ -132,13 +132,24 @@ def test_apply_is_rowwise_parity():
         assert L.apply(x) == want
 
 
-def test_apply_many_matches_apply():
+def test_graph_image_matches_apply_pointwise():
     rng = random.Random(2)
-    L = _random_map(8, 8, rng)
-    xs = np.arange(256)
-    got = L.apply_many(xs)
-    for x in range(256):
-        assert int(got[x]) == L.apply(x)
+    cases = []
+    for m in range(2, 8):
+        ctx = Field(m)
+        for _ in range(3):
+            f = FuncTable(ctx, [rng.randrange(ctx.size) for _ in range(ctx.size)])
+            cases.append((_random_invertible(2 * m, rng), f))
+    for m in (4, 5, 6, 7):  # the Theorem 2 witness at even m, Theorem 1 at odd m
+        ctx = Field(m)
+        witness = theorem12_ccz_witness(ctx, 1, rng.randrange(1, ctx.size))
+        cases.append((witness.L, monomial(ctx, 3)))
+    for L, f in cases:
+        m, w = f.ctx.m, graph_image(L, f)
+        for x, y in enumerate(f.as_array().tolist()):
+            image = L.apply(x | y << m)
+            assert int(w.F1.as_array()[x]) == image % (1 << m)
+            assert int(w.F2.as_array()[x]) == image >> m
 
 
 def test_identity_map_properties():

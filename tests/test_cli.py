@@ -248,6 +248,23 @@ def test_analyze_malformed_lut_exit2(tmp_path, capsys, text):
     assert err.strip()
 
 
+@pytest.mark.parametrize(
+    "head, message",
+    [
+        (b"m=6 m=5 poly=0x25", "header field m given more than once"),
+        (b"m=abc poly=0x25", "field m is not a decimal number: 'abc'"),
+        (b"m=5 poly=zz", "field poly is not a hex number: 'zz'"),
+        (b"m=5 poly=0x25 \xe9", "not ASCII text (byte 0xe9)"),
+    ],
+    ids=["repeated-m", "m-not-int", "poly-not-hex", "non-ascii"],
+)
+def test_analyze_malformed_header_names_path_and_field(tmp_path, capsys, head, message):
+    path = tmp_path / "bad.lut"
+    path.write_bytes(head + b"\n" + b"0x0\n" * 32)
+    rc, stdout, err = run(capsys, "analyze", str(path))
+    assert (rc, stdout, err) == (2, "", f"error: {path}: {message}\n")
+
+
 @pytest.mark.parametrize("source", ["lut", "poly", "table"])
 def test_negative_poly_exit2_without_hanging(tmp_path, source):
     # a negative bitmask has the bit length of a degree-5 polynomial, and
@@ -333,6 +350,21 @@ THM4_LINES = [
     "ok   closed-form shift inverse at every point",
     "ok   EA-inequivalent to power maps",
 ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "--family", "thm4", "--m", "3", "--n", "1", "--i", "1"),
+        ("construct", "--family", "thm4", "--m", "3", "--n", "1", "--i", "2"),
+        ("verify", "thm4", "--m", "3", "--n", "1"),
+    ],
+    ids=["analyze", "construct", "verify"],
+)
+def test_thm4_at_m3_exit2(capsys, argv):
+    # n = 1 at m = 3 is Theorem 1's formula, which needs m > 3
+    rc, stdout, err = run(capsys, *argv)
+    assert (rc, stdout, err) == (2, "", "error: the subfield-trace family needs m > 3\n")
 
 
 def test_verify_thm4_lines_at_m9(capsys):

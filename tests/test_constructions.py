@@ -39,7 +39,6 @@ from vbfkit.spectra import (
     differential_spectrum,
     is_ab,
     is_apn,
-    is_three_valued,
     walsh_spectrum,
 )
 from vbfkit.vbf import (
@@ -211,7 +210,7 @@ def test_theorem1_relaxed_mode_is_plateaued_like_the_power_map():
     ctx = Field(9)
     f = theorem1(ctx, 3, relaxed=True)
     g = monomial(ctx, 9)
-    assert is_three_valued(f, 3)
+    assert set(walsh_spectrum(f).distribution) == {0, 64, -64}  # 2^((m + 3)/2)
     assert not is_ab(f)
     assert walsh_spectrum(f).distribution == walsh_spectrum(g).distribution
     assert (
@@ -260,7 +259,7 @@ def test_theorem2_relaxed_mode_matches_gold_spectra():
     ctx = Field(6)
     f = theorem2(ctx, 2, relaxed=True)
     g = monomial(ctx, 5)
-    assert is_three_valued(f, 2)
+    assert set(walsh_spectrum(f).distribution) == {0, 16, -16}  # 2^((m + 2)/2)
     assert walsh_spectrum(f).distribution == walsh_spectrum(g).distribution
     assert (
         differential_spectrum(f).distribution
@@ -472,6 +471,17 @@ def test_theorem4_rejects_bad_parameters():
         theorem4(Field(9), 3, 3)
 
 
+def test_theorem4_rejects_m3_where_the_theorem_fails():
+    # n = 1 at m = 3 is Theorem 1's formula, which needs m > 3
+    ctx = Field(3)
+    for build in (theorem4, theorem4_f1_tables):
+        for i in (1, 2):
+            with pytest.raises(ConditionViolatedError, match="subfield-trace family needs m > 3"):
+                build(ctx, 1, i)
+    with pytest.raises(ConditionViolatedError, match="m > 3"):
+        theorem4_f1_inverse(ctx, 1, 1, 0)
+
+
 def test_theorem4_f1_closed_form_inverse_everywhere():
     ctx = Field(9)
     n, i, e = 3, 1, 3
@@ -551,7 +561,7 @@ def test_theorem4_composition_route_differs_by_the_subfield_trace():
 
 def test_witness_odd_field_identities_at_unit():
     ctx = Field(5)
-    w = theorem12_ccz_witness(ctx, 1, 1, 1)
+    w = theorem12_ccz_witness(ctx, 1, 1)
     assert map_invertible(w.L)
     assert map_compose(w.L, w.L).rows == identity_map(10).rows
     assert compose(w.F1, w.F1) == monomial(ctx, 1)
@@ -561,7 +571,7 @@ def test_witness_odd_field_identities_at_unit():
 def test_witness_projections_match_proof_formulas():
     ctx = Field(5)
     a, i, e = 19, 2, 5
-    w = theorem12_ccz_witness(ctx, 1, i, a)
+    w = theorem12_ccz_witness(ctx, i, a)
     ainv = ctx.inv(a)
     ae = ctx.pow(a, e)
     aeinv = ctx.inv(ae)
@@ -579,7 +589,7 @@ def test_witness_odd_field_scaling_identity_for_random_a():
     f = theorem1(ctx, 1)
     for _ in range(6):
         a = rng.randrange(1, ctx.size)
-        w = theorem12_ccz_witness(ctx, 1, 1, a)
+        w = theorem12_ccz_witness(ctx, 1, a)
         assert compose(w.F1, w.F1) == monomial(ctx, 1)
         lhs = compose(w.F2, invert(w.F1))
         ae = ctx.pow(a, 3)
@@ -593,18 +603,18 @@ def test_witness_odd_field_scaling_identity_for_random_a():
 
 def test_witness_even_field_identities():
     ctx = Field(6)
-    w = theorem12_ccz_witness(ctx, 2, 1, ctx.generator)
+    w = theorem12_ccz_witness(ctx, 1, ctx.generator)
     assert w.F2 == monomial(ctx, 3)
     assert map_compose(w.L, w.L).rows == identity_map(12).rows
     assert compose(w.F1, w.F1) == monomial(ctx, 1)
 
-    unit = theorem12_ccz_witness(ctx, 2, 1, 1)
+    unit = theorem12_ccz_witness(ctx, 1, 1)
     assert ccz_transform(unit.L, monomial(ctx, 3)) == theorem2(ctx, 1)
 
 
 def test_witness_tables_are_the_graph_projections():
     ctx = Field(5)
-    w = theorem12_ccz_witness(ctx, 1, 2, 7)
+    w = theorem12_ccz_witness(ctx, 2, 7)
     again = graph_image(w.L, monomial(ctx, 5))
     assert again.F1 == w.F1
     assert again.F2 == w.F2
@@ -634,15 +644,18 @@ def test_witness_power_expansion_identity():
 
 def test_witness_rejects_bad_parameters():
     with pytest.raises(ZeroElementError):
-        theorem12_ccz_witness(Field(5), 1, 1, 0)
-    with pytest.raises(ParityViolatedError):
-        theorem12_ccz_witness(Field(4), 1, 1, 1)
-    with pytest.raises(ParityViolatedError):
-        theorem12_ccz_witness(Field(5), 2, 1, 1)
-    with pytest.raises(ConditionViolatedError):
-        theorem12_ccz_witness(Field(5), 3, 1, 1)
+        theorem12_ccz_witness(Field(5), 1, 0)
+    with pytest.raises(ValueError, match="outside the field"):
+        theorem12_ccz_witness(Field(5), 1, 32)
+    # the parity of m picks theorem1 (odd m > 3) or theorem2 (even m >= 4)
+    with pytest.raises(ConditionViolatedError, match="m > 3"):
+        theorem12_ccz_witness(Field(3), 1, 1)
+    with pytest.raises(ConditionViolatedError, match="m >= 4"):
+        theorem12_ccz_witness(Field(2), 1, 1)
     with pytest.raises(GcdViolationError):
-        theorem12_ccz_witness(Field(9), 1, 3, 1)
+        theorem12_ccz_witness(Field(9), 3, 1)
+    with pytest.raises(GcdViolationError):
+        theorem12_ccz_witness(Field(6), 2, 1)
 
 
 def _mixing_rows(ctx: Field, exps) -> list:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from vbfkit.constructions import theorem1
 from vbfkit.gf2m import Field, _linear_table, is_irreducible
 from vbfkit.spectra import (
-    ParityMismatchError,
     TooLargeError,
     _dual_reindex,
     _fwht_rows,
@@ -21,9 +20,7 @@ from vbfkit.spectra import (
     differential_uniformity,
     is_ab,
     is_apn,
-    is_three_valued,
     nonlinearity,
-    walsh_matrix,
     walsh_spectrum,
     walsh_value,
 )
@@ -40,6 +37,12 @@ from vbfkit.vbf import (
 
 def _random_table(f: Field, rng: random.Random) -> FuncTable:
     return FuncTable(f, [rng.randrange(f.size) for _ in range(f.size)])
+
+
+def _walsh_matrix(tab: FuncTable) -> np.ndarray:
+    """W[b-1, a] = walsh(a, b) in the trace convention of ``walsh_value``."""
+    dual = _dual_reindex(tab.ctx)
+    return _fwht_rows(_sign_rows(tab, dual[1:]))[:, dual]
 
 
 def _diff_count_oracle(tab: FuncTable, a: int, b: int) -> int:
@@ -87,7 +90,7 @@ def test_fast_spectrum_matches_oracle_pointwise_exhaustive():
         f = Field(m)
         n = 1 << m
         tab = _random_table(f, rng)
-        mat = walsh_matrix(tab)
+        mat = _walsh_matrix(tab)
         assert mat.shape == (n - 1, n)
         for b in range(1, n):
             for a in range(n):
@@ -98,7 +101,7 @@ def test_fast_spectrum_matches_oracle_sampled_gf64():
     rng = random.Random(11)
     f = Field(6)
     tab = _random_table(f, rng)
-    mat = walsh_matrix(tab)
+    mat = _walsh_matrix(tab)
     for _ in range(60):
         a, b = rng.randrange(64), rng.randrange(1, 64)
         assert int(mat[b - 1, a]) == walsh_value(tab, a, b)
@@ -178,7 +181,7 @@ def test_parseval_per_component():
     for m in (4, 5):
         f = Field(m)
         tab = _random_table(f, rng)
-        mat = walsh_matrix(tab).astype(np.int64)
+        mat = _walsh_matrix(tab).astype(np.int64)
         for row in mat:
             assert int(np.sum(row * row)) == 1 << (2 * m)
 
@@ -189,7 +192,7 @@ def test_balanced_components_iff_permutation():
     perm = list(range(16))
     rng.shuffle(perm)
     for tab in (FuncTable(f, perm), _random_table(f, rng), monomial(f, 3)):
-        mat = walsh_matrix(tab)
+        mat = _walsh_matrix(tab)
         balanced = all(int(mat[b - 1, 0]) == 0 for b in range(1, 16))
         assert balanced == is_permutation(tab)
 
@@ -261,29 +264,8 @@ def test_dobbertin_exponent_29_gf32_apn_not_ab():
 def test_three_valued_kasami_like_wide_spectrum():
     # x^(2^3+1) on m=9: gcd(3,9)=3 and m/3 odd, support {0, +-2^6}
     tab = monomial(Field(9), 9)
-    assert is_three_valued(tab, 3)
-    assert not is_three_valued(tab, 1)
     spec = walsh_spectrum(tab)
     assert set(spec.distribution) == {0, 64, -64}
-
-
-def test_three_valued_agrees_with_ab_at_s_one():
-    tab = monomial(Field(5), 3)
-    assert is_three_valued(tab, 1)
-
-
-def test_three_valued_identity_is_flat():
-    tab = monomial(Field(5), 1)
-    assert not is_three_valued(tab, 1)
-    assert not is_three_valued(tab, 3)
-
-
-def test_three_valued_parity_guard():
-    tab = monomial(Field(5), 3)
-    with pytest.raises(ParityMismatchError):
-        is_three_valued(tab, 2)
-    with pytest.raises(ValueError):
-        is_three_valued(tab, 5)  # s must stay below m
 
 
 # ---------------------------------------------------------------- differential
