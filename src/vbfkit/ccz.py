@@ -1,4 +1,4 @@
-"""Linear algebra over F_2 and graph-based transforms of lookup tables.
+"""F_2-linear maps of the doubled space and graph-based transforms of tables.
 
 A vectorial map F on a field of size 2^m has a graph {(x, F(x))} living in
 F_2^(2m).  Invertible linear maps of that doubled space move graphs around;
@@ -129,58 +129,19 @@ def identity_map(n: int) -> BinLinearMap:
     return BinLinearMap(n, n, [1 << r for r in range(n)])
 
 
-def _from_cols(n_in: int, n_out: int, cols) -> BinLinearMap:
-    rows = [
-        sum(((cols[j] >> r) & 1) << j for j in range(n_in)) for r in range(n_out)
-    ]
-    return BinLinearMap(n_in, n_out, rows)
-
-
-def _echelon(vectors) -> list[tuple[int, int]]:
-    """Reduced row echelon of a list of masks, as (pivot, vector) pairs."""
-    ech: list[tuple[int, int]] = []
-    for v in vectors:
-        for p, w in ech:
-            if (v >> p) & 1:
-                v ^= w
-        if v:
-            p = v.bit_length() - 1
-            ech = [(q, u ^ v if (u >> p) & 1 else u) for q, u in ech]
-            ech.append((p, v))
-    ech.sort(reverse=True)
-    return ech
-
-
-def map_rank(L: BinLinearMap) -> int:
-    return len(_echelon(L.rows))
-
-
 def map_invertible(L: BinLinearMap) -> bool:
-    return L.n_in == L.n_out and map_rank(L) == L.n_in
-
-
-def map_inverse(L: BinLinearMap) -> BinLinearMap:
+    """Is L square of full rank?  Each row is reduced by the kept rows with
+    the same top bit; a row that reduces to 0 is dependent."""
     if L.n_in != L.n_out:
-        raise ValueError("only square maps can be inverted")
-    n = L.n_in
-    # eliminate [rows | identity]; a pivot at bit n + j leaves the row
-    # combination summing to e_j in the low half, which is inverse row j
-    ech = _echelon((row << n) | (1 << r) for r, row in enumerate(L.rows))
-    inv_rows = [v & ((1 << n) - 1) for p, v in ech if p >= n]
-    if len(inv_rows) < n:
-        raise SingularError("map is singular")
-    return BinLinearMap(n, n, inv_rows[::-1])
-
-
-def map_transpose(L: BinLinearMap) -> BinLinearMap:
-    return BinLinearMap(L.n_out, L.n_in, L.columns)
-
-
-def map_compose(outer: BinLinearMap, inner: BinLinearMap) -> BinLinearMap:
-    if outer.n_in != inner.n_out:
-        raise ValueError("composition shape mismatch")
-    cols = [outer.apply(c) for c in inner.columns]
-    return _from_cols(inner.n_in, outer.n_out, cols)
+        return False
+    pivots: dict[int, int] = {}
+    for v in L.rows:
+        while v and v.bit_length() in pivots:
+            v ^= pivots[v.bit_length()]
+        if not v:
+            return False
+        pivots[v.bit_length()] = v
+    return True
 
 
 # --------------------------------------------------------------------------

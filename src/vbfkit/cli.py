@@ -56,11 +56,12 @@ from vbfkit.constructions import (
     theorem1,
     theorem2,
     theorem3,
+    theorem3_f1,
     theorem4,
     theorem4_f1_tables,
     theorem12_ccz_witness,
 )
-from vbfkit.gf2m import Field
+from vbfkit.gf2m import _MAX_DEGREE, _MIN_DEGREE, Field
 from vbfkit.spectra import (
     differential_spectrum,
     differential_uniformity,
@@ -77,7 +78,6 @@ from vbfkit.vbf import (
     component_degree,
     compose,
     evaluate,
-    invert,
     is_permutation,
     monomial,
 )
@@ -117,7 +117,12 @@ def read_lut(path: str) -> FuncTable:
             head[key] = int(head[key], base)
         except ValueError:
             raise ValueError(f"{path}: field {key} is not a {kind} number: {head[key]!r}") from None
-    ctx = Field(head["m"], head["poly"])
+    try:
+        ctx = Field(head["m"], head["poly"])
+    except ValueError as exc:
+        # Field checks the degree first, then the polynomial
+        key = "poly" if _MIN_DEGREE <= head["m"] <= _MAX_DEGREE else "m"
+        raise ValueError(f"{path}: header field {key}: {exc}") from None
     try:
         values = [int(tok, 16) for tok in lines[1:]]
     except ValueError:
@@ -134,15 +139,35 @@ def _require_param(value, flag: str, family: str):
     return value
 
 
+# The options each family reads besides --m and --poly.  build_family rejects
+# every other family option given, as cmd_verify does with _VERIFIERS.
+_FAMILY_READS = {
+    **dict.fromkeys(("gold", "kasami", "dobbertin", "thm3"), ("i",)),
+    **dict.fromkeys(("welch", "niho", "inverse"), ("t",)),
+    "power": ("d",),
+    **dict.fromkeys(("thm1", "thm2"), ("i", "relaxed")),
+    "thm4": ("n", "i"),
+}
+
+
 def build_family(args: argparse.Namespace) -> FuncTable:
     fam = args.family
+    if fam is None:
+        raise ConditionViolatedError("--family is required")
+    unread = [
+        f"--{k}"
+        for k in ("i", "n", "t", "d", "relaxed")
+        if k not in _FAMILY_READS[fam] and getattr(args, k) is not None
+    ]
+    if unread:
+        raise ConditionViolatedError(f"family {fam} does not read {', '.join(unread)}")
     if args.m is None:
         raise ConditionViolatedError("--m is required with --family")
     ctx = Field(args.m, args.poly)
     if fam in ("thm1", "thm2"):
         i = _require_param(args.i, "--i", fam)
         builder = theorem1 if fam == "thm1" else theorem2
-        return builder(ctx, i, relaxed=args.relaxed)
+        return builder(ctx, i, relaxed=bool(args.relaxed))
     if fam == "thm3":
         return theorem3(ctx, _require_param(args.i, "--i", fam))
     if fam == "thm4":
@@ -298,13 +323,13 @@ def verify_thm3(args: argparse.Namespace) -> int:
     if not checks[0][1]:
         return _emit_checks(checks)
     try:
-        f = theorem3(ctx, args.i)
+        theorem3_f1(ctx, args.i)  # raises unless the sixth power is the identity
     except RuntimeError as exc:
         checks.append((f"composition shift of order 6 ({exc})", False))
         return _emit_checks(checks)
-    # theorem3_f1, inside theorem3, raises unless the sixth power is the identity
     checks.append(("composition shift of order 6", True))
     checks.append(("sixth power is the identity", True))
+    f = theorem3(ctx, args.i)
     checks.append(("differentially 2-uniform", is_apn(f)))
     checks.append(("algebraic degree 4", algebraic_degree(f) == 4))
     return _emit_checks(checks)
@@ -362,11 +387,13 @@ def verify_remark4(args: argparse.Namespace) -> int:
 
 def verify_example1(args: argparse.Namespace) -> int:
     ctx = _field(args)
-    w = example1_witness(ctx, args.i)
-    transformed = compose(w.F2, invert(w.F1))
     g = monomial(ctx, (1 << args.i) + 1)
+    try:
+        transformed = ccz_transform(example1_witness(ctx, args.i).L, g)
+    except NotAPermutationError:
+        return _emit_checks([("first graph projection permutes", False)])
     checks = [
-        ("first graph projection permutes", is_permutation(w.F1)),
+        ("first graph projection permutes", True),
         (
             "Walsh distribution preserved",
             walsh_spectrum(transformed).distribution == walsh_spectrum(g).distribution,
@@ -512,7 +539,10 @@ def _add_family_params(p: argparse.ArgumentParser, with_family: bool = True) -> 
         p.add_argument("--d", type=int, help="raw exponent for the generic power family")
     p.add_argument("--poly", type=_int_literal, help="reduction polynomial bitmask")
     if with_family:
-        p.add_argument("--relaxed", action="store_true", help="allow gcd(i, m) > 1 variants")
+        # default None, as for every family option: build_family reads None as not given
+        p.add_argument(
+            "--relaxed", action="store_true", default=None, help="allow gcd(i, m) > 1 variants"
+        )
 
 
 @lru_cache(maxsize=None)

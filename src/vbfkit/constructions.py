@@ -3,13 +3,17 @@
 Two kinds of builders live here.  The power families (`family_exponent`)
 catalogue the classical monomial exponents with their parameter conditions.
 The twisted families (`theorem1` .. `theorem4`) modify a Gold power map by
-trace-gated correction terms.  `theorem3` and `theorem4` are built as the
-paper builds them, as CCZ images of the Gold graph: a shift F1 that
-permutes, a second projection F2, and the table F2 o F1^(-1).  The graph-side
-linear witnesses (`theorem12_ccz_witness`, `example1_witness`) explain where
-the twists of `theorem1` and `theorem2` come from, and those witness
-constructors re-check the defining identities (involutions, scaling) on
-every call.
+trace-gated correction terms.
+
+Every table taken from the Gold graph {(x, x^(2^i+1))} goes through one
+helper, `_graph_map`, which builds the map L(x, y) = (x, y) + C(x, y) of
+F_2^(2m) from the images of C at the basis.  `theorem3` and `theorem4` are
+`ccz_transform(L, x^(2^i+1))`: the table F2 o F1^(-1) of the two projections
+(F1, F2) of the image, as the paper builds them.  The graph witnesses
+`theorem12_ccz_witness` and `example1_witness` return L with both
+projections.  `theorem1` and `theorem2` stay closed-form, so they are the
+references the witness identities are checked against on every call;
+`theorem3_f1` and `theorem4_f1_tables` give the shifts F1 in closed form.
 
 All builders take an explicit :class:`~vbfkit.gf2m.Field` context and return
 plain lookup tables, so outputs from different reduction polynomials can be
@@ -28,11 +32,8 @@ from vbfkit.ccz import (
     CczWitness,
     ConditionViolatedError,
     _require_index,
+    ccz_transform,
     graph_image,
-    identity_map,
-    map_compose,
-    map_inverse,
-    map_transpose,
 )
 from vbfkit.gf2m import Field
 from vbfkit.vbf import FuncTable, compose, invert, is_permutation, monomial
@@ -134,6 +135,14 @@ def family_exponent(spec: FamilySpec) -> int:
 
 # ------------------------------------------------------- twisted families
 
+def _graph_map(x_images: list[int], y_images: list[int]) -> BinLinearMap:
+    """The map L = I + C of F_2^(2m) from the packed images C(2^k, 0) and
+    C(0, 2^k), k < m, of a linear C; a point (x, y) is packed as x | y << m."""
+    cols = [(1 << j) ^ c for j, c in enumerate(x_images + y_images)]
+    rows = [sum(((c >> r) & 1) << j for j, c in enumerate(cols)) for r in range(len(cols))]
+    return BinLinearMap(len(cols), len(cols), rows)
+
+
 def theorem1(ctx: Field, i: int, relaxed: bool = False) -> FuncTable:
     """Gold map twisted by its own trace gate, for odd extension degrees.
 
@@ -225,14 +234,16 @@ def theorem3_f1(ctx: Field, i: int) -> FuncTable:
 def theorem3(ctx: Field, i: int) -> FuncTable:
     """Quartic APN family on degrees divisible by 6.
 
-    Built as the Gold power map composed with the inverse of the order-6
-    subfield shift; the F_8 side condition guarantees that shift permutes.
+    The image of the Gold graph under L(x, y) = (x + T^2 + T^4, y) with
+    T = tr_{m/3}(y): the Gold map composed with the inverse of the order-6
+    shift `theorem3_f1`, which the F_8 side condition makes a permutation.
     """
     _theorem3_preconditions(ctx, i)
     if not f8_side_condition(i):
         raise ConditionViolatedError("octic side condition fails for this index")
-    f1 = theorem3_f1(ctx, i)
-    return compose(monomial(ctx, (1 << i) + 1), invert(f1))
+    traces = [ctx.subfield_trace(1 << k, 3) for k in range(ctx.m)]
+    shifts = [ctx.mul(t, t) ^ ctx.pow(t, 4) for t in traces]
+    return ccz_transform(_graph_map([0] * ctx.m, shifts), monomial(ctx, (1 << i) + 1))
 
 
 def _theorem4_preconditions(ctx: Field, n: int, i: int) -> None:
@@ -256,15 +267,19 @@ def theorem4(ctx: Field, n: int, i: int) -> FuncTable:
         + B^(1/(2^i+1)) (x^(2^i) + t^(2^i) + 1) + B^(2^i/(2^i+1)) (x + t)
 
     The fractional powers are the true e-th-root exponents (0 maps to 0);
-    n = 1 collapses the formula onto `theorem1`, so m > 3 as there.  Built
-    as F2 o F1^(-1) on the Gold graph: the shift F1(z) = z + tr_{m/n}(z) +
-    tr_{m/n}(z^(2^i+1)) and F2(z) = z^(2^i+1) + tr_{m/n}(z) +
-    tr_{m/n}(z^(2^i+1)), with F1^(-1) from `theorem4_f1_tables`.
+    n = 1 collapses the formula onto `theorem1`, so m > 3 as there.  The
+    image of the Gold graph under L(x, y) = (x + s, y + s) with
+    s = tr_{m/n}(x) + tr_{m/n}(y): its projections are the shift
+    F1(z) = z + tr_{m/n}(z) + tr_{m/n}(z^(2^i+1)) of `theorem4_f1_tables` and
+    F2(z) = z^(2^i+1) + tr_{m/n}(z) + tr_{m/n}(z^(2^i+1)), and the table is
+    F2 o F1^(-1).
     """
-    f1, f1_inv = theorem4_f1_tables(ctx, n, i)
-    xs = np.arange(ctx.size, dtype=np.int64)
-    f2 = FuncTable(ctx, ctx.pow_many(xs, (1 << i) + 1) ^ f1.as_array() ^ xs)
-    return compose(f2, f1_inv)
+    _theorem4_preconditions(ctx, n, i)
+    m = ctx.m
+    mixes = [t | t << m for t in (ctx.subfield_trace(1 << k, n) for k in range(m))]
+    # pow_many reduces the exponent, so an index i > m works as i mod m
+    gold = FuncTable(ctx, ctx.pow_many(np.arange(ctx.size), (1 << i) + 1))
+    return ccz_transform(_graph_map(mixes, mixes), gold)
 
 
 def theorem4_f1_tables(ctx: Field, n: int, i: int) -> tuple[FuncTable, FuncTable]:
@@ -296,29 +311,13 @@ def theorem4_f1_inverse(ctx: Field, n: int, i: int, y: int) -> int:
 
 # -------------------------------------------------------- graph witnesses
 
-def _verify_witness(
-    ctx: Field, w: CczWitness, base: FuncTable, a: int, e: int
-) -> None:
-    """Re-check the identities that make a twist witness correct."""
-    if map_compose(w.L, w.L).rows != identity_map(2 * ctx.m).rows:
-        raise RuntimeError("graph-side map is not an involution")
-    if compose(w.F1, w.F1) != monomial(ctx, 1):
-        raise RuntimeError("first projection is not an involution")
-    xs = np.arange(ctx.size, dtype=np.int64)
-    scaled = ctx.mul_many(
-        ctx.pow(a, e), base.as_array()[ctx.mul_many(xs, ctx.inv(a))]
-    )
-    if compose(w.F2, invert(w.F1)) != FuncTable(ctx, scaled):
-        raise RuntimeError("scaling identity failed")
-
-
 def theorem12_ccz_witness(ctx: Field, i: int, a: int = 1) -> CczWitness:
     """Graph-side witness carrying the Gold graph onto a twisted family.
 
-    The parity of m picks the family: odd m gets the witness of `theorem1`
-    (both output halves mix both inputs), even m that of `theorem2` (only
-    the first half mixes).  The returned map is an involution, its first
-    projection F1 is an involution, and F2 o F1^(-1) equals the twisted
+    The parity of m picks the family.  With e = 2^i+1, odd m gets the witness
+    of `theorem1`, L(x, y) = (x, y) + (tr(x/a) + tr(y/a^e)) (a, a^e), and
+    even m that of `theorem2`, L(x, y) = (x + a tr(y/a^e), y).  L and its
+    first projection F1 are involutions, and F2 o F1^(-1) equals the twisted
     table scaled by a — all three identities are re-verified here on every
     call, against the direct `theorem1`/`theorem2` output.  `a` = 1 gives
     the twisted table exactly.
@@ -331,13 +330,22 @@ def theorem12_ccz_witness(ctx: Field, i: int, a: int = 1) -> CczWitness:
     e = (1 << i) + 1
     base = theorem1(ctx, i) if m % 2 else theorem2(ctx, i)
     ae = ctx.pow(a, e)
-    mask_a = ctx.trace_mask(ctx.inv(a))
-    mask_ae = ctx.trace_mask(ctx.inv(ae))
-    mix = mask_a | (mask_ae << m) if m % 2 else mask_ae << m
-    rows = [(1 << r) ^ (mix if (a >> r) & 1 else 0) for r in range(m)]
-    rows += [(1 << (m + r)) ^ (mix if m % 2 and (ae >> r) & 1 else 0) for r in range(m)]
-    w = graph_image(BinLinearMap(2 * m, 2 * m, rows), monomial(ctx, e))
-    _verify_witness(ctx, w, base, a, e)
+    x_mask = ctx.trace_mask(ctx.inv(a)) if m % 2 else 0
+    y_mask = ctx.trace_mask(ctx.inv(ae))
+    image = a | ae << m if m % 2 else a
+    L = _graph_map(
+        [image * ((x_mask >> k) & 1) for k in range(m)],
+        [image * ((y_mask >> k) & 1) for k in range(m)],
+    )
+    w = graph_image(L, monomial(ctx, e))
+    if any(L.apply(col) != 1 << j for j, col in enumerate(L.columns)):
+        raise RuntimeError("graph-side map is not an involution")
+    if compose(w.F1, w.F1) != monomial(ctx, 1):
+        raise RuntimeError("first projection is not an involution")
+    xs = np.arange(ctx.size, dtype=np.int64)
+    scaled = ctx.mul_many(ae, base.as_array()[ctx.mul_many(xs, ctx.inv(a))])
+    if compose(w.F2, w.F1) != FuncTable(ctx, scaled):  # F1 is its own inverse
+        raise RuntimeError("scaling identity failed")
     return w
 
 
@@ -354,17 +362,9 @@ def example1_witness(ctx: Field, i: int) -> CczWitness:
     if m % 2 == 0:
         raise ParityViolatedError("odd extension degree required")
     _require_index(i, m, strict=True)
-    cols = [
-        (1 << k) ^ ctx.pow(1 << k, 1 << i) ^ ctx.trace(1 << k) for k in range(m)
-    ]
-    mix = map_inverse(map_transpose(BinLinearMap(m, m, cols)))
-    tmask = ctx.trace_mask(1)
-    # tr(x) lands on the basis coordinate of the element 1, i.e. row 0 only
-    rows = [
-        (1 << r) ^ (tmask if r == 0 else 0) ^ (mix.rows[r] << m) for r in range(m)
-    ]
-    rows += [(1 << (m + r)) ^ (tmask if r == 0 else 0) for r in range(m)]
-    w = graph_image(BinLinearMap(2 * m, 2 * m, rows), monomial(ctx, (1 << i) + 1))
-    if not is_permutation(w.F1):
-        raise RuntimeError("first projection unexpectedly failed to permute")
-    return w
+    zs = np.arange(ctx.size, dtype=np.int64)
+    M = invert(FuncTable(ctx, zs ^ ctx.pow_many(zs, 1 << i) ^ ctx.trace_table())).as_array()
+    # tr(x) is a multiple of the element 1, the basis coordinate 0 of each half
+    mixes = [t | t << m for t in (ctx.trace(1 << k) for k in range(m))]
+    L = _graph_map(mixes, [int(M[1 << k]) for k in range(m)])
+    return graph_image(L, monomial(ctx, (1 << i) + 1))

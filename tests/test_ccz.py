@@ -24,11 +24,7 @@ from vbfkit.ccz import (
     graph_image,
     identity_map,
     linear_completion_search,
-    map_compose,
-    map_inverse,
     map_invertible,
-    map_rank,
-    map_transpose,
     power_inequivalence_witness,
 )
 from vbfkit.constructions import theorem1, theorem12_ccz_witness
@@ -45,10 +41,6 @@ from vbfkit.vbf import (
 )
 
 
-def _dot(x: int, y: int) -> int:
-    return (x & y).bit_count() & 1
-
-
 def _swap_map(m: int) -> BinLinearMap:
     rows = [1 << (m + r) for r in range(m)] + [1 << r for r in range(m)]
     return BinLinearMap(2 * m, 2 * m, rows)
@@ -56,6 +48,23 @@ def _swap_map(m: int) -> BinLinearMap:
 
 def _random_map(n_in: int, n_out: int, rng: random.Random) -> BinLinearMap:
     return BinLinearMap(n_in, n_out, [rng.randrange(1 << n_in) for _ in range(n_out)])
+
+
+def _from_columns(n_in: int, n_out: int, cols) -> BinLinearMap:
+    """The map that sends basis vector e_j to cols[j]."""
+    rows = [sum(((c >> r) & 1) << j for j, c in enumerate(cols)) for r in range(n_out)]
+    return BinLinearMap(n_in, n_out, rows)
+
+
+def _compose(outer: BinLinearMap, inner: BinLinearMap) -> BinLinearMap:
+    return _from_columns(inner.n_in, outer.n_out, [outer.apply(c) for c in inner.columns])
+
+
+def _inverse(L: BinLinearMap) -> BinLinearMap:
+    """Inverse of an invertible square map, by brute force: its column j is
+    the x with L(x) = e_j."""
+    preimage = {L.apply(x): x for x in range(1 << L.n_in)}
+    return _from_columns(L.n_in, L.n_in, [preimage[1 << j] for j in range(L.n_in)])
 
 
 def _random_invertible(n: int, rng: random.Random) -> BinLinearMap:
@@ -102,8 +111,8 @@ def _ea_graph_map(
     swapped for F^-1."""
     n = outer.n_in
     zero = BinLinearMap(n, n, [0] * n)
-    inner_inv = map_inverse(inner)
-    mix = map_compose(summand, inner_inv) if summand is not None else zero
+    inner_inv = _inverse(inner)
+    mix = _compose(summand, inner_inv) if summand is not None else zero
     halves = ((zero, inner_inv), (outer, mix)) if use_inverse else ((inner_inv, zero), (mix, outer))
     rows = [lo.rows[r] | (hi.rows[r] << n) for lo, hi in halves for r in range(n)]
     return BinLinearMap(2 * n, 2 * n, rows)
@@ -155,8 +164,6 @@ def test_graph_image_matches_apply_pointwise():
 def test_identity_map_properties():
     ident = identity_map(5)
     assert map_invertible(ident)
-    assert map_inverse(ident).rows == ident.rows
-    assert map_transpose(ident).rows == ident.rows
     for x in range(32):
         assert ident.apply(x) == x
 
@@ -164,42 +171,29 @@ def test_identity_map_properties():
 def test_repeated_rows_not_invertible():
     L = BinLinearMap(3, 3, [0b101, 0b101, 0b010])
     assert not map_invertible(L)
-    with pytest.raises(SingularError):
-        map_inverse(L)
 
 
-def test_inverse_round_trip_and_double_transpose():
+def test_map_invertible_matches_brute_force():
+    # invertible exactly when apply is a bijection; the rows are random masks
+    # or random single bits (a permutation of the basis, or singular)
     rng = random.Random(3)
-    for n in (3, 5, 6):
-        L = _random_invertible(n, rng)
-        Li = map_inverse(L)
-        comp = map_compose(L, Li)
-        assert comp.rows == identity_map(n).rows
-        assert map_transpose(map_transpose(L)).rows == L.rows
-
-
-def test_transpose_is_dot_product_adjoint():
-    rng = random.Random(4)
-    L = _random_map(7, 7, rng)
-    Lt = map_transpose(L)
-    for _ in range(100):
-        x, y = rng.randrange(128), rng.randrange(128)
-        assert _dot(x, Lt.apply(y)) == _dot(L.apply(x), y)
-
-
-def test_map_compose_matches_sequential_apply():
-    rng = random.Random(5)
-    A = _random_map(6, 4, rng)
-    B = _random_map(5, 6, rng)
-    AB = map_compose(A, B)
-    for x in range(32):
-        assert AB.apply(x) == A.apply(B.apply(x))
+    seen = set()
+    for n in (1, 2, 3, 5, 6):
+        for trial in range(60):
+            rows = [rng.randrange(1 << n) if trial % 2 else 1 << rng.randrange(n) for _ in range(n)]
+            L = BinLinearMap(n, n, rows)
+            bijective = len({L.apply(x) for x in range(1 << n)}) == 1 << n
+            assert map_invertible(L) == bijective, rows
+            seen.add(bijective)
+    assert seen == {True, False}
+    assert not map_invertible(BinLinearMap(4, 3, [1, 2, 4]))
+    assert not map_invertible(BinLinearMap(3, 4, [1, 2, 4, 0]))
 
 
 def test_map_rank_and_kernel():
     L = BinLinearMap(4, 4, [0b0001, 0b0010, 0b0011, 0b0000])
-    assert map_rank(L) == 2
-    # the kernel, by brute force, has 2^(4 - rank) members
+    assert not map_invertible(L)
+    # the kernel, by brute force, has 2^(4 - rank) members for rank 2
     assert [x for x in range(16) if L.apply(x) == 0] == [0b0000, 0b0100, 0b1000, 0b1100]
 
 
@@ -229,7 +223,7 @@ def test_trace_row_adjustment_realizes_trace_term():
     # x + x^2 + tr(x) as a matrix: linearized part plus the trace mask on bit 0
     f = Field(5)
     # the matrix of x + x^2: its columns are the images of the basis vectors
-    M = map_transpose(BinLinearMap(5, 5, [(1 << j) ^ f.mul(1 << j, 1 << j) for j in range(5)]))
+    M = _from_columns(5, 5, [(1 << j) ^ f.mul(1 << j, 1 << j) for j in range(5)])
     rows = list(M.rows)
     rows[0] ^= _trace_mask(f)
     M2 = BinLinearMap(5, 5, rows)
@@ -377,7 +371,7 @@ def test_ccz_transform_preserves_spectra():
                 _random_invertible(m, rng),
                 _random_map(m, m, rng),
             )
-            L = map_compose(bridge, movers[trial % len(movers)])
+            L = _compose(bridge, movers[trial % len(movers)])
             out = ccz_transform(L, cube)
             assert walsh_spectrum(out).distribution == w0
             assert differential_spectrum(out).distribution == d0
@@ -395,10 +389,10 @@ def test_ccz_success_iff_transversal_preimage():
         bridge = _ea_graph_map(
             _random_invertible(4, rng), _random_invertible(4, rng), _random_map(4, 4, rng)
         )
-        maps.append(map_compose(bridge, movers[trial % len(movers)]))
+        maps.append(_compose(bridge, movers[trial % len(movers)]))
     outcomes = set()
     for L in maps:
-        Li = map_inverse(L)
+        Li = _inverse(L)
         ok_transversal = _transversal(cube, [Li.apply(1 << (4 + k)) for k in range(4)])
         try:
             ccz_transform(L, cube)

@@ -87,6 +87,53 @@ def test_construct_power_exponent(capsys):
     assert vals == monomial(ctx, 62).as_array().tolist()
 
 
+def test_construct_without_family_exit2(capsys):
+    assert run(capsys, "construct", "--m", "5") == (2, "", "error: --family is required\n")
+
+
+@pytest.mark.parametrize(
+    "argv, unread",
+    [
+        (("construct", "--family", "gold", "--m", "5", "--i", "1", "--n", "3", "--t", "7", "--d", "9"),
+         "family gold does not read --n, --t, --d"),
+        (("analyze", "--family", "thm3", "--m", "6", "--i", "1", "--n", "2", "--relaxed"),
+         "family thm3 does not read --n, --relaxed"),
+        (("construct", "--family", "power", "--m", "6", "--d", "5", "--i", "1"),
+         "family power does not read --i"),
+        # an index of 0 is given, not absent
+        (("analyze", "--family", "welch", "--m", "7", "--i", "0"), "family welch does not read --i"),
+        (("construct", "--family", "thm4", "--m", "9", "--n", "3", "--i", "1", "--relaxed"),
+         "family thm4 does not read --relaxed"),
+    ],
+    ids=["gold", "thm3", "power", "welch-zero", "thm4"],
+)
+def test_family_rejects_options_it_does_not_read(capsys, argv, unread):
+    assert run(capsys, *argv) == (2, "", f"error: {unread}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gold", "--m", "5", "--i", "1"),
+        ("kasami", "--m", "7", "--i", "3"),
+        ("welch", "--m", "7", "--t", "3"),
+        ("niho", "--m", "7", "--t", "3"),
+        ("inverse", "--m", "7", "--t", "3"),
+        ("dobbertin", "--m", "5", "--i", "1"),
+        ("power", "--m", "6", "--d", "5"),
+        ("thm1", "--m", "9", "--i", "3", "--relaxed"),
+        ("thm2", "--m", "6", "--i", "2", "--relaxed"),
+        ("thm3", "--m", "6", "--i", "1"),
+        ("thm4", "--m", "9", "--n", "3", "--i", "1"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_family_accepts_every_option_it_reads(capsys, argv):
+    rc, stdout, err = run(capsys, "construct", "--family", *argv)
+    assert (rc, err) == (0, "")
+    assert stdout.startswith(f"m={argv[2]} poly=")
+
+
 def test_construct_unknown_family_exit2():
     with pytest.raises(SystemExit) as ei:
         main(["construct", "--family", "frobnicate", "--m", "5"])
@@ -255,8 +302,10 @@ def test_analyze_malformed_lut_exit2(tmp_path, capsys, text):
         (b"m=abc poly=0x25", "field m is not a decimal number: 'abc'"),
         (b"m=5 poly=zz", "field poly is not a hex number: 'zz'"),
         (b"m=5 poly=0x25 \xe9", "not ASCII text (byte 0xe9)"),
+        (b"m=99 poly=0x25", "header field m: field degree must be in [2, 32], got 99"),
+        (b"m=5 poly=0x21", "header field poly: reduction polynomial 0x21 is reducible"),
     ],
-    ids=["repeated-m", "m-not-int", "poly-not-hex", "non-ascii"],
+    ids=["repeated-m", "m-not-int", "poly-not-hex", "non-ascii", "m-out-of-range", "poly-reducible"],
 )
 def test_analyze_malformed_header_names_path_and_field(tmp_path, capsys, head, message):
     path = tmp_path / "bad.lut"
@@ -272,10 +321,12 @@ def test_negative_poly_exit2_without_hanging(tmp_path, source):
     # a timeout failure
     env = dict(os.environ)
     argv = ["analyze", "--family", "gold", "--m", "5", "--i", "1"]
+    message = "reduction polynomial -0x25 does not have degree 5"
     if source == "lut":
         path = tmp_path / "neg.lut"
         path.write_text("m=5 poly=-25\n" + "0x0\n" * 32)
         argv = ["analyze", str(path)]
+        message = f"{path}: header field poly: {message}"
     elif source == "poly":
         argv.append("--poly=-0x25")
     else:
@@ -287,7 +338,7 @@ def test_negative_poly_exit2_without_hanging(tmp_path, source):
     )
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr.splitlines() == ["error: reduction polynomial -0x25 does not have degree 5"]
+    assert proc.stderr.splitlines() == [f"error: {message}"]
 
 
 def test_analyze_missing_file_exit2(tmp_path, capsys):
@@ -403,7 +454,7 @@ def test_verify_thm3_lines_and_failed_shift(capsys, monkeypatch):
     def broken(ctx, i):
         raise RuntimeError("sixth compositional power is not the identity")
 
-    monkeypatch.setattr("vbfkit.cli.theorem3", broken)
+    monkeypatch.setattr("vbfkit.cli.theorem3_f1", broken)
     rc, stdout, _ = run(capsys, "verify", "thm3", "--m", "6", "--i", "1")
     assert rc == 1
     assert stdout.splitlines() == [

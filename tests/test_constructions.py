@@ -2,18 +2,18 @@
 and the catalogue of power-function exponents."""
 
 import hashlib
+import math
 import random
 
 import numpy as np
 import pytest
 
-from vbfkit import ccz
+from vbfkit import ccz, constructions
 from vbfkit.ccz import (
+    BinLinearMap,
     GcdViolationError,
     ccz_transform,
     graph_image,
-    identity_map,
-    map_compose,
     map_invertible,
 )
 from vbfkit.constructions import (
@@ -335,6 +335,14 @@ def test_theorem3_is_power_of_the_inverse_shift(i):
     assert f == FuncTable(ctx, expect)
 
 
+@pytest.mark.parametrize(("m", "i"), [(6, 1), (6, 5), (12, 1), (12, 5), (12, 7), (12, 11)])
+def test_theorem3_matches_gold_after_the_inverse_shift_pointwise(m, i):
+    ctx = Field(m)
+    e = (1 << i) + 1
+    inverse_shift = invert(theorem3_f1(ctx, i)).as_array().tolist()
+    assert theorem3(ctx, i) == FuncTable(ctx, [ctx.pow(x, e) for x in inverse_shift])
+
+
 @pytest.mark.parametrize("i", [1, 5])
 def test_theorem3_expanded_form(i):
     ctx = Field(6)
@@ -445,6 +453,33 @@ THEOREM4_DIGESTS = [
 def test_theorem4_table_digests_at_m15(n, i, digest):
     table = theorem4(Field(15), n, i).as_array().astype("<u4").tobytes()
     assert hashlib.sha256(table).hexdigest() == digest
+
+
+def _theorem4_triples(max_m: int):
+    for m in range(5, max_m + 1, 2):
+        for n in range(1, m):
+            if m % n == 0:
+                yield from ((m, n, i) for i in range(1, m) if math.gcd(i, m) == 1)
+
+
+@pytest.mark.parametrize(("m", "n", "i"), list(_theorem4_triples(13)))
+def test_theorem4_is_f2_after_the_scalar_inverse_shift(m, n, i):
+    # F2(z) = z^e + tr(z) + tr(z^e) after the closed-form F1^(-1), at every
+    # point for m <= 9 and at 512 seeded points above; the whole table is
+    # checked against the vectorized closed-form inverse
+    ctx = Field(m)
+    e = (1 << i) + 1
+    table = theorem4(ctx, n, i).as_array()
+    rng = random.Random(m * 100 + n * 10 + i)
+    ys = range(ctx.size) if m <= 9 else rng.sample(range(ctx.size), 512)
+    for y in ys:
+        z = theorem4_f1_inverse(ctx, n, i, y)
+        ze = ctx.pow(z, e)
+        assert table[y] == ze ^ ctx.subfield_trace(z, n) ^ ctx.subfield_trace(ze, n), y
+    xs = np.arange(ctx.size, dtype=np.int64)
+    xe = ctx.pow_many(xs, e)
+    f2 = xe ^ ctx.subfield_trace_many(xs, n) ^ ctx.subfield_trace_many(xe, n)
+    assert np.array_equal(table, f2[theorem4_f1_tables(ctx, n, i)[1].as_array()])
 
 
 def test_theorem4_ab_degree_five():
@@ -559,11 +594,87 @@ def test_theorem4_composition_route_differs_by_the_subfield_trace():
 
 # --------------------------------------------------------- graph witnesses
 
+def _is_involution(L: BinLinearMap) -> bool:
+    """L(L(e_j)) = e_j at every basis vector, so L o L is the identity."""
+    return all(L.apply(L.apply(1 << j)) == 1 << j for j in range(L.n_in))
+
+
+# (m, i, a, rows of L) for the Theorem 1 (odd m) and Theorem 2 (even m)
+# witnesses, as the hand-written row masks gave them before the map was
+# built from its column images
+WITNESS_ROWS = [
+    (5, 1, 0x1, [0x128, 0x2, 0x4, 0x8, 0x10, 0x109, 0x40, 0x80, 0x100, 0x200]),
+    (5, 3, 0x2, [0x1, 0x2b0, 0x4, 0x8, 0x10, 0x20, 0x2f2, 0x80, 0x3b2, 0xb2]),
+    (6, 1, 0x1, [0x801, 0x2, 0x4, 0x8, 0x10, 0x20, 0x40, 0x80, 0x100, 0x200, 0x400, 0x800]),
+    (6, 5, 0x2, [0x1, 0x4c2, 0x4, 0x8, 0x10, 0x20, 0x40, 0x80, 0x100, 0x200, 0x400, 0x800]),
+    (7, 1, 0x1, [0x80, 0x2, 0x4, 0x8, 0x10, 0x20, 0x40, 0x1,
+                 0x100, 0x200, 0x400, 0x800, 0x1000, 0x2000]),
+    (7, 3, 0x2, [0x1, 0x3d01, 0x4, 0x8, 0x10, 0x20, 0x40, 0x80,
+                 0x100, 0x3f03, 0x3903, 0x800, 0x1000, 0x2000]),
+    (8, 1, 0x1, [0xa001, 0x2, 0x4, 0x8, 0x10, 0x20, 0x40, 0x80,
+                 0x100, 0x200, 0x400, 0x800, 0x1000, 0x2000, 0x4000, 0x8000]),
+    (8, 3, 0x3, [0xb801, 0xb802, 0x4, 0x8, 0x10, 0x20, 0x40, 0x80,
+                 0x100, 0x200, 0x400, 0x800, 0x1000, 0x2000, 0x4000, 0x8000]),
+]
+
+
+@pytest.mark.parametrize(("m", "i", "a", "rows"), WITNESS_ROWS)
+def test_witness_rows_are_pinned(m, i, a, rows):
+    assert list(theorem12_ccz_witness(Field(m), i, a).L.rows) == rows
+
+
+def _flip_one_correction_bit(monkeypatch, column: int, bit: int) -> None:
+    """Make the graph-map helper flip one bit of one packed image of C."""
+    real = constructions._graph_map
+
+    def flipped(x_images, y_images):
+        images = x_images + y_images
+        images[column] ^= 1 << bit
+        return real(images[:len(x_images)], images[len(x_images):])
+
+    monkeypatch.setattr(constructions, "_graph_map", flipped)
+
+
+@pytest.mark.parametrize(
+    ("m", "build"),
+    [
+        (6, lambda: theorem3(Field(6), 1)),
+        (5, lambda: theorem4(Field(5), 1, 2)),
+        (9, lambda: theorem4(Field(9), 3, 1)),
+        (5, lambda: theorem12_ccz_witness(Field(5), 1, 3)),
+        (6, lambda: theorem12_ccz_witness(Field(6), 1, 3)),
+        (5, lambda: example1_witness(Field(5), 1)),
+    ],
+    ids=["thm3", "thm4-n1", "thm4-n3", "witness-odd", "witness-even", "example1"],
+)
+def test_flipping_one_correction_bit_changes_the_family(monkeypatch, m, build):
+    # every bit of every column of C: the table (or the witness) changes, or
+    # the build raises (singular map, no graph, a failed identity)
+    want = build()
+    for column in range(2 * m):
+        for bit in range(2 * m):
+            with monkeypatch.context() as patch:
+                _flip_one_correction_bit(patch, column, bit)
+                try:
+                    got = build()
+                except (ValueError, RuntimeError):
+                    continue
+            assert got != want, (column, bit)
+
+
+@pytest.mark.parametrize("m", [5, 6])
+def test_witness_rejects_a_graph_map_that_is_not_an_involution(monkeypatch, m):
+    # flipping bit 1 of C(1, 0) keeps L invertible but L o L != I
+    _flip_one_correction_bit(monkeypatch, 0, 1)
+    with pytest.raises(RuntimeError, match="^graph-side map is not an involution$"):
+        theorem12_ccz_witness(Field(m), 1, 3)
+
+
 def test_witness_odd_field_identities_at_unit():
     ctx = Field(5)
     w = theorem12_ccz_witness(ctx, 1, 1)
     assert map_invertible(w.L)
-    assert map_compose(w.L, w.L).rows == identity_map(10).rows
+    assert _is_involution(w.L)
     assert compose(w.F1, w.F1) == monomial(ctx, 1)
     assert ccz_transform(w.L, monomial(ctx, 3)) == theorem1(ctx, 1)
 
@@ -605,7 +716,7 @@ def test_witness_even_field_identities():
     ctx = Field(6)
     w = theorem12_ccz_witness(ctx, 1, ctx.generator)
     assert w.F2 == monomial(ctx, 3)
-    assert map_compose(w.L, w.L).rows == identity_map(12).rows
+    assert _is_involution(w.L)
     assert compose(w.F1, w.F1) == monomial(ctx, 1)
 
     unit = theorem12_ccz_witness(ctx, 1, 1)
