@@ -12,7 +12,15 @@ Three subcommands:
     and difference-count distributions, and the power-map inequivalence
     witness for a table, emitted as canonical JSON (sorted keys, stable
     formatting, byte-identical across runs).  ``--timing`` adds the total
-    ``timing_ms`` and a per-stage ``timing_breakdown_ms``.
+    ``timing_ms``, a per-stage ``timing_breakdown_ms`` and ``spectra_from``.
+    The twisted families thm1-thm4 (thm1 and thm2 without ``--relaxed``)
+    take both spectra from their Gold table, whose graph a linear map
+    carries onto theirs (``spectra_from`` reads ``gold``); the degree and
+    the witness come from the family's own table.  A LUT file, a power
+    family and a relaxed build keep the orbit path on their own table
+    (``table``): a LUT carries no map to check, and the relaxed builds
+    have no witness.  ``verify`` never takes this path, so its spectrum
+    checks stay independent evidence.
 
 ``verify``
     Run a named bundle of identity and property checks, printing one line
@@ -150,7 +158,8 @@ _FAMILY_READS = {
 }
 
 
-def build_family(args: argparse.Namespace) -> FuncTable:
+def _family_field(args: argparse.Namespace) -> Field:
+    """The field of ``--family``, once the options it does not read are rejected."""
     fam = args.family
     if fam is None:
         raise ConditionViolatedError("--family is required")
@@ -163,7 +172,11 @@ def build_family(args: argparse.Namespace) -> FuncTable:
         raise ConditionViolatedError(f"family {fam} does not read {', '.join(unread)}")
     if args.m is None:
         raise ConditionViolatedError("--m is required with --family")
-    ctx = Field(args.m, args.poly)
+    return Field(args.m, args.poly)
+
+
+def _family_table(args: argparse.Namespace, ctx: Field) -> FuncTable:
+    fam = args.family
     if fam in ("thm1", "thm2"):
         i = _require_param(args.i, "--i", fam)
         builder = theorem1 if fam == "thm1" else theorem2
@@ -174,30 +187,61 @@ def build_family(args: argparse.Namespace) -> FuncTable:
         n = _require_param(args.n, "--n", fam)
         return theorem4(ctx, n, _require_param(args.i, "--i", fam))
     if fam == "power":
-        return monomial(ctx, _require_param(args.d, "--d", fam))
+        d = _require_param(args.d, "--d", fam)
+        if not 0 <= d < ctx.size:  # the raw exponent, not reduced as the formulas' are
+            raise ValueError(f"exponent {d} outside [0, {ctx.size})")
+        return monomial(ctx, d)
     if fam == "inverse" and ctx.m % 2 == 0:
         # Table slot only covers odd degrees; on even ones serve the
         # proper multiplicative inverse x^(2^m - 2).
         return monomial(ctx, ctx.size - 2)
-    d = family_exponent(FamilySpec(fam, ctx.m, i=args.i, t=args.t))
-    if d >= ctx.size:
-        # formula exponents can exceed the field size on tiny degrees;
-        # x^d agrees with x^(d mod 2^m - 1) away from zero
-        d = d % ctx.order or ctx.order
-    return monomial(ctx, d)
+    return monomial(ctx, family_exponent(FamilySpec(fam, ctx.m, i=args.i, t=args.t)))
+
+
+def build_family(args: argparse.Namespace) -> FuncTable:
+    return _family_table(args, _family_field(args))
+
+
+def _analyzed_family(args: argparse.Namespace) -> tuple[FuncTable, FuncTable | None]:
+    """The ``--family`` table for ``analyze``, and the Gold table x^(2^i+1)
+    to take its spectra from, or None to take them from the table itself.
+
+    Only the twisted families qualify: each is the image of the Gold graph
+    under a linear map with no shift (see `vbfkit.constructions`).  thm1 and
+    thm2 come from `theorem12_ccz_witness`, whose whole-table check runs on
+    every call; a ``--relaxed`` build has no witness.
+    """
+    ctx = _family_field(args)
+    fam = args.family
+    if fam == ("thm2", "thm1")[ctx.m % 2] and not args.relaxed:
+        w = theorem12_ccz_witness(ctx, _require_param(args.i, "--i", fam))
+        f = compose(w.F2, w.F1)  # F1 is an involution
+    else:
+        f = _family_table(args, ctx)
+        if fam not in ("thm3", "thm4"):
+            return f, None
+    return f, monomial(ctx, (1 << args.i) + 1)
 
 
 # -- analysis report ---------------------------------------------------------
 
 
-def analysis_report(f: FuncTable, timings: dict | None = None) -> dict:
+def analysis_report(
+    f: FuncTable, timings: dict | None = None, spectra_of: FuncTable | None = None
+) -> dict:
     """The canonical report of a table.  When ``timings`` is a dict, the
     seconds spent in the walsh, differential and degree_witness stages are
-    stored in it."""
+    stored in it.
+
+    Both spectra are taken from ``spectra_of`` when it is given: a table
+    whose graph a linear map of F_2^(2m) with no shift carries onto f's
+    (an affine shift would flip Walsh signs).  The degree and the EA
+    witness, which such maps do not keep, always come from f."""
+    source = f if spectra_of is None else spectra_of
     t0 = time.perf_counter()
-    ws = walsh_spectrum(f)
+    ws = walsh_spectrum(source)
     t1 = time.perf_counter()
-    ds = differential_spectrum(f)
+    ds = differential_spectrum(source)
     t2 = time.perf_counter()
     degree = algebraic_degree(f)
     witness = power_inequivalence_witness(f)
@@ -243,10 +287,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise ConditionViolatedError("pass exactly one of a LUT path or --family")
     timings = {"build": 0.0, "io": 0.0}
     start = time.perf_counter()
-    f = read_lut(args.lut) if args.lut else build_family(args)
+    f, gold = (read_lut(args.lut), None) if args.lut else _analyzed_family(args)
     timings["io" if args.lut else "build"] = time.perf_counter() - start
-    report = analysis_report(f, timings)
+    report = analysis_report(f, timings, spectra_of=gold)
     if args.timing:
+        report["spectra_from"] = "table" if gold is None else "gold"
         report["timing_ms"] = int((time.perf_counter() - start) * 1000)
         report["timing_breakdown_ms"] = {k: int(v * 1000) for k, v in timings.items()}
     text = render_report(report)

@@ -13,8 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vbfkit.cli import build_parser, lut_text, main, read_lut, render_report
-from vbfkit.constructions import f8_side_condition, theorem4_f1_tables
+from vbfkit.cli import analysis_report, build_parser, lut_text, main, read_lut, render_report
+from vbfkit.constructions import (
+    f8_side_condition,
+    theorem1,
+    theorem2,
+    theorem3,
+    theorem4,
+    theorem4_f1_tables,
+)
 from vbfkit.gf2m import Field, is_irreducible
 from vbfkit.spectra import differential_spectrum, walsh_spectrum
 from vbfkit.vbf import FuncTable, monomial
@@ -247,6 +254,7 @@ def test_analyze_timing_breakdown(tmp_path, capsys, source):
     assert rc == 0
     rep = json.loads(timed)
     assert rep["schema"] == 1
+    assert rep.pop("spectra_from") == ("gold" if source == "family" else "table")
     total = rep.pop("timing_ms")
     stages = rep.pop("timing_breakdown_ms")
     assert isinstance(total, int)
@@ -255,6 +263,104 @@ def test_analyze_timing_breakdown(tmp_path, capsys, source):
     assert sum(stages.values()) <= total
     assert stages["io" if source == "family" else "build"] == 0
     assert render_report(rep) == plain
+
+
+@pytest.mark.parametrize(
+    "argv, path",
+    [
+        (("--family", "thm1", "--m", "5", "--i", "2"), "gold"),
+        (("--family", "thm2", "--m", "6", "--i", "1"), "gold"),
+        (("--family", "thm3", "--m", "6", "--i", "1"), "gold"),
+        (("--family", "thm4", "--m", "9", "--n", "3", "--i", "1"), "gold"),
+        (("--family", "thm1", "--m", "5", "--i", "1", "--relaxed"), "table"),
+        (("--family", "gold", "--m", "5", "--i", "1"), "table"),
+        (("--family", "inverse", "--m", "5"), "table"),
+    ],
+)
+def test_analyze_timing_names_the_spectrum_source(capsys, argv, path):
+    rep = analyze_json(capsys, *argv, "--timing")
+    assert rep["spectra_from"] == path
+    assert "spectra_from" not in analyze_json(capsys, *argv)
+
+
+def _twisted_cases():
+    """Every (family, m, i, n) with m <= 13 and i < m that the four twisted
+    families accept without --relaxed."""
+    coprime = lambda m: [i for i in range(1, m) if np.gcd(i, m) == 1]  # noqa: E731
+    cases = [("thm1", m, i, None) for m in range(5, 14, 2) for i in coprime(m)]
+    cases += [("thm2", m, i, None) for m in range(4, 13, 2) for i in coprime(m)]
+    cases += [("thm3", m, i, None) for m in (6, 12) for i in coprime(m)]
+    cases += [
+        ("thm4", m, i, n)
+        for m in range(5, 14, 2)
+        for n in range(1, m)
+        if m % n == 0
+        for i in coprime(m)
+    ]
+    return cases
+
+
+_BUILDERS = {
+    "thm1": lambda ctx, i, n: theorem1(ctx, i),
+    "thm2": lambda ctx, i, n: theorem2(ctx, i),
+    "thm3": lambda ctx, i, n: theorem3(ctx, i),
+    "thm4": lambda ctx, i, n: theorem4(ctx, n, i),
+}
+
+
+@lru_cache(maxsize=None)
+def _own_report(f: FuncTable) -> str:
+    """The report from the table alone: both spectra on its own orbit path.
+    Cached by table, since thm4 with n = 1 is the thm1 table."""
+    return render_report(analysis_report(f))
+
+
+@pytest.mark.parametrize(
+    "fam, m, i, n",
+    _twisted_cases(),
+    ids=lambda v: "" if v is None else str(v),
+)
+def test_analyze_twisted_family_is_the_report_of_its_own_table(capsys, fam, m, i, n):
+    argv = ["analyze", "--family", fam, "--m", str(m), "--i", str(i)]
+    if n is not None:
+        argv += ["--n", str(n)]
+    rc, stdout, err = run(capsys, *argv)
+    assert (rc, err) == (0, "")
+    assert stdout == _own_report(_BUILDERS[fam](Field(m), i, n))
+
+
+def test_gold_spectra_only_stand_in_without_a_shift():
+    ctx = Field(7)
+    gold = monomial(ctx, 3)
+    f = theorem1(ctx, 1)
+    assert analysis_report(f, spectra_of=gold) == analysis_report(f)
+    # G(x) + c flips the sign of W(a, b) wherever tr(b c) = 1
+    shifted = FuncTable(ctx, gold.as_array() ^ 1)
+    assert walsh_spectrum(shifted).distribution != walsh_spectrum(gold).distribution
+    assert analysis_report(f, spectra_of=shifted) != analysis_report(f)
+
+
+@pytest.mark.parametrize(
+    "argv, reduced",
+    [
+        (("construct", "--family", "thm3", "--m", "6", "--i", "7"), "1"),
+        (("construct", "--family", "thm1", "--m", "5", "--i", "7"), "2"),
+        (("analyze", "--family", "thm1", "--m", "5", "--i", "6"), "1"),
+        (("analyze", "--family", "thm2", "--m", "6", "--i", "11"), "5"),
+        (("analyze", "--family", "thm3", "--m", "6", "--i", "13"), "1"),
+        (("analyze", "--family", "thm4", "--m", "9", "--n", "3", "--i", "10"), "1"),
+        (("verify", "thm1", "--m", "5", "--i", "6"), "1"),
+        (("verify", "thm2", "--m", "6", "--i", "7"), "1"),
+        (("verify", "thm3", "--m", "6", "--i", "7"), "1"),
+        (("verify", "example1", "--m", "5", "--i", "6"), "1"),
+        (("verify", "example1", "--m", "7", "--i", "10"), "3"),
+    ],
+)
+def test_index_above_m_acts_as_index_mod_m(capsys, argv, reduced):
+    at = argv.index("--i") + 1
+    rc, stdout, err = run(capsys, *argv)
+    assert (rc, err) == (0, "")
+    assert (rc, stdout, err) == run(capsys, *argv[:at], reduced, *argv[at + 1:])
 
 
 def test_analyze_json_out_file(tmp_path, capsys):
@@ -704,8 +810,8 @@ def test_verify_missing_m_exit2(capsys):
 # SHA-256 of the report bytes, as computed one squaring orbit at a time
 # (631 Walsh rows and difference directions for gold at m = 13); the scaling
 # orbits, one row and one direction here, must give the same bytes.  thm1 and
-# thm2 do not scale, so theirs pin the three-factor transform and the
-# half-domain difference counts on many rows.
+# thm2 do not scale, so the reports of their LUTs pin the three-factor
+# transform and the half-domain difference counts on many rows.
 REPORT_DIGESTS = [
     (("gold", "--m", "14", "--i", "1"),
      "756a0da35d6e502963e03d8f1a6d465a436834f79a12222f651dccf7e016d411"),
@@ -726,8 +832,14 @@ REPORT_DIGESTS = [
     ids=["gold-m14", "gold-m15", "inverse-m15", "thm1-m15", "thm2-m14"],
 )
 def test_analyze_report_digests_at_m14_m15(tmp_path, capsys, family_args, digest):
-    out = tmp_path / "report.json"
+    # thm1 and thm2 take their spectra from the Gold table; the LUT of the
+    # same table keeps its own orbit path, and both must give the digest
+    out, lut = tmp_path / "report.json", tmp_path / "table.lut"
     rc, _, _ = run(capsys, "analyze", "--family", *family_args, "--out", str(out))
+    assert rc == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert run(capsys, "construct", "--family", *family_args, "--out", str(lut))[0] == 0
+    rc, _, _ = run(capsys, "analyze", str(lut), "--out", str(out))
     assert rc == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 

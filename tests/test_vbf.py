@@ -508,6 +508,30 @@ def test_monomial_helper():
     assert tab.as_array().tolist() == _cube_by_hand(f).as_array().tolist()
 
 
+@pytest.mark.parametrize("m", [2, 3, 5, 8])
+def test_monomial_matches_evaluate_and_reduces_large_exponents(m):
+    ctx = Field(m)
+    rng = random.Random(m)
+    for e in range(ctx.size):
+        c = rng.randrange(1, ctx.size)
+        assert monomial(ctx, e, c) == evaluate(UnivariatePoly(ctx, {e: c}))
+    assert monomial(ctx, 0).as_array().tolist() == [1] * ctx.size  # 0^0 = 1
+    for e in range(1, 3 * ctx.size):
+        reduced = e % ctx.order or ctx.order  # x^e = x^(e mod 2^m - 1) on x != 0, 0 at 0
+        assert monomial(ctx, e) == monomial(ctx, reduced)
+        assert monomial(ctx, e).as_array()[0] == 0
+
+
+@pytest.mark.parametrize(
+    "e, c, message",
+    [(-1, 1, "exponent -1 is negative"), (3, 0, r"coefficient 0 for x\^3 outside \(0, 16\)"),
+     (3, 16, r"coefficient 16 for x\^3 outside \(0, 16\)")],
+)
+def test_monomial_rejects_negative_exponent_and_bad_coefficient(e, c, message):
+    with pytest.raises(ValueError, match=message):
+        monomial(Field(4), e, c)
+
+
 @st.composite
 def _entries_and_edit(draw):
     """A field degree, a table of entries, and a one-entry change to it."""
