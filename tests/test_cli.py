@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -283,19 +284,22 @@ def test_analyze_timing_names_the_spectrum_source(capsys, argv, path):
     assert "spectra_from" not in analyze_json(capsys, *argv)
 
 
+def _coprime(m):
+    return [i for i in range(1, m) if math.gcd(i, m) == 1]
+
+
 def _twisted_cases():
     """Every (family, m, i, n) with m <= 13 and i < m that the four twisted
     families accept without --relaxed."""
-    coprime = lambda m: [i for i in range(1, m) if np.gcd(i, m) == 1]  # noqa: E731
-    cases = [("thm1", m, i, None) for m in range(5, 14, 2) for i in coprime(m)]
-    cases += [("thm2", m, i, None) for m in range(4, 13, 2) for i in coprime(m)]
-    cases += [("thm3", m, i, None) for m in (6, 12) for i in coprime(m)]
+    cases = [("thm1", m, i, None) for m in range(5, 14, 2) for i in _coprime(m)]
+    cases += [("thm2", m, i, None) for m in range(4, 13, 2) for i in _coprime(m)]
+    cases += [("thm3", m, i, None) for m in (6, 12) for i in _coprime(m)]
     cases += [
         ("thm4", m, i, n)
         for m in range(5, 14, 2)
         for n in range(1, m)
         if m % n == 0
-        for i in coprime(m)
+        for i in _coprime(m)
     ]
     return cases
 
