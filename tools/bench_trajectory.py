@@ -185,12 +185,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     side = {"host": host_facts(tree), "repeat": args.repeat,
             "skipped": sorted(set(args.skip)), "entries": {}}
-    with tempfile.TemporaryDirectory() as scratch:
+    with tempfile.TemporaryDirectory() as tmp:
         for name, cmd in ENTRIES.items():
             if name in args.skip:
                 continue
             if cmd is not None and RANDOM_LUT in cmd:
-                cmd = [_random_lut(scratch) if a == RANDOM_LUT else a for a in cmd]
+                cmd = [_random_lut(tmp) if a == RANDOM_LUT else a for a in cmd]
             side["entries"][name] = measure(tree, cmd, args.repeat)
             print(f"{name}: {side['entries'][name]['median_s']} s", file=sys.stderr)
     out = Path(args.out)
