@@ -147,7 +147,7 @@ def _require_param(value, flag: str, family: str):
     return value
 
 
-# The options each family reads besides --m and --poly.  build_family rejects
+# The options each family reads besides --m and --poly.  _family_field rejects
 # every other family option given, as cmd_verify does with _VERIFIERS.
 _FAMILY_READS = {
     **dict.fromkeys(("gold", "kasami", "dobbertin", "thm3"), ("i",)),
@@ -198,10 +198,6 @@ def _family_table(args: argparse.Namespace, ctx: Field) -> FuncTable:
     return monomial(ctx, family_exponent(FamilySpec(fam, ctx.m, i=args.i, t=args.t)))
 
 
-def build_family(args: argparse.Namespace) -> FuncTable:
-    return _family_table(args, _family_field(args))
-
-
 def _analyzed_family(args: argparse.Namespace) -> tuple[FuncTable, FuncTable | None]:
     """The ``--family`` table for ``analyze``, and the Gold table x^(2^i+1)
     to take its spectra from, or None to take them from the table itself.
@@ -213,7 +209,9 @@ def _analyzed_family(args: argparse.Namespace) -> tuple[FuncTable, FuncTable | N
     """
     ctx = _family_field(args)
     fam = args.family
-    if fam == ("thm2", "thm1")[ctx.m % 2] and not args.relaxed:
+    # The witness picks thm1 at odd m and thm2 at even m; the other parity
+    # goes to _family_table, which rejects it.
+    if (fam, ctx.m % 2) in (("thm1", 1), ("thm2", 0)) and not args.relaxed:
         w = theorem12_ccz_witness(ctx, _require_param(args.i, "--i", fam))
         f = compose(w.F2, w.F1)  # F1 is an involution
     else:
@@ -273,7 +271,7 @@ def render_report(report: dict) -> str:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    text = lut_text(build_family(args))
+    text = lut_text(_family_table(args, _family_field(args)))
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(text)
@@ -584,7 +582,7 @@ def _add_family_params(p: argparse.ArgumentParser, with_family: bool = True) -> 
         p.add_argument("--d", type=int, help="raw exponent for the generic power family")
     p.add_argument("--poly", type=_int_literal, help="reduction polynomial bitmask")
     if with_family:
-        # default None, as for every family option: build_family reads None as not given
+        # default None, as for every family option: _family_field reads None as not given
         p.add_argument(
             "--relaxed", action="store_true", default=None, help="allow gcd(i, m) > 1 variants"
         )

@@ -157,21 +157,15 @@ def interpolate(f: FuncTable) -> UnivariatePoly:
 def monomial(ctx: Field, e: int, c: int = 1) -> FuncTable:
     """Table of x -> c * x^e (0^0 counts as 1).
 
-    Any e >= 0 is accepted.  At x != 0 the value is
-    exp[(e log x + log c) mod (2^m - 1)], as in `evaluate`, so x^e is
-    x^(e mod 2^m - 1) there and an index i > m gives x^(2^i+1) the table of
-    i mod m; 0^e is 0 for e > 0.  The logs of x = 1 .. 2^m - 1 are the log
-    table itself, so no gather through the inputs is needed.
+    Any e >= 0 is accepted: an e >= 2^m is first reduced to the exponent
+    in [1, 2^m - 1] with the same table (x^e = x^(e mod 2^m - 1) at x != 0
+    and 0^e = 0), so an index i > m gives x^(2^i+1) the table of i mod m.
     """
     if e < 0:
         raise ValueError(f"exponent {e} is negative")
-    if not 0 < c < ctx.size:
-        raise ValueError(f"coefficient {c} for x^{e} outside (0, {ctx.size})")
-    log, exp = ctx._logexp()
-    vals = np.empty(ctx.size, dtype=np.uint32)
-    vals[0] = c if e == 0 else 0
-    vals[1:] = exp[(log[1:] * (e % ctx.order) + log[c]) % ctx.order]
-    return FuncTable(ctx, vals)
+    if e >= ctx.size:
+        e = e % ctx.order or ctx.order
+    return evaluate(UnivariatePoly(ctx, {e: c}))
 
 
 # ---------------------------------------------------------------- degrees

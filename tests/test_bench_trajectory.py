@@ -15,6 +15,7 @@ def bench(monkeypatch):
     spec = importlib.util.spec_from_file_location("bench_trajectory", ROOT / "tools" / "bench_trajectory.py")
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
+    monkeypatch.setattr(mod, "REPEAT", 2)
     monkeypatch.setattr(sys, "path", list(sys.path))  # main prepends the tree's src
     monkeypatch.setattr(mod, "ENTRIES", {
         "analyze-gold-m5": mod._analyze("--family", "gold", "--m", "5", "--i", "1"),
@@ -26,7 +27,7 @@ def bench(monkeypatch):
 
 def test_bench_script_records_entries_stages_host_and_skips(bench, tmp_path):
     out = tmp_path / "BENCH.json"
-    argv = ["--src", str(ROOT), "--out", str(out), "--repeat", "2"]
+    argv = ["--src", str(ROOT), "--out", str(out)]
     assert bench.main([*argv, "--label", "a", "--skip", "analyze-random-lut-m13"]) == 0
     assert bench.main([*argv, "--label", "b", "--skip", "analyze-random-lut-m13",
                        "--skip", "verify-thm1-m5"]) == 0

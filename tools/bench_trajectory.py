@@ -6,7 +6,7 @@
 
 Each entry is one command run in this process through ``vbfkit.cli.main``,
 with vbfkit imported from ``<src>/src``; ``tier1`` runs the test suite of
-that tree in a subprocess.  An entry runs ``--repeat`` times and records
+that tree in a subprocess.  An entry runs ``REPEAT`` times and records
 every wall time and their median.  The first run of an entry pays the
 per-process caches (field tables, Hadamard factors) that later runs reuse,
 so the median is a warm figure.  The ``analyze`` entries pass ``--timing``
@@ -37,6 +37,7 @@ import tempfile
 import time
 from pathlib import Path
 
+REPEAT = 3  # runs per entry
 RANDOM_LUT = "<random m=13 LUT>"  # replaced by the path of a seeded random permutation
 
 
@@ -169,12 +170,9 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--src", required=True, help="root of the vbfkit tree to time")
     ap.add_argument("--label", required=True, help="name of this side in the output file")
     ap.add_argument("--out", required=True, help="JSON file to add this side to")
-    ap.add_argument("--repeat", type=int, default=3, help="runs per entry (default: 3)")
     ap.add_argument("--skip", action="append", default=[], choices=sorted(ENTRIES),
                     help="entry not to run; may be given more than once")
     args = ap.parse_args(argv)
-    if args.repeat < 1:
-        ap.error("--repeat must be at least 1")
     tree = Path(args.src).resolve()
     sys.path.insert(0, str(tree / "src"))
     import vbfkit
@@ -183,7 +181,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: vbfkit was imported from {vbfkit.__file__}, not from {tree / 'src'}",
               file=sys.stderr)
         return 2
-    side = {"host": host_facts(tree), "repeat": args.repeat,
+    side = {"host": host_facts(tree), "repeat": REPEAT,
             "skipped": sorted(set(args.skip)), "entries": {}}
     with tempfile.TemporaryDirectory() as tmp:
         for name, cmd in ENTRIES.items():
@@ -191,7 +189,7 @@ def main(argv: list[str] | None = None) -> int:
                 continue
             if cmd is not None and RANDOM_LUT in cmd:
                 cmd = [_random_lut(tmp) if a == RANDOM_LUT else a for a in cmd]
-            side["entries"][name] = measure(tree, cmd, args.repeat)
+            side["entries"][name] = measure(tree, cmd, REPEAT)
             print(f"{name}: {side['entries'][name]['median_s']} s", file=sys.stderr)
     out = Path(args.out)
     data = json.loads(out.read_text()) if out.exists() else {"schema": 1, "sides": {}}
