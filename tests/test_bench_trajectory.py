@@ -34,6 +34,7 @@ def test_bench_script_records_entries_stages_host_and_skips(bench, tmp_path):
     data = json.loads(out.read_text())
     assert set(data["sides"]) == {"a", "b"}  # the second run adds a side, keeping the first
     side = data["sides"]["a"]
+    assert side["repeat"] == 2
     assert side["skipped"] == ["analyze-random-lut-m13"]
     assert set(side["entries"]) == {"analyze-gold-m5", "verify-thm1-m5"}
     gold = side["entries"]["analyze-gold-m5"]

@@ -284,6 +284,18 @@ def test_analyze_timing_names_the_spectrum_source(capsys, argv, path):
     assert "spectra_from" not in analyze_json(capsys, *argv)
 
 
+@pytest.mark.parametrize(
+    "fam, m, message",
+    [("thm1", 8, "odd extension degree required"), ("thm2", 7, "even extension degree required")],
+)
+def test_analyze_twisted_family_of_the_wrong_parity_exits_2(capsys, fam, m, message):
+    """The witness serves thm1 at odd m and thm2 at even m; the other
+    parity must not reach it and analyze the other family's table."""
+    rc, out, err = run(capsys, "analyze", "--family", fam, "--m", str(m), "--i", "1")
+    assert (rc, out) == (2, "")
+    assert message in err
+
+
 def _coprime(m):
     return [i for i in range(1, m) if math.gcd(i, m) == 1]
 
