@@ -92,7 +92,7 @@ def completion_search() -> None:
     f = theorem1(ctx, 1)
     found = linear_completion_search(f)
     print(f"  exact search covered all 2^25 candidate maps: found {found}")
-    print("  (the same search from the CLI: vbfkit verify remark4 --m 5 --i 1)")
+    print("  (the same claim from the CLI: vbfkit verify remark4 --m 5 --i 1)")
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ from vbfkit.ccz import (
     BinLinearMap,
     CczWitness,
     ccz_transform,
+    gold_graph_completion_search,
     graph_image,
     linear_completion_search,
     power_inequivalence_witness,
@@ -78,6 +79,7 @@ __all__ = [
     "graph_image",
     "ccz_transform",
     "linear_completion_search",
+    "gold_graph_completion_search",
     "power_inequivalence_witness",
     "FamilySpec",
     "family_exponent",

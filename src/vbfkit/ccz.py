@@ -31,6 +31,7 @@ from .vbf import (
     compose,
     invert,
     is_permutation,
+    monomial,
     packed_anf,
 )
 
@@ -129,19 +130,25 @@ def identity_map(n: int) -> BinLinearMap:
     return BinLinearMap(n, n, [1 << r for r in range(n)])
 
 
+def _reduce(pivots: dict[int, int], v: int) -> int:
+    """Reduce v by the kept rows of ``pivots`` with the same top bit, keep
+    the remainder as a new row when it is not 0, and return it.  This is the
+    one F_2 eliminator: rows of a map here, and in the completion search
+    equations packed as ``coefficients << 1 | right-hand side``, where a
+    remainder of 1 is the equation 0 = 1."""
+    while v and v.bit_length() in pivots:
+        v ^= pivots[v.bit_length()]
+    if v:
+        pivots[v.bit_length()] = v
+    return v
+
+
 def map_invertible(L: BinLinearMap) -> bool:
-    """Is L square of full rank?  Each row is reduced by the kept rows with
-    the same top bit; a row that reduces to 0 is dependent."""
+    """Is L square of full rank?  A row that reduces to 0 is dependent."""
     if L.n_in != L.n_out:
         return False
     pivots: dict[int, int] = {}
-    for v in L.rows:
-        while v and v.bit_length() in pivots:
-            v ^= pivots[v.bit_length()]
-        if not v:
-            return False
-        pivots[v.bit_length()] = v
-    return True
+    return all(_reduce(pivots, v) for v in L.rows)
 
 
 # --------------------------------------------------------------------------
@@ -354,3 +361,94 @@ def linear_completion_search(
     if not extend(m - 1, xs[:1], xs[:1]):
         return None
     return BinLinearMap(m, m, rows)
+
+
+def gold_graph_completion_search(
+    M: BinLinearMap, ctx, i: int, budget: int | None = None, time_limit: float | None = None
+) -> BinLinearMap | None:
+    """Find a linear map L with F + L a permutation, or None, for the table F
+    whose graph is the image of the Gold graph {(x, x^(2^i+1))} under
+    M = I + c u^T, without F's Walsh matrix.
+
+    As in `linear_completion_search`, F + L permutes exactly when
+    W_F(L^T b, b) = 0 for every b != 0, and W_F(w) = W_G(M^T w) for the Gold
+    map G, where (a', b') = M^T(a, b) = (a, b) + (c.(a, b)) u.  At odd m
+    with gcd(i, m) = 1, the component b'.G has the radical {0, r} with
+    r^(2^(2i)-1) = beta^(1-2^i) for tr(beta y) = b'.y, so for b' != 0,
+    W_G(a', b') = 0 exactly when a'.r != b'.G(r): one affine hyperplane of
+    a'.  Write c = (c_x, c_y), u = (u_x, u_y) and g = L c_x.  Then
+    c.(L^T b, b) = (g + c_y).b, so once g is fixed, each b with b' != 0
+    gives one linear equation in the m*m entries of L.  A b with b' = 0
+    gives none: M^T is invertible and b != 0, so a' != 0, where W_G(a', 0)
+    is 0.  The search fixes the bits of g in turn (both values, 0 first);
+    fixing bit t adds the equation g_t = (L c_x)_t and the equations of
+    every b < 2^(t+1) with bit t set, and a prefix whose system is
+    inconsistent is pruned.  The returned L solves the system of a full g
+    with its free entries 0.  Every L lies in exactly one branch g, so None
+    means no map exists.  ``budget`` caps the search nodes (prefixes of g
+    visited, the root included) and ``time_limit`` the seconds, as there.
+    """
+    deadline = None if time_limit is None else time.monotonic() + float(time_limit)
+    if budget is not None and budget < 1:
+        raise ValueError("budget must be a positive node count")
+    m, n = ctx.m, ctx.size
+    if m % 2 == 0:
+        raise ConditionViolatedError("the Gold radical roots need odd m")
+    _require_index(i, m)
+    e = (1 << i) + 1
+    if M.n_in != 2 * m or M.n_out != 2 * m:
+        raise WrongDimensionError("map must act on the doubled space")
+    # the rows of M + I are c_r u^T
+    rank1 = {row ^ (1 << r) for r, row in enumerate(M.rows)} - {0}
+    if len(rank1) > 1:
+        raise ValueError("graph map is not I + c u^T")
+    if not is_permutation(graph_image(M, monomial(ctx, e)).F1):
+        raise NotAPermutationError("the image of the Gold graph is not a graph")
+    u = max(rank1, default=0)
+    c = sum(1 << r for r, row in enumerate(M.rows) if row != 1 << r)
+    cx, cy, ux, uy = c & (n - 1), c >> m, u & (n - 1), u >> m
+    betas = np.argsort(_dual_reindex(ctx))[1:]
+    roots = ctx.pow_many(betas, (1 - (1 << i)) * ctx.inverse_exponent((1 << 2 * i) - 1) % ctx.order)
+    sides = 1 ^ np.bitwise_count(np.arange(1, n) & ctx.pow_many(roots, e)) & 1
+    root, side = [0, *roots.tolist()], [0, *sides.tolist()]
+    # entry (j, k) of L, bit k of L's row j, is unknown j*m + k at bit j*m + k + 1
+    spread = [0] * n  # spread[b] * r has r at the unknowns of every row j in b
+    for b in range(1, n):
+        spread[b] = spread[b & (b - 1)] | 1 << ((b & -b).bit_length() - 1) * m + 1
+    nodes = 0
+
+    def equations(t: int, g: int) -> list[int]:
+        eqs = [cx << t * m + 1 | (g >> t) & 1]
+        for b in range(1 << t, 2 << t):
+            s = ((g ^ cy) & b).bit_count() & 1
+            bp = b ^ uy if s else b
+            if bp:  # b' = 0 asks nothing, see above
+                r = root[bp]
+                eqs.append(r * spread[b] | side[bp] ^ (s & (ux & r).bit_count() & 1))
+        return eqs
+
+    def extend(t: int, g: int, pivots: dict[int, int]) -> dict[int, int] | None:
+        nonlocal nodes
+        nodes += 1
+        if budget is not None and nodes > budget:
+            raise BudgetExceededError(f"node budget of {budget} exhausted")
+        if deadline is not None and time.monotonic() >= deadline:
+            raise BudgetExceededError("time budget exhausted during search")
+        if t == m:
+            return pivots
+        for g_t in (g, g | 1 << t):
+            trial = dict(pivots)
+            if all(_reduce(trial, v) != 1 for v in equations(t, g_t)):
+                found = extend(t + 1, g_t, trial)
+                if found is not None:
+                    return found
+        return None
+
+    pivots = extend(0, 0, {})
+    if pivots is None:
+        return None
+    sol = 0
+    for top in sorted(pivots):  # back-substitution, free unknowns 0
+        v = pivots[top]
+        sol |= ((v ^ (v & sol).bit_count()) & 1) << (top - 1)
+    return BinLinearMap(m, m, [(sol >> j * m + 1) & (n - 1) for j in range(m)])

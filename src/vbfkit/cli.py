@@ -47,6 +47,7 @@ from vbfkit.ccz import (
     BudgetExceededError,
     _require_index,
     ccz_transform,
+    gold_graph_completion_search,
     gold_perm_criterion,
     gold_perm_criterion_even,
     identity_map,
@@ -69,7 +70,7 @@ from vbfkit.constructions import (
     theorem4_f1_tables,
     theorem12_ccz_witness,
 )
-from vbfkit.gf2m import _MAX_DEGREE, _MIN_DEGREE, Field
+from vbfkit.gf2m import _MAX_DEGREE, _MIN_DEGREE, Field, _linear_table
 from vbfkit.spectra import (
     differential_spectrum,
     differential_uniformity,
@@ -413,12 +414,23 @@ def _parse_budget(text: str | None) -> tuple[int | None, float | None]:
 
 
 def verify_remark4(args: argparse.Namespace) -> int:
+    """A --lut table is searched over its own Walsh zeros.  The thm1 table is
+    searched through its graph witness from the Gold map, and a completion
+    found that way is checked on the table before it is reported."""
     if args.lut:
         f = read_lut(args.lut)
+        nodes, seconds = _parse_budget(args.budget)
+        found = linear_completion_search(f, budget=nodes, time_limit=seconds)
     else:
-        f = theorem1(_field(args), args.i)
-    nodes, seconds = _parse_budget(args.budget)
-    found = linear_completion_search(f, budget=nodes, time_limit=seconds)
+        ctx = _field(args)
+        f = theorem1(ctx, args.i)  # rejects m and i before the witness does
+        nodes, seconds = _parse_budget(args.budget)
+        w = theorem12_ccz_witness(ctx, args.i)
+        found = gold_graph_completion_search(w.L, ctx, args.i, budget=nodes, time_limit=seconds)
+        if found is not None and not is_permutation(
+            FuncTable(ctx, f.as_array() ^ _linear_table(list(found.columns)))
+        ):
+            raise RuntimeError("the completion found does not make the table a permutation")
     if found is None:
         m = f.ctx.m
         print(f"ok   no linear completion to a permutation among all 2^{m * m} linear maps")

@@ -21,7 +21,8 @@ families are Gold's.  `vbfkit analyze --family` takes both spectra from
 the Gold table on that ground: for thm3 and thm4 by construction, for thm1
 and thm2 through `theorem12_ccz_witness`, whose whole-table check runs on
 every call.  The builders here return the table alone, so `construct` and
-the `verify` claims do not pay for a witness.
+the `verify` claims do not pay for a witness; `verify remark4 --m` builds
+the a = 1 witness for its search through the Gold graph.
 
 All builders take an explicit :class:`~vbfkit.gf2m.Field` context and return
 plain lookup tables, so outputs from different reduction polynomials can be
@@ -340,8 +341,10 @@ def theorem12_ccz_witness(ctx: Field, i: int, a: int = 1) -> CczWitness:
         raise RuntimeError("graph-side map is not an involution")
     if compose(w.F1, w.F1) != monomial(ctx, 1):
         raise RuntimeError("first projection is not an involution")
-    xs = np.arange(ctx.size, dtype=np.int64)
-    scaled = ctx.mul_many(ae, base.as_array()[ctx.mul_many(xs, ctx.inv(a))])
+    scaled = base.as_array()
+    if a != 1:  # a^e * base(x / a); at a = 1 both products are the identity
+        xs = np.arange(ctx.size, dtype=np.int64)
+        scaled = ctx.mul_many(ae, scaled[ctx.mul_many(xs, ctx.inv(a))])
     if compose(w.F2, w.F1) != FuncTable(ctx, scaled):  # F1 is its own inverse
         raise RuntimeError("scaling identity failed")
     return w

@@ -44,7 +44,9 @@ from vbfkit.gf2m import _linear_table
 from vbfkit.vbf import FuncTable
 
 _SPECTRUM_LIMIT = 24  # 2^(2m) work beyond this is out of scope
-_MATRIX_LIMIT = 14  # the completion search keeps a 2^m x 2^m table of Walsh zeros
+# linear_completion_search (remark4 --lut) keeps a 2^m x 2^m table of Walsh
+# zeros; gold_graph_completion_search (remark4 --m) holds no such table
+_MATRIX_LIMIT = 14
 
 
 class TooLargeError(ValueError):

@@ -21,6 +21,7 @@ from vbfkit.ccz import (
     ccz_transform,
     gold_perm_criterion,
     gold_perm_criterion_even,
+    gold_graph_completion_search,
     graph_image,
     identity_map,
     linear_completion_search,
@@ -822,3 +823,78 @@ def test_search_time_limit_trips():
     vals = [x ^ ((x * 7) % 32) for x in range(32)]  # arbitrary non-trivial table
     with pytest.raises(BudgetExceededError):
         linear_completion_search(FuncTable(f, vals), time_limit=0.0)
+
+
+# -- the Theorem 1 search through the Gold graph -----------------------------
+
+
+def _completes(f: FuncTable, L: BinLinearMap) -> bool:
+    """Brute force: does x -> f(x) + L(x) hit every value?"""
+    tab = f.as_array().tolist()
+    return sorted(y ^ L.apply(x) for x, y in enumerate(tab)) == list(range(f.ctx.size))
+
+
+def _rank1_gold_image(rng: random.Random, ctx: Field, i: int):
+    """A random involution M = I + c u^T (u.c = 0) that carries the Gold
+    graph of index i onto a graph, and the table of that graph."""
+    m = ctx.m
+    while True:
+        c, u = rng.randrange(1, 1 << 2 * m), rng.randrange(1, 1 << 2 * m)
+        if (c & u).bit_count() & 1:
+            continue
+        M = BinLinearMap(2 * m, 2 * m, [(1 << r) ^ (u * ((c >> r) & 1)) for r in range(2 * m)])
+        try:
+            return M, ccz_transform(M, monomial(ctx, (1 << i) + 1))
+        except NotAPermutationError:
+            continue
+
+
+@pytest.mark.parametrize("m,i", [(5, 1), (5, 2), (7, 3), (9, 1), (9, 4)])
+def test_gold_graph_search_settles_thm1(m, i):
+    # the DFS agrees at m = 5 and 7 (tests/test_cli.py); it cannot finish m = 9
+    ctx = Field(m)
+    assert gold_graph_completion_search(theorem12_ccz_witness(ctx, i).L, ctx, i) is None
+
+
+@pytest.mark.parametrize("m,count,seed", [(5, 120, 1705), (7, 8, 1707)])
+def test_gold_graph_search_agrees_with_the_dfs_on_rank1_images(m, count, seed):
+    rng = random.Random(seed)
+    ctx = Field(m)
+    verdicts = []
+    for _ in range(count):
+        i = rng.choice([k for k in range(1, m) if math.gcd(k, m) == 1])
+        M, f = _rank1_gold_image(rng, ctx, i)
+        found = gold_graph_completion_search(M, ctx, i)
+        assert (found is None) == (linear_completion_search(f) is None)
+        if found is not None:
+            assert _completes(f, found)
+        verdicts.append(found is None)
+    assert set(verdicts) == {True, False}
+
+
+def test_gold_graph_search_budgets_trip():
+    ctx = Field(5)
+    w = theorem12_ccz_witness(ctx, 1)
+    with pytest.raises(BudgetExceededError):
+        gold_graph_completion_search(w.L, ctx, 1, budget=3)
+    with pytest.raises(BudgetExceededError):
+        gold_graph_completion_search(w.L, ctx, 1, time_limit=0.0)
+    with pytest.raises(ValueError):
+        gold_graph_completion_search(w.L, ctx, 1, budget=0)
+
+
+def test_gold_graph_search_rejects_what_it_cannot_decide():
+    ctx = Field(5)
+    w = theorem12_ccz_witness(ctx, 1)
+    with pytest.raises(ConditionViolatedError):
+        gold_graph_completion_search(w.L, Field(6), 1)
+    with pytest.raises(GcdViolationError):
+        gold_graph_completion_search(w.L, ctx, 5)
+    rank2 = BinLinearMap(10, 10, [(1 << r) ^ (0x100 << r if r < 2 else 0) for r in range(10)])
+    for M in (rank2, _swap_map(5)):
+        with pytest.raises(ValueError, match="I \\+ c u\\^T"):
+            gold_graph_completion_search(M, ctx, 1)
+    # c = e_0, u = e_5: the first projection x + (bit 0 of x^3) e_0 does not permute
+    not_a_graph = BinLinearMap(10, 10, [(1 << r) ^ (0x20 if r == 0 else 0) for r in range(10)])
+    with pytest.raises(NotAPermutationError):
+        gold_graph_completion_search(not_a_graph, ctx, 1)

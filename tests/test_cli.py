@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vbfkit.ccz import identity_map
 from vbfkit.cli import analysis_report, build_parser, lut_text, main, read_lut, render_report
 from vbfkit.constructions import (
     f8_side_condition,
@@ -630,6 +631,28 @@ def test_verify_remark4_time_budget_exit3(capsys):
     rc, _, err = run(capsys, "verify", "remark4", "--m", "5", "--i", "1", "--budget", "0.000001")
     assert rc == 3
     assert "budget" in err.lower()
+
+
+@pytest.mark.parametrize(
+    "m,i,poly", [(5, 1, None), (5, 2, None), (7, 1, None), (7, 2, None), (5, 1, "0x29"), (5, 2, "0x2f")]
+)
+def test_verify_remark4_m_path_matches_the_lut_search(tmp_path, capsys, m, i, poly):
+    # --m searches through the Gold graph, --lut over the table's Walsh zeros
+    field = ["--m", str(m), "--i", str(i)] + (["--poly", poly] if poly else [])
+    path = tmp_path / "thm1.lut"
+    assert run(capsys, "construct", "--family", "thm1", *field, "--out", str(path))[0] == 0
+    by_lut = run(capsys, "verify", "remark4", "--lut", str(path))
+    assert by_lut == run(capsys, "verify", "remark4", *field)
+    assert by_lut[:2] == (0, f"ok   no linear completion to a permutation among all 2^{m * m} linear maps\n")
+
+
+def test_verify_remark4_rechecks_a_completion_on_the_table(capsys, monkeypatch):
+    # thm1 has no completion, so any map the search returned must fail the check
+    monkeypatch.setattr(
+        "vbfkit.cli.gold_graph_completion_search", lambda M, ctx, i, **kw: identity_map(ctx.m)
+    )
+    rc, stdout, _ = run(capsys, "verify", "remark4", "--m", "5", "--i", "1")
+    assert (rc, stdout) == (1, "FAIL the completion found does not make the table a permutation\n")
 
 
 def test_verify_example1(capsys):

@@ -1,8 +1,8 @@
 """Time vbfkit commands end to end and per stage, for the BENCH_*.json files.
 
-    python3 tools/bench_trajectory.py --src . --label change --out BENCH_16.json
+    python3 tools/bench_trajectory.py --src . --label change --out BENCH_17.json
     python3 tools/bench_trajectory.py --src ../parent --label parent \\
-        --out BENCH_16.json --skip analyze-thm1-m21 --skip remark4-m9
+        --out BENCH_17.json --skip remark4-m9 --skip remark4-m11 --skip remark4-m13
 
 Each entry is one command run in this process through ``vbfkit.cli.main``,
 with vbfkit imported from ``<src>/src``; ``tier1`` runs the test suite of
@@ -55,7 +55,7 @@ ENTRIES = {
     "analyze-random-lut-m13": _analyze(RANDOM_LUT),
     "remark4-m7-i1": ["verify", "remark4", "--m", "7", "--i", "1"],
     "remark4-m7-i2": ["verify", "remark4", "--m", "7", "--i", "2"],
-    "remark4-m9": ["verify", "remark4", "--m", "9", "--i", "1"],
+    **{f"remark4-m{m}": ["verify", "remark4", "--m", str(m), "--i", "1"] for m in (9, 11, 13)},
     "tier1": None,  # the test suite, in a subprocess
 }
 
