@@ -380,13 +380,18 @@ def gold_graph_completion_search(
     c.(L^T b, b) = (g + c_y).b, so once g is fixed, each b with b' != 0
     gives one linear equation in the m*m entries of L.  A b with b' = 0
     gives none: M^T is invertible and b != 0, so a' != 0, where W_G(a', 0)
-    is 0.  The search fixes the bits of g in turn (both values, 0 first);
-    fixing bit t adds the equation g_t = (L c_x)_t and the equations of
-    every b < 2^(t+1) with bit t set, and a prefix whose system is
-    inconsistent is pruned.  The returned L solves the system of a full g
-    with its free entries 0.  Every L lies in exactly one branch g, so None
-    means no map exists.  ``budget`` caps the search nodes (prefixes of g
-    visited, the root included) and ``time_limit`` the seconds, as there.
+    is 0.  The search walks b in the trace-dual coordinates, b = D(beta)
+    with the dual index map D, and fixes the bits h_t = (g + c_y).D(2^t) in
+    turn (both values, 0 first).  Fixing h_t adds that equation in L and
+    the equations of every b = D(beta) with beta < 2^(t+1) and bit t of
+    beta set, whose (g + c_y).b = parity(h & beta) is then known; a prefix
+    whose system is inconsistent is pruned.  In these coordinates thm1
+    takes at most 30 nodes at m = 5-17, where the bits of b itself need
+    about 2^(m-1) nodes at m = 11 and 13.  The returned L solves the system
+    of a full h with its free entries 0.  Every L lies in exactly one
+    branch h, so None means no map exists.  ``budget`` caps the search
+    nodes (prefixes of h visited, the root included) and ``time_limit`` the
+    seconds, as there.
     """
     deadline = None if time_limit is None else time.monotonic() + float(time_limit)
     if budget is not None and budget < 1:
@@ -407,27 +412,29 @@ def gold_graph_completion_search(
     u = max(rank1, default=0)
     c = sum(1 << r for r, row in enumerate(M.rows) if row != 1 << r)
     cx, cy, ux, uy = c & (n - 1), c >> m, u & (n - 1), u >> m
-    betas = np.argsort(_dual_reindex(ctx))[1:]
-    roots = ctx.pow_many(betas, (1 - (1 << i)) * ctx.inverse_exponent((1 << 2 * i) - 1) % ctx.order)
+    dual = _dual_reindex(ctx)  # tr(beta y) = D(beta).y
+    exponent = (1 - (1 << i)) * ctx.inverse_exponent((1 << 2 * i) - 1) % ctx.order
+    roots = ctx.pow_many(np.argsort(dual)[1:], exponent)  # r for each mask b' >= 1
     sides = 1 ^ np.bitwise_count(np.arange(1, n) & ctx.pow_many(roots, e)) & 1
-    root, side = [0, *roots.tolist()], [0, *sides.tolist()]
+    root, side, dual = [0, *roots.tolist()], [0, *sides.tolist()], dual.tolist()
     # entry (j, k) of L, bit k of L's row j, is unknown j*m + k at bit j*m + k + 1
     spread = [0] * n  # spread[b] * r has r at the unknowns of every row j in b
     for b in range(1, n):
         spread[b] = spread[b & (b - 1)] | 1 << ((b & -b).bit_length() - 1) * m + 1
     nodes = 0
 
-    def equations(t: int, g: int) -> list[int]:
-        eqs = [cx << t * m + 1 | (g >> t) & 1]
-        for b in range(1 << t, 2 << t):
-            s = ((g ^ cy) & b).bit_count() & 1
+    def equations(t: int, h: int) -> list[int]:
+        v = dual[1 << t]
+        eqs = [cx * spread[v] | ((h >> t) ^ (cy & v).bit_count()) & 1]
+        for beta in range(1 << t, 2 << t):
+            b, s = dual[beta], (h & beta).bit_count() & 1
             bp = b ^ uy if s else b
             if bp:  # b' = 0 asks nothing, see above
                 r = root[bp]
                 eqs.append(r * spread[b] | side[bp] ^ (s & (ux & r).bit_count() & 1))
         return eqs
 
-    def extend(t: int, g: int, pivots: dict[int, int]) -> dict[int, int] | None:
+    def extend(t: int, h: int, pivots: dict[int, int]) -> dict[int, int] | None:
         nonlocal nodes
         nodes += 1
         if budget is not None and nodes > budget:
@@ -436,10 +443,10 @@ def gold_graph_completion_search(
             raise BudgetExceededError("time budget exhausted during search")
         if t == m:
             return pivots
-        for g_t in (g, g | 1 << t):
+        for h_t in (h, h | 1 << t):
             trial = dict(pivots)
-            if all(_reduce(trial, v) != 1 for v in equations(t, g_t)):
-                found = extend(t + 1, g_t, trial)
+            if all(_reduce(trial, v) != 1 for v in equations(t, h_t)):
+                found = extend(t + 1, h_t, trial)
                 if found is not None:
                     return found
         return None

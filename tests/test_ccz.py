@@ -849,11 +849,13 @@ def _rank1_gold_image(rng: random.Random, ctx: Field, i: int):
             continue
 
 
-@pytest.mark.parametrize("m,i", [(5, 1), (5, 2), (7, 3), (9, 1), (9, 4)])
+@pytest.mark.parametrize("m,i", [(5, 1), (5, 2), (7, 3), (9, 1), (9, 4), (11, 1), (13, 2)])
 def test_gold_graph_search_settles_thm1(m, i):
-    # the DFS agrees at m = 5 and 7 (tests/test_cli.py); it cannot finish m = 9
+    # the DFS agrees at m = 5 and 7 (tests/test_cli.py); it cannot finish m = 9.
+    # The budget pins the pruning: the trace-dual order needs at most 17
+    # nodes here, the order of b's own bits 1023 at m = 11
     ctx = Field(m)
-    assert gold_graph_completion_search(theorem12_ccz_witness(ctx, i).L, ctx, i) is None
+    assert gold_graph_completion_search(theorem12_ccz_witness(ctx, i).L, ctx, i, budget=32) is None
 
 
 @pytest.mark.parametrize("m,count,seed", [(5, 120, 1705), (7, 8, 1707)])
