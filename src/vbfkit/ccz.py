@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf2m import _linear_table
+from .gf2m import Field, _linear_table
 from .spectra import _MATRIX_LIMIT, TooLargeError, _dual_reindex, _fwht_rows, _sign_rows
 from .vbf import (
     ContextMismatchError,
@@ -364,7 +364,7 @@ def linear_completion_search(
 
 
 def gold_graph_completion_search(
-    M: BinLinearMap, ctx, i: int, budget: int | None = None, time_limit: float | None = None
+    M: BinLinearMap, ctx: Field, i: int, budget: int | None = None, time_limit: float | None = None
 ) -> BinLinearMap | None:
     """Find a linear map L with F + L a permutation, or None, for the table F
     whose graph is the image of the Gold graph {(x, x^(2^i+1))} under
@@ -387,7 +387,7 @@ def gold_graph_completion_search(
     beta set, whose (g + c_y).b = parity(h & beta) is then known; a prefix
     whose system is inconsistent is pruned.  In these coordinates thm1
     takes at most 30 nodes at m = 5-17, where the bits of b itself need
-    about 2^(m-1) nodes at m = 11 and 13.  The returned L solves the system
+    1023 nodes at m = 11 and 13.  The returned L solves the system
     of a full h with its free entries 0.  Every L lies in exactly one
     branch h, so None means no map exists.  ``budget`` caps the search
     nodes (prefixes of h visited, the root included) and ``time_limit`` the
