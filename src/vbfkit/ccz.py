@@ -415,6 +415,7 @@ def gold_graph_completion_search(
     dual = _dual_reindex(ctx)  # tr(beta y) = D(beta).y
     exponent = (1 - (1 << i)) * ctx.inverse_exponent((1 << 2 * i) - 1) % ctx.order
     roots = ctx.pow_many(np.argsort(dual)[1:], exponent)  # r for each mask b' >= 1
+    # the Walsh zeros of row b' are the a' with a'.r = side[b'] = 1 + b'.G(r)
     sides = 1 ^ np.bitwise_count(np.arange(1, n) & ctx.pow_many(roots, e)) & 1
     root, side, dual = [0, *roots.tolist()], [0, *sides.tolist()], dual.tolist()
     # entry (j, k) of L, bit k of L's row j, is unknown j*m + k at bit j*m + k + 1
