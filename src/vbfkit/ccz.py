@@ -386,8 +386,8 @@ def gold_graph_completion_search(
     the equations of every b = D(beta) with beta < 2^(t+1) and bit t of
     beta set, whose (g + c_y).b = parity(h & beta) is then known; a prefix
     whose system is inconsistent is pruned.  In these coordinates thm1
-    takes at most 30 nodes at m = 5-17, where the bits of b itself need
-    1023 nodes at m = 11 and 13.  The returned L solves the system
+    (i = 1, 2) takes at most 30 nodes at m = 5-17, where the bits of b
+    itself need 1023 nodes at m = 11 and 13.  The returned L solves the system
     of a full h with its free entries 0.  Every L lies in exactly one
     branch h, so None means no map exists.  ``budget`` caps the search
     nodes (prefixes of h visited, the root included) and ``time_limit`` the
