@@ -9,7 +9,12 @@ along its axis of the row reshaped to a 2^s_0 x ... x 2^s_(t-1) array.
 The products run in float32, which is exact here because every partial
 sum, in any factor order, is an integer of magnitude at most 2^k <= 2^24.
 The difference counts visit each pair {x, x + a} once, so a direction
-costs one pass over half the domain.
+costs one pass over half the domain.  Both spectra scan their rows (Walsh
+rows b, difference directions a) in blocks of about 2^14 cells
+(``_block_rows``), with one tally per block: a block of Walsh rows is
+transformed and counted by one bincount, and a block of directions keys
+each pair of row r as r*2^m + b, so one bincount gives the pair counts of
+every row and a second one their histogram.
 
 Since tr(ax) = parity(D[a] & x) for a bijection D fixing 0, the trace row
 b is the dot-product row of mask D[b] with its columns permuted, so
@@ -138,39 +143,57 @@ def _dual_reindex(ctx) -> np.ndarray:
 def _orbits(f: FuncTable, walsh: bool) -> tuple[np.ndarray, np.ndarray]:
     """Orbit minima on GF(2^m)* and their orbit sizes, for the Walsh rows b
     (``walsh``) or the difference directions a, under the symmetries that
-    F shows on the whole table (see the module docstring).
+    F shows on the whole table (see the module docstring).  Both come from
+    one cached pass over the table, so a report that asks for both spectra
+    checks the identities once.  The arrays are read-only.
+    """
+    rows, directions = _symmetry_orbits(f)
+    return rows if walsh else directions
+
+
+@lru_cache(maxsize=2)
+def _symmetry_orbits(f: FuncTable) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(row orbits, direction orbits) of ``_orbits``, each as (minima, sizes).
 
     If F(gx) = lam*F(x), the directions form one orbit, and the rows the
     cycles of b -> lam*b: one if lam is primitive, else their minima come
     from m rounds of pointer doubling, low = min(low, low[P]), P = P[P].
     If F(x^2) = F(x)^2, the minimum of low[x], low[x^2], ... merges orbits,
     through m - 1 gathers.  A table with neither gets every nonzero
-    element, each with size 1.
+    element, each with size 1, for rows and directions alike.
     """
     ctx = f.ctx
     n = ctx.size
     vals = f.as_array()
-    low = np.arange(n, dtype=np.int64)
+    one = (np.ones(1, dtype=np.int64), np.full(1, n - 1, dtype=np.int64))
+    step = None  # the table of b -> lam*b while F(gx) = lam*F(x) holds
     f1 = int(vals[1])
     if f1:
         lam = ctx.mul(int(vals[ctx.generator]), ctx.inv(f1))
         step = ctx.scale_table(lam)
-        if np.array_equal(vals[ctx.scale_table(ctx.generator)], step[vals]):
-            if not walsh or ctx.is_primitive(lam):  # one cycle of x -> gx or b -> lam*b
-                return np.ones(1, dtype=np.int64), np.full(1, n - 1, dtype=np.int64)
+        if not np.array_equal(vals[ctx.scale_table(ctx.generator)], step[vals]):
+            step = None
+    if step is not None and ctx.is_primitive(lam):  # one cycle of b -> lam*b
+        rows = one
+    else:
+        low = np.arange(n, dtype=np.int64)
+        if step is not None:
             for _ in range(ctx.m):  # each cycle is shorter than 2^m
                 np.minimum(low, low[step], out=low)
                 step = step[step]
-    sq = _linear_table([ctx.mul(1 << k, 1 << k) for k in range(ctx.m)])
-    if np.array_equal(vals[sq], sq[vals]):
-        base = low.copy()
-        cur = np.arange(n, dtype=np.int64)
-        for _ in range(ctx.m - 1):
-            cur = sq[cur]
-            np.minimum(low, base[cur], out=low)
-    sizes = np.bincount(low, minlength=n)
-    reps = np.flatnonzero(sizes)[1:]  # drop the orbit {0}
-    return reps, sizes[reps]
+        sq = _linear_table([ctx.mul(1 << k, 1 << k) for k in range(ctx.m)])
+        if np.array_equal(vals[sq], sq[vals]):
+            base = low.copy()
+            cur = np.arange(n, dtype=np.int64)
+            for _ in range(ctx.m - 1):
+                cur = sq[cur]
+                np.minimum(low, base[cur], out=low)
+        sizes = np.bincount(low, minlength=n)
+        reps = np.flatnonzero(sizes)[1:]  # drop the orbit {0}
+        rows = (reps, sizes[reps])
+    for arr in (*rows, *one):
+        arr.flags.writeable = False
+    return rows, (one if step is not None else rows)  # x -> gx is one cycle of directions
 
 
 def _sign_rows(f: FuncTable, masks: np.ndarray) -> np.ndarray:
@@ -179,11 +202,27 @@ def _sign_rows(f: FuncTable, masks: np.ndarray) -> np.ndarray:
     return 1 - 2 * (np.bitwise_count(prods) & 1).astype(np.int32)
 
 
+def _block_rows(n: int, floor: int = 1) -> int:
+    """Rows of a spectrum scan per block, for rows of length n: about 2^14
+    cells, so that a block's temporaries stay in L2, but at least
+    ``floor`` rows while that keeps a block under 2^22 cells.
+
+    On a 2-core Xeon, 2^14 to 2^15 cells were fastest at m = 7 to 13 with
+    one BLAS thread.  With OpenBLAS's two, the first transform product of
+    2^15-cell blocks at m = 9 and 10 stalled for 8 ms a call, and those of
+    2^14-cell blocks did not.
+    """
+    return max((1 << 14) // n, min(floor, (1 << 22) // n), 1)
+
+
 def walsh_spectrum(f: FuncTable) -> WalshSpectrum:
     """Multiset of walsh(a, b) over all a and all b != 0.
 
     Trace row b is the transformed dot-product sign row of mask D[b]; its
-    values, all in [-2^m, 2^m], are tallied with one bincount per block.
+    values, all in [-2^m, 2^m], are tallied with one bincount per block of
+    ``_block_rows`` rows.  A block has at least 16 rows up to m = 18, as
+    each block's tally costs passes over all 2^(m+1) + 1 counts (at
+    m = 17, blocks of 2 rows spent about 40 % of the time there).
     Only the row orbit minima b from ``_orbits`` are transformed, each
     tally counted once per orbit element: rows b, b^2 (if F(x^2) = F(x)^2)
     and lam*b (if F(gx) = lam*F(x)) hold the same multiset.  A table
@@ -195,11 +234,7 @@ def walsh_spectrum(f: FuncTable) -> WalshSpectrum:
     n = ctx.size
     reps, sizes = _orbits(f, walsh=True)
     masks = _dual_reindex(ctx)[reps]
-    # rows per block: each float32 temporary stays near 1 MB, but a block has
-    # at least 16 rows while that keeps it under 16 MB, since each block's
-    # tally costs passes over all 2^(m+1) + 1 counts (at m = 17, blocks of
-    # 2 rows spent about 40 % of the time there)
-    block = max(min(16, (1 << 22) // n), (1 << 18) // n, 1)
+    block = _block_rows(n, floor=16)
     counts = np.zeros(2 * n + 1, dtype=np.int64)
     for size in np.unique(sizes).tolist():
         group = masks[sizes == size]
@@ -255,8 +290,13 @@ def differential_spectrum(f: FuncTable) -> DifferentialSpectrum:
 
     Each pair {x, x + a} lies in one fiber, so a direction is scanned over
     the half domain where bit h, the top bit of a, is clear: one x per
-    pair, and a pair count c is a fiber of size 2c.  The minima ascend, so
-    that half domain and its values change only when h does.
+    pair, and a pair count c is a fiber of size 2c.  The minima of one
+    orbit size ascend, so the directions with top bit h form one run,
+    which shares that half domain and its values.  A run is scanned in
+    blocks of ``_block_rows`` directions: row r of a block keys its pair
+    (x, a) as r*2^m + F(x + a) + F(x), one bincount of the keys gives the
+    pair counts of every (a, b) in the block, and a second one their
+    histogram.  From m = 14 on a block is one direction.
     """
     ctx = f.ctx
     if ctx.m > _SPECTRUM_LIMIT:
@@ -265,14 +305,25 @@ def differential_spectrum(f: FuncTable) -> DifferentialSpectrum:
     vals = f.as_array().astype(np.intp)
     xs = np.arange(n, dtype=np.intp)
     hist = np.zeros(n // 2 + 1, dtype=np.int64)  # pair count -> number of (a, b)
-    h = -1
-    reps, weights = _orbits(f, walsh=False)
-    for a, w in zip(reps.tolist(), weights.tolist()):
-        if a.bit_length() - 1 != h:
-            h = a.bit_length() - 1
+    block = _block_rows(n)
+    reps, sizes = _orbits(f, walsh=False)
+    for size in np.unique(sizes).tolist():
+        group = reps[sizes == size]
+        start = 0
+        while start < len(group):  # one run of directions with top bit h per pass
+            h = int(group[start]).bit_length() - 1
+            stop = int(np.searchsorted(group, 2 << h))  # the minima ascend
             half = xs.reshape(-1, 2, 1 << h)[:, 0, :].ravel()
-            base = vals[half]
-        hist += w * np.bincount(np.bincount(vals[half ^ a] ^ base, minlength=n), minlength=n // 2 + 1)
+            # row r's keys are r*n + b: as b < n, the xor sets the bits above m
+            rows = min(block, stop - start)
+            base = vals[half] ^ (np.arange(rows, dtype=np.intp)[:, None] << ctx.m)
+            for lo in range(start, stop, rows):
+                a = group[lo:min(lo + rows, stop)]
+                keys = vals[half ^ a[:, None]]
+                keys ^= base[:len(a)]
+                pair_counts = np.bincount(keys.ravel(), minlength=len(a) * n)
+                hist += size * np.bincount(pair_counts, minlength=n // 2 + 1)
+            start = stop
     pairs = np.flatnonzero(hist)
     dist = {2 * int(c): int(hist[c]) for c in pairs}
     dmax = 2 * int(pairs[-1])

@@ -19,6 +19,7 @@ def bench(monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))  # main prepends the tree's src
     monkeypatch.setattr(mod, "ENTRIES", {
         "analyze-gold-m5": mod._analyze("--family", "gold", "--m", "5", "--i", "1"),
+        "analyze-random-lut-m5": mod._analyze(mod._random_lut_arg(5, "function")),
         "analyze-random-lut-m13": mod._analyze(mod.RANDOM_LUT),
         "verify-thm1-m5": ["verify", "thm1", "--m", "5"],
     })
@@ -36,7 +37,9 @@ def test_bench_script_records_entries_stages_host_and_skips(bench, tmp_path):
     side = data["sides"]["a"]
     assert side["repeat"] == 2
     assert side["skipped"] == ["analyze-random-lut-m13"]
-    assert set(side["entries"]) == {"analyze-gold-m5", "verify-thm1-m5"}
+    assert set(side["entries"]) == {"analyze-gold-m5", "analyze-random-lut-m5", "verify-thm1-m5"}
+    lut = side["entries"]["analyze-random-lut-m5"]
+    assert lut["exit_codes"] == [0] and lut["command"].endswith("random-function5.lut --timing")
     gold = side["entries"]["analyze-gold-m5"]
     assert len(gold["runs_s"]) == 2 and gold["median_s"] > 0
     assert gold["exit_codes"] == [0] and gold["spectra_from"] == "table"

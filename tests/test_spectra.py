@@ -12,6 +12,7 @@ from vbfkit.constructions import theorem1
 from vbfkit.gf2m import Field, _linear_table, is_irreducible
 from vbfkit.spectra import (
     TooLargeError,
+    _block_rows,
     _dual_reindex,
     _fwht_rows,
     _orbits,
@@ -388,6 +389,22 @@ def _difference_counts_oracle(f: FuncTable) -> dict:
     return {int(v): int(hist[v]) for v in np.flatnonzero(hist)}
 
 
+def _per_direction_oracle(f: FuncTable) -> dict:
+    """Fiber-size distribution from one half-domain scan per orbit minimum
+    a, each histogram counted once per orbit element: the scan that the
+    blocked one replaced, kept as a second oracle."""
+    n = f.ctx.size
+    vals = f.as_array().astype(np.intp)
+    xs = np.arange(n, dtype=np.intp)
+    hist = np.zeros(n // 2 + 1, dtype=np.int64)
+    reps, weights = _orbits(f, walsh=False)
+    for a, w in zip(reps.tolist(), weights.tolist()):
+        h = a.bit_length() - 1
+        half = xs.reshape(-1, 2, 1 << h)[:, 0, :].ravel()
+        hist += w * np.bincount(np.bincount(vals[half ^ a] ^ vals[half], minlength=n), minlength=n // 2 + 1)
+    return {2 * int(c): int(hist[c]) for c in np.flatnonzero(hist)}
+
+
 @pytest.mark.parametrize("m", range(2, 12))
 def test_half_domain_difference_counts_match_full_domain_oracle(m):
     ctx = Field(m)
@@ -409,6 +426,51 @@ def test_half_domain_difference_counts_match_full_domain_oracle(m):
     assert differential_spectrum(linear).max == n  # every derivative is constant
     assert not _is_fallback(cases["squaring-invariant"])
     assert _is_fallback(cases["permutation"])
+
+
+def _runs(reps: np.ndarray, sizes: np.ndarray) -> list[tuple[int, int]]:
+    """(length, orbit size) of each run of direction minima that share their
+    top bit and their orbit size."""
+    tops = np.frexp(reps.astype(float))[1]
+    runs = {}
+    for key in zip(tops.tolist(), sizes.tolist()):
+        runs[key] = runs.get(key, 0) + 1
+    return [(length, size) for (_, size), length in runs.items()]
+
+
+@pytest.mark.parametrize("case", ["thm1-m11", "random-m10", "random-m11"])
+def test_blocked_difference_counts_match_both_oracles(case):
+    """Runs longer than a block, so a block boundary falls inside a run;
+    thm1 (as a table, orbit sizes 11 and 1) also ends runs in partial
+    blocks and changes the orbit size between runs."""
+    kind, m = case.split("-m")
+    ctx = Field(int(m))
+    n = ctx.size
+    if kind == "thm1":
+        tab = FuncTable(ctx, theorem1(ctx, 1).as_array())
+    else:
+        tab = FuncTable(ctx, np.random.default_rng(400 + n).integers(0, n, size=n))
+    block = _block_rows(n)
+    runs = _runs(*_orbits(tab, walsh=False))
+    assert max(length for length, _ in runs) > block
+    if kind == "thm1":
+        assert {size for _, size in runs} == {1, 11}
+        assert any(length > block and length % block for length, _ in runs)
+    spec = differential_spectrum(tab)
+    assert spec.distribution == _difference_counts_oracle(tab) == _per_direction_oracle(tab)
+    assert spec.max == max(spec.distribution)
+
+
+def test_orbits_are_computed_once_per_table_and_read_only():
+    ctx = Field(9)
+    gold = monomial(ctx, 3, c=ctx.generator)  # F(gx) = g^3 F(x), with g^3 primitive
+    rows = _orbits(gold, walsh=True)
+    assert _orbits(FuncTable(ctx, gold.as_array()), walsh=True) is rows
+    assert _orbits(gold, walsh=False)[0].tolist() == [1]
+    for arr in (*rows, *_orbits(gold, walsh=False)):
+        assert not arr.flags.writeable
+    other = monomial(ctx, 5)
+    assert _orbits(other, walsh=True) is not rows
 
 
 def _assert_matches_all_rows(f: FuncTable) -> None:
@@ -468,7 +530,7 @@ def test_orbit_spectra_match_all_rows_oracle(case):
 @pytest.mark.parametrize("poly", _two_polys(11))
 def test_orbit_spectra_span_several_blocks_at_m11(poly):
     ctx = Field(11, poly)
-    rows_per_block = (1 << 18) >> 11
+    rows_per_block = _block_rows(1 << 11, floor=16)
     for tab in (evaluate(UnivariatePoly(ctx, {3: 1, 5: 1})), theorem1(ctx, 1)):
         reps, _ = _orbits(tab, walsh=True)
         assert len(reps) > rows_per_block

@@ -30,6 +30,7 @@ import json
 import os
 import platform
 import random
+import re
 import statistics
 import subprocess
 import sys
@@ -38,11 +39,19 @@ import time
 from pathlib import Path
 
 REPEAT = 3  # runs per entry
-RANDOM_LUT = "<random m=13 LUT>"  # replaced by the path of a seeded random permutation
 
 
 def _analyze(*args: str) -> list[str]:
     return ["analyze", *args, "--timing"]
+
+
+def _random_lut_arg(m: int, kind: str) -> str:
+    """Placeholder for a seeded random ``kind`` ("permutation" or
+    "function") LUT at degree m, replaced by its path when its entry runs."""
+    return f"<random m={m} {kind} LUT>"
+
+
+RANDOM_LUT = _random_lut_arg(13, "permutation")
 
 
 ENTRIES = {
@@ -52,6 +61,8 @@ ENTRIES = {
        for m in (13, 15, 17, 21)},
     "analyze-thm4-m15-n5": _analyze("--family", "thm4", "--m", "15", "--n", "5", "--i", "1"),
     "analyze-inverse-m17": _analyze("--family", "inverse", "--m", "17"),
+    # tables without symmetry: every Walsh row and difference direction is scanned
+    **{f"analyze-random-lut-m{m}": _analyze(_random_lut_arg(m, "function")) for m in (8, 9)},
     "analyze-random-lut-m13": _analyze(RANDOM_LUT),
     "remark4-m7-i1": ["verify", "remark4", "--m", "7", "--i", "1"],
     "remark4-m7-i2": ["verify", "remark4", "--m", "7", "--i", "2"],
@@ -102,16 +113,24 @@ def host_facts(tree: Path) -> dict:
     }
 
 
-def _random_lut(directory: str) -> str:
+def _write_random_lut(directory: str, placeholder: str) -> str:
+    """Write the table a ``_random_lut_arg`` placeholder names, seeded by m,
+    and return its path."""
     from vbfkit.cli import lut_text
     from vbfkit.gf2m import Field
     from vbfkit.vbf import FuncTable
 
-    values = list(range(1 << 13))
-    random.Random(13).shuffle(values)
-    path = os.path.join(directory, "random13.lut")
+    m_text, kind = re.fullmatch(r"<random m=(\d+) (permutation|function) LUT>", placeholder).groups()
+    m = int(m_text)
+    rng = random.Random(m)
+    if kind == "permutation":
+        values = list(range(1 << m))
+        rng.shuffle(values)
+    else:
+        values = [rng.randrange(1 << m) for _ in range(1 << m)]
+    path = os.path.join(directory, f"random-{kind}{m}.lut")
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(lut_text(FuncTable(Field(13), values)))
+        fh.write(lut_text(FuncTable(Field(m), values)))
     return path
 
 
@@ -187,8 +206,8 @@ def main(argv: list[str] | None = None) -> int:
         for name, cmd in ENTRIES.items():
             if name in args.skip:
                 continue
-            if cmd is not None and RANDOM_LUT in cmd:
-                cmd = [_random_lut(tmp) if a == RANDOM_LUT else a for a in cmd]
+            if cmd is not None:
+                cmd = [_write_random_lut(tmp, a) if a.startswith("<random ") else a for a in cmd]
             side["entries"][name] = measure(tree, cmd, REPEAT)
             print(f"{name}: {side['entries'][name]['median_s']} s", file=sys.stderr)
     out = Path(args.out)
