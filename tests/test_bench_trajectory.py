@@ -20,7 +20,7 @@ def bench(monkeypatch):
     monkeypatch.setattr(mod, "ENTRIES", {
         "analyze-gold-m5": mod._analyze("--family", "gold", "--m", "5", "--i", "1"),
         "analyze-random-lut-m5": mod._analyze(mod._random_lut_arg(5, "function")),
-        "analyze-random-lut-m13": mod._analyze(mod.RANDOM_LUT),
+        "analyze-random-lut-m13": mod._analyze(mod._random_lut_arg(13, "permutation")),
         "verify-thm1-m5": ["verify", "thm1", "--m", "5"],
     })
     return mod

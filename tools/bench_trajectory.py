@@ -51,9 +51,6 @@ def _random_lut_arg(m: int, kind: str) -> str:
     return f"<random m={m} {kind} LUT>"
 
 
-RANDOM_LUT = _random_lut_arg(13, "permutation")
-
-
 ENTRIES = {
     **{f"analyze-gold-m{m}": _analyze("--family", "gold", "--m", str(m), "--i", "1")
        for m in (9, 11, 13, 15, 17)},
@@ -63,7 +60,7 @@ ENTRIES = {
     "analyze-inverse-m17": _analyze("--family", "inverse", "--m", "17"),
     # tables without symmetry: every Walsh row and difference direction is scanned
     **{f"analyze-random-lut-m{m}": _analyze(_random_lut_arg(m, "function")) for m in (8, 9)},
-    "analyze-random-lut-m13": _analyze(RANDOM_LUT),
+    "analyze-random-lut-m13": _analyze(_random_lut_arg(13, "permutation")),
     "remark4-m7-i1": ["verify", "remark4", "--m", "7", "--i", "1"],
     "remark4-m7-i2": ["verify", "remark4", "--m", "7", "--i", "2"],
     **{f"remark4-m{m}": ["verify", "remark4", "--m", str(m), "--i", "1"] for m in (9, 11, 13)},
