@@ -10,11 +10,12 @@ The products run in float32, which is exact here because every partial
 sum, in any factor order, is an integer of magnitude at most 2^k <= 2^24.
 The difference counts visit each pair {x, x + a} once, so a direction
 costs one pass over half the domain.  Both spectra scan their rows (Walsh
-rows b, difference directions a) in blocks of about 2^14 cells
-(``_block_rows``), with one tally per block: a block of Walsh rows is
-transformed and counted by one bincount, and a block of directions keys
-each pair of row r as r*2^m + b, so one bincount gives the pair counts of
-every row and a second one their histogram.
+rows b, difference directions a) in blocks of about 2^14 cells, or of 16
+Walsh rows where those are more (``_block_rows``), with one tally per
+block: a block of Walsh rows is transformed and counted by one bincount,
+and a block of directions keys each pair of row r as r*2^m + b, so one
+bincount gives the pair counts of every row and a second one their
+histogram.
 
 Since tr(ax) = parity(D[a] & x) for a bijection D fixing 0, the trace row
 b is the dot-product row of mask D[b] with its columns permuted, so
