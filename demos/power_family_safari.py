@@ -9,7 +9,6 @@ Demonstrates:
 """
 
 from vbfkit import (
-    FamilySpec,
     Field,
     algebraic_degree,
     differential_uniformity,
@@ -27,8 +26,7 @@ FAMILIES = ("gold", "kasami", "welch", "niho", "inverse", "dobbertin")
 def instance(family: str, m: int, i: int | None = None):
     """Exponent of the family at degree m, or None when the row is empty."""
     try:
-        spec = FamilySpec(family, m, i=i) if i else FamilySpec(family, m)
-        return family_exponent(spec)
+        return family_exponent(family, m, i)
     except ValueError:
         return None
 

@@ -15,7 +15,6 @@ from vbfkit.ccz import (
     power_inequivalence_witness,
 )
 from vbfkit.constructions import (
-    FamilySpec,
     family_exponent,
     theorem1,
     theorem2,
@@ -81,7 +80,6 @@ __all__ = [
     "linear_completion_search",
     "gold_graph_completion_search",
     "power_inequivalence_witness",
-    "FamilySpec",
     "family_exponent",
     "theorem1",
     "theorem2",

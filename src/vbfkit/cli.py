@@ -57,7 +57,6 @@ from vbfkit.ccz import (
 )
 from vbfkit.constructions import (
     ConditionViolatedError,
-    FamilySpec,
     _theorem3_preconditions,
     example1_witness,
     f8_side_condition,
@@ -90,10 +89,6 @@ from vbfkit.vbf import (
     is_permutation,
     monomial,
 )
-
-POWER_FAMILIES = ("gold", "kasami", "welch", "niho", "inverse", "dobbertin")
-FAMILIES = POWER_FAMILIES + ("power", "thm1", "thm2", "thm3", "thm4")
-
 
 # -- LUT files ---------------------------------------------------------------
 
@@ -142,61 +137,68 @@ def read_lut(path: str) -> FuncTable:
 # -- family construction -----------------------------------------------------
 
 
-def _require_param(value, flag: str, family: str):
-    if value is None:
-        raise ConditionViolatedError(f"family {family!r} needs {flag}")
-    return value
-
-
-# The options each family reads besides --m and --poly.  _family_field rejects
-# every other family option given, as cmd_verify does with _VERIFIERS.
+# The options each family reads, each with its default or REQUIRED, as
+# _VERIFIERS gives them for the claims.  --m fixes the exponent of the Welch,
+# Niho, inverse and Dobbertin families, so they read no index.
+REQUIRED = object()
+_FIELD = {"m": REQUIRED, "poly": None}
+_INDEXED = {**_FIELD, "i": REQUIRED}
 _FAMILY_READS = {
-    **dict.fromkeys(("gold", "kasami", "dobbertin", "thm3"), ("i",)),
-    **dict.fromkeys(("welch", "niho", "inverse"), ("t",)),
-    "power": ("d",),
-    **dict.fromkeys(("thm1", "thm2"), ("i", "relaxed")),
-    "thm4": ("n", "i"),
+    "gold": _INDEXED,
+    "kasami": _INDEXED,
+    **dict.fromkeys(("welch", "niho", "inverse", "dobbertin"), _FIELD),
+    "power": {**_FIELD, "d": REQUIRED},
+    **dict.fromkeys(("thm1", "thm2"), {**_INDEXED, "relaxed": False}),
+    "thm3": _INDEXED,
+    "thm4": {**_INDEXED, "n": REQUIRED},
 }
+FAMILIES = tuple(_FAMILY_READS)
+
+# The namespace entries a subcommand reads itself; every other one is an
+# option of the family or claim, given on the command line
+_OWN = ("command", "handler", "claim", "family", "path", "out", "timing")
 
 
-def _family_field(args: argparse.Namespace) -> Field:
-    """The field of ``--family``, once the options it does not read are rejected."""
-    fam = args.family
-    if fam is None:
-        raise ConditionViolatedError("--family is required")
-    unread = [
-        f"--{k}"
-        for k in ("i", "n", "t", "d", "relaxed")
-        if k not in _FAMILY_READS[fam] and getattr(args, k) is not None
-    ]
+def _read_options(
+    args: argparse.Namespace, name: str, reads: dict
+) -> argparse.Namespace:
+    """The options of ``name`` (a family or claim) that ``reads`` lists, each
+    as given or at its default.  An option ``name`` does not read, and a
+    ``REQUIRED`` one not given, is an error."""
+    given = {k: v for k, v in vars(args).items() if k not in _OWN}
+    unread = [f"--{k}" for k in given if k not in reads]
     if unread:
-        raise ConditionViolatedError(f"family {fam} does not read {', '.join(unread)}")
-    if args.m is None:
-        raise ConditionViolatedError("--m is required with --family")
-    return Field(args.m, args.poly)
+        raise ConditionViolatedError(f"{name} does not read {', '.join(unread)}")
+    missing = [f"--{k}" for k, v in reads.items() if v is REQUIRED and k not in given]
+    if missing:
+        raise ConditionViolatedError(f"{name} needs {', '.join(missing)}")
+    return argparse.Namespace(**{**reads, **given})
 
 
-def _family_table(args: argparse.Namespace, ctx: Field) -> FuncTable:
-    fam = args.family
+def _family_options(args: argparse.Namespace) -> argparse.Namespace:
+    if args.family is None:
+        raise ConditionViolatedError("--family is required")
+    return _read_options(args, f"family {args.family}", _FAMILY_READS[args.family])
+
+
+def _family_table(fam: str, p: argparse.Namespace) -> FuncTable:
+    ctx = Field(p.m, p.poly)
     if fam in ("thm1", "thm2"):
-        i = _require_param(args.i, "--i", fam)
         builder = theorem1 if fam == "thm1" else theorem2
-        return builder(ctx, i, relaxed=bool(args.relaxed))
+        return builder(ctx, p.i, relaxed=p.relaxed)
     if fam == "thm3":
-        return theorem3(ctx, _require_param(args.i, "--i", fam))
+        return theorem3(ctx, p.i)
     if fam == "thm4":
-        n = _require_param(args.n, "--n", fam)
-        return theorem4(ctx, n, _require_param(args.i, "--i", fam))
+        return theorem4(ctx, p.n, p.i)
     if fam == "power":
-        d = _require_param(args.d, "--d", fam)
-        if not 0 <= d < ctx.size:  # the raw exponent, not reduced as the formulas' are
-            raise ValueError(f"exponent {d} outside [0, {ctx.size})")
-        return monomial(ctx, d)
+        if not 0 <= p.d < ctx.size:  # the raw exponent, not reduced as the formulas' are
+            raise ValueError(f"exponent {p.d} outside [0, {ctx.size})")
+        return monomial(ctx, p.d)
     if fam == "inverse" and ctx.m % 2 == 0:
         # Table slot only covers odd degrees; on even ones serve the
         # proper multiplicative inverse x^(2^m - 2).
         return monomial(ctx, ctx.size - 2)
-    return monomial(ctx, family_exponent(FamilySpec(fam, ctx.m, i=args.i, t=args.t)))
+    return monomial(ctx, family_exponent(fam, ctx.m, vars(p).get("i")))
 
 
 def _analyzed_family(args: argparse.Namespace) -> tuple[FuncTable, FuncTable | None]:
@@ -208,18 +210,17 @@ def _analyzed_family(args: argparse.Namespace) -> tuple[FuncTable, FuncTable | N
     thm2 come from `theorem12_ccz_witness`, whose whole-table check runs on
     every call; a ``--relaxed`` build has no witness.
     """
-    ctx = _family_field(args)
-    fam = args.family
+    fam, p = args.family, _family_options(args)
     # The witness picks thm1 at odd m and thm2 at even m; the other parity
     # goes to _family_table, which rejects it.
-    if (fam, ctx.m % 2) in (("thm1", 1), ("thm2", 0)) and not args.relaxed:
-        w = theorem12_ccz_witness(ctx, _require_param(args.i, "--i", fam))
+    if (fam, p.m % 2) in (("thm1", 1), ("thm2", 0)) and not p.relaxed:
+        w = theorem12_ccz_witness(Field(p.m, p.poly), p.i)
         f = compose(w.F2, w.F1)  # F1 is an involution
     else:
-        f = _family_table(args, ctx)
+        f = _family_table(fam, p)
         if fam not in ("thm3", "thm4"):
             return f, None
-    return f, monomial(ctx, (1 << args.i) + 1)
+    return f, monomial(f.ctx, (1 << p.i) + 1)
 
 
 # -- analysis report ---------------------------------------------------------
@@ -272,7 +273,7 @@ def render_report(report: dict) -> str:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    text = lut_text(_family_table(args, _family_field(args)))
+    text = lut_text(_family_table(args.family, _family_options(args)))
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(text)
@@ -282,12 +283,14 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    if (args.lut is None) == (args.family is None):
+    if (args.path is None) == (args.family is None):
         raise ConditionViolatedError("pass exactly one of a LUT path or --family")
+    if args.path is not None:
+        _read_options(args, f"analyze {args.path}", {})  # the LUT header fixes the field
     timings = {"build": 0.0, "io": 0.0}
     start = time.perf_counter()
-    f, gold = (read_lut(args.lut), None) if args.lut else _analyzed_family(args)
-    timings["io" if args.lut else "build"] = time.perf_counter() - start
+    f, gold = (read_lut(args.path), None) if args.path else _analyzed_family(args)
+    timings["io" if args.path else "build"] = time.perf_counter() - start
     report = analysis_report(f, timings, spectra_of=gold)
     if args.timing:
         report["spectra_from"] = "table" if gold is None else "gold"
@@ -310,12 +313,6 @@ def _emit_checks(checks: list[tuple[str, bool]]) -> int:
     return 0 if ok else 1
 
 
-def _field(args: argparse.Namespace) -> Field:
-    if args.m is None:
-        raise ConditionViolatedError("--m is required for this claim")
-    return Field(args.m, args.poly)
-
-
 def _witness_points(ctx: Field, a: int | None) -> list[int]:
     if a is not None:
         return [a]
@@ -336,7 +333,7 @@ def _witness_check(ctx: Field, i: int, a: int | None) -> tuple[str, bool]:
 
 
 def verify_thm1(args: argparse.Namespace) -> int:
-    ctx = _field(args)
+    ctx = Field(args.m, args.poly)
     f = theorem1(ctx, args.i)
     checks = [
         ("almost bent", is_ab(f)),
@@ -349,7 +346,7 @@ def verify_thm1(args: argparse.Namespace) -> int:
 
 
 def verify_thm2(args: argparse.Namespace) -> int:
-    ctx = _field(args)
+    ctx = Field(args.m, args.poly)
     f = theorem2(ctx, args.i)
     checks = [
         ("differentially 2-uniform", is_apn(f)),
@@ -361,7 +358,7 @@ def verify_thm2(args: argparse.Namespace) -> int:
 
 
 def verify_thm3(args: argparse.Namespace) -> int:
-    ctx = _field(args)
+    ctx = Field(args.m, args.poly)
     _theorem3_preconditions(ctx, args.i)  # bad parameters are not a failed check
     checks = [("octic side condition", f8_side_condition(args.i))]
     if not checks[0][1]:
@@ -380,9 +377,7 @@ def verify_thm3(args: argparse.Namespace) -> int:
 
 
 def verify_thm4(args: argparse.Namespace) -> int:
-    ctx = _field(args)
-    if args.n is None:
-        raise ConditionViolatedError("--n is required for this claim")
+    ctx = Field(args.m, args.poly)
     n, i = args.n, args.i
     f = theorem4(ctx, n, i)
     undone = compose(*theorem4_f1_tables(ctx, n, i))
@@ -422,7 +417,7 @@ def verify_remark4(args: argparse.Namespace) -> int:
         nodes, seconds = _parse_budget(args.budget)
         found = linear_completion_search(f, budget=nodes, time_limit=seconds)
     else:
-        ctx = _field(args)
+        ctx = Field(args.m, args.poly)
         f = theorem1(ctx, args.i)  # rejects m and i before the witness does
         nodes, seconds = _parse_budget(args.budget)
         w = theorem12_ccz_witness(ctx, args.i)
@@ -441,7 +436,7 @@ def verify_remark4(args: argparse.Namespace) -> int:
 
 
 def verify_example1(args: argparse.Namespace) -> int:
-    ctx = _field(args)
+    ctx = Field(args.m, args.poly)
     g = monomial(ctx, (1 << args.i) + 1)
     try:
         transformed = ccz_transform(example1_witness(ctx, args.i).L, g)
@@ -480,7 +475,7 @@ def verify_prop_gold_perm(args: argparse.Namespace, even: bool = False) -> int:
     L(x^(2^i+1)) + L'(x), or with ``even`` the even-degree one on
     L(x^(2^i+1)) + x."""
     _require_trials(args)
-    ctx = _field(args)
+    ctx = Field(args.m, args.poly)
     _require_index(args.i, ctx.m)  # before the brute-force table uses 2^i
     rng = random.Random(args.seed)
     xs = np.arange(ctx.size, dtype=np.int64)
@@ -507,7 +502,7 @@ def verify_f8_check(args: argparse.Namespace) -> int:
 
 def verify_ccz_invariance(args: argparse.Namespace) -> int:
     _require_trials(args, least=0)  # the structured maps run even with --count 0
-    ctx = _field(args)
+    ctx = Field(args.m, args.poly)
     f = monomial(ctx, 3)
     base_w = walsh_spectrum(f).distribution
     base_d = differential_spectrum(f).distribution
@@ -541,37 +536,31 @@ def verify_ccz_invariance(args: argparse.Namespace) -> int:
     return _emit_checks(checks)
 
 
-# The options each claim reads, with the value of each one not given.  verify
-# rejects every other option; remark4 searches either the --lut table or the
-# one that --m, --i and --poly build.
-_FIELD = {"m": None, "i": 1, "poly": None}
+# The options each claim reads, each with its default or REQUIRED.  remark4
+# searches either the --lut table or the one that --m, --i and --poly build.
+_CLAIM = {**_FIELD, "i": 1}
 _TRIALS = {"count": 60, "seed": 0}
 _SEARCH = {"budget": None, "threads": None}
 _VERIFIERS = {
-    "thm1": (verify_thm1, {**_FIELD, "a": None}),
-    "thm2": (verify_thm2, {**_FIELD, "a": None}),
-    "thm3": (verify_thm3, _FIELD),
-    "thm4": (verify_thm4, {**_FIELD, "n": None}),
-    "remark4": (verify_remark4, {**_FIELD, "lut": None, **_SEARCH}),
-    "example1": (verify_example1, _FIELD),
-    "prop-gold-perm": (verify_prop_gold_perm, {**_FIELD, **_TRIALS}),
-    "prop-gold-perm-even": (partial(verify_prop_gold_perm, even=True), {**_FIELD, **_TRIALS}),
+    "thm1": (verify_thm1, {**_CLAIM, "a": None}),
+    "thm2": (verify_thm2, {**_CLAIM, "a": None}),
+    "thm3": (verify_thm3, _CLAIM),
+    "thm4": (verify_thm4, {**_CLAIM, "n": REQUIRED}),
+    "remark4": (verify_remark4, {**_CLAIM, "lut": None, **_SEARCH}),
+    "example1": (verify_example1, _CLAIM),
+    "prop-gold-perm": (verify_prop_gold_perm, {**_CLAIM, **_TRIALS}),
+    "prop-gold-perm-even": (partial(verify_prop_gold_perm, even=True), {**_CLAIM, **_TRIALS}),
     "f8-check": (verify_f8_check, {"i": 1}),
-    "ccz-invariance": (verify_ccz_invariance, {"m": None, "poly": None, **_TRIALS}),
+    "ccz-invariance": (verify_ccz_invariance, {**_FIELD, **_TRIALS}),
 }
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    # the verify parser stores only the options given on the command line
-    given = {k: v for k, v in vars(args).items() if k not in ("command", "handler", "claim")}
-    claim = args.claim
-    verifier, reads = _VERIFIERS[claim]
-    if claim == "remark4" and "lut" in given:
-        claim, reads = "remark4 --lut", {"lut": None, **_SEARCH}
-    unread = [f"--{k}" for k in given if k not in reads]
-    if unread:
-        raise ConditionViolatedError(f"verify {claim} does not read {', '.join(unread)}")
-    return verifier(argparse.Namespace(**{**reads, **given}))
+    verifier, reads = _VERIFIERS[args.claim]
+    name = f"verify {args.claim}"
+    if args.claim == "remark4" and "lut" in vars(args):
+        name, reads = "verify remark4 --lut", {"lut": None, **_SEARCH}
+    return verifier(_read_options(args, name, reads))
 
 
 # -- argument parsing --------------------------------------------------------
@@ -581,23 +570,22 @@ def _int_literal(text: str) -> int:
     return int(text, 0)
 
 
-def _add_family_params(p: argparse.ArgumentParser, with_family: bool = True) -> None:
-    """Field and family parameters; ``with_family`` adds ``--family`` and the
-    parameters that only the family builders read (``--t``, ``--d``, ``--relaxed``)."""
-    if with_family:
-        p.add_argument("--family", type=str.lower, choices=FAMILIES)
+def _subcommand(sub, name: str, handler, summary: str) -> argparse.ArgumentParser:
+    """A subcommand's parser with the field and family options.  Every
+    subcommand has one policy: no abbreviations, so that no option stands
+    for another, and an option not given stays out of the namespace, so
+    that `_read_options` tells it from a default."""
+    p = sub.add_parser(
+        name, help=summary, allow_abbrev=False, argument_default=argparse.SUPPRESS
+    )
+    p.set_defaults(handler=handler)
     p.add_argument("--m", type=int, help="extension degree of the field")
     p.add_argument("--i", type=int, help="Frobenius index parameter")
     p.add_argument("--n", type=int, help="subfield degree parameter")
-    if with_family:
-        p.add_argument("--t", type=int, help="half-degree parameter (m = 2t + 1)")
-        p.add_argument("--d", type=int, help="raw exponent for the generic power family")
+    p.add_argument("--d", type=int, help="raw exponent for the generic power family")
     p.add_argument("--poly", type=_int_literal, help="reduction polynomial bitmask")
-    if with_family:
-        # default None, as for every family option: _family_field reads None as not given
-        p.add_argument(
-            "--relaxed", action="store_true", default=None, help="allow gcd(i, m) > 1 variants"
-        )
+    p.add_argument("--relaxed", action="store_true", help="allow gcd(i, m) > 1 variants")
+    return p
 
 
 @lru_cache(maxsize=None)
@@ -610,28 +598,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pc = sub.add_parser("construct", help="build a family LUT and write it out")
-    _add_family_params(pc)
-    pc.add_argument("--out", help="output path (default: stdout)")
-    pc.set_defaults(handler=cmd_construct)
-
-    pa = sub.add_parser("analyze", help="emit the JSON analysis report for a table")
-    pa.add_argument("lut", nargs="?", help="LUT file to analyze")
-    _add_family_params(pa)
-    pa.add_argument("--out", help="report path (default: stdout)")
-    pa.add_argument("--timing", action="store_true", help="add timing_ms and timing_breakdown_ms")
-    pa.set_defaults(handler=cmd_analyze)
-
-    # no abbreviations, so a family-only flag such as --t is not read as
-    # --threads; an option not given stays out of the namespace (cmd_verify)
-    pv = sub.add_parser(
-        "verify",
-        help="run a named bundle of checks",
-        allow_abbrev=False,
-        argument_default=argparse.SUPPRESS,
+    pc = _subcommand(sub, "construct", cmd_construct, "build a family LUT and write it out")
+    pa = _subcommand(sub, "analyze", cmd_analyze, "emit the JSON analysis report for a table")
+    for p in (pc, pa):
+        p.add_argument("--family", type=str.lower, choices=FAMILIES, default=None)
+        p.add_argument("--out", default=None, help="output path (default: stdout)")
+    pa.add_argument("path", nargs="?", default=None, metavar="lut", help="LUT file to analyze")
+    pa.add_argument(
+        "--timing", action="store_true", default=False, help="add timing_ms and timing_breakdown_ms"
     )
+
+    pv = _subcommand(sub, "verify", cmd_verify, "run a named bundle of checks")
     pv.add_argument("claim", choices=_VERIFIERS)
-    _add_family_params(pv, with_family=False)
     pv.add_argument("--a", type=_int_literal, help="witness scaling point (default: sampled)")
     pv.add_argument("--lut", help="table to search instead of a constructed one")
     pv.add_argument("--count", type=int, help="random trials for sampled bundles (default: 60)")
@@ -641,8 +619,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         help="search budget: integer node count or decimal wall-clock seconds",
     )
-    pv.set_defaults(handler=cmd_verify)
-
     return parser
 
 

@@ -32,7 +32,6 @@ compared spectrum-by-spectrum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +49,6 @@ from vbfkit.vbf import FuncTable, compose, invert, is_permutation, monomial
 __all__ = [
     "ConditionViolatedError",
     "DivisibilityViolatedError",
-    "FamilySpec",
     "ParityViolatedError",
     "ZeroElementError",
     "example1_witness",
@@ -79,67 +77,45 @@ class ZeroElementError(ConditionViolatedError):
     """A scaling element that must be nonzero is zero."""
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """Parameter bundle naming one instance of a function family.
+def _half_degree(family: str, m: int) -> int:
+    """t with m = 2t + 1."""
+    if m % 2 == 0:
+        raise ParityViolatedError(f"{family} needs odd m (m = 2t + 1)")
+    return (m - 1) // 2
 
-    `family` is a case-insensitive tag: "gold", "kasami", "welch", "niho",
-    "inverse", "dobbertin" for the power families, or "thm1" .. "thm4" for
-    the twisted ones.  Only the parameters a family actually uses need to
-    be set; redundant ones are cross-checked.
+
+def family_exponent(family: str, m: int, i: int | None = None) -> int:
+    """Exponent d of the power family x^d named by ``family``, conditions checked.
+
+    ``family`` is a case-insensitive tag: "gold" and "kasami" read the index
+    ``i``; "welch", "niho" and "inverse" (m = 2t + 1) and "dobbertin"
+    (m = 5i) are fixed by m and reject an index.
     """
-
-    family: str
-    m: int
-    i: int | None = None
-    t: int | None = None
-
-
-def _checked_i(spec: FamilySpec) -> int:
-    if spec.i is None:
-        raise ConditionViolatedError(f"{spec.family} needs the index i")
-    _require_index(spec.i, spec.m, strict=True)
-    return spec.i
-
-
-def _half_degree(spec: FamilySpec) -> int:
-    """t with m = 2t + 1, cross-checked against an explicit t if given."""
-    if spec.m % 2 == 0:
-        raise ParityViolatedError(f"{spec.family} needs odd m (m = 2t + 1)")
-    t = (spec.m - 1) // 2
-    if spec.t is not None and spec.t != t:
-        raise ConditionViolatedError(f"t = {spec.t} inconsistent with m = {spec.m}")
-    return t
-
-
-def family_exponent(spec: FamilySpec) -> int:
-    """Exponent d of the named power family x^d, conditions checked."""
-    fam = spec.family.lower()
-    m = spec.m
+    fam = family.lower()
     if m < 2:
         raise ConditionViolatedError("extension degree must be at least 2")
-    if fam == "gold":
-        return (1 << _checked_i(spec)) + 1
-    if fam == "kasami":
-        i = _checked_i(spec)
-        return (1 << (2 * i)) - (1 << i) + 1
+    if fam in ("gold", "kasami"):
+        if i is None:
+            raise ConditionViolatedError(f"{family} needs the index i")
+        _require_index(i, m, strict=True)
+        return (1 << i) + 1 if fam == "gold" else (1 << (2 * i)) - (1 << i) + 1
+    if fam not in ("welch", "niho", "inverse", "dobbertin"):
+        raise ConditionViolatedError(f"not a power family: {family!r}")
+    if i is not None:
+        raise ConditionViolatedError(f"{family} reads no index: m fixes its exponent")
     if fam == "welch":
-        return (1 << _half_degree(spec)) + 3
+        return (1 << _half_degree(family, m)) + 3
     if fam == "niho":
-        t = _half_degree(spec)
+        t = _half_degree(family, m)
         if t % 2 == 0:
             return (1 << t) + (1 << (t // 2)) - 1
         return (1 << t) + (1 << ((3 * t + 1) // 2)) - 1
     if fam == "inverse":
-        return (1 << (2 * _half_degree(spec))) - 1
-    if fam == "dobbertin":
-        if m % 5:
-            raise DivisibilityViolatedError("dobbertin needs m = 5i")
-        i = m // 5
-        if spec.i is not None and spec.i != i:
-            raise ConditionViolatedError(f"i = {spec.i} inconsistent with m = {m}")
-        return (1 << (4 * i)) + (1 << (3 * i)) + (1 << (2 * i)) + (1 << i) - 1
-    raise ConditionViolatedError(f"not a power family: {spec.family!r}")
+        return (1 << (2 * _half_degree(family, m))) - 1
+    if m % 5:
+        raise DivisibilityViolatedError("dobbertin needs m = 5i")
+    i = m // 5
+    return (1 << (4 * i)) + (1 << (3 * i)) + (1 << (2 * i)) + (1 << i) - 1
 
 
 # ------------------------------------------------------- twisted families

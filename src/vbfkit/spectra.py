@@ -34,9 +34,10 @@ multiset of Walsh values in row b is that of rows b^2 and lam*b, and the
 fiber sizes of direction a are those of a^2 and ga: each orbit's row is
 computed once and counted once per element.  For a power map the
 directions form one orbit, and the rows one orbit when
-gcd(d, 2^m - 1) = 1 (Gold at odd m, the inverse map).  ``_orbits`` checks
-each identity on the whole table; a table with neither (a random table,
-say) still gets every row and an exact spectrum.
+gcd(d, 2^m - 1) = 1 (Gold at odd m, the inverse map).
+``_symmetry_orbits`` checks each identity on the whole table; a table
+with neither (a random table, say) still gets every row and an exact
+spectrum.
 """
 
 from __future__ import annotations
@@ -141,20 +142,14 @@ def _dual_reindex(ctx) -> np.ndarray:
     return dual
 
 
-def _orbits(f: FuncTable, walsh: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Orbit minima on GF(2^m)* and their orbit sizes, for the Walsh rows b
-    (``walsh``) or the difference directions a, under the symmetries that
-    F shows on the whole table (see the module docstring).  Both come from
-    one cached pass over the table, so a report that asks for both spectra
-    checks the identities once.  The arrays are read-only.
-    """
-    rows, directions = _symmetry_orbits(f)
-    return rows if walsh else directions
-
-
 @lru_cache(maxsize=2)
 def _symmetry_orbits(f: FuncTable) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """(row orbits, direction orbits) of ``_orbits``, each as (minima, sizes).
+    """(row orbits, direction orbits), each as (minima, sizes): the orbit
+    minima on GF(2^m)* and their orbit sizes, for the Walsh rows b and the
+    difference directions a, under the symmetries that F shows on the whole
+    table (see the module docstring).  Both come from one cached pass over
+    the table, so a report that asks for both spectra checks the identities
+    once.  The arrays are read-only.
 
     If F(gx) = lam*F(x), the directions form one orbit, and the rows the
     cycles of b -> lam*b: one if lam is primitive, else their minima come
@@ -224,16 +219,16 @@ def walsh_spectrum(f: FuncTable) -> WalshSpectrum:
     ``_block_rows`` rows.  A block has at least 16 rows up to m = 18, as
     each block's tally costs passes over all 2^(m+1) + 1 counts (at
     m = 17, blocks of 2 rows spent about 40 % of the time there).
-    Only the row orbit minima b from ``_orbits`` are transformed, each
-    tally counted once per orbit element: rows b, b^2 (if F(x^2) = F(x)^2)
-    and lam*b (if F(gx) = lam*F(x)) hold the same multiset.  A table
-    without either symmetry gets every row b != 0.
+    Only the row orbit minima b from ``_symmetry_orbits`` are transformed,
+    each tally counted once per orbit element: rows b, b^2 (if
+    F(x^2) = F(x)^2) and lam*b (if F(gx) = lam*F(x)) hold the same
+    multiset.  A table without either symmetry gets every row b != 0.
     """
     ctx = f.ctx
     if ctx.m > _SPECTRUM_LIMIT:
         raise TooLargeError(f"walsh_spectrum costs m*2^(2m); m={ctx.m} > {_SPECTRUM_LIMIT}")
     n = ctx.size
-    reps, sizes = _orbits(f, walsh=True)
+    reps, sizes = _symmetry_orbits(f)[0]
     masks = _dual_reindex(ctx)[reps]
     block = _block_rows(n, floor=16)
     counts = np.zeros(2 * n + 1, dtype=np.int64)
@@ -283,11 +278,11 @@ def is_ab(f: FuncTable, spectrum: WalshSpectrum | None = None) -> bool:
 def differential_spectrum(f: FuncTable) -> DifferentialSpectrum:
     """Multiset of fiber sizes |{x : F(x+a)+F(x) = b}| over a != 0, all b.
 
-    Only the direction orbit minima a from ``_orbits`` are scanned, each
-    histogram counted once per orbit element: directions a, a^2 (if
-    F(x^2) = F(x)^2) and ga (if F(gx) = lam*F(x)) have the same fiber
-    sizes, so a power map needs the one direction a = 1.  A table without
-    either symmetry gets every direction a != 0.
+    Only the direction orbit minima a from ``_symmetry_orbits`` are
+    scanned, each histogram counted once per orbit element: directions a,
+    a^2 (if F(x^2) = F(x)^2) and ga (if F(gx) = lam*F(x)) have the same
+    fiber sizes, so a power map needs the one direction a = 1.  A table
+    without either symmetry gets every direction a != 0.
 
     Each pair {x, x + a} lies in one fiber, so a direction is scanned over
     the half domain where bit h, the top bit of a, is clear: one x per
@@ -307,7 +302,7 @@ def differential_spectrum(f: FuncTable) -> DifferentialSpectrum:
     xs = np.arange(n, dtype=np.intp)
     hist = np.zeros(n // 2 + 1, dtype=np.int64)  # pair count -> number of (a, b)
     block = _block_rows(n)
-    reps, sizes = _orbits(f, walsh=False)
+    reps, sizes = _symmetry_orbits(f)[1]
     for size in np.unique(sizes).tolist():
         group = reps[sizes == size]
         start = 0

@@ -22,7 +22,6 @@ from vbfkit.ccz import (
 )
 from vbfkit.constructions import (
     ConditionViolatedError,
-    FamilySpec,
     family_exponent,
     theorem1,
     theorem2,
@@ -269,20 +268,20 @@ def _power_family_instances(max_m: int):
         for m in range(2, max_m + 1):
             for i in range(1, m):
                 try:
-                    d = family_exponent(FamilySpec(family, m, i=i))
+                    d = family_exponent(family, m, i)
                 except (ConditionViolatedError, GcdViolationError):
                     continue
                 yield family, m, d
     for family in ("welch", "niho", "inverse"):
         for m in range(2, max_m + 1):
             try:
-                d = family_exponent(FamilySpec(family, m))
+                d = family_exponent(family, m)
             except (ConditionViolatedError, GcdViolationError):
                 continue
             yield family, m, d
     for m in range(2, max_m + 1):
         try:
-            d = family_exponent(FamilySpec("dobbertin", m))
+            d = family_exponent("dobbertin", m)
         except (ConditionViolatedError, GcdViolationError):
             continue
         yield "dobbertin", m, d
@@ -307,10 +306,10 @@ def test_criterion_09_power_family_regression():
                 assert is_ab(f), (family, m, d)
         assert seen >= 25
         ctx = Field(5)
-        dob = monomial(ctx, family_exponent(FamilySpec("dobbertin", 5)))
-        assert family_exponent(FamilySpec("dobbertin", 5)) == 29
+        dob = monomial(ctx, family_exponent("dobbertin", 5))
+        assert family_exponent("dobbertin", 5) == 29
         assert is_apn(dob) and not is_ab(dob)
-        inv5 = monomial(ctx, family_exponent(FamilySpec("inverse", 5)))
+        inv5 = monomial(ctx, family_exponent("inverse", 5))
         assert is_apn(inv5) and not is_ab(inv5)
         assert algebraic_degree(inv5) == 4 == ctx.m - 1
 

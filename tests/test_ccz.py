@@ -30,7 +30,7 @@ from vbfkit.ccz import (
 )
 from vbfkit.constructions import theorem1, theorem12_ccz_witness
 from vbfkit.gf2m import Field, _linear_table, is_irreducible
-from vbfkit.spectra import _orbits, differential_spectrum, walsh_spectrum
+from vbfkit.spectra import _symmetry_orbits, differential_spectrum, walsh_spectrum
 from vbfkit.vbf import (
     FuncTable,
     NotAPermutationError,
@@ -471,7 +471,7 @@ def ea_moves(draw):
 
 
 def test_ea_moves_keep_walsh_and_differential_spectra():
-    # `paths` records whether `_orbits` found a symmetry of the source table,
+    # `paths` records whether `_symmetry_orbits` found a symmetry of the source table,
     # so that both the orbit path and the all-rows path are shown to run
     paths = set()
 
@@ -480,7 +480,7 @@ def test_ea_moves_keep_walsh_and_differential_spectra():
     def check(case):
         f, L = case
         g = ccz_transform(L, f)
-        paths.add(any(_orbits(f, walsh)[0].size < f.ctx.order for walsh in (True, False)))
+        paths.add(any(reps.size < f.ctx.order for reps, _ in _symmetry_orbits(f)))
         assert walsh_spectrum(g).distribution == walsh_spectrum(f).distribution
         assert differential_spectrum(g).distribution == differential_spectrum(f).distribution
 

@@ -15,7 +15,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vbfkit.ccz import identity_map
-from vbfkit.cli import analysis_report, build_parser, lut_text, main, read_lut, render_report
+from vbfkit.cli import (
+    _VERIFIERS,
+    FAMILIES,
+    analysis_report,
+    build_parser,
+    lut_text,
+    main,
+    read_lut,
+    render_report,
+)
 from vbfkit.constructions import (
     f8_side_condition,
     theorem1,
@@ -103,8 +112,8 @@ def test_construct_without_family_exit2(capsys):
 @pytest.mark.parametrize(
     "argv, unread",
     [
-        (("construct", "--family", "gold", "--m", "5", "--i", "1", "--n", "3", "--t", "7", "--d", "9"),
-         "family gold does not read --n, --t, --d"),
+        (("construct", "--family", "gold", "--m", "5", "--i", "1", "--n", "3", "--d", "9"),
+         "family gold does not read --n, --d"),
         (("analyze", "--family", "thm3", "--m", "6", "--i", "1", "--n", "2", "--relaxed"),
          "family thm3 does not read --n, --relaxed"),
         (("construct", "--family", "power", "--m", "6", "--d", "5", "--i", "1"),
@@ -125,10 +134,10 @@ def test_family_rejects_options_it_does_not_read(capsys, argv, unread):
     [
         ("gold", "--m", "5", "--i", "1"),
         ("kasami", "--m", "7", "--i", "3"),
-        ("welch", "--m", "7", "--t", "3"),
-        ("niho", "--m", "7", "--t", "3"),
-        ("inverse", "--m", "7", "--t", "3"),
-        ("dobbertin", "--m", "5", "--i", "1"),
+        ("welch", "--m", "7"),
+        ("niho", "--m", "7"),
+        ("inverse", "--m", "7"),
+        ("dobbertin", "--m", "5"),
         ("power", "--m", "6", "--d", "5"),
         ("thm1", "--m", "9", "--i", "3", "--relaxed"),
         ("thm2", "--m", "6", "--i", "2", "--relaxed"),
@@ -141,6 +150,99 @@ def test_family_accepts_every_option_it_reads(capsys, argv):
     rc, stdout, err = run(capsys, "construct", "--family", *argv)
     assert (rc, err) == (0, "")
     assert stdout.startswith(f"m={argv[2]} poly=")
+
+
+# Every option each family and claim requires, with a value
+FAMILY_REQUIRES = {
+    "gold": ("--m", "5", "--i", "1"),
+    "kasami": ("--m", "7", "--i", "3"),
+    "welch": ("--m", "7"),
+    "niho": ("--m", "7"),
+    "inverse": ("--m", "7"),
+    "dobbertin": ("--m", "5"),
+    "power": ("--m", "6", "--d", "5"),
+    "thm1": ("--m", "9", "--i", "2"),
+    "thm2": ("--m", "6", "--i", "1"),
+    "thm3": ("--m", "6", "--i", "1"),
+    "thm4": ("--m", "9", "--n", "3", "--i", "1"),
+}
+CLAIM_REQUIRES = {
+    **{claim: ("--m", "7") for claim in _VERIFIERS if claim not in ("thm2", "thm3", "thm4")},
+    "thm2": ("--m", "6"),
+    "thm3": ("--m", "6"),
+    "thm4": ("--m", "9", "--n", "3"),
+    "f8-check": (),
+}
+
+
+def _leave_one_out(prefix, options, name):
+    pairs = list(zip(options[::2], options[1::2]))
+    for k, (flag, _) in enumerate(pairs):
+        rest = [tok for j, pair in enumerate(pairs) if j != k for tok in pair]
+        yield pytest.param(
+            (*prefix, *rest), f"{name} needs {flag}", id=f"{prefix[0]} {name.split()[1]} {flag}"
+        )
+
+
+MISSING_CASES = [
+    *(
+        case
+        for fam, options in FAMILY_REQUIRES.items()
+        for command in ("construct", "analyze")
+        for case in _leave_one_out((command, "--family", fam), options, f"family {fam}")
+    ),
+    *(
+        case
+        for claim, options in CLAIM_REQUIRES.items()
+        for case in _leave_one_out(("verify", claim), options, f"verify {claim}")
+    ),
+]
+
+
+def test_required_option_tables_cover_every_family_and_claim():
+    assert list(FAMILY_REQUIRES) == list(FAMILIES)
+    assert set(CLAIM_REQUIRES) == set(_VERIFIERS)
+
+
+@pytest.mark.parametrize("argv, message", MISSING_CASES)
+def test_missing_required_option_is_one_error_line(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_half_degree_option_is_gone():
+    # --t once repeated what --m says; at m = 8, where no t fits, it was ignored
+    with pytest.raises(SystemExit) as ei:
+        main(["construct", "--family", "inverse", "--m", "8", "--t", "99"])
+    assert ei.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, unknown",
+    [
+        (("construct", "--fam", "gold", "--m", "5", "--i", "1"), "--fam gold"),
+        (("analyze", "--family", "gold", "--m", "5", "--i", "1", "--tim"), "--tim"),
+        # with --t gone, an abbreviation would take --t for --timing; the 3
+        # after it is read as the LUT path
+        (("analyze", "--family", "gold", "--m", "5", "--i", "1", "--t", "3"), "--t"),
+        (("verify", "prop-gold-perm", "--m", "5", "--cou", "3"), "--cou 3"),
+    ],
+    ids=["construct", "analyze", "analyze-t", "verify"],
+)
+def test_no_subcommand_accepts_abbreviations(capsys, argv, unknown):
+    with pytest.raises(SystemExit) as ei:
+        main(list(argv))
+    assert ei.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {unknown}" in captured.err
+
+
+def test_analyze_lut_reads_no_family_option(tmp_path, capsys):
+    # the LUT header fixes the field, so --m or --poly would be ignored
+    path = tmp_path / "g.lut"
+    assert run(capsys, "construct", "--family", "gold", "--m", "5", "--i", "1", "--out", str(path))[0] == 0
+    rc, stdout, err = run(capsys, "analyze", str(path), "--m", "7", "--poly", "0x83", "--timing")
+    assert (rc, stdout, err) == (2, "", f"error: analyze {path} does not read --m, --poly\n")
 
 
 def test_construct_unknown_family_exit2():
@@ -749,16 +851,22 @@ def test_verify_remark4_nonpositive_seconds_budget_exit2(capsys, budget):
 @pytest.mark.parametrize("flag", [("--relaxed",), ("--t", "3"), ("--d", "3")])
 def test_verify_rejects_family_only_flags(capsys, flag):
     # no claim reads them, so accepting them would silently run the strict claim
-    with pytest.raises(SystemExit) as ei:
-        main(["verify", "thm2", "--m", "8", "--i", "1", *flag])
-    assert ei.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
-    assert "Traceback" not in captured.err
-    for command in ("construct", "analyze"):
-        args = build_parser().parse_args([command, "--family", "thm2", "--m", "8", *flag])
-        assert getattr(args, flag[0][2:]) == (True if len(flag) == 1 else 3)
+    argv = ["verify", "thm2", "--m", "8", "--i", "1", *flag]
+    if flag[0] != "--t":
+        assert run(capsys, *argv) == (2, "", f"error: verify thm2 does not read {flag[0]}\n")
+        for command in ("construct", "analyze"):
+            args = build_parser().parse_args([command, "--family", "thm2", "--m", "8", *flag])
+            assert getattr(args, flag[0][2:]) == (True if len(flag) == 1 else 3)
+        return
+    # --m fixes t wherever a family had it, so no subcommand has --t
+    for command in (argv, ["construct", "--family", "welch", "--m", "7", *flag]):
+        with pytest.raises(SystemExit) as ei:
+            main(command)
+        assert ei.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
+        assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,6 @@ from vbfkit.ccz import (
 from vbfkit.constructions import (
     ConditionViolatedError,
     DivisibilityViolatedError,
-    FamilySpec,
     ParityViolatedError,
     ZeroElementError,
     example1_witness,
@@ -96,46 +95,49 @@ def _twist_even_oracle(ctx: Field, i: int) -> FuncTable:
     ],
 )
 def test_family_exponent_values(family, m, i, d):
-    assert family_exponent(FamilySpec(family, m, i=i)) == d
+    assert family_exponent(family, m, i) == d
 
 
 def test_family_tag_is_case_insensitive():
-    assert family_exponent(FamilySpec("Gold", 5, i=1)) == 3
-    assert family_exponent(FamilySpec("DOBBERTIN", 5)) == 29
+    assert family_exponent("Gold", 5, i=1) == 3
+    assert family_exponent("DOBBERTIN", 5) == 29
 
 
 def test_family_exponent_welch_niho_coincide_at_m9():
     # 2^4 + 3 == 2^4 + 2^2 - 1
-    assert family_exponent(FamilySpec("welch", 9)) == family_exponent(
-        FamilySpec("niho", 9)
-    )
+    assert family_exponent("welch", 9) == family_exponent("niho", 9)
 
 
-def test_family_exponent_accepts_consistent_redundant_params():
-    assert family_exponent(FamilySpec("welch", 5, t=2)) == 7
-    assert family_exponent(FamilySpec("dobbertin", 10, i=2)) == 339
+def test_family_exponent_rejects_an_index_that_m_fixes():
+    # m = 2t + 1 or m = 5i fixes the exponent, so an index, even the one m
+    # implies, is an error rather than silently ignored
+    for family, m, i in [("welch", 5, 2), ("niho", 7, 3), ("inverse", 9, 4), ("dobbertin", 10, 2)]:
+        with pytest.raises(ConditionViolatedError, match="reads no index"):
+            family_exponent(family, m, i)
+    assert family_exponent("welch", 5) == 7
+    assert family_exponent("dobbertin", 10) == 339
 
 
 @pytest.mark.parametrize(
     "spec, err",
     [
-        (FamilySpec("gold", 6, i=2), GcdViolationError),
-        (FamilySpec("gold", 5, i=0), ConditionViolatedError),
-        (FamilySpec("gold", 5), ConditionViolatedError),
-        (FamilySpec("kasami", 9, i=3), GcdViolationError),
-        (FamilySpec("welch", 6), ParityViolatedError),
-        (FamilySpec("niho", 8), ParityViolatedError),
-        (FamilySpec("inverse", 4), ParityViolatedError),
-        (FamilySpec("welch", 7, t=2), ConditionViolatedError),
-        (FamilySpec("dobbertin", 6), DivisibilityViolatedError),
-        (FamilySpec("dobbertin", 10, i=1), ConditionViolatedError),
-        (FamilySpec("thm1", 5, i=1), ConditionViolatedError),
-        (FamilySpec("nonsense", 5), ConditionViolatedError),
+        (("gold", 6, 2), GcdViolationError),
+        (("gold", 5, 0), ConditionViolatedError),
+        (("gold", 5, None), ConditionViolatedError),
+        (("kasami", 9, 3), GcdViolationError),
+        (("welch", 6, None), ParityViolatedError),
+        (("niho", 8, None), ParityViolatedError),
+        (("inverse", 4, None), ParityViolatedError),
+        (("welch", 7, 2), ConditionViolatedError),
+        (("dobbertin", 6, None), DivisibilityViolatedError),
+        (("dobbertin", 10, 1), ConditionViolatedError),
+        (("thm1", 5, 1), ConditionViolatedError),
+        (("nonsense", 5, None), ConditionViolatedError),
     ],
 )
 def test_family_exponent_rejects(spec, err):
     with pytest.raises(err):
-        family_exponent(spec)
+        family_exponent(*spec)
 
 
 @pytest.mark.parametrize(
@@ -151,20 +153,20 @@ def test_family_exponent_rejects(spec, err):
 )
 def test_small_power_families_are_apn(family, m, i):
     ctx = Field(m)
-    f = monomial(ctx, family_exponent(FamilySpec(family, m, i=i)))
+    f = monomial(ctx, family_exponent(family, m, i))
     assert is_apn(f)
 
 
 def test_dobbertin_m5_is_apn_but_not_ab():
     ctx = Field(5)
-    f = monomial(ctx, family_exponent(FamilySpec("dobbertin", 5)))
+    f = monomial(ctx, family_exponent("dobbertin", 5))
     assert is_apn(f)
     assert not is_ab(f)
 
 
 def test_inverse_m5_apn_degree_four_not_ab():
     ctx = Field(5)
-    f = monomial(ctx, family_exponent(FamilySpec("inverse", 5)))
+    f = monomial(ctx, family_exponent("inverse", 5))
     assert is_apn(f)
     assert not is_ab(f)
     assert algebraic_degree(f) == 4

@@ -15,8 +15,8 @@ from vbfkit.spectra import (
     _block_rows,
     _dual_reindex,
     _fwht_rows,
-    _orbits,
     _sign_rows,
+    _symmetry_orbits,
     differential_spectrum,
     differential_uniformity,
     is_ab,
@@ -397,7 +397,7 @@ def _per_direction_oracle(f: FuncTable) -> dict:
     vals = f.as_array().astype(np.intp)
     xs = np.arange(n, dtype=np.intp)
     hist = np.zeros(n // 2 + 1, dtype=np.int64)
-    reps, weights = _orbits(f, walsh=False)
+    reps, weights = _symmetry_orbits(f)[1]
     for a, w in zip(reps.tolist(), weights.tolist()):
         h = a.bit_length() - 1
         half = xs.reshape(-1, 2, 1 << h)[:, 0, :].ravel()
@@ -451,7 +451,7 @@ def test_blocked_difference_counts_match_both_oracles(case):
     else:
         tab = FuncTable(ctx, np.random.default_rng(400 + n).integers(0, n, size=n))
     block = _block_rows(n)
-    runs = _runs(*_orbits(tab, walsh=False))
+    runs = _runs(*_symmetry_orbits(tab)[1])
     assert max(length for length, _ in runs) > block
     if kind == "thm1":
         assert {size for _, size in runs} == {1, 11}
@@ -464,13 +464,13 @@ def test_blocked_difference_counts_match_both_oracles(case):
 def test_orbits_are_computed_once_per_table_and_read_only():
     ctx = Field(9)
     gold = monomial(ctx, 3, c=ctx.generator)  # F(gx) = g^3 F(x), with g^3 primitive
-    rows = _orbits(gold, walsh=True)
-    assert _orbits(FuncTable(ctx, gold.as_array()), walsh=True) is rows
-    assert _orbits(gold, walsh=False)[0].tolist() == [1]
-    for arr in (*rows, *_orbits(gold, walsh=False)):
+    rows, directions = _symmetry_orbits(gold)
+    assert _symmetry_orbits(FuncTable(ctx, gold.as_array()))[0] is rows
+    assert directions[0].tolist() == [1]
+    for arr in (*rows, *directions):
         assert not arr.flags.writeable
     other = monomial(ctx, 5)
-    assert _orbits(other, walsh=True) is not rows
+    assert _symmetry_orbits(other)[0] is not rows
 
 
 def _assert_matches_all_rows(f: FuncTable) -> None:
@@ -490,8 +490,7 @@ def _two_polys(m: int) -> list[int]:
 
 def _is_fallback(f: FuncTable) -> bool:
     everything = np.arange(1, f.ctx.size)
-    for walsh in (True, False):
-        reps, sizes = _orbits(f, walsh)
+    for reps, sizes in _symmetry_orbits(f):
         if not np.array_equal(reps, everything) or (sizes - 1).any():
             return False
     return True
@@ -532,13 +531,13 @@ def test_orbit_spectra_span_several_blocks_at_m11(poly):
     ctx = Field(11, poly)
     rows_per_block = _block_rows(1 << 11, floor=16)
     for tab in (evaluate(UnivariatePoly(ctx, {3: 1, 5: 1})), theorem1(ctx, 1)):
-        reps, _ = _orbits(tab, walsh=True)
+        reps, _ = _symmetry_orbits(tab)[0]
         assert len(reps) > rows_per_block
         _assert_matches_all_rows(tab)
     for d in (3, 5):  # gcd(d, 2^11 - 1) = 1: one row and one direction
         tab = monomial(ctx, d)
-        for walsh in (True, False):
-            assert _orbits(tab, walsh)[0].tolist() == [1]
+        for reps, _ in _symmetry_orbits(tab):
+            assert reps.tolist() == [1]
         _assert_matches_all_rows(tab)
 
 
@@ -580,7 +579,7 @@ def test_frobenius_orbits_partition_the_multiplicative_group(m):
         for tab, want_scaling, want_squaring in cases:
             lam, squaring = _symmetries(tab)
             assert (lam is not None, squaring) == (want_scaling, want_squaring)
-            reps, sizes = _orbits(tab, walsh=True)
+            reps, sizes = _symmetry_orbits(tab)[0]
             assert int(sizes.sum()) == n - 1
             seen = set()
             for r, s in zip(reps.tolist(), sizes.tolist()):
@@ -588,7 +587,7 @@ def test_frobenius_orbits_partition_the_multiplicative_group(m):
                 assert min(orbit) == r and len(orbit) == s
                 seen.update(orbit)
             assert seen == set(range(1, n))
-            dreps, dsizes = _orbits(tab, walsh=False)
+            dreps, dsizes = _symmetry_orbits(tab)[1]
             if lam is None:
                 assert np.array_equal(dreps, reps) and np.array_equal(dsizes, sizes)
             else:  # x -> gx is transitive on the directions
@@ -605,8 +604,9 @@ def test_power_map_orbit_spectra_match_all_rows_oracle(m):
     for d in coprime + shared:
         for c in (1, ctx.generator):
             tab = monomial(ctx, d, c=c)
-            assert (len(_orbits(tab, walsh=True)[0]) == 1) == (math.gcd(d, q) == 1)
-            assert _orbits(tab, walsh=False)[0].tolist() == [1]
+            rows, directions = _symmetry_orbits(tab)
+            assert (len(rows[0]) == 1) == (math.gcd(d, q) == 1)
+            assert directions[0].tolist() == [1]
             _assert_matches_all_rows(tab)
             vals = tab.as_array().tolist()  # one entry changed breaks both identities
             vals[rng.randrange(2, n)] ^= rng.randrange(1, n)
@@ -617,21 +617,20 @@ def test_power_map_orbit_spectra_match_all_rows_oracle(m):
 
 def test_frobenius_orbits_of_gold_m13():
     ctx = Field(13)
-    for walsh in (True, False):
-        reps, sizes = _orbits(monomial(ctx, 3), walsh)
+    for reps, sizes in _symmetry_orbits(monomial(ctx, 3)):
         assert reps.tolist() == [1] and sizes.tolist() == [8191]
     thm1 = theorem1(ctx, 1)  # commutes with squaring, does not scale
-    reps, sizes = _orbits(thm1, walsh=True)
+    reps, sizes = _symmetry_orbits(thm1)[0]
     assert len(reps) == 631
     assert sorted(sizes.tolist()) == [1] + [13] * 630
     assert reps[0] == 1
-    dreps, dsizes = _orbits(thm1, walsh=False)
+    dreps, dsizes = _symmetry_orbits(thm1)[1]
     assert np.array_equal(dreps, reps) and np.array_equal(dsizes, sizes)
 
 
 def test_gold_row_orbits_at_even_m14():
     # lam = g^3 leaves 3 cosets; squaring fixes the cubes and swaps the other two
-    reps, sizes = _orbits(monomial(Field(14), 3), walsh=True)
+    reps, sizes = _symmetry_orbits(monomial(Field(14), 3))[0]
     q = (1 << 14) - 1
     assert reps.tolist()[0] == 1
     assert sorted(sizes.tolist()) == [q // 3, 2 * q // 3]
