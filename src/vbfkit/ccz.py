@@ -17,11 +17,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .gf2m import Field, _linear_table
+from .gf2m import Field, _linear_table, per_field
 from .spectra import _MATRIX_LIMIT, TooLargeError, _dual_reindex, _fwht_rows, _sign_rows
 from .vbf import (
     ContextMismatchError,
@@ -222,7 +221,7 @@ def power_inequivalence_witness(f: FuncTable) -> int | None:
     return int(odd.argmax()) if odd.any() else None
 
 
-@lru_cache(maxsize=8)
+@per_field
 def _linear_pieces(ctx) -> tuple[np.ndarray, ...]:
     """Per field: x & (x-1) and x & -x for x >= 1, the basis 2^k, a column of
     the masks D[2^k] for the dual index map D of ``_dual_reindex``, and the
@@ -414,7 +413,7 @@ def gold_graph_completion_search(
     cx, cy, ux, uy = c & (n - 1), c >> m, u & (n - 1), u >> m
     dual = _dual_reindex(ctx)  # tr(beta y) = D(beta).y
     exponent = (1 - (1 << i)) * ctx.inverse_exponent((1 << 2 * i) - 1) % ctx.order
-    roots = ctx.pow_many(np.argsort(dual)[1:], exponent)  # r for each mask b' >= 1
+    roots = ctx.pow_many(_linear_pieces(ctx)[-1][1:], exponent)  # r = D^-1(b') for each b' >= 1
     # the Walsh zeros of row b' are the a' with a'.r = side[b'] = 1 + b'.G(r)
     sides = 1 ^ np.bitwise_count(np.arange(1, n) & ctx.pow_many(roots, e)) & 1
     root, side, dual = [0, *roots.tolist()], [0, *sides.tolist()], dual.tolist()

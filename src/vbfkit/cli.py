@@ -104,7 +104,7 @@ def lut_text(f: FuncTable) -> str:
 def read_lut(path: str) -> FuncTable:
     try:
         with open(path, encoding="ascii") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+            lines = [ln for ln in map(str.strip, fh) if ln]
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not ASCII text (byte 0x{exc.object[exc.start]:02x})") from None
     if not lines:
@@ -570,6 +570,15 @@ def _int_literal(text: str) -> int:
     return int(text, 0)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is one line, ``error: <message>``, with exit 2 and no
+    usage block, as every other malformed input is.  The subparsers are of
+    this class too."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def _subcommand(sub, name: str, handler, summary: str) -> argparse.ArgumentParser:
     """A subcommand's parser with the field and family options.  Every
     subcommand has one policy: no abbreviations, so that no option stands
@@ -592,7 +601,7 @@ def _subcommand(sub, name: str, handler, summary: str) -> argparse.ArgumentParse
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process and shared by every
     ``main`` call (parsing does not change it)."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vbfkit",
         description="Construct, analyze, and verify vectorial Boolean functions over GF(2^m).",
     )

@@ -6,19 +6,28 @@ reduction polynomial for each degree is the lowest irreducible when read
 as an integer bitmask, overridable per field or process-wide through the
 ``VBF_DEFAULT_POLY_TABLE`` environment variable (a JSON file mapping the
 degree, as a string, to a polynomial bitmask).
+
+``Field(m, poly)`` returns one shared instance per (m, polynomial) in a
+process, and each table that depends on the field alone is built once, on
+that instance, and kept read-only (see ``per_field``).
 """
 
 from __future__ import annotations
 
 import json
 import os
-from functools import lru_cache
+import threading
+from collections import OrderedDict
+from functools import lru_cache, wraps
 
 import numpy as np
 
 _MIN_DEGREE = 2
 _MAX_DEGREE = 32
 _TABLE_LIMIT = 24  # largest m for which we will materialize 2^m-entry tables
+# Fields kept alive by the intern table, least recently used first out;
+# analyze-batch cycles through 12 (three polynomials at each m = 7-10).
+_FIELDS_KEPT = 16
 
 
 # ---------------------------------------------------------------- GF(2)[x]
@@ -127,29 +136,73 @@ def _linear_table(images: list[int]) -> np.ndarray:
     return tab
 
 
+def per_field(build):
+    """Decorator for a function of a field alone: ``build(ctx)`` runs once
+    per field, its value is kept on that field, and every array in it
+    (or in the tuple it returns) is made read-only.  An exception is not
+    kept; the next call runs ``build`` again.  Threads that build the same
+    value at once all get the one kept first."""
+    @wraps(build)
+    def cached(ctx: Field):
+        tables = ctx._tables
+        if build in tables:
+            return tables[build]
+        value = build(ctx)
+        for arr in value if isinstance(value, tuple) else (value,):
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
+        return tables.setdefault(build, value)
+    return cached
+
+
 # ---------------------------------------------------------------- the field
 
-class Field:
-    """GF(2^m) under a fixed irreducible reduction polynomial."""
+_FIELDS: OrderedDict[tuple[int, int], Field] = OrderedDict()
+_FIELDS_LOCK = threading.Lock()
 
-    def __init__(self, m: int, poly: int | None = None):
-        if not _MIN_DEGREE <= m <= _MAX_DEGREE:
-            raise ValueError(f"field degree must be in [{_MIN_DEGREE}, {_MAX_DEGREE}], got {m}")
+
+class Field:
+    """GF(2^m) under a fixed irreducible reduction polynomial.
+
+    ``Field(m, poly)`` returns this process's one instance for m and the
+    polynomial (``default_poly(m)``, read on every call, when poly is None),
+    so the tables built on it serve every caller.  The last ``_FIELDS_KEPT``
+    fields used are kept; an evicted one is built again when asked for.
+    A degree or polynomial that fails its check is never kept.
+    """
+
+    def __new__(cls, m: int, poly: int | None = None):
         if poly is None:
             poly = default_poly(m)
+        key = (m, poly)
+        with _FIELDS_LOCK:
+            if key in _FIELDS:
+                _FIELDS.move_to_end(key)
+                return _FIELDS[key]
+        if not _MIN_DEGREE <= m <= _MAX_DEGREE:
+            raise ValueError(f"field degree must be in [{_MIN_DEGREE}, {_MAX_DEGREE}], got {m}")
         if poly < 0 or poly.bit_length() - 1 != m:
             raise ValueError(f"reduction polynomial {poly:#x} does not have degree {m}")
         if not is_irreducible(poly):
             raise ValueError(f"reduction polynomial 0x{poly:x} is reducible")
+        self = super().__new__(cls)
         self.m = m
         self.poly = poly
         self.size = 1 << m
         self.order = self.size - 1  # multiplicative group order
-        self._generator: int | None = None
-        self._basis_mask: int | None = None
-        self._log: np.ndarray | None = None
-        self._exp: np.ndarray | None = None
-        self._trace_tab: np.ndarray | None = None
+        self._tables = {}  # build function -> value, for per_field
+        with _FIELDS_LOCK:  # a thread that built the same field first wins
+            self = _FIELDS.setdefault(key, self)
+            _FIELDS.move_to_end(key)
+            if len(_FIELDS) > _FIELDS_KEPT:
+                _FIELDS.popitem(last=False)
+        return self
+
+    def __init__(self, m: int, poly: int | None = None):
+        """Nothing to do: ``__new__`` returns a built, shared instance."""
+
+    def __reduce__(self):
+        return Field, (self.m, self.poly)
 
     # -- scalar arithmetic ------------------------------------------------
 
@@ -213,20 +266,19 @@ class Field:
         return x != 0 and all(self._pow(x, self.order // q) != 1 for q in _factorize(self.order))
 
     @property
+    @per_field
     def generator(self) -> int:
-        if self._generator is None:
-            g = 2
-            while not self.is_primitive(g):
-                g += 1
-            self._generator = g
-        return self._generator
+        g = 2
+        while not self.is_primitive(g):
+            g += 1
+        return g
 
     # -- traces -----------------------------------------------------------
 
+    @per_field
     def _basis_trace_mask(self) -> int:
-        if self._basis_mask is None:  # bit k is tr(2^k), which is 0 or 1
-            self._basis_mask = sum(self.subfield_trace(1 << k, 1) << k for k in range(self.m))
-        return self._basis_mask
+        """Bit k is tr(2^k), which is 0 or 1."""
+        return sum(self.subfield_trace(1 << k, 1) << k for k in range(self.m))
 
     def trace(self, x: int) -> int:
         """Absolute trace GF(2^m) -> GF(2)."""
@@ -277,6 +329,17 @@ class Field:
             raise self._outside(c)
         return _linear_table([self._mul(c, 1 << k) for k in range(self.m)])
 
+    @per_field
+    def _generator_table(self) -> np.ndarray:
+        """``scale_table(generator)``, read-only."""
+        return self.scale_table(self.generator)
+
+    @per_field
+    def _square_table(self) -> np.ndarray:
+        """int64 table of x -> x^2 (squaring is F_2-linear), read-only."""
+        return _linear_table([self._mul(1 << k, 1 << k) for k in range(self.m)])
+
+    @per_field
     def _logexp(self) -> tuple[np.ndarray, np.ndarray]:
         """exp[k] = g^k for the generator g and 0 <= k < 2(2^m - 1), then
         zeros up to index 4(2^m - 1); log is its inverse on nonzero x, and
@@ -286,25 +349,24 @@ class Field:
 
         exp is filled by doubling: with step the table of x -> g^k * x,
         exp[k:2k] = step[exp[:k]], then step[step] is the table for g^(2k).
+        Both tables are read-only.
         """
-        if self._log is None:
-            if self.m > _TABLE_LIMIT:
-                raise ValueError(f"log/exp tables would need 2^{self.m} entries; m > {_TABLE_LIMIT} is evaluation-only")
-            order = self.order
-            exp = np.zeros(4 * order + 1, dtype=np.uint32)
-            exp[0] = 1
-            step = self.scale_table(self.generator)
-            k = 1
-            while k < order:
-                span = min(k, order - k)
-                exp[k:k + span] = step[exp[:span]]
-                step = step[step]
-                k *= 2
-            exp[order:2 * order] = exp[:order]
-            log = np.full(self.size, 2 * order, dtype=np.int64)
-            log[exp[:order]] = np.arange(order)
-            self._log, self._exp = log, exp
-        return self._log, self._exp
+        if self.m > _TABLE_LIMIT:
+            raise ValueError(f"log/exp tables would need 2^{self.m} entries; m > {_TABLE_LIMIT} is evaluation-only")
+        order = self.order
+        exp = np.zeros(4 * order + 1, dtype=np.uint32)
+        exp[0] = 1
+        step = self._generator_table()
+        k = 1
+        while k < order:
+            span = min(k, order - k)
+            exp[k:k + span] = step[exp[:span]]
+            step = step[step]
+            k *= 2
+        exp[order:2 * order] = exp[:order]
+        log = np.full(self.size, 2 * order, dtype=np.int64)
+        log[exp[:order]] = np.arange(order)
+        return log, exp
 
     def _check_many(self, x) -> np.ndarray:
         """x as an int64 array, every entry checked to lie in [0, 2^m)."""
@@ -351,15 +413,13 @@ class Field:
             acc = acc ^ cur
         return acc
 
+    @per_field
     def trace_table(self) -> np.ndarray:
-        """uint8 array t with t[x] = trace(x)."""
-        if self._trace_tab is None:
-            if self.m > _TABLE_LIMIT:
-                raise ValueError(f"trace table would need 2^{self.m} entries; m > {_TABLE_LIMIT} is evaluation-only")
-            mask = self._basis_trace_mask()
-            xs = np.arange(self.size, dtype=np.uint32)
-            self._trace_tab = (np.bitwise_count(xs & np.uint32(mask)) & 1).astype(np.uint8)
-        return self._trace_tab
+        """Read-only uint8 array t with t[x] = trace(x)."""
+        if self.m > _TABLE_LIMIT:
+            raise ValueError(f"trace table would need 2^{self.m} entries; m > {_TABLE_LIMIT} is evaluation-only")
+        xs = np.arange(self.size, dtype=np.uint32)
+        return (np.bitwise_count(xs & np.uint32(self._basis_trace_mask())) & 1).astype(np.uint8)
 
     # -- plumbing -----------------------------------------------------------
 

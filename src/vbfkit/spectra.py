@@ -47,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from vbfkit.gf2m import _linear_table
+from vbfkit.gf2m import _linear_table, per_field
 from vbfkit.vbf import FuncTable
 
 _SPECTRUM_LIMIT = 24  # 2^(2m) work beyond this is out of scope
@@ -128,7 +128,7 @@ def _fwht_rows(mat: np.ndarray) -> np.ndarray:
     return y.reshape(rows, n).astype(np.int32)
 
 
-@lru_cache(maxsize=8)
+@per_field
 def _dual_reindex(ctx) -> np.ndarray:
     """Read-only index map D with tr(alpha * x) = parity(D[alpha] & x) for
     all x, converting dot-product transform columns to trace-convention
@@ -137,9 +137,7 @@ def _dual_reindex(ctx) -> np.ndarray:
     D is F_2-linear in alpha, so it is spread from the m images of the
     basis elements 2^k, whose bit j is tr(2^k * 2^j).
     """
-    dual = _linear_table([ctx.trace_mask(1 << k) for k in range(ctx.m)])
-    dual.flags.writeable = False
-    return dual
+    return _linear_table([ctx.trace_mask(1 << k) for k in range(ctx.m)])
 
 
 @lru_cache(maxsize=2)
@@ -167,7 +165,7 @@ def _symmetry_orbits(f: FuncTable) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     if f1:
         lam = ctx.mul(int(vals[ctx.generator]), ctx.inv(f1))
         step = ctx.scale_table(lam)
-        if not np.array_equal(vals[ctx.scale_table(ctx.generator)], step[vals]):
+        if not np.array_equal(vals[ctx._generator_table()], step[vals]):
             step = None
     if step is not None and ctx.is_primitive(lam):  # one cycle of b -> lam*b
         rows = one
@@ -177,7 +175,7 @@ def _symmetry_orbits(f: FuncTable) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
             for _ in range(ctx.m):  # each cycle is shorter than 2^m
                 np.minimum(low, low[step], out=low)
                 step = step[step]
-        sq = _linear_table([ctx.mul(1 << k, 1 << k) for k in range(ctx.m)])
+        sq = ctx._square_table()
         if np.array_equal(vals[sq], sq[vals]):
             base = low.copy()
             cur = np.arange(n, dtype=np.int64)

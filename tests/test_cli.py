@@ -217,6 +217,26 @@ def test_half_degree_option_is_gone():
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("construct", "--family", "inverse", "--m", "8", "--t", "99"),
+         "unrecognized arguments: --t 99"),
+        (("construct", "--family", "gold", "--m", "x"), "argument --m: invalid int value: 'x'"),
+        (("construct", "--family", "foo", "--m", "5"), "argument --family: invalid choice: 'foo' ("),
+    ],
+    ids=["unknown-option", "bad-int", "bad-choice"],
+)
+def test_usage_error_is_one_line_without_usage_block(capsys, argv, message):
+    with pytest.raises(SystemExit) as ei:
+        main(list(argv))
+    assert ei.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"error: {message}") and captured.err.endswith("\n")
+
+
+@pytest.mark.parametrize(
     "argv, unknown",
     [
         (("construct", "--fam", "gold", "--m", "5", "--i", "1"), "--fam gold"),

@@ -261,6 +261,8 @@ def test_scale_table_matches_scalar_mul():
         f = Field(m, poly)
         for c in (0, 1, 2, f.generator, f.size - 1):
             assert f.scale_table(c).tolist() == [f.mul(c, x) for x in range(f.size)]
+        assert f._generator_table().tolist() == f.scale_table(f.generator).tolist()
+        assert f._square_table().tolist() == [f.mul(x, x) for x in range(f.size)]
 
 
 def test_inverse_is_pow_14_in_gf16():
@@ -529,3 +531,161 @@ def test_field_equality_and_repr():
     assert Field(4) == Field(4)
     assert Field(4) != Field(4, poly=0b11001)
     assert "m=4" in repr(Field(4))
+
+
+# ---------------------------------------------------------------- interning
+
+def _every_field_table(f: Field) -> dict:
+    """Build every table kept on f and return them by builder name."""
+    from vbfkit.ccz import _linear_pieces
+    from vbfkit.spectra import _dual_reindex
+
+    f.generator, f._basis_trace_mask(), f._logexp(), f.trace_table()
+    f._generator_table(), f._square_table(), _dual_reindex(f), _linear_pieces(f)
+    return {build.__name__: value for build, value in f._tables.items()}
+
+
+def test_field_is_one_instance_per_degree_and_poly():
+    assert Field(7) is Field(7, default_poly(7)) is Field(m=7)
+    assert Field(5) is not Field(5, 0x29)
+    assert Field(5, 0x29) is Field(5, 0x29)
+
+
+def test_field_survives_copy_and_pickle_as_the_same_instance():
+    import copy
+    import pickle
+
+    f = Field(6, 0x49)
+    assert copy.copy(f) is f and copy.deepcopy(f) is f
+    assert pickle.loads(pickle.dumps(f)) is f
+
+
+@pytest.mark.parametrize("m, poly", [(3, None), (8, 0x11B), (11, None)])
+def test_every_kept_table_is_read_only(m, poly):
+    tables = _every_field_table(Field(m, poly))
+    arrays = [a for v in tables.values() for a in (v if isinstance(v, tuple) else (v,))
+              if isinstance(a, np.ndarray)]
+    assert len(arrays) == 11  # log, exp, trace, generator, square, dual, 5 linear pieces
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[0]
+    # a builder's value is kept: the next call returns the same object
+    assert Field(m, poly).trace_table() is tables["trace_table"]
+
+
+def test_poly_table_selects_another_interned_field(tmp_path, monkeypatch):
+    before = Field(5)
+    table = tmp_path / "polys.json"
+    table.write_text(json.dumps({"5": "0x29"}))
+    monkeypatch.setenv("VBF_DEFAULT_POLY_TABLE", str(table))
+    assert Field(5) is Field(5, 0x29) and Field(5).poly == 0x29
+    monkeypatch.delenv("VBF_DEFAULT_POLY_TABLE")
+    assert Field(5) is before and before.poly == 0x25
+
+
+@pytest.mark.parametrize("m, bad", [(6, 0x41), (8, 0x101), (5, 0x13)])
+def test_failed_field_is_never_kept(m, bad):
+    # x^6 + 1 and x^8 + 1 are reducible; 0x13 has degree 4, not 5
+    for _ in range(2):
+        with pytest.raises(ValueError, match="reducible|does not have degree"):
+            Field(m, bad)
+        Field(m)  # a valid field of the same degree is interned in between
+    with pytest.raises(ValueError, match="does not have degree"):
+        Field(m, -bad)
+
+
+def _as_lists(value):
+    """value with its arrays as lists, for comparison."""
+    if isinstance(value, tuple):
+        return tuple(_as_lists(v) for v in value)
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+def test_evicted_field_is_rebuilt_with_identical_tables():
+    from vbfkit import gf2m
+
+    polys = [p for p in range(257, 512, 2) if is_irreducible(p)]
+    assert len(polys) > gf2m._FIELDS_KEPT
+    first = Field(8, polys[0])
+    want = {k: _as_lists(v) for k, v in _every_field_table(first).items()}
+    for p in polys[1:gf2m._FIELDS_KEPT]:
+        Field(8, p)
+    assert Field(8, polys[0]) is first  # still among the last _FIELDS_KEPT used
+    for p in polys[1:]:
+        Field(8, p)
+    rebuilt = Field(8, polys[0])
+    assert rebuilt is not first and rebuilt == first
+    got = _every_field_table(rebuilt)
+    assert got.keys() == want.keys()
+    for name, value in got.items():
+        assert _as_lists(value) == want[name], name
+
+
+def test_threads_asking_for_a_new_field_at_once_share_one_instance():
+    import sys
+    import threading
+
+    from vbfkit import gf2m
+
+    polys = [p for p in range(513, 1024, 2) if is_irreducible(p)]
+    workers, rounds = 8, 40
+    got: list[list] = [[] for _ in range(rounds)]
+    errors: list = []
+    # each round starts from an empty intern table, so every thread builds
+    barrier = threading.Barrier(workers, action=gf2m._FIELDS.clear, timeout=30)
+
+    def ask() -> None:
+        try:
+            for r in range(rounds):
+                barrier.wait()
+                f = Field(9, polys[r % len(polys)])
+                got[r].append((f, f.trace_table()))
+        except Exception as exc:  # a failure in a thread would otherwise be lost
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask) for _ in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and errors == []
+    for r, pairs in enumerate(got):
+        assert len(pairs) == workers
+        assert len({id(f) for f, _ in pairs}) == 1, f"round {r}: several instances"
+        assert len({id(t) for _, t in pairs}) == 1, f"round {r}: several trace tables"
+
+
+def test_warm_analyze_prints_the_bytes_of_a_fresh_process(tmp_path):
+    import contextlib
+    import io
+    import subprocess
+    import sys
+
+    from vbfkit import gf2m
+    from vbfkit.cli import lut_text, main
+    from vbfkit.vbf import FuncTable
+
+    rng = np.random.default_rng(9)
+    lut = tmp_path / "random9.lut"
+    lut.write_text(lut_text(FuncTable(Field(9), rng.integers(0, 512, size=512))))
+    cases = [
+        ["analyze", "--family", "gold", "--m", "9", "--i", "1"],
+        ["analyze", "--family", "thm1", "--m", "9", "--i", "2"],
+        ["analyze", str(lut)],
+    ]
+    for argv in cases:
+        gf2m._FIELDS.clear()  # so the first run builds its field's tables
+        fresh = subprocess.run(
+            [sys.executable, "-m", "vbfkit.cli", *argv], capture_output=True, text=True, timeout=60
+        )
+        assert fresh.returncode == 0 and fresh.stderr == ""
+        for _ in ("cold", "warm"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(argv) == 0
+            assert out.getvalue() == fresh.stdout

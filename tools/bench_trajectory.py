@@ -1,16 +1,22 @@
 """Time vbfkit commands end to end and per stage, for the BENCH_*.json files.
 
-    python3 tools/bench_trajectory.py --src . --label change --out BENCH_17.json
-    python3 tools/bench_trajectory.py --src ../parent --label parent \\
-        --out BENCH_17.json --skip remark4-m9 --skip remark4-m11 --skip remark4-m13
+    python3 tools/bench_trajectory.py --src ../parent --label parent-a --out BENCH_20.json
+    python3 tools/bench_trajectory.py --src . --label change-a --out BENCH_20.json
+    python3 tools/bench_trajectory.py --src ../parent --label parent-b --out BENCH_20.json
+    python3 tools/bench_trajectory.py --src . --label change-b --out BENCH_20.json
+
+Record the sides alternating, as above: a side takes minutes, and with one
+pass per side the host's drift between them reads as a change.
 
 Each entry is one command run in this process through ``vbfkit.cli.main``,
 with vbfkit imported from ``<src>/src``; ``tier1`` runs the test suite of
 that tree in a subprocess.  An entry runs ``REPEAT`` times and records
 every wall time and their median.  The first run of an entry pays the
-per-process caches (field tables, Hadamard factors) that later runs reuse,
-so the median is a warm figure.  The ``analyze`` entries pass ``--timing``
-and record the median of each stage of ``timing_breakdown_ms``.
+per-process caches that later runs reuse: the Hadamard factors and, in a
+tree where ``Field`` interns its instances, every table of the field (in
+an older tree, each run rebuilt the log/exp and trace tables).  So the
+median is a warm figure.  The ``analyze`` entries pass ``--timing`` and
+record the median of each stage of ``timing_breakdown_ms``.
 
 The result goes under ``sides.<label>`` of ``--out``, next to the sides
 already in that file, with the host facts (cores, Python, numpy, BLAS and
