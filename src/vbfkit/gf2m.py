@@ -15,6 +15,7 @@ that instance, and kept read-only (see ``per_field``).
 from __future__ import annotations
 
 import json
+import operator
 import os
 import threading
 from collections import OrderedDict
@@ -174,7 +175,7 @@ class Field:
     def __new__(cls, m: int, poly: int | None = None):
         if poly is None:
             poly = default_poly(m)
-        key = (m, poly)
+        key = m, poly = operator.index(m), operator.index(poly)  # 5.0 is no degree
         with _FIELDS_LOCK:
             if key in _FIELDS:
                 _FIELDS.move_to_end(key)

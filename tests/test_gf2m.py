@@ -592,6 +592,9 @@ def test_failed_field_is_never_kept(m, bad):
         Field(m)  # a valid field of the same degree is interned in between
     with pytest.raises(ValueError, match="does not have degree"):
         Field(m, -bad)
+    # an int-valued float finds no interned field
+    with pytest.raises(TypeError):
+        Field(float(m), Field(m).poly)
 
 
 def _as_lists(value):
