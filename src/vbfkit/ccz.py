@@ -26,6 +26,7 @@ from .vbf import (
     ContextMismatchError,
     FuncTable,
     NotAPermutationError,
+    _monomial_weights,
     _top_weight,
     compose,
     invert,
@@ -94,10 +95,7 @@ class BinLinearMap:
     @property
     def columns(self) -> tuple:
         if self._cols is None:
-            self._cols = tuple(
-                sum(((self.rows[r] >> j) & 1) << r for r in range(self.n_out))
-                for j in range(self.n_in)
-            )
+            self._cols = tuple(_transpose_bits(self.rows, self.n_in))
         return self._cols
 
     def apply(self, x: int) -> int:
@@ -123,6 +121,23 @@ class BinLinearMap:
 
     def __repr__(self) -> str:
         return f"BinLinearMap({self.n_in}->{self.n_out})"
+
+
+def _bit_columns(rows: np.ndarray, width: int) -> list[int]:
+    """Columns j < width of the bit matrix whose row i holds the
+    little-endian bytes ``rows[i]``: bit i of column j is bit j of row i."""
+    bits = np.unpackbits(rows, axis=1, count=width, bitorder="little")
+    raw = np.packbits(bits.T, axis=1, bitorder="little").tobytes()
+    step = -(-len(rows) // 8)
+    return [int.from_bytes(raw[j * step:(j + 1) * step], "little") for j in range(width)]
+
+
+def _transpose_bits(vectors, width: int) -> list[int]:
+    """The bit matrix with rows ``vectors`` (ints below 2^width) transposed:
+    bit i of entry j is bit j of vectors[i], for j < width."""
+    size = -(-width // 8)
+    raw = b"".join(v.to_bytes(size, "little") for v in vectors)
+    return _bit_columns(np.frombuffer(raw, dtype=np.uint8).reshape(len(vectors), size), width)
 
 
 def identity_map(n: int) -> BinLinearMap:
@@ -188,37 +203,49 @@ def ccz_transform(L: BinLinearMap, f: FuncTable) -> FuncTable:
 # inequivalence and permutation criteria
 
 
-def _off_dual(vectors: np.ndarray, us: np.ndarray) -> np.ndarray:
-    """Which of ``us`` have parity(u & v) = 1 for some v in the span of
-    ``vectors``.  Each round sweeps the largest vector b left, then replaces
-    every v by min(v, v ^ b), which clears b's top bit; the swept b form an
-    echelon basis of the span, so there are at most m rounds."""
-    off = np.zeros(us.shape, dtype=bool)
-    while vectors.any():
-        b = vectors.max()
-        off |= (np.bitwise_count(us & b) & 1).astype(bool)
-        vectors = np.minimum(vectors, vectors ^ b)
-    return off
-
-
 def power_inequivalence_witness(f: FuncTable) -> int | None:
     """A component whose degree rules out extended-affine equivalence to any
     power map; None when every component looks like a power map's.
 
     The witness is the smallest c >= 1 whose component trace(c*F(x)) has a
-    degree outside {0, 1, deg F}.  For the packed ANF A, the component with
-    mask u has coefficient parity(u & A[M]) at x^M, so its degree lies in
-    2..deg F - 1 exactly when u is orthogonal to every top-weight A[M] but
-    not to every A[M] of weight 2..deg F - 1.  trace(c*y) = parity(D[c] & y)
-    with the dual index map D, so the test runs on u = D[c].
+    degree outside {0, 1, deg F}.  The component's coefficient of x^M is
+    trace(c * A[M]) for the packed ANF A, and the trace form is symmetric:
+    trace(c * v) = parity(c & D[v]) with the dual index map D.  So the
+    degree lies in 2..deg F - 1 exactly when c lies in the subspace
+    K = {c : parity(c & D[A[M]]) = 0 for every top-weight M}, and
+    parity(c & D[A[M]]) = 1 for some M of weight 2..deg F - 1.
+
+    A basis of K comes from ``_reduce`` on the rows image_j << m | 2^j,
+    for j = 0, 1, ..., m - 1 in turn, where bit i of image_j is bit j of
+    the i-th top-weight D[A[M]].  A row whose image part reduces to 0 is
+    kept as an element of K: 2^j plus bits of earlier rows whose image
+    parts were kept.  So no basis vector of K holds the top bit of another,
+    and K's elements ascend with their coefficient vectors on the basis
+    sorted by top bit.  The c in K that fail the second test form a
+    subspace S, so the least c in K outside S is the first basis vector,
+    ascending, outside S: every smaller element of K is a sum of the basis
+    vectors before it.  Each test is one parity pass over the coefficients
+    of weight 2..deg F - 1, through parity(c & D[v]) = parity(D[c] & v).
+    A table with no nonzero coefficient of such a weight (every quadratic
+    table, Gold included), or with K = {0}, has no witness.
     """
+    ctx = f.ctx
+    m = ctx.m
     anf = packed_anf(f)
-    weights = np.bitwise_count(np.arange(f.ctx.size, dtype=np.uint32))
-    top = _top_weight(anf)
-    us = _dual_reindex(f.ctx).astype(np.uint32)
-    odd = _off_dual(anf[(weights > 1) & (weights < top)], us)
-    odd &= ~_off_dual(anf[weights == top], us)
-    return int(odd.argmax()) if odd.any() else None
+    weights = _monomial_weights(ctx)
+    top = _top_weight(ctx, anf)
+    mid = anf[(weights > 1) & (weights < top)]
+    if not mid.any():
+        return None
+    dual = _dual_reindex(ctx)
+    rows = dual[anf[weights == top]].astype("<u4").view(np.uint8).reshape(-1, 4)
+    pivots: dict[int, int] = {}
+    for j, image in enumerate(_bit_columns(rows, m)):
+        _reduce(pivots, image << m | 1 << j)
+    for c in sorted(v for v in pivots.values() if v < ctx.size):
+        if (np.bitwise_count(mid & np.uint32(dual[c])) & 1).any():
+            return c
+    return None
 
 
 @per_field

@@ -40,6 +40,7 @@ from vbfkit.ccz import (
     CczWitness,
     ConditionViolatedError,
     _require_index,
+    _transpose_bits,
     ccz_transform,
     graph_image,
 )
@@ -124,8 +125,7 @@ def _graph_map(x_images: list[int], y_images: list[int]) -> BinLinearMap:
     """The map L = I + C of F_2^(2m) from the packed images C(2^k, 0) and
     C(0, 2^k), k < m, of a linear C; a point (x, y) is packed as x | y << m."""
     cols = [(1 << j) ^ c for j, c in enumerate(x_images + y_images)]
-    rows = [sum(((c >> r) & 1) << j for j, c in enumerate(cols)) for r in range(len(cols))]
-    return BinLinearMap(len(cols), len(cols), rows)
+    return BinLinearMap(len(cols), len(cols), _transpose_bits(cols, len(cols)))
 
 
 def theorem1(ctx: Field, i: int, relaxed: bool = False) -> FuncTable:

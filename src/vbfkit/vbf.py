@@ -3,9 +3,9 @@
 A function is stored either as its full value table (FuncTable) or as the
 unique univariate polynomial of degree below 2^m that represents it
 (UnivariatePoly).  Degrees come from the packed algebraic normal form:
-one Moebius pass over the uint32 value table gives every output
-coordinate's ANF at once, and the algebraic degree is the largest weight of
-a monomial whose packed coefficient is nonzero.  That equals the maximum
+one Moebius pass over the uint32 value table, kept on the table, gives
+every output coordinate's ANF at once, and the algebraic degree is the
+largest weight of a monomial whose packed coefficient is nonzero.  That equals the maximum
 binary weight of a univariate exponent with a nonzero coefficient and the
 maximum ANF degree over the components x -> trace(c*F(x)).
 """
@@ -17,7 +17,7 @@ import operator
 
 import numpy as np
 
-from vbfkit.gf2m import Field
+from vbfkit.gf2m import Field, per_field
 
 
 class NotAPermutationError(ValueError):
@@ -34,9 +34,10 @@ def _require_same_ctx(a: FuncTable, b: FuncTable) -> None:
 
 
 class FuncTable:
-    """Value table of F; entry at index x is F(x)."""
+    """Value table of F; entry at index x is F(x).  The table is read-only,
+    so its packed ANF is built once, on the first `packed_anf`, and kept."""
 
-    __slots__ = ("ctx", "_arr")
+    __slots__ = ("ctx", "_arr", "_anf")
 
     def __init__(self, ctx: Field, values):
         arr = values
@@ -59,6 +60,7 @@ class FuncTable:
         self.ctx = ctx
         self._arr = arr.astype(np.uint32)
         self._arr.setflags(write=False)
+        self._anf = None
 
     def as_array(self) -> np.ndarray:
         """The table as a read-only uint32 array."""
@@ -177,30 +179,54 @@ def two_weight(k: int) -> int:
     return int(k).bit_count()
 
 
-def packed_anf(f: FuncTable) -> np.ndarray:
-    """ANF of every output coordinate at once: bit j of entry M is the
-    coefficient of the monomial x^M in coordinate j of F.  One in-place
-    binary Moebius butterfly over a copy of the table."""
-    a = f.as_array().copy()
-    h = 1
+def _mobius_levels(a: np.ndarray, h: int) -> None:
+    """In place, the Moebius butterfly levels of half-width h, 2h, ... of a
+    flat array: each XORs the lower half of every 2h-block into its upper."""
     while h < a.size:
         v = a.reshape(-1, 2 * h)
         v[:, h:] ^= v[:, :h]
         h *= 2
-    return a
 
 
-def _top_weight(anf: np.ndarray) -> int:
+def packed_anf(f: FuncTable) -> np.ndarray:
+    """ANF of every output coordinate at once: bit j of entry M is the
+    coefficient of the monomial x^M in coordinate j of F.  Read-only, and
+    built once per table: later calls return the kept array.
+
+    One binary Moebius pass, one level per bit of M.  With m = p + q for
+    q = m // 2, the table is a 2^p x 2^q array indexed by the high p and the
+    low q bits of x.  The levels of the low bits run on its transpose, where
+    those bits index the rows, and the levels of the high bits after one
+    transpose back, so every level XORs contiguous blocks of at least
+    2^q entries, not single entries."""
+    if f._anf is None:
+        q = f.ctx.m // 2
+        p = f.ctx.m - q
+        a = f.as_array().reshape(1 << p, 1 << q).T.copy()
+        _mobius_levels(a.reshape(-1), 1 << p)
+        a = a.T.copy().reshape(-1)
+        _mobius_levels(a, 1 << q)
+        a.setflags(write=False)
+        f._anf = a
+    return f._anf
+
+
+@per_field
+def _monomial_weights(ctx: Field) -> np.ndarray:
+    """Per field: the weight of every monomial index M < 2^m, as uint8."""
+    return np.bitwise_count(np.arange(ctx.size, dtype=np.uint32))
+
+
+def _top_weight(ctx: Field, anf: np.ndarray) -> int:
     """Largest weight of a monomial index with a nonzero entry (0 if none)."""
-    idx = np.flatnonzero(anf).astype(np.uint32)
-    return int(np.bitwise_count(idx).max()) if idx.size else 0
+    return int((_monomial_weights(ctx) * (anf != 0)).max())
 
 
 def algebraic_degree(f: FuncTable) -> int:
     """Largest weight of a monomial with a nonzero packed ANF coefficient
     (0 for constants); equal to the maximum 2-weight over exponents of the
     univariate representation."""
-    return _top_weight(packed_anf(f))
+    return _top_weight(f.ctx, packed_anf(f))
 
 
 def component_degree(f: FuncTable, c: int) -> int:
@@ -210,7 +236,7 @@ def component_degree(f: FuncTable, c: int) -> int:
     packed ANF A and the trace mask of c (``Field.trace_mask``).
     """
     mask = np.uint32(f.ctx.trace_mask(c))
-    return _top_weight(np.bitwise_count(packed_anf(f) & mask) & 1)
+    return _top_weight(f.ctx, np.bitwise_count(packed_anf(f) & mask) & 1)
 
 
 # ---------------------------------------------------------------- algebra

@@ -12,12 +12,15 @@ import random
 from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anf_oracle import component_degree as component_degree_oracle
-from anf_oracle import component_degrees
+from anf_oracle import component_degrees, mobius_transform
+from vbfkit import vbf
 from vbfkit.ccz import power_inequivalence_witness
+from vbfkit.cli import analysis_report
 from vbfkit.constructions import theorem1, theorem4
 from vbfkit.gf2m import Field
 from vbfkit.spectra import _dual_reindex, _fwht_rows, _sign_rows, walsh_spectrum, walsh_value
@@ -130,6 +133,47 @@ def test_packed_anf_bits_are_coordinate_anfs():
     for mono, c in coeffs.items():
         want[mono] = c
     assert np.array_equal(anf, want)
+
+
+@pytest.mark.parametrize("m", range(2, 17))
+def test_packed_anf_bits_match_the_coordinate_mobius_transform(m):
+    # odd and even m split the table into 2^p x 2^q blocks of both shapes
+    rng = np.random.default_rng(40 + m)
+    f = FuncTable(Field(m), rng.integers(0, 1 << m, 1 << m))
+    anf, vals = packed_anf(f), f.as_array()
+    for j in range(m):
+        assert np.array_equal((anf >> j) & 1, mobius_transform((vals >> j) & 1)), j
+
+
+def test_packed_anf_is_kept_read_only_and_equality_ignores_it():
+    rng = random.Random(37)
+    ctx = Field(7)
+    entries = [rng.randrange(128) for _ in range(128)]
+    f, g = FuncTable(ctx, entries), FuncTable(ctx, entries)
+    anf = packed_anf(f)
+    assert packed_anf(f) is anf and not anf.flags.writeable
+    with pytest.raises(ValueError):
+        anf[0] ^= 1
+    assert f == g and hash(f) == hash(g) and len({f, g}) == 1  # g has no ANF yet
+    assert np.array_equal(packed_anf(g), anf)
+    entries[5] ^= 1
+    assert FuncTable(ctx, entries) != f
+
+
+def test_analysis_report_runs_one_mobius_pass(monkeypatch):
+    levels = []
+    real = vbf._mobius_levels
+
+    def counted(a, h):
+        levels.append((a.size // h).bit_length() - 1)  # the levels h, 2h, ... below a.size
+        real(a, h)
+
+    monkeypatch.setattr(vbf, "_mobius_levels", counted)
+    rng = np.random.default_rng(38)
+    for f in (monomial(Field(9), 3), theorem1(Field(9), 1), FuncTable(Field(8), rng.permutation(256))):
+        levels.clear()
+        report = analysis_report(f)
+        assert sum(levels) == f.ctx.m, report
 
 
 def test_families_match_oracles_up_to_m9():

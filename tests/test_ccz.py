@@ -28,6 +28,7 @@ from vbfkit.ccz import (
     map_invertible,
     power_inequivalence_witness,
 )
+from vbfkit import constructions
 from vbfkit.constructions import theorem1, theorem12_ccz_witness
 from vbfkit.gf2m import Field, _linear_table, is_irreducible
 from vbfkit.spectra import _symmetry_orbits, differential_spectrum, walsh_spectrum
@@ -167,6 +168,23 @@ def test_identity_map_properties():
     assert map_invertible(ident)
     for x in range(32):
         assert ident.apply(x) == x
+
+
+def test_columns_and_graph_map_match_the_bitwise_transpose():
+    # the per-bit loops that built rows from columns and back, as oracles;
+    # widths past 64 bits and maps that are not square included
+    rng = random.Random(36)
+    for n_in, n_out in ((1, 1), (3, 7), (8, 8), (13, 2), (26, 26), (42, 42), (64, 64), (70, 65)):
+        L = _random_map(n_in, n_out, rng)
+        cols = [sum(((L.rows[r] >> j) & 1) << r for r in range(n_out)) for j in range(n_in)]
+        assert list(L.columns) == cols
+        x = rng.randrange(1 << n_in)
+        assert L.apply(x) == sum(((row & x).bit_count() & 1) << r for r, row in enumerate(L.rows))
+        images = [rng.randrange(1 << 2 * n_in) for _ in range(2 * n_in)]
+        G = constructions._graph_map(images[:n_in], images[n_in:])
+        want = [(1 << j) ^ c for j, c in enumerate(images)]
+        assert G.rows == tuple(sum(((c >> r) & 1) << j for j, c in enumerate(want)) for r in range(2 * n_in))
+        assert list(G.columns) == want
 
 
 def test_repeated_rows_not_invertible():
