@@ -238,6 +238,7 @@ def power_inequivalence_witness(f: FuncTable) -> int | None:
     if not mid.any():
         return None
     dual = _dual_reindex(ctx)
+    # the top-weight D[A[M]], one row of little-endian bytes each
     rows = dual[anf[weights == top]].astype("<u4").view(np.uint8).reshape(-1, 4)
     pivots: dict[int, int] = {}
     for j, image in enumerate(_bit_columns(rows, m)):

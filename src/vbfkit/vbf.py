@@ -5,9 +5,10 @@ unique univariate polynomial of degree below 2^m that represents it
 (UnivariatePoly).  Degrees come from the packed algebraic normal form:
 one Moebius pass over the uint32 value table, kept on the table, gives
 every output coordinate's ANF at once, and the algebraic degree is the
-largest weight of a monomial whose packed coefficient is nonzero.  That equals the maximum
-binary weight of a univariate exponent with a nonzero coefficient and the
-maximum ANF degree over the components x -> trace(c*F(x)).
+largest weight of a monomial whose packed coefficient is nonzero.  That
+equals the maximum binary weight of a univariate exponent with a nonzero
+coefficient and the maximum ANF degree over the components
+x -> trace(c*F(x)).
 """
 
 from __future__ import annotations
@@ -75,6 +76,10 @@ class FuncTable:
 
     def __hash__(self) -> int:
         return hash((self.ctx, self._arr.tobytes()))
+
+    def __reduce__(self):
+        # a pickled or deep-copied table is built anew: read-only, no ANF kept
+        return FuncTable, (self.ctx, self._arr)
 
     def __repr__(self) -> str:
         return f"FuncTable(m={self.ctx.m}, {self.ctx.size} entries)"

@@ -8,6 +8,8 @@ witness read off the degree of every component mask
 (``anf_oracle.component_degrees``).
 """
 
+import copy
+import pickle
 import random
 from collections import Counter
 
@@ -158,6 +160,9 @@ def test_packed_anf_is_kept_read_only_and_equality_ignores_it():
     assert np.array_equal(packed_anf(g), anf)
     entries[5] ^= 1
     assert FuncTable(ctx, entries) != f
+    for twin in (copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert twin == f and twin.ctx is ctx and not twin.as_array().flags.writeable
+        assert not packed_anf(twin).flags.writeable and np.array_equal(packed_anf(twin), anf)
 
 
 def test_analysis_report_runs_one_mobius_pass(monkeypatch):
