@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vbfkit import constructions
 from vbfkit.ccz import (
     BinLinearMap,
     BudgetExceededError,
@@ -28,7 +29,6 @@ from vbfkit.ccz import (
     map_invertible,
     power_inequivalence_witness,
 )
-from vbfkit import constructions
 from vbfkit.constructions import theorem1, theorem12_ccz_witness
 from vbfkit.gf2m import Field, _linear_table, is_irreducible
 from vbfkit.spectra import _symmetry_orbits, differential_spectrum, walsh_spectrum
