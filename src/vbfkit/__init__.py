@@ -35,7 +35,6 @@ from vbfkit.spectra import (
 from vbfkit.vbf import (
     FuncTable,
     UnivariatePoly,
-    add,
     algebraic_degree,
     component_degree,
     compose,
@@ -44,7 +43,6 @@ from vbfkit.vbf import (
     invert,
     is_permutation,
     monomial,
-    two_weight,
 )
 
 __version__ = "0.1.0"
@@ -55,7 +53,6 @@ __all__ = [
     "is_irreducible",
     "FuncTable",
     "UnivariatePoly",
-    "add",
     "algebraic_degree",
     "component_degree",
     "compose",
@@ -64,7 +61,6 @@ __all__ = [
     "invert",
     "is_permutation",
     "monomial",
-    "two_weight",
     "WalshSpectrum",
     "DifferentialSpectrum",
     "walsh_spectrum",

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2m import Field, _linear_table, per_field
-from .spectra import _MATRIX_LIMIT, TooLargeError, _dual_reindex, _fwht_rows, _sign_rows
+from .gf2m import Field, _dual_inverse, _dual_reindex, _linear_table, kept
+from .spectra import _MATRIX_LIMIT, TooLargeError, _fwht_rows, _sign_rows
 from .vbf import (
     ContextMismatchError,
     FuncTable,
@@ -73,9 +73,11 @@ def _require_index(i: int, m: int, strict: bool = True) -> None:
 
 
 class BinLinearMap:
-    """F_2-linear map given by row masks: output bit r = parity(rows[r] & x)."""
+    """F_2-linear map given by row masks: output bit r = parity(rows[r] & x).
+    The rows are fixed, so the columns are built once, on first use, and
+    kept on the map."""
 
-    __slots__ = ("n_in", "n_out", "rows", "_cols")
+    __slots__ = ("n_in", "n_out", "rows", "_tables")
 
     def __init__(self, n_in: int, n_out: int, rows):
         if n_in < 1 or n_out < 1:
@@ -90,13 +92,12 @@ class BinLinearMap:
         self.n_in = n_in
         self.n_out = n_out
         self.rows = rows
-        self._cols = None
+        self._tables = {}
 
     @property
+    @kept
     def columns(self) -> tuple:
-        if self._cols is None:
-            self._cols = tuple(_transpose_bits(self.rows, self.n_in))
-        return self._cols
+        return tuple(_transpose_bits(self.rows, self.n_in))
 
     def apply(self, x: int) -> int:
         if not 0 <= x < (1 << self.n_in):
@@ -118,6 +119,10 @@ class BinLinearMap:
 
     def __hash__(self) -> int:
         return hash((self.n_in, self.rows))
+
+    def __reduce__(self):
+        # a pickled or deep-copied map is built anew, with no columns kept
+        return BinLinearMap, (self.n_in, self.n_out, self.rows)
 
     def __repr__(self) -> str:
         return f"BinLinearMap({self.n_in}->{self.n_out})"
@@ -249,13 +254,11 @@ def power_inequivalence_witness(f: FuncTable) -> int | None:
     return None
 
 
-@per_field
+@kept
 def _linear_pieces(ctx) -> tuple[np.ndarray, ...]:
-    """Per field: x & (x-1) and x & -x for x >= 1, the basis 2^k, a column of
-    the masks D[2^k] for the dual index map D of ``_dual_reindex``, and the
-    table of D^-1, which sends 2^j to the trace-dual basis element d_j."""
-    xs, bits, dual = np.arange(1, ctx.size), 1 << np.arange(ctx.m), _dual_reindex(ctx)
-    return xs & (xs - 1), xs & -xs, bits, dual[bits, None].astype(np.uint32), np.argsort(dual)
+    """Per field: x & (x-1) and x & -x for x >= 1, and the basis 2^k."""
+    xs = np.arange(1, ctx.size)
+    return xs & (xs - 1), xs & -xs, 1 << np.arange(ctx.m)
 
 
 def _linear_entries(f: FuncTable) -> np.ndarray:
@@ -272,10 +275,11 @@ def _adjoint_table(L: FuncTable) -> np.ndarray:
     """Table of the adjoint L* of a linear table: tr(v * L(x)) = tr(L*(v) * x).
 
     Read off the trace form, L*(2^k) = sum_j tr(2^k * L(2^j)) * d_j with
-    tr(2^k * y) = parity(D[2^k] & y), and spread from these m images."""
-    *_, bits, masks, inverse = _linear_pieces(L.ctx)
-    parities = np.bitwise_count(masks & _linear_entries(L)[bits]) & 1
-    return _linear_table(inverse[parities @ bits].tolist())
+    tr(2^k * y) = parity(D[2^k] & y) for the dual index map D, and spread
+    from these m images; D^-1 sends 2^j to d_j."""
+    bits, dual = _linear_pieces(L.ctx)[2], _dual_reindex(L.ctx)
+    parities = np.bitwise_count(dual[bits, None] & _linear_entries(L)[bits]) & 1
+    return _linear_table(_dual_inverse(L.ctx)[parities @ bits].tolist())
 
 
 def gold_perm_criterion(L: FuncTable, Lp: FuncTable, i: int) -> bool:
@@ -441,7 +445,7 @@ def gold_graph_completion_search(
     cx, cy, ux, uy = c & (n - 1), c >> m, u & (n - 1), u >> m
     dual = _dual_reindex(ctx)  # tr(beta y) = D(beta).y
     exponent = (1 - (1 << i)) * ctx.inverse_exponent((1 << 2 * i) - 1) % ctx.order
-    roots = ctx.pow_many(_linear_pieces(ctx)[-1][1:], exponent)  # r = D^-1(b') for each b' >= 1
+    roots = ctx.pow_many(_dual_inverse(ctx)[1:], exponent)  # r = D^-1(b') for each b' >= 1
     # the Walsh zeros of row b' are the a' with a'.r = side[b'] = 1 + b'.G(r)
     sides = 1 ^ np.bitwise_count(np.arange(1, n) & ctx.pow_many(roots, e)) & 1
     root, side, dual = [0, *roots.tolist()], [0, *sides.tolist()], dual.tolist()

@@ -9,7 +9,7 @@ degree, as a string, to a polynomial bitmask).
 
 ``Field(m, poly)`` returns one shared instance per (m, polynomial) in a
 process, and each table that depends on the field alone is built once, on
-that instance, and kept read-only (see ``per_field``).
+that instance, and kept read-only (see ``kept``).
 """
 
 from __future__ import annotations
@@ -137,23 +137,29 @@ def _linear_table(images: list[int]) -> np.ndarray:
     return tab
 
 
-def per_field(build):
-    """Decorator for a function of a field alone: ``build(ctx)`` runs once
-    per field, its value is kept on that field, and every array in it
-    (or in the tuple it returns) is made read-only.  An exception is not
-    kept; the next call runs ``build`` again.  Threads that build the same
-    value at once all get the one kept first."""
+def kept(build):
+    """Decorator for a function of one read-only owner that has a ``_tables``
+    dict (a ``Field``, a ``FuncTable`` or a ``BinLinearMap``): ``build(owner)``
+    runs once per owner, its value is kept in that dict, so it dies with its
+    owner, and every array in it, in nested tuples too, is made read-only.
+    An exception is not kept; the next call runs ``build`` again.  Threads
+    that build the same value at once all get the one kept first."""
     @wraps(build)
-    def cached(ctx: Field):
-        tables = ctx._tables
+    def cached(owner):
+        tables = owner._tables
         if build in tables:
             return tables[build]
-        value = build(ctx)
-        for arr in value if isinstance(value, tuple) else (value,):
-            if isinstance(arr, np.ndarray):
-                arr.flags.writeable = False
+        value = build(owner)
+        _freeze(value)
         return tables.setdefault(build, value)
     return cached
+
+
+def _freeze(value) -> None:
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    for item in value if isinstance(value, tuple) else ():
+        _freeze(item)
 
 
 # ---------------------------------------------------------------- the field
@@ -191,7 +197,7 @@ class Field:
         self.poly = poly
         self.size = 1 << m
         self.order = self.size - 1  # multiplicative group order
-        self._tables = {}  # build function -> value, for per_field
+        self._tables = {}  # build function -> value, for kept
         with _FIELDS_LOCK:  # a thread that built the same field first wins
             self = _FIELDS.setdefault(key, self)
             _FIELDS.move_to_end(key)
@@ -267,7 +273,7 @@ class Field:
         return x != 0 and all(self._pow(x, self.order // q) != 1 for q in _factorize(self.order))
 
     @property
-    @per_field
+    @kept
     def generator(self) -> int:
         g = 2
         while not self.is_primitive(g):
@@ -276,7 +282,7 @@ class Field:
 
     # -- traces -----------------------------------------------------------
 
-    @per_field
+    @kept
     def _basis_trace_mask(self) -> int:
         """Bit k is tr(2^k), which is 0 or 1."""
         return sum(self.subfield_trace(1 << k, 1) << k for k in range(self.m))
@@ -330,17 +336,17 @@ class Field:
             raise self._outside(c)
         return _linear_table([self._mul(c, 1 << k) for k in range(self.m)])
 
-    @per_field
+    @kept
     def _generator_table(self) -> np.ndarray:
         """``scale_table(generator)``, read-only."""
         return self.scale_table(self.generator)
 
-    @per_field
+    @kept
     def _square_table(self) -> np.ndarray:
         """int64 table of x -> x^2 (squaring is F_2-linear), read-only."""
         return _linear_table([self._mul(1 << k, 1 << k) for k in range(self.m)])
 
-    @per_field
+    @kept
     def _logexp(self) -> tuple[np.ndarray, np.ndarray]:
         """exp[k] = g^k for the generator g and 0 <= k < 2(2^m - 1), then
         zeros up to index 4(2^m - 1); log is its inverse on nonzero x, and
@@ -414,7 +420,7 @@ class Field:
             acc = acc ^ cur
         return acc
 
-    @per_field
+    @kept
     def trace_table(self) -> np.ndarray:
         """Read-only uint8 array t with t[x] = trace(x)."""
         if self.m > _TABLE_LIMIT:
@@ -432,3 +438,22 @@ class Field:
 
     def __repr__(self) -> str:
         return f"Field(m={self.m}, poly=0x{self.poly:x})"
+
+
+# ---------------------------------------------------------------- trace duality
+
+@kept
+def _dual_reindex(ctx: Field) -> np.ndarray:
+    """Index map D with tr(alpha * x) = parity(D[alpha] & x) for all x.  D is
+    F_2-linear, so it is spread from the m images D[2^k], whose bit j is
+    tr(2^k * 2^j)."""
+    return _linear_table([ctx.trace_mask(1 << k) for k in range(ctx.m)])
+
+
+@kept
+def _dual_inverse(ctx: Field) -> np.ndarray:
+    """D^-1 for the D of ``_dual_reindex``: it sends 2^j to the trace-dual
+    basis element d_j, with tr(d_j * 2^k) = 1 iff j = k."""
+    inverse = np.empty(ctx.size, dtype=np.int64)
+    inverse[_dual_reindex(ctx)] = np.arange(ctx.size)
+    return inverse

@@ -47,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from vbfkit.gf2m import _linear_table, per_field
+from vbfkit.gf2m import _dual_reindex, kept
 from vbfkit.vbf import FuncTable
 
 _SPECTRUM_LIMIT = 24  # 2^(2m) work beyond this is out of scope
@@ -128,26 +128,14 @@ def _fwht_rows(mat: np.ndarray) -> np.ndarray:
     return y.reshape(rows, n).astype(np.int32)
 
 
-@per_field
-def _dual_reindex(ctx) -> np.ndarray:
-    """Read-only index map D with tr(alpha * x) = parity(D[alpha] & x) for
-    all x, converting dot-product transform columns to trace-convention
-    columns.
-
-    D is F_2-linear in alpha, so it is spread from the m images of the
-    basis elements 2^k, whose bit j is tr(2^k * 2^j).
-    """
-    return _linear_table([ctx.trace_mask(1 << k) for k in range(ctx.m)])
-
-
-@lru_cache(maxsize=2)
+@kept
 def _symmetry_orbits(f: FuncTable) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """(row orbits, direction orbits), each as (minima, sizes): the orbit
     minima on GF(2^m)* and their orbit sizes, for the Walsh rows b and the
     difference directions a, under the symmetries that F shows on the whole
-    table (see the module docstring).  Both come from one cached pass over
-    the table, so a report that asks for both spectra checks the identities
-    once.  The arrays are read-only.
+    table (see the module docstring).  Both come from one pass over the
+    table, kept on it, so a report that asks for both spectra checks the
+    identities once.  The arrays are read-only.
 
     If F(gx) = lam*F(x), the directions form one orbit, and the rows the
     cycles of b -> lam*b: one if lam is primitive, else their minima come
@@ -185,8 +173,6 @@ def _symmetry_orbits(f: FuncTable) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         sizes = np.bincount(low, minlength=n)
         reps = np.flatnonzero(sizes)[1:]  # drop the orbit {0}
         rows = (reps, sizes[reps])
-    for arr in (*rows, *one):
-        arr.flags.writeable = False
     return rows, (one if step is not None else rows)  # x -> gx is one cycle of directions
 
 

@@ -18,7 +18,7 @@ import operator
 
 import numpy as np
 
-from vbfkit.gf2m import Field, per_field
+from vbfkit.gf2m import Field, kept
 
 
 class NotAPermutationError(ValueError):
@@ -29,16 +29,12 @@ class ContextMismatchError(ValueError):
     """Operands live in different fields (degree or reduction polynomial)."""
 
 
-def _require_same_ctx(a: FuncTable, b: FuncTable) -> None:
-    if a.ctx != b.ctx:
-        raise ContextMismatchError(f"operand fields differ: {a.ctx!r} vs {b.ctx!r}")
-
-
 class FuncTable:
     """Value table of F; entry at index x is F(x).  The table is read-only,
-    so its packed ANF is built once, on the first `packed_anf`, and kept."""
+    so the values derived from it alone (its packed ANF, its spectrum
+    orbits) are built once, on first use, and kept on it (``gf2m.kept``)."""
 
-    __slots__ = ("ctx", "_arr", "_anf")
+    __slots__ = ("ctx", "_arr", "_tables")
 
     def __init__(self, ctx: Field, values):
         arr = values
@@ -61,7 +57,7 @@ class FuncTable:
         self.ctx = ctx
         self._arr = arr.astype(np.uint32)
         self._arr.setflags(write=False)
-        self._anf = None
+        self._tables = {}
 
     def as_array(self) -> np.ndarray:
         """The table as a read-only uint32 array."""
@@ -78,7 +74,7 @@ class FuncTable:
         return hash((self.ctx, self._arr.tobytes()))
 
     def __reduce__(self):
-        # a pickled or deep-copied table is built anew: read-only, no ANF kept
+        # a pickled or deep-copied table is built anew: read-only, nothing kept
         return FuncTable, (self.ctx, self._arr)
 
     def __repr__(self) -> str:
@@ -177,13 +173,6 @@ def monomial(ctx: Field, e: int, c: int = 1) -> FuncTable:
 
 # ---------------------------------------------------------------- degrees
 
-def two_weight(k: int) -> int:
-    """Number of ones in the binary expansion of k."""
-    if k < 0:
-        raise ValueError("exponents are nonnegative")
-    return int(k).bit_count()
-
-
 def _mobius_levels(a: np.ndarray, h: int) -> None:
     """In place, the Moebius butterfly levels of half-width h, 2h, ... of a
     flat array: each XORs the lower half of every 2h-block into its upper."""
@@ -193,10 +182,11 @@ def _mobius_levels(a: np.ndarray, h: int) -> None:
         h *= 2
 
 
+@kept
 def packed_anf(f: FuncTable) -> np.ndarray:
     """ANF of every output coordinate at once: bit j of entry M is the
     coefficient of the monomial x^M in coordinate j of F.  Read-only, and
-    built once per table: later calls return the kept array.
+    kept on the table: later calls return the same array.
 
     One binary Moebius pass, one level per bit of M.  With m = p + q for
     q = m // 2, the table is a 2^p x 2^q array indexed by the high p and the
@@ -204,19 +194,16 @@ def packed_anf(f: FuncTable) -> np.ndarray:
     those bits index the rows, and the levels of the high bits after one
     transpose back, so every level XORs contiguous blocks of at least
     2^q entries, not single entries."""
-    if f._anf is None:
-        q = f.ctx.m // 2
-        p = f.ctx.m - q
-        a = f.as_array().reshape(1 << p, 1 << q).T.copy()
-        _mobius_levels(a.reshape(-1), 1 << p)
-        a = a.T.copy().reshape(-1)
-        _mobius_levels(a, 1 << q)
-        a.setflags(write=False)
-        f._anf = a
-    return f._anf
+    q = f.ctx.m // 2
+    p = f.ctx.m - q
+    a = f.as_array().reshape(1 << p, 1 << q).T.copy()
+    _mobius_levels(a.reshape(-1), 1 << p)
+    a = a.T.copy().reshape(-1)
+    _mobius_levels(a, 1 << q)
+    return a
 
 
-@per_field
+@kept
 def _monomial_weights(ctx: Field) -> np.ndarray:
     """Per field: the weight of every monomial index M < 2^m, as uint8."""
     return np.bitwise_count(np.arange(ctx.size, dtype=np.uint32))
@@ -260,11 +247,7 @@ def invert(f: FuncTable) -> FuncTable:
 
 def compose(f: FuncTable, g: FuncTable) -> FuncTable:
     """x -> f(g(x))."""
-    _require_same_ctx(f, g)
+    if f.ctx != g.ctx:
+        raise ContextMismatchError(f"operand fields differ: {f.ctx!r} vs {g.ctx!r}")
     return FuncTable(f.ctx, f.as_array()[g.as_array()])
 
-
-def add(f: FuncTable, g: FuncTable) -> FuncTable:
-    """Pointwise XOR."""
-    _require_same_ctx(f, g)
-    return FuncTable(f.ctx, f.as_array() ^ g.as_array())

@@ -21,11 +21,18 @@ from hypothesis import strategies as st
 from anf_oracle import component_degree as component_degree_oracle
 from anf_oracle import component_degrees, mobius_transform
 from vbfkit import vbf
-from vbfkit.ccz import power_inequivalence_witness
+from vbfkit.ccz import BinLinearMap, power_inequivalence_witness
 from vbfkit.cli import analysis_report
 from vbfkit.constructions import theorem1, theorem4
 from vbfkit.gf2m import Field
-from vbfkit.spectra import _dual_reindex, _fwht_rows, _sign_rows, walsh_spectrum, walsh_value
+from vbfkit.spectra import (
+    _dual_reindex,
+    _fwht_rows,
+    _sign_rows,
+    _symmetry_orbits,
+    walsh_spectrum,
+    walsh_value,
+)
 from vbfkit.vbf import (
     FuncTable,
     algebraic_degree,
@@ -33,7 +40,6 @@ from vbfkit.vbf import (
     interpolate,
     monomial,
     packed_anf,
-    two_weight,
 )
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -41,7 +47,7 @@ PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
 def _degree_oracle(f: FuncTable) -> int:
     """Maximum 2-weight over the exponents of the univariate representation."""
-    return max((two_weight(e) for e in interpolate(f).terms), default=0)
+    return max((e.bit_count() for e in interpolate(f).terms), default=0)
 
 
 def _witness_oracle(f: FuncTable) -> int | None:
@@ -160,9 +166,16 @@ def test_packed_anf_is_kept_read_only_and_equality_ignores_it():
     assert np.array_equal(packed_anf(g), anf)
     entries[5] ^= 1
     assert FuncTable(ctx, entries) != f
+    _symmetry_orbits(f)
     for twin in (copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
         assert twin == f and twin.ctx is ctx and not twin.as_array().flags.writeable
+        assert not twin._tables  # a copy keeps neither the ANF nor the orbits
         assert not packed_anf(twin).flags.writeable and np.array_equal(packed_anf(twin), anf)
+    L = BinLinearMap(3, 2, [0b101, 0b011])
+    cols = L.columns
+    assert L.columns is cols
+    for twin in (copy.deepcopy(L), pickle.loads(pickle.dumps(L))):
+        assert twin == L and not twin._tables and twin.columns == cols
 
 
 def test_analysis_report_runs_one_mobius_pass(monkeypatch):
@@ -179,6 +192,18 @@ def test_analysis_report_runs_one_mobius_pass(monkeypatch):
         levels.clear()
         report = analysis_report(f)
         assert sum(levels) == f.ctx.m, report
+
+
+def test_analysis_report_never_hashes_a_table(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a table was hashed")
+
+    monkeypatch.setattr(FuncTable, "__hash__", refuse)
+    rng = np.random.default_rng(39)
+    gold = monomial(Field(9), 3)
+    for f in (gold, theorem1(Field(9), 1), FuncTable(Field(8), rng.permutation(256))):
+        analysis_report(f)
+    analysis_report(theorem1(Field(9), 1), spectra_of=gold)
 
 
 def test_families_match_oracles_up_to_m9():

@@ -42,7 +42,6 @@ from vbfkit.spectra import (
 )
 from vbfkit.vbf import (
     FuncTable,
-    add,
     algebraic_degree,
     component_degree,
     compose,
@@ -591,7 +590,7 @@ def test_theorem4_composition_route_differs_by_the_subfield_trace():
         ctx, [theorem4_f1_inverse(ctx, n, i, y) for y in range(ctx.size)]
     )
     assert compose(f1, f1_inv) == monomial(ctx, 1)
-    assert compose(f2, f1_inv) == add(theorem4(ctx, n, i), t_tab)
+    assert compose(f2, f1_inv) == FuncTable(ctx, theorem4(ctx, n, i).as_array() ^ t_tab.as_array())
 
 
 # --------------------------------------------------------- graph witnesses

@@ -538,10 +538,10 @@ def test_field_equality_and_repr():
 def _every_field_table(f: Field) -> dict:
     """Build every table kept on f and return them by builder name."""
     from vbfkit.ccz import _linear_pieces
-    from vbfkit.spectra import _dual_reindex
+    from vbfkit.gf2m import _dual_inverse, _dual_reindex
 
     f.generator, f._basis_trace_mask(), f._logexp(), f.trace_table()
-    f._generator_table(), f._square_table(), _dual_reindex(f), _linear_pieces(f)
+    f._generator_table(), f._square_table(), _dual_reindex(f), _dual_inverse(f), _linear_pieces(f)
     return {build.__name__: value for build, value in f._tables.items()}
 
 
@@ -565,7 +565,7 @@ def test_every_kept_table_is_read_only(m, poly):
     tables = _every_field_table(Field(m, poly))
     arrays = [a for v in tables.values() for a in (v if isinstance(v, tuple) else (v,))
               if isinstance(a, np.ndarray)]
-    assert len(arrays) == 11  # log, exp, trace, generator, square, dual, 5 linear pieces
+    assert len(arrays) == 10  # log, exp, trace, generator, square, dual and its inverse, 3 linear pieces
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = arr[0]

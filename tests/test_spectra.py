@@ -1,7 +1,9 @@
 """Walsh / differential spectra against naive double-loop oracles."""
 
+import gc
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -28,11 +30,11 @@ from vbfkit.spectra import (
 from vbfkit.vbf import (
     FuncTable,
     UnivariatePoly,
-    add,
     compose,
     evaluate,
     is_permutation,
     monomial,
+    packed_anf,
 )
 
 
@@ -352,7 +354,7 @@ def test_spectra_invariant_under_affine_shifts():
     w0 = _abs_distribution(walsh_spectrum(base).distribution)
     d0 = differential_spectrum(base).distribution
     for c in (1, 9, 30, rng.randrange(1, 32)):
-        shifted = add(base, FuncTable(f, [c] * 32))
+        shifted = FuncTable(f, base.as_array() ^ c)
         spec = walsh_spectrum(shifted)
         assert _abs_distribution(spec.distribution) == w0
         assert differential_spectrum(shifted).distribution == d0
@@ -465,12 +467,25 @@ def test_orbits_are_computed_once_per_table_and_read_only():
     ctx = Field(9)
     gold = monomial(ctx, 3, c=ctx.generator)  # F(gx) = g^3 F(x), with g^3 primitive
     rows, directions = _symmetry_orbits(gold)
-    assert _symmetry_orbits(FuncTable(ctx, gold.as_array()))[0] is rows
+    assert _symmetry_orbits(gold)[0] is rows
+    # orbits are kept on their table, not looked up by its contents
+    for got, want in zip(_symmetry_orbits(FuncTable(ctx, gold.as_array()))[0], rows):
+        assert np.array_equal(got, want) and not got.flags.writeable
     assert directions[0].tolist() == [1]
     for arr in (*rows, *directions):
         assert not arr.flags.writeable
     other = monomial(ctx, 5)
     assert _symmetry_orbits(other)[0] is not rows
+
+
+def test_a_dropped_table_frees_its_kept_orbits_and_anf():
+    ctx = Field(9)
+    f = FuncTable(ctx, theorem1(ctx, 1).as_array())  # commutes with squaring: 59 row orbits
+    walsh_spectrum(f), differential_spectrum(f)
+    orbits, anf = weakref.ref(_symmetry_orbits(f)[0][0]), weakref.ref(packed_anf(f))
+    del f
+    gc.collect()
+    assert orbits() is None and anf() is None
 
 
 def _assert_matches_all_rows(f: FuncTable) -> None:
