@@ -261,83 +261,119 @@ def _linear_pieces(ctx) -> tuple[np.ndarray, ...]:
     return xs & (xs - 1), xs & -xs, 1 << np.arange(ctx.m)
 
 
-def _linear_entries(f: FuncTable) -> np.ndarray:
-    """The entries of f, checked F_2-linear in one pass:
-    f(x) = f(x & (x-1)) ^ f(x & -x) for every x >= 1 (x = 1 gives f(0) = 0)."""
-    tab = f.as_array()
-    rest, low = _linear_pieces(f.ctx)[:2]
-    if (tab[1:] != tab[rest] ^ tab[low]).any():
+def _linear_rows(ctx: Field, tabs: np.ndarray) -> np.ndarray:
+    """A table, or a stack of tables along the last axis, each checked
+    F_2-linear in one pass: f(x) = f(x & (x-1)) ^ f(x & -x) for every x >= 1
+    (x = 1 gives f(0) = 0)."""
+    rest, low = _linear_pieces(ctx)[:2]
+    if (tabs[..., 1:] != tabs[..., rest] ^ tabs[..., low]).any():
         raise NotLinearizedError("table is not F_2-linear")
-    return tab
+    return tabs
 
 
-def _adjoint_table(L: FuncTable) -> np.ndarray:
-    """Table of the adjoint L* of a linear table: tr(v * L(x)) = tr(L*(v) * x).
+def _adjoint_table(ctx: Field, tabs: np.ndarray) -> np.ndarray:
+    """Table of the adjoint L* of a linear table: tr(v * L(x)) = tr(L*(v) * x),
+    or the stack of adjoints of a stack of tables.
 
     Read off the trace form, L*(2^k) = sum_j tr(2^k * L(2^j)) * d_j with
     tr(2^k * y) = parity(D[2^k] & y) for the dual index map D, and spread
     from these m images; D^-1 sends 2^j to d_j."""
-    bits, dual = _linear_pieces(L.ctx)[2], _dual_reindex(L.ctx)
-    parities = np.bitwise_count(dual[bits, None] & _linear_entries(L)[bits]) & 1
-    return _linear_table(_dual_inverse(L.ctx)[parities @ bits].tolist())
+    bits, dual = _linear_pieces(ctx)[2], _dual_reindex(ctx)
+    parities = np.bitwise_count(dual[bits, None] & _linear_rows(ctx, tabs)[..., None, bits]) & 1
+    return _linear_table(_dual_inverse(ctx)[parities @ bits])
+
+
+def _kernel_bases(tabs: np.ndarray) -> np.ndarray:
+    """Per row of a stack of linear tables, the reduced echelon basis of its
+    kernel, padded with 0s to the largest kernel dimension in the stack.
+    A kernel listed ascending has its j-th basis vector at position 2^j."""
+    rows, xs = np.nonzero(tabs == 0)  # each row's kernel, ascending, opened by x = 0
+    position = np.arange(xs.size) - np.flatnonzero(xs == 0)[rows]
+    basis = np.bitwise_count(position) == 1
+    # a kernel of 2^d elements ends at position 2^d - 1, of weight d
+    bases = np.zeros((len(tabs), int(np.bitwise_count(position.max()))), dtype=np.int64)
+    bases[rows[basis], np.bitwise_count(position[basis] - 1)] = xs[basis]
+    return bases
+
+
+def _gold_perm_rows(ctx: Field, Ls: np.ndarray, Lps: np.ndarray, i: int) -> np.ndarray:
+    """`gold_perm_criterion` on the rows of two stacks of linear tables,
+    shape (T, 2^m): T verdicts, True where L(x^(2^i+1)) + L'(x) permutes.
+
+    Differences of the power part at step u != 0 sweep u^(2^i+1) * v over
+    all v with trace(v) = trace(1), so the sum fails to permute exactly when
+    some u has such a v with L(u^(2^i+1) * v) = L'(u).  The solutions
+    w = u^(2^i+1) * v of L(w) = L'(u) are empty unless L'(u) = L(w0) for
+    some w0, and then they form the coset w0 + ker L, on which
+    trace(v) = trace(w * s) with s = u^-(2^i+1).  That functional takes both
+    values on the coset when trace(k * s) = 1 for some basis vector k of
+    ker L, and otherwise only the value trace(w0 * s).  Each trace is read
+    as trace(w * s) = parity(D[s] & w) with the dual index map D, so a row
+    costs one parity pass for w0 and one per kernel basis vector.
+    """
+    _require_index(i, ctx.m)
+    Ls, Lps = _linear_rows(ctx, Ls), _linear_rows(ctx, Lps)
+    n = ctx.size
+    offsets = np.arange(0, Ls.size, n)[:, None]  # row t's entries start at t * 2^m
+    preimage = np.full(Ls.size, -1, dtype=np.int64)
+    preimage[Ls + offsets] = np.arange(n)
+    w0 = preimage[Lps[:, 1:] + offsets]  # -1 where L'(u) is not in the image of L
+    us = np.arange(1, n)
+    ds = _dual_reindex(ctx)[ctx.pow_many(us, -((1 << i) + 1) % ctx.order)]  # D[s] per u
+    hit = (np.bitwise_count(ds & w0) & 1) == ctx.trace(1)
+    for k in _kernel_bases(Ls).T:
+        hit |= (np.bitwise_count(ds & k[:, None]) & 1).astype(bool)
+    return ~(hit & (w0 >= 0)).any(axis=1)
 
 
 def gold_perm_criterion(L: FuncTable, Lp: FuncTable, i: int) -> bool:
     """Is L(x^(2^i+1)) + L'(x) a permutation, decided without building it?
 
     L and L' are the tables of F_2-linear maps; a table that is not raises
-    NotLinearizedError.  Differences of the power part at step u != 0 sweep
-    u^(2^i+1) * v over all v with trace(v) = trace(1), so the sum fails to
-    permute exactly when some u has such a v with L(u^(2^i+1) * v) = L'(u).
-    The solutions w = u^(2^i+1) * v of L(w) = L'(u) are empty unless
-    L'(u) = L(w0) for some w0, and then they form the coset w0 + ker L, on
-    which trace(v) = trace(w * s) with s = u^-(2^i+1).  That functional takes
-    both values on the coset when trace(k * s) = 1 for some basis vector k
-    of ker L, and otherwise only the value trace(w0 * s).  So each u costs
-    one product for w0 and one per kernel basis vector.
+    NotLinearizedError.  This is the one-row call of `_gold_perm_rows`,
+    which says how the criterion decides.
     """
-    ctx = L.ctx
-    if Lp.ctx != ctx:
+    if Lp.ctx != L.ctx:
         raise ContextMismatchError("summands live in different fields")
-    _require_index(i, ctx.m)
-    Ltab = _linear_entries(L)
-    preimage = np.full(ctx.size, -1, dtype=np.int64)
-    preimage[Ltab] = np.arange(ctx.size)
-    w0 = preimage[_linear_entries(Lp)[1:]]
-    reached = w0 >= 0
-    # ker L listed ascending: entry 2^j is its j-th reduced echelon basis vector
-    kernel = np.flatnonzero(Ltab == 0)
-    basis = kernel[1 << np.arange(kernel.size.bit_length() - 1)]
-    us = np.flatnonzero(reached) + 1
-    s = ctx.pow_many(us, -((1 << i) + 1) % ctx.order)
-    trace = ctx.trace_table()
-    hit = trace[ctx.mul_many(w0[reached], s)] == trace[1]
-    hit |= trace[ctx.mul_many(s[:, None], basis[None, :])].any(axis=1)
-    return not bool(hit.any())
+    return bool(_gold_perm_rows(L.ctx, L.as_array()[None], Lp.as_array()[None], i)[0])
 
 
-def gold_perm_criterion_even(L: FuncTable, i: int) -> bool:
-    """Is L(x^(2^i+1)) + x a permutation, for linear L over an even-degree field?
+def _gold_perm_even_rows(ctx: Field, Ls: np.ndarray, i: int) -> np.ndarray:
+    """`gold_perm_criterion_even` on the rows of a stack of linear tables,
+    shape (T, 2^m): T verdicts, True where L(x^(2^i+1)) + x permutes.
 
     Each component with adjoint value b = L*(v) != 0 is balanced exactly when
     b is a (2^i+1)-th power u^(2^i+1) and the relative trace onto the
     four-element subfield of v/u is nonzero; the verdict does not depend on
-    which root u is picked.
+    which root u is picked.  The root table is built once for the stack,
+    and the relative traces only on the rows whose every b != 0 has a root.
     """
-    ctx = L.ctx
     if ctx.m & 1:
         raise OddDegreeError(f"extension degree {ctx.m} is odd")
     _require_index(i, ctx.m)
     us = np.arange(1, ctx.size, dtype=np.int64)
     root = np.zeros(ctx.size, dtype=np.int64)  # 0 marks a non-residue
     root[ctx.pow_many(us, (1 << i) + 1)[::-1].astype(np.int64)] = us[::-1]
-    b = _adjoint_table(L)[1:]
+    b = _adjoint_table(ctx, Ls)[:, 1:]
     live = b != 0
-    roots = root[b[live]]
-    if np.any(roots == 0):
-        return False
-    rel = ctx.subfield_trace_many(ctx.mul_many(us[live], ctx.inv_many(roots)), 2)
-    return not bool(np.any(rel == 0))
+    roots = root[b]
+    verdicts = ~(live & (roots == 0)).any(axis=1)
+    rows = np.flatnonzero(verdicts)
+    if rows.size:
+        # where b = 0 the root is 0, so v/u reads 0 there, which live masks out
+        rel = ctx.subfield_trace_many(ctx.mul_many(us, ctx.inv_many(roots[rows])), 2)
+        verdicts[rows] = ~(live[rows] & (rel == 0)).any(axis=1)
+    return verdicts
+
+
+def gold_perm_criterion_even(L: FuncTable, i: int) -> bool:
+    """Is L(x^(2^i+1)) + x a permutation, for linear L over an even-degree field?
+
+    A table L that is not F_2-linear raises NotLinearizedError.  This is the
+    one-row call of `_gold_perm_even_rows`, which says how the criterion
+    decides.
+    """
+    return bool(_gold_perm_even_rows(L.ctx, L.as_array()[None], i)[0])
 
 
 # --------------------------------------------------------------------------

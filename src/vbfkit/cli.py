@@ -45,11 +45,11 @@ import numpy as np
 from vbfkit.ccz import (
     BinLinearMap,
     BudgetExceededError,
+    _gold_perm_even_rows,
+    _gold_perm_rows,
     _require_index,
     ccz_transform,
     gold_graph_completion_search,
-    gold_perm_criterion,
-    gold_perm_criterion_even,
     identity_map,
     linear_completion_search,
     map_invertible,
@@ -81,11 +81,9 @@ from vbfkit.spectra import (
 from vbfkit.vbf import (
     FuncTable,
     NotAPermutationError,
-    UnivariatePoly,
     algebraic_degree,
     component_degree,
     compose,
-    evaluate,
     is_permutation,
     monomial,
 )
@@ -457,12 +455,32 @@ def verify_example1(args: argparse.Namespace) -> int:
     return _emit_checks(checks)
 
 
-def _random_linearized(ctx: Field, rng: random.Random) -> FuncTable:
-    """Table of a random linearized polynomial of one or two terms."""
+def _random_linearized(ctx: Field, rng: random.Random) -> dict[int, int]:
+    """The terms {k: c} of a random linearized polynomial sum c * x^(2^k) of
+    one or two terms; a second term with the same k replaces the first."""
     terms = {}
     for _ in range(rng.choice((1, 2))):
-        terms[1 << rng.randrange(ctx.m)] = rng.randrange(1, ctx.size)
-    return evaluate(UnivariatePoly(ctx, terms))
+        terms[rng.randrange(ctx.m)] = rng.randrange(1, ctx.size)
+    return terms
+
+
+def _linearized_tables(ctx: Field, drawn: list[dict[int, int]]) -> np.ndarray:
+    """The tables, one row each, of the drawn linearized polynomials: each
+    is spread from its m basis images sum c * (2^j)^(2^k), read off the
+    field's log/exp tables.  A one-term row is padded with c = 0, whose log
+    lands in the zero tail of exp."""
+    terms = np.array([[*t.items(), (0, 0)][:2] for t in drawn])  # (T, 2, 2)
+    shifts, coefs = terms[..., 0, None], terms[..., 1, None]
+    log, exp = ctx._logexp()
+    images = exp[log[coefs] + (log[1 << np.arange(ctx.m)] << shifts) % ctx.order]
+    return _linear_table(images[:, 0] ^ images[:, 1])
+
+
+def _permuting_rows(tabs: np.ndarray) -> np.ndarray:
+    """Brute force on each row of a stack of tables: is every value taken?"""
+    seen = np.zeros(tabs.size, dtype=bool)
+    seen[tabs + np.arange(0, tabs.size, tabs.shape[1])[:, None]] = True
+    return seen.reshape(tabs.shape).all(axis=1)
 
 
 def _require_trials(args: argparse.Namespace, least: int = 1) -> None:
@@ -470,26 +488,37 @@ def _require_trials(args: argparse.Namespace, least: int = 1) -> None:
         raise ConditionViolatedError(f"--count must be at least {least}, got {args.count}")
 
 
+# The sampled criteria decide this many table cells at once, so a run's
+# memory does not grow with --count.
+_TRIAL_CELLS = 1 << 15
+
+
 def verify_prop_gold_perm(args: argparse.Namespace, even: bool = False) -> int:
     """A criterion against brute force on random summands: the Gold one on
     L(x^(2^i+1)) + L'(x), or with ``even`` the even-degree one on
-    L(x^(2^i+1)) + x."""
+    L(x^(2^i+1)) + x.  The trials are drawn in turn, L before L', and
+    decided in chunks of at most ``_TRIAL_CELLS`` table cells, each as one
+    stack of tables."""
     _require_trials(args)
     ctx = Field(args.m, args.poly)
     _require_index(args.i, ctx.m)  # before the brute-force table uses 2^i
     rng = random.Random(args.seed)
     xs = np.arange(ctx.size, dtype=np.int64)
     powered = ctx.pow_many(xs, (1 << args.i) + 1)
+    chunk = max(1, _TRIAL_CELLS >> ctx.m)
     mismatches = 0
-    for _ in range(args.count):
-        L = _random_linearized(ctx, rng)
+    for start in range(0, args.count, chunk):
+        trials = [
+            [_random_linearized(ctx, rng) for _ in range(1 if even else 2)]
+            for _ in range(min(chunk, args.count - start))
+        ]
+        L = _linearized_tables(ctx, [t[0] for t in trials])
         if even:
-            fast, summand = gold_perm_criterion_even(L, args.i), xs
+            fast, summand = _gold_perm_even_rows(ctx, L, args.i), xs
         else:
-            Lp = _random_linearized(ctx, rng)
-            fast, summand = gold_perm_criterion(L, Lp, args.i), Lp.as_array()
-        if fast != is_permutation(FuncTable(ctx, L.as_array()[powered] ^ summand)):
-            mismatches += 1
+            summand = _linearized_tables(ctx, [t[1] for t in trials])
+            fast = _gold_perm_rows(ctx, L, summand, args.i)
+        mismatches += np.count_nonzero(fast != _permuting_rows(L[:, powered] ^ summand))
     drawn = "summands" if even else "summand pairs"
     name = f"criterion agreed with brute force on {args.count} random {drawn}"
     return _emit_checks([(name, mismatches == 0)])

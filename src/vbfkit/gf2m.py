@@ -129,11 +129,15 @@ def _factorize(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _linear_table(images: list[int]) -> np.ndarray:
-    """Table of the F_2-linear map that sends basis element 2^k to images[k]."""
-    tab = np.zeros(1 << len(images), dtype=np.int64)
-    for k, image in enumerate(images):
-        tab[1 << k:2 << k] = tab[:1 << k] ^ image
+def _linear_table(images) -> np.ndarray:
+    """Table of the F_2-linear map that sends basis element 2^k to images[k].
+    A stack of images, shape (..., m), gives a stack of tables, (..., 2^m),
+    in the images' dtype (int64 for a list of Python ints)."""
+    images = np.asarray(images)
+    m = images.shape[-1]
+    tab = np.zeros((*images.shape[:-1], 1 << m), dtype=images.dtype)
+    for k in range(m):
+        tab[..., 1 << k:2 << k] = tab[..., :1 << k] ^ images[..., k, None]
     return tab
 
 

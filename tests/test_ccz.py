@@ -19,6 +19,8 @@ from vbfkit.ccz import (
     OddDegreeError,
     SingularError,
     _adjoint_table,
+    _gold_perm_even_rows,
+    _gold_perm_rows,
     ccz_transform,
     gold_perm_criterion,
     gold_perm_criterion_even,
@@ -284,7 +286,7 @@ def test_adjoint_table_matches_reference_adjoint():
         for _ in range(40):
             p = _random_linearized(f, rng, max_terms=m)
             want = evaluate(linearized_adjoint(f, p)).as_array().tolist()
-            assert _adjoint_table(evaluate(p)).tolist() == want, (m, p)
+            assert _adjoint_table(f, evaluate(p).as_array()).tolist() == want, (m, p)
 
 
 # ---------------------------------------------------------------- graph images
@@ -723,6 +725,65 @@ def test_criteria_see_permutations_among_summands_of_every_rank():
                 assert gold_perm_criterion_even(L, i) == want, (m, i)
                 verdicts.append(want)
         assert 0 < sum(verdicts) < len(verdicts), m
+
+
+@pytest.mark.parametrize("m", range(3, 11))
+def test_stacked_criteria_agree_row_by_row_on_stacks_that_permute(m):
+    # the sampled claims almost never draw a permuting trial, so each stack
+    # mixes hand-made permuting rows with random rows of every rank; every
+    # row's verdict must equal the one-table call and brute force
+    f = Field(m)
+    rng = np.random.default_rng(2300 + m)
+    xs = np.arange(f.size, dtype=np.int64)
+    zero = np.zeros(f.size, dtype=np.int64)
+    for i in (1, _second_index(m)):
+        powered = f.pow_many(xs, (1 << i) + 1)
+        # L = 0 with L' = x permutes; so does L = x with L' = 0 at odd m
+        pairs = [(zero, xs), (xs, zero)]
+        for _ in range(30):
+            L = _random_rank_table(f, rng).as_array()
+            pairs.append((L, _random_rank_table(f, rng).as_array()))
+            pairs.append((L, xs))
+        Ls, Lps = (np.array(side) for side in zip(*pairs))
+        verdicts = _gold_perm_rows(f, Ls, Lps, i)
+        for L, Lp, verdict in zip(Ls, Lps, verdicts):
+            want = is_permutation(FuncTable(f, L[powered] ^ Lp))
+            one = gold_perm_criterion(FuncTable(f, L), FuncTable(f, Lp), i)
+            assert verdict == want == one, (m, i)
+        assert 0 < verdicts.sum() < len(verdicts), (m, i)
+        if m % 2:
+            continue
+        # L = c*x (only c = 0 permutes: L* = c*v takes non-residue values),
+        # L = a*tr(c*x) with c a (2^i+1)-th power, whose L* takes only the
+        # values 0 and c, and random ranks
+        cubes = f.pow_many(np.arange(1, 9), (1 << i) + 1)
+        Ls = np.array(
+            [f.scale_table(c) for c in range(16)]
+            + [a * f.trace_table()[f.mul_many(c, xs)] for c in cubes for a in range(1, 9)]
+            + [_random_rank_table(f, rng).as_array() for _ in range(30)]
+        )
+        verdicts = _gold_perm_even_rows(f, Ls, i)
+        for L, verdict in zip(Ls, verdicts):
+            want = is_permutation(FuncTable(f, L[powered] ^ xs))
+            one = gold_perm_criterion_even(FuncTable(f, L), i)
+            assert verdict == want == one, (m, i)
+        assert 0 < verdicts.sum() < len(verdicts), (m, i)
+
+
+def test_stacked_criteria_reject_a_stack_with_one_nonlinear_row():
+    f = Field(6)
+    Ls = np.array([f.scale_table(c) for c in range(1, 9)])
+    Ls[5, 37] ^= 1
+    good = Ls[:5]
+    for call in (
+        lambda: _gold_perm_rows(f, Ls, good[:1].repeat(8, axis=0), 1),
+        lambda: _gold_perm_rows(f, good[:1].repeat(8, axis=0), Ls, 1),
+        lambda: _gold_perm_even_rows(f, Ls, 1),
+    ):
+        with pytest.raises(NotLinearizedError, match="^table is not F_2-linear$"):
+            call()
+    assert _gold_perm_rows(f, good, good, 1).shape == (5,)
+    assert _gold_perm_even_rows(f, good, 1).shape == (5,)
 
 
 @pytest.mark.parametrize("i", [0, -1])

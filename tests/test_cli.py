@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vbfkit import ccz, cli, vbf
 from vbfkit.ccz import identity_map
 from vbfkit.cli import (
     _VERIFIERS,
@@ -817,6 +819,79 @@ def test_verify_gold_perm_rejects_empty_trial_count(capsys, claim, count):
     assert "ok" not in stdout
     assert len(err.strip().splitlines()) == 1
     assert "--count" in err
+
+
+_SAMPLED = [
+    ("prop-gold-perm", "_gold_perm_rows", "summand pairs"),
+    ("prop-gold-perm-even", "_gold_perm_even_rows", "summands"),
+]
+
+
+@pytest.mark.parametrize("claim, core, drawn", _SAMPLED)
+def test_verify_gold_perm_fails_when_one_verdict_disagrees(
+    capsys, monkeypatch, claim, core, drawn
+):
+    decide = getattr(cli, core)
+
+    def one_flipped(*args):
+        verdicts = decide(*args)
+        verdicts[7] = not verdicts[7]
+        return verdicts
+
+    monkeypatch.setattr(cli, core, one_flipped)
+    rc, out, err = run(capsys, "verify", claim, "--m", "6", "--i", "1", "--count", "20")
+    want = f"FAIL criterion agreed with brute force on 20 random {drawn}\n"
+    assert (rc, out, err) == (1, want, "")
+
+
+@pytest.mark.parametrize("claim", ["prop-gold-perm", "prop-gold-perm-even"])
+def test_verify_gold_perm_reports_a_nonlinear_summand_with_exit_2(capsys, monkeypatch, claim):
+    build = cli._linearized_tables
+
+    def one_row_broken(ctx, drawn):
+        tabs = build(ctx, drawn)
+        tabs[3, 5] ^= 1
+        return tabs
+
+    monkeypatch.setattr(cli, "_linearized_tables", one_row_broken)
+    rc, out, err = run(capsys, "verify", claim, "--m", "6", "--i", "1", "--count", "20")
+    assert (rc, out, err) == (2, "", "error: table is not F_2-linear\n")
+
+
+def test_sampled_claims_reach_no_polynomial(capsys, monkeypatch):
+    # perfbench/tracer.py looks each of these up by name
+    for module, name in (
+        (ccz, "gold_perm_criterion"),
+        (ccz, "gold_perm_criterion_even"),
+        (vbf, "evaluate"),
+        (vbf, "is_permutation"),
+    ):
+        assert callable(getattr(module, name))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sampled claim built a polynomial")
+
+    monkeypatch.setattr(vbf, "evaluate", refuse)
+    monkeypatch.setattr(vbf, "UnivariatePoly", refuse)
+    for claim, m in (("prop-gold-perm", "5"), ("prop-gold-perm-even", "6")):
+        rc, out, _ = run(capsys, "verify", claim, "--m", m, "--i", "1", "--count", "20")
+        assert (rc, out[:5]) == (0, "ok   ")
+
+
+@pytest.mark.parametrize("claim", ["prop-gold-perm", "prop-gold-perm-even"])
+def test_sampled_claims_decide_in_chunks_of_bounded_memory(capsys, claim):
+    argv = ["verify", claim, "--m", "8", "--i", "1", "--seed", "4", "--count"]
+
+    def peak(count: int) -> int:
+        tracemalloc.start()
+        try:
+            assert run(capsys, *argv, str(count))[0] == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run(capsys, *argv, "1")  # the field's tables are built once, outside the peaks
+    assert peak(2000) < 2 * peak(200)
 
 
 def test_verify_ccz_invariance(capsys):
