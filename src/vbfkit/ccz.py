@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf2m import Field, _dual_inverse, _dual_reindex, _linear_table, kept
-from .spectra import _MATRIX_LIMIT, TooLargeError, _fwht_rows, _sign_rows
+from .spectra import TooLargeError, _walsh_blocks
 from .vbf import (
     ContextMismatchError,
     FuncTable,
@@ -34,6 +34,8 @@ from .vbf import (
     monomial,
     packed_anf,
 )
+
+_MATRIX_LIMIT = 14  # linear_completion_search keeps a 2^m x 2^m table of Walsh zeros
 
 
 class SingularError(ValueError):
@@ -402,7 +404,9 @@ def linear_completion_search(
         raise ValueError("budget must be a positive node count")
     deadline = None if time_limit is None else time.monotonic() + float(time_limit)
     xs = np.arange(n, dtype=np.int64)
-    zero = _fwht_rows(_sign_rows(f, xs)) == 0
+    zero = np.empty((n, n), dtype=bool)  # zero[b, a]: W(a, b) = 0
+    for start, mat in _walsh_blocks(f, xs):
+        np.equal(mat, 0, out=zero[start:start + len(mat)])
     rows = [0] * m
     nodes = 0
 

@@ -57,6 +57,7 @@ from vbfkit.ccz import (
 )
 from vbfkit.constructions import (
     ConditionViolatedError,
+    _theorem1_preconditions,
     _theorem3_preconditions,
     example1_witness,
     f8_side_condition,
@@ -170,7 +171,10 @@ def _read_options(
     missing = [f"--{k}" for k, v in reads.items() if v is REQUIRED and k not in given]
     if missing:
         raise ConditionViolatedError(f"{name} needs {', '.join(missing)}")
-    return argparse.Namespace(**{**reads, **given})
+    p = argparse.Namespace(**{**reads, **given})
+    if "i" in reads and "m" in reads and p.i > p.m >= 2:
+        p.i = (p.i - 1) % p.m + 1  # i enters only through x^(2^i), which has period m in i
+    return p
 
 
 def _family_options(args: argparse.Namespace) -> argparse.Namespace:
@@ -412,21 +416,21 @@ def verify_remark4(args: argparse.Namespace) -> int:
     found that way is checked on the table before it is reported."""
     if args.lut:
         f = read_lut(args.lut)
+        ctx = f.ctx
         nodes, seconds = _parse_budget(args.budget)
         found = linear_completion_search(f, budget=nodes, time_limit=seconds)
     else:
         ctx = Field(args.m, args.poly)
-        f = theorem1(ctx, args.i)  # rejects m and i before the witness does
+        _theorem1_preconditions(ctx, args.i)  # rejects m and i before the witness does
         nodes, seconds = _parse_budget(args.budget)
         w = theorem12_ccz_witness(ctx, args.i)
         found = gold_graph_completion_search(w.L, ctx, args.i, budget=nodes, time_limit=seconds)
-        if found is not None and not is_permutation(
-            FuncTable(ctx, f.as_array() ^ _linear_table(list(found.columns)))
+        if found is not None and not is_permutation(  # F1 is an involution: F2 o F1 is thm1
+            FuncTable(ctx, compose(w.F2, w.F1).as_array() ^ _linear_table(list(found.columns)))
         ):
             raise RuntimeError("the completion found does not make the table a permutation")
     if found is None:
-        m = f.ctx.m
-        print(f"ok   no linear completion to a permutation among all 2^{m * m} linear maps")
+        print(f"ok   no linear completion to a permutation among all 2^{ctx.m ** 2} linear maps")
         return 0
     rows = ", ".join(f"0x{r:x}" for r in found.rows)
     print(f"FAIL linear completion found: rows [{rows}]")

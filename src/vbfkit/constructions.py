@@ -128,6 +128,14 @@ def _graph_map(x_images: list[int], y_images: list[int]) -> BinLinearMap:
     return BinLinearMap(len(cols), len(cols), _transpose_bits(cols, len(cols)))
 
 
+def _theorem1_preconditions(ctx: Field, i: int, relaxed: bool = False) -> None:
+    if ctx.m % 2 == 0:
+        raise ParityViolatedError("odd extension degree required")
+    if ctx.m <= 3:
+        raise ConditionViolatedError("the cubic twist needs m > 3")
+    _require_index(i, ctx.m, strict=not relaxed)
+
+
 def theorem1(ctx: Field, i: int, relaxed: bool = False) -> FuncTable:
     """Gold map twisted by its own trace gate, for odd extension degrees.
 
@@ -135,11 +143,7 @@ def theorem1(ctx: Field, i: int, relaxed: bool = False) -> FuncTable:
     result is AB of algebraic degree 3.  `relaxed` drops the gcd condition;
     the output is then merely plateaued, matching the power map's spectra.
     """
-    if ctx.m % 2 == 0:
-        raise ParityViolatedError("odd extension degree required")
-    if ctx.m <= 3:
-        raise ConditionViolatedError("the cubic twist needs m > 3")
-    _require_index(i, ctx.m, strict=not relaxed)
+    _theorem1_preconditions(ctx, i, relaxed)
     xs = np.arange(ctx.size, dtype=np.int64)
     e = (1 << i) + 1
     xe = ctx.pow_many(xs, e)

@@ -1,11 +1,12 @@
 """Arithmetic in GF(2^m) with bit-pattern elements.
 
-An element is an int in [0, 2^m); bit k is the coefficient of x^k in the
-polynomial basis determined by the reduction polynomial.  The default
-reduction polynomial for each degree is the lowest irreducible when read
-as an integer bitmask, overridable per field or process-wide through the
-``VBF_DEFAULT_POLY_TABLE`` environment variable (a JSON file mapping the
-degree, as a string, to a polynomial bitmask).
+An element is an int in [0, 2^m) for 2 <= m <= 24 (``_MAX_DEGREE``, the one
+size bound: tables and spectra hold arrays of 2^m entries); bit k is the
+coefficient of x^k in the polynomial basis determined by the reduction
+polynomial.  The default reduction polynomial for each degree is the lowest
+irreducible when read as an integer bitmask, overridable per field or
+process-wide through the ``VBF_DEFAULT_POLY_TABLE`` environment variable (a
+JSON file mapping the degree, as a string, to a polynomial bitmask).
 
 ``Field(m, poly)`` returns one shared instance per (m, polynomial) in a
 process, and each table that depends on the field alone is built once, on
@@ -24,8 +25,7 @@ from functools import lru_cache, wraps
 import numpy as np
 
 _MIN_DEGREE = 2
-_MAX_DEGREE = 32
-_TABLE_LIMIT = 24  # largest m for which we will materialize 2^m-entry tables
+_MAX_DEGREE = 24  # every field builds 2^m-entry tables, and spectra cost 2^(2m)
 # Fields kept alive by the intern table, least recently used first out;
 # analyze-batch cycles through 12 (three polynomials at each m = 7-10).
 _FIELDS_KEPT = 16
@@ -115,7 +115,7 @@ def default_poly(m: int) -> int:
 
 @lru_cache(maxsize=None)
 def _factorize(n: int) -> tuple[int, ...]:
-    """Distinct prime factors by trial division (n < 2^32 here)."""
+    """Distinct prime factors by trial division (n < 2^24 here)."""
     out = []
     d = 2
     while d * d <= n:
@@ -362,8 +362,6 @@ class Field:
         exp[k:2k] = step[exp[:k]], then step[step] is the table for g^(2k).
         Both tables are read-only.
         """
-        if self.m > _TABLE_LIMIT:
-            raise ValueError(f"log/exp tables would need 2^{self.m} entries; m > {_TABLE_LIMIT} is evaluation-only")
         order = self.order
         exp = np.zeros(4 * order + 1, dtype=np.uint32)
         exp[0] = 1
@@ -427,8 +425,6 @@ class Field:
     @kept
     def trace_table(self) -> np.ndarray:
         """Read-only uint8 array t with t[x] = trace(x)."""
-        if self.m > _TABLE_LIMIT:
-            raise ValueError(f"trace table would need 2^{self.m} entries; m > {_TABLE_LIMIT} is evaluation-only")
         xs = np.arange(self.size, dtype=np.uint32)
         return (np.bitwise_count(xs & np.uint32(self._basis_trace_mask())) & 1).astype(np.uint8)
 

@@ -10,12 +10,8 @@ The products run in float32, which is exact here because every partial
 sum, in any factor order, is an integer of magnitude at most 2^k <= 2^24.
 The difference counts visit each pair {x, x + a} once, so a direction
 costs one pass over half the domain.  Both spectra scan their rows (Walsh
-rows b, difference directions a) in blocks of about 2^14 cells, or of 16
-Walsh rows where those are more (``_block_rows``), with one tally per
-block: a block of Walsh rows is transformed and counted by one bincount,
-and a block of directions keys each pair of row r as r*2^m + b, so one
-bincount gives the pair counts of every row and a second one their
-histogram.
+rows b, difference directions a) in blocks of ``_block_rows``, one tally per
+block; ``_walsh_blocks`` also fills the Walsh-zero table of ``vbfkit.ccz``.
 
 Since tr(ax) = parity(D[a] & x) for a bijection D fixing 0, the trace row
 b is the dot-product row of mask D[b] with its columns permuted, so
@@ -47,17 +43,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from vbfkit.gf2m import _dual_reindex, kept
+from vbfkit.gf2m import _MAX_DEGREE, _dual_reindex, kept
 from vbfkit.vbf import FuncTable
-
-_SPECTRUM_LIMIT = 24  # 2^(2m) work beyond this is out of scope
-# linear_completion_search (remark4 --lut) keeps a 2^m x 2^m table of Walsh
-# zeros; gold_graph_completion_search (remark4 --m) holds no such table
-_MATRIX_LIMIT = 14
 
 
 class TooLargeError(ValueError):
-    """Field degree too large for a full-spectrum computation."""
+    """A Walsh-zero search above m = 14, or a transform row too long for float32."""
 
 
 @dataclass(frozen=True)
@@ -115,8 +106,8 @@ def _fwht_rows(mat: np.ndarray) -> np.ndarray:
     """
     rows, n = mat.shape
     k = n.bit_length() - 1
-    if k > _SPECTRUM_LIMIT:
-        raise TooLargeError(f"float32 transform is exact up to 2^{_SPECTRUM_LIMIT}; row length 2^{k}")
+    if k > _MAX_DEGREE:
+        raise TooLargeError(f"float32 transform is exact up to 2^{_MAX_DEGREE}; row length 2^{k}")
     t = 2 if k < 12 else 3
     widths = [(k + j) // t for j in range(t)]
     outer, inner = k - widths[-1], widths[-1]
@@ -195,31 +186,34 @@ def _block_rows(n: int, floor: int = 1) -> int:
     return max((1 << 14) // n, min(floor, (1 << 22) // n), 1)
 
 
+def _walsh_blocks(f: FuncTable, masks: np.ndarray):
+    """(start, block) pairs of the transformed sign rows of ``masks``, in
+    int32 blocks of ``_block_rows(2^m, floor=16)`` rows, one alive at a time:
+    entry a of row j is the dot-product W(a, masks[start + j]).  The floor
+    serves ``walsh_spectrum``, whose tally passes over 2^(m+1) + 1 counts a
+    block (at m = 17, blocks of 2 rows spent about 40 % of the time there)."""
+    block = _block_rows(f.ctx.size, floor=16)
+    for start in range(0, len(masks), block):
+        yield start, _fwht_rows(_sign_rows(f, masks[start:start + block]))
+
+
 def walsh_spectrum(f: FuncTable) -> WalshSpectrum:
     """Multiset of walsh(a, b) over all a and all b != 0.
 
     Trace row b is the transformed dot-product sign row of mask D[b]; its
     values, all in [-2^m, 2^m], are tallied with one bincount per block of
-    ``_block_rows`` rows.  A block has at least 16 rows up to m = 18, as
-    each block's tally costs passes over all 2^(m+1) + 1 counts (at
-    m = 17, blocks of 2 rows spent about 40 % of the time there).
-    Only the row orbit minima b from ``_symmetry_orbits`` are transformed,
-    each tally counted once per orbit element: rows b, b^2 (if
-    F(x^2) = F(x)^2) and lam*b (if F(gx) = lam*F(x)) hold the same
+    ``_walsh_blocks``.  Only the row orbit minima b from ``_symmetry_orbits``
+    are transformed, each tally counted once per orbit element: rows b, b^2
+    (if F(x^2) = F(x)^2) and lam*b (if F(gx) = lam*F(x)) hold the same
     multiset.  A table without either symmetry gets every row b != 0.
     """
     ctx = f.ctx
-    if ctx.m > _SPECTRUM_LIMIT:
-        raise TooLargeError(f"walsh_spectrum costs m*2^(2m); m={ctx.m} > {_SPECTRUM_LIMIT}")
     n = ctx.size
     reps, sizes = _symmetry_orbits(f)[0]
     masks = _dual_reindex(ctx)[reps]
-    block = _block_rows(n, floor=16)
     counts = np.zeros(2 * n + 1, dtype=np.int64)
     for size in np.unique(sizes).tolist():
-        group = masks[sizes == size]
-        for start in range(0, len(group), block):
-            mat = _fwht_rows(_sign_rows(f, group[start:start + block]))
+        for _, mat in _walsh_blocks(f, masks[sizes == size]):
             mat += n
             counts += size * np.bincount(mat.ravel(), minlength=2 * n + 1)
     values = np.flatnonzero(counts)
@@ -279,8 +273,6 @@ def differential_spectrum(f: FuncTable) -> DifferentialSpectrum:
     histogram.  From m = 14 on a block is one direction.
     """
     ctx = f.ctx
-    if ctx.m > _SPECTRUM_LIMIT:
-        raise TooLargeError(f"differential_spectrum costs 2^(2m); m={ctx.m} > {_SPECTRUM_LIMIT}")
     n = ctx.size
     vals = f.as_array().astype(np.intp)
     xs = np.arange(n, dtype=np.intp)

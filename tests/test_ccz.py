@@ -3,13 +3,14 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vbfkit import constructions
+from vbfkit import constructions, spectra
 from vbfkit.ccz import (
     BinLinearMap,
     BudgetExceededError,
@@ -881,6 +882,30 @@ def test_search_matches_sweep_oracle(seed):
     if seed % 3 == 0:
         assert got is not None
     assert (None if got is None else list(got.rows)) == _sweep_oracle(tab)
+
+
+@pytest.mark.parametrize("seed", range(0, 120, 7))
+def test_search_in_blocks_of_three_rows_matches_sweep_oracle(monkeypatch, seed):
+    # the Walsh-zero table is filled a block of rows at a time
+    monkeypatch.setattr(spectra, "_block_rows", lambda n, floor=1: 3)
+    tab = _search_case(seed)
+    got = linear_completion_search(tab)
+    assert (None if got is None else list(got.rows)) == _sweep_oracle(tab)
+
+
+def test_search_holds_little_beyond_its_zero_table():
+    # the transformed rows are held a block of 16 at a time at m = 11, so
+    # the zero table is most of the peak
+    n = 1 << 11
+    tab = FuncTable(Field(11), np.random.default_rng(11).permutation(n))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            linear_completion_search(tab, budget=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * n * n  # the zero table holds n * n bools
 
 
 def test_search_settles_m7_without_budget():

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vbfkit import ccz, cli, vbf
+from vbfkit import ccz, cli, spectra, vbf
 from vbfkit.ccz import identity_map
 from vbfkit.cli import (
     _VERIFIERS,
@@ -495,6 +496,10 @@ def test_gold_spectra_only_stand_in_without_a_shift():
         (("verify", "thm3", "--m", "6", "--i", "7"), "1"),
         (("verify", "example1", "--m", "5", "--i", "6"), "1"),
         (("verify", "example1", "--m", "7", "--i", "10"), "3"),
+        # 2^i of so large an index does not fit in memory; only i mod m is read
+        (("construct", "--family", "gold", "--m", "5", "--i", "1000000000001"), "1"),
+        (("verify", "thm1", "--m", "5", "--i", "1000000000001"), "1"),
+        (("analyze", "--family", "thm4", "--m", "9", "--n", "3", "--i", "1000000000001"), "2"),
     ],
 )
 def test_index_above_m_acts_as_index_mod_m(capsys, argv, reduced):
@@ -549,7 +554,7 @@ def test_analyze_malformed_lut_exit2(tmp_path, capsys, text):
         (b"m=abc poly=0x25", "field m is not a decimal number: 'abc'"),
         (b"m=5 poly=zz", "field poly is not a hex number: 'zz'"),
         (b"m=5 poly=0x25 \xe9", "not ASCII text (byte 0xe9)"),
-        (b"m=99 poly=0x25", "header field m: field degree must be in [2, 32], got 99"),
+        (b"m=99 poly=0x25", "header field m: field degree must be in [2, 24], got 99"),
         (b"m=5 poly=0x21", "header field poly: reduction polynomial 0x21 is reducible"),
     ],
     ids=["repeated-m", "m-not-int", "poly-not-hex", "non-ascii", "m-out-of-range", "poly-reducible"],
@@ -586,6 +591,51 @@ def test_negative_poly_exit2_without_hanging(tmp_path, source):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.splitlines() == [f"error: {message}"]
+
+
+def _cli_process(*argv: str) -> subprocess.CompletedProcess:
+    """The command line in its own process, capped at 4 GiB of address space,
+    so that a size check that comes too late fails fast instead of filling
+    the host's memory."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}  # thread buffers stay under the cap
+    return subprocess.run(
+        [sys.executable, "-m", "vbfkit.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60, preexec_fn=cap,
+    )
+
+
+# every subcommand and claim that reads --m, with the options it needs
+_READS_M = [
+    ("construct", "--family", "gold", "--i", "1"),
+    ("analyze", "--family", "thm1", "--i", "1"),
+    *(("verify", claim) for claim, (_, reads) in _VERIFIERS.items() if "m" in reads and "n" not in reads),
+    ("verify", "thm4", "--n", "5"),
+]
+
+
+@pytest.mark.parametrize("m", ["25", "32"])
+@pytest.mark.parametrize("argv", _READS_M, ids=lambda argv: argv[argv[0] == "verify"])
+def test_fields_above_m24_are_one_error_line(m, argv):
+    # the field check comes before any 2^m-entry array is built
+    proc = _cli_process(*argv, "--m", m)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines() == [f"error: field degree must be in [2, 24], got {m}"]
+
+
+def test_thm3_at_m30_is_one_error_line(tmp_path):
+    proc = _cli_process("verify", "thm3", "--m", "30")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines() == ["error: field degree must be in [2, 24], got 30"]
+    path = tmp_path / "m25.lut"
+    path.write_text("m=25 poly=0x2000009\n")  # a header with no entries
+    proc = _cli_process("analyze", str(path))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines() == [
+        f"error: {path}: header field m: field degree must be in [2, 24], got 25"
+    ]
 
 
 def test_analyze_missing_file_exit2(tmp_path, capsys):
@@ -768,6 +818,26 @@ def test_verify_remark4_m_path_matches_the_lut_search(tmp_path, capsys, m, i, po
     by_lut = run(capsys, "verify", "remark4", "--lut", str(path))
     assert by_lut == run(capsys, "verify", "remark4", *field)
     assert by_lut[:2] == (0, f"ok   no linear completion to a permutation among all 2^{m * m} linear maps\n")
+
+
+@pytest.mark.parametrize("rows_per_block", [None, 3])
+@pytest.mark.parametrize(
+    "seed, rc, line",
+    [
+        (0, 1, "FAIL linear completion found: rows [0xa, 0x1, 0x1, 0x2]"),
+        (1, 0, "ok   no linear completion to a permutation among all 2^16 linear maps"),
+    ],
+)
+def test_verify_remark4_lut_fills_its_zero_table_in_blocks(
+    tmp_path, capsys, monkeypatch, rows_per_block, seed, rc, line
+):
+    # the lines are those of the Walsh-zero table built in one transform;
+    # blocks of 3 of its 16 rows end off every power-of-two boundary
+    if rows_per_block:
+        monkeypatch.setattr(spectra, "_block_rows", lambda n, floor=1: rows_per_block)
+    path = tmp_path / "seeded.lut"
+    path.write_text(lut_text(FuncTable(Field(4), np.random.default_rng(seed).integers(0, 16, size=16))))
+    assert run(capsys, "verify", "remark4", "--lut", str(path)) == (rc, line + "\n", "")
 
 
 def test_verify_remark4_rechecks_a_completion_on_the_table(capsys, monkeypatch):

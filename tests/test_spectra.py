@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vbfkit import spectra
 from vbfkit.constructions import theorem1
 from vbfkit.gf2m import Field, _linear_table, is_irreducible
 from vbfkit.spectra import (
@@ -19,6 +20,7 @@ from vbfkit.spectra import (
     _fwht_rows,
     _sign_rows,
     _symmetry_orbits,
+    _walsh_blocks,
     differential_spectrum,
     differential_uniformity,
     is_ab,
@@ -141,6 +143,20 @@ def test_fwht_rows_all_ones_row_is_exact():
     got = _fwht_rows(np.ones((1, n), dtype=np.int32))
     assert got[0, 0] == n
     assert not got[0, 1:].any()
+
+
+@pytest.mark.parametrize("m", range(3, 10))
+def test_walsh_blocks_match_one_transform_of_all_rows(monkeypatch, m):
+    # the Walsh-zero table of the completion search is filled from these
+    # blocks; 3 rows a block end off every power-of-two boundary
+    monkeypatch.setattr(spectra, "_block_rows", lambda n, floor=1: 3)
+    n = 1 << m
+    tab = FuncTable(Field(m), np.random.default_rng(m).integers(0, n, size=n))
+    xs = np.arange(n, dtype=np.int64)
+    blocks = list(_walsh_blocks(tab, xs))
+    assert [start for start, _ in blocks] == list(range(0, n, 3))
+    whole = np.concatenate([block for _, block in blocks])
+    assert np.array_equal(whole, _fwht_rows(_sign_rows(tab, xs)))
 
 
 def test_fwht_rows_refuses_rows_beyond_float32_exactness():
