@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -66,12 +67,15 @@ class BudgetExceededError(RuntimeError):
     """Node or wall-clock budget ran out before the search finished."""
 
 
-def _require_index(i: int, m: int, strict: bool = True) -> None:
-    """Reject a Frobenius index i < 1 and, when ``strict``, gcd(i, m) != 1."""
+def _require_index(i: int, m: int, strict: bool = True) -> int:
+    """Reject a Frobenius index i < 1 and, when ``strict``, gcd(i, m) != 1.
+    Return i reduced to (i - 1) mod m + 1: i enters only through x^(2^i),
+    which is x^(2^(i mod m)) on GF(2^m), so 2^i is never formed for a huge i."""
     if i < 1:
         raise ConditionViolatedError("Frobenius index must be positive")
     if strict and math.gcd(i, m) != 1:
         raise GcdViolationError(f"gcd({i}, {m}) != 1")
+    return (i - 1) % m + 1
 
 
 class BinLinearMap:
@@ -313,7 +317,7 @@ def _gold_perm_rows(ctx: Field, Ls: np.ndarray, Lps: np.ndarray, i: int) -> np.n
     as trace(w * s) = parity(D[s] & w) with the dual index map D, so a row
     costs one parity pass for w0 and one per kernel basis vector.
     """
-    _require_index(i, ctx.m)
+    i = _require_index(i, ctx.m)
     Ls, Lps = _linear_rows(ctx, Ls), _linear_rows(ctx, Lps)
     n = ctx.size
     offsets = np.arange(0, Ls.size, n)[:, None]  # row t's entries start at t * 2^m
@@ -352,7 +356,7 @@ def _gold_perm_even_rows(ctx: Field, Ls: np.ndarray, i: int) -> np.ndarray:
     """
     if ctx.m & 1:
         raise OddDegreeError(f"extension degree {ctx.m} is odd")
-    _require_index(i, ctx.m)
+    i = _require_index(i, ctx.m)
     us = np.arange(1, ctx.size, dtype=np.int64)
     root = np.zeros(ctx.size, dtype=np.int64)  # 0 marks a non-residue
     root[ctx.pow_many(us, (1 << i) + 1)[::-1].astype(np.int64)] = us[::-1]
@@ -382,20 +386,40 @@ def gold_perm_criterion_even(L: FuncTable, i: int) -> bool:
 # search for a linear summand making a table a permutation
 
 
+@lru_cache(maxsize=None)
+def _level_offsets(m: int) -> tuple[np.ndarray, ...]:
+    """Read-only offsets of the rows that level k of `linear_completion_search`
+    checks, into its flat 2^m x 2^m zero table: offsets[k][j] = (u_j + e_k) * 2^m
+    for the span u_j of e_(k+1)..e_(m-1), bit t of j standing for e_(m-1-t)."""
+    offsets, us = [], np.zeros(1, dtype=np.int64)
+    for k in reversed(range(m)):
+        offsets.append((us ^ 1 << k) << m)
+        offsets[-1].flags.writeable = False
+        us = np.concatenate((us, us ^ 1 << k))
+    return tuple(reversed(offsets))
+
+
 def linear_completion_search(
     f: FuncTable, budget: int | None = None, time_limit: float | None = None
 ) -> BinLinearMap | None:
     """Find a linear map L with x -> f(x) + L(x) a permutation, or None.
 
     f + L permutes exactly when W_f(L^T b, b) = 0 for every b != 0, with the
-    dot-product Walsh transform.  The rows of L, which are L^T(e_k), are
-    chosen from rows[m-1] down to rows[0]; a candidate for row k must put
-    L^T(u + e_k) in the Walsh-zero set of row u + e_k for every u in the span
-    fixed so far.  Candidates are tried in ascending order, so the result is
-    the first witness of the row-major order on all 2^(m*m) maps, and None
-    means no map exists.  ``budget`` caps the search nodes (partial
-    assignments visited, the root included) and ``time_limit`` the seconds;
-    running out of either raises BudgetExceededError.
+    dot-product Walsh transform.  So a row b != 0 with no Walsh zero rules
+    out every L: the zero table is filled a block of rows at a time, and the
+    first block holding such a row settles the answer, None, with no further
+    block and no branching (row 0 has its zeros, W(a, 0) = 0 for a != 0).
+    Otherwise the rows of L, which are L^T(e_k), are chosen from rows[m-1]
+    down to rows[0]; a candidate for row k must put L^T(u + e_k) in the
+    Walsh-zero set of row u + e_k for every u in the span fixed so far.  The
+    rows u + e_k of level k are fixed, so their offsets into the flat zero
+    table are built once per m (`_level_offsets`), and a node tests all its
+    candidates with one gather.  Candidates are tried in ascending order, so
+    the result is the first witness of the row-major order on all 2^(m*m)
+    maps, and None means no map exists.  ``budget`` caps the search nodes
+    (partial assignments visited, the root included; a search that a
+    zero-free row settles visits only the root) and ``time_limit`` the
+    seconds; running out of either raises BudgetExceededError.
     """
     m, n = f.ctx.m, f.ctx.size
     if m > _MATRIX_LIMIT:
@@ -405,13 +429,19 @@ def linear_completion_search(
     deadline = None if time_limit is None else time.monotonic() + float(time_limit)
     xs = np.arange(n, dtype=np.int64)
     zero = np.empty((n, n), dtype=bool)  # zero[b, a]: W(a, b) = 0
+    settled = False
     for start, mat in _walsh_blocks(f, xs):
-        np.equal(mat, 0, out=zero[start:start + len(mat)])
+        block = np.equal(mat, 0, out=zero[start:start + len(mat)])
+        if not block.any(axis=1).all():
+            settled = True
+            break
+    flat, offsets = zero.ravel(), _level_offsets(m)
+    images = np.zeros(n, dtype=np.int64)  # images[j] = L^T u_j, grown in place
     rows = [0] * m
     nodes = 0
 
-    def extend(k: int, us: np.ndarray, images: np.ndarray) -> bool:
-        # rows[k+1:] are fixed; us spans e_(k+1)..e_(m-1), images[j] = L^T us[j]
+    def extend(k: int) -> bool:
+        # rows[k+1:] are fixed, and so are images[:2^(m-1-k)]
         nonlocal nodes
         nodes += 1
         if budget is not None and nodes > budget:
@@ -420,16 +450,20 @@ def linear_completion_search(
             raise BudgetExceededError("time budget exhausted during search")
         if k < 0:
             return True
-        ek = 1 << k
-        fits = zero[(us ^ ek)[:, None], images[:, None] ^ xs[None, :]].all(axis=0)
-        for c in np.flatnonzero(fits).tolist():
+        if settled:  # the root: a row with no zero leaves it no candidate
+            return False
+        span = len(offsets[k])
+        fixed, grown = images[:span], images[span:2 * span]
+        # the offsets are multiples of n, so offset + (image ^ c) = (offset | image) ^ c
+        fits = flat[(offsets[k] | fixed)[:, None] ^ xs].all(axis=0)
+        for c in fits.nonzero()[0].tolist():
             rows[k] = c
-            span = np.concatenate((us, us ^ ek))
-            if extend(k - 1, span, np.concatenate((images, images ^ c))):
+            np.bitwise_xor(fixed, c, out=grown)
+            if extend(k - 1):
                 return True
         return False
 
-    if not extend(m - 1, xs[:1], xs[:1]):
+    if not extend(m - 1):
         return None
     return BinLinearMap(m, m, rows)
 
@@ -470,7 +504,7 @@ def gold_graph_completion_search(
     m, n = ctx.m, ctx.size
     if m % 2 == 0:
         raise ConditionViolatedError("the Gold radical roots need odd m")
-    _require_index(i, m)
+    i = _require_index(i, m)
     e = (1 << i) + 1
     if M.n_in != 2 * m or M.n_out != 2 * m:
         raise WrongDimensionError("map must act on the doubled space")

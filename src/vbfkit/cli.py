@@ -412,8 +412,8 @@ def _parse_budget(text: str | None) -> tuple[int | None, float | None]:
 
 def verify_remark4(args: argparse.Namespace) -> int:
     """A --lut table is searched over its own Walsh zeros.  The thm1 table is
-    searched through its graph witness from the Gold map, and a completion
-    found that way is checked on the table before it is reported."""
+    searched through its graph witness from the Gold map.  A completion
+    found either way is checked on the table before it is reported."""
     if args.lut:
         f = read_lut(args.lut)
         ctx = f.ctx
@@ -425,13 +425,12 @@ def verify_remark4(args: argparse.Namespace) -> int:
         nodes, seconds = _parse_budget(args.budget)
         w = theorem12_ccz_witness(ctx, args.i)
         found = gold_graph_completion_search(w.L, ctx, args.i, budget=nodes, time_limit=seconds)
-        if found is not None and not is_permutation(  # F1 is an involution: F2 o F1 is thm1
-            FuncTable(ctx, compose(w.F2, w.F1).as_array() ^ _linear_table(list(found.columns)))
-        ):
-            raise RuntimeError("the completion found does not make the table a permutation")
     if found is None:
         print(f"ok   no linear completion to a permutation among all 2^{ctx.m ** 2} linear maps")
         return 0
+    table = f if args.lut else compose(w.F2, w.F1)  # F1 is an involution: F2 o F1 is thm1
+    if not is_permutation(FuncTable(ctx, table.as_array() ^ _linear_table(list(found.columns)))):
+        raise RuntimeError("the completion found does not make the table a permutation")
     rows = ", ".join(f"0x{r:x}" for r in found.rows)
     print(f"FAIL linear completion found: rows [{rows}]")
     return 1

@@ -98,7 +98,7 @@ def family_exponent(family: str, m: int, i: int | None = None) -> int:
     if fam in ("gold", "kasami"):
         if i is None:
             raise ConditionViolatedError(f"{family} needs the index i")
-        _require_index(i, m, strict=True)
+        i = _require_index(i, m, strict=True)
         return (1 << i) + 1 if fam == "gold" else (1 << (2 * i)) - (1 << i) + 1
     if fam not in ("welch", "niho", "inverse", "dobbertin"):
         raise ConditionViolatedError(f"not a power family: {family!r}")
@@ -128,12 +128,13 @@ def _graph_map(x_images: list[int], y_images: list[int]) -> BinLinearMap:
     return BinLinearMap(len(cols), len(cols), _transpose_bits(cols, len(cols)))
 
 
-def _theorem1_preconditions(ctx: Field, i: int, relaxed: bool = False) -> None:
+def _theorem1_preconditions(ctx: Field, i: int, relaxed: bool = False) -> int:
+    """Check m and i for `theorem1`; return i as `_require_index` reduces it."""
     if ctx.m % 2 == 0:
         raise ParityViolatedError("odd extension degree required")
     if ctx.m <= 3:
         raise ConditionViolatedError("the cubic twist needs m > 3")
-    _require_index(i, ctx.m, strict=not relaxed)
+    return _require_index(i, ctx.m, strict=not relaxed)
 
 
 def theorem1(ctx: Field, i: int, relaxed: bool = False) -> FuncTable:
@@ -143,7 +144,7 @@ def theorem1(ctx: Field, i: int, relaxed: bool = False) -> FuncTable:
     result is AB of algebraic degree 3.  `relaxed` drops the gcd condition;
     the output is then merely plateaued, matching the power map's spectra.
     """
-    _theorem1_preconditions(ctx, i, relaxed)
+    i = _theorem1_preconditions(ctx, i, relaxed)
     xs = np.arange(ctx.size, dtype=np.int64)
     e = (1 << i) + 1
     xe = ctx.pow_many(xs, e)
@@ -163,7 +164,7 @@ def theorem2(ctx: Field, i: int, relaxed: bool = False) -> FuncTable:
         raise ParityViolatedError("even extension degree required")
     if ctx.m < 4:
         raise ConditionViolatedError("the cubic twist needs m >= 4")
-    _require_index(i, ctx.m, strict=not relaxed)
+    i = _require_index(i, ctx.m, strict=not relaxed)
     if relaxed and (ctx.m // math.gcd(i, ctx.m)) % 2 == 0:
         raise ConditionViolatedError("plateaued relaxation needs m / gcd(i, m) odd")
     xs = np.arange(ctx.size, dtype=np.int64)
@@ -186,10 +187,10 @@ def f8_side_condition(i: int) -> bool:
     return i % 3 != 0
 
 
-def _theorem3_preconditions(ctx: Field, i: int) -> None:
+def _theorem3_preconditions(ctx: Field, i: int) -> int:
     if ctx.m % 6:
         raise DivisibilityViolatedError("m must be divisible by 6")
-    _require_index(i, ctx.m, strict=True)
+    return _require_index(i, ctx.m, strict=True)
 
 
 def theorem3_f1(ctx: Field, i: int) -> FuncTable:
@@ -198,7 +199,7 @@ def theorem3_f1(ctx: Field, i: int) -> FuncTable:
     Verified on construction: the table is a permutation and its sixth
     compositional power is the identity.
     """
-    _theorem3_preconditions(ctx, i)
+    i = _theorem3_preconditions(ctx, i)
     xs = np.arange(ctx.size, dtype=np.int64)
     t = ctx.subfield_trace_many(ctx.pow_many(xs, (1 << i) + 1), 3)
     f1 = FuncTable(ctx, xs ^ ctx.mul_many(t, t) ^ ctx.pow_many(t, 4))
@@ -219,7 +220,7 @@ def theorem3(ctx: Field, i: int) -> FuncTable:
     T = tr_{m/3}(y): the Gold map composed with the inverse of the order-6
     shift `theorem3_f1`, which the F_8 side condition makes a permutation.
     """
-    _theorem3_preconditions(ctx, i)
+    i = _theorem3_preconditions(ctx, i)
     if not f8_side_condition(i):
         raise ConditionViolatedError("octic side condition fails for this index")
     traces = [ctx.subfield_trace(1 << k, 3) for k in range(ctx.m)]
@@ -227,16 +228,17 @@ def theorem3(ctx: Field, i: int) -> FuncTable:
     return ccz_transform(_graph_map([0] * ctx.m, shifts), monomial(ctx, (1 << i) + 1))
 
 
-def _theorem4_preconditions(ctx: Field, n: int, i: int) -> None:
+def _theorem4_preconditions(ctx: Field, n: int, i: int) -> int:
     if ctx.m % 2 == 0:
         raise ParityViolatedError("odd extension degree required")
-    _require_index(i, ctx.m, strict=True)
+    i = _require_index(i, ctx.m, strict=True)
     if n < 1 or ctx.m % n:
         raise ConditionViolatedError("subfield degree must divide m")
     if n == ctx.m:
         raise ConditionViolatedError("a proper subfield is required (n != m)")
     if ctx.m <= 3:  # then n = 1, Theorem 1's formula, which fails at m = 3
         raise ConditionViolatedError("the subfield-trace family needs m > 3")
+    return i
 
 
 def theorem4(ctx: Field, n: int, i: int) -> FuncTable:
@@ -255,7 +257,7 @@ def theorem4(ctx: Field, n: int, i: int) -> FuncTable:
     F2(z) = z^(2^i+1) + tr_{m/n}(z) + tr_{m/n}(z^(2^i+1)), and the table is
     F2 o F1^(-1).
     """
-    _theorem4_preconditions(ctx, n, i)
+    i = _theorem4_preconditions(ctx, n, i)
     m = ctx.m
     mixes = [t | t << m for t in (ctx.subfield_trace(1 << k, n) for k in range(m))]
     return ccz_transform(_graph_map(mixes, mixes), monomial(ctx, (1 << i) + 1))
@@ -264,7 +266,7 @@ def theorem4(ctx: Field, n: int, i: int) -> FuncTable:
 def theorem4_f1_tables(ctx: Field, n: int, i: int) -> tuple[FuncTable, FuncTable]:
     """Tables of the shift F1(x) = x + tr_{m/n}(x) + tr_{m/n}(x^(2^i+1)) and
     of its closed-form inverse (`theorem4_f1_inverse` at every point)."""
-    _theorem4_preconditions(ctx, n, i)
+    i = _theorem4_preconditions(ctx, n, i)
     xs = np.arange(ctx.size, dtype=np.int64)
     e = (1 << i) + 1
     t = ctx.subfield_trace_many(xs, n)
@@ -279,7 +281,7 @@ def theorem4_f1_inverse(ctx: Field, n: int, i: int, y: int) -> int:
     Returns y + B^(1/(2^i+1)) + tr_{m/n}(y) with B as in `theorem4`, which
     composes with F1 to the identity at every point.
     """
-    _theorem4_preconditions(ctx, n, i)
+    i = _theorem4_preconditions(ctx, n, i)
     if not 0 <= y < ctx.size:
         raise ValueError("element outside the field")
     e = (1 << i) + 1
@@ -307,7 +309,7 @@ def theorem12_ccz_witness(ctx: Field, i: int, a: int = 1) -> CczWitness:
         raise ZeroElementError("the scaling element must be nonzero")
     m = ctx.m
     base = theorem1(ctx, i) if m % 2 else theorem2(ctx, i)  # checks i before 2^i
-    e = (1 << i) + 1
+    e = (1 << _require_index(i, m)) + 1
     ae = ctx.pow(a, e)
     x_mask = ctx.trace_mask(ctx.inv(a)) if m % 2 else 0
     y_mask = ctx.trace_mask(ctx.inv(ae))
@@ -342,7 +344,7 @@ def example1_witness(ctx: Field, i: int) -> CczWitness:
     m = ctx.m
     if m % 2 == 0:
         raise ParityViolatedError("odd extension degree required")
-    _require_index(i, m, strict=True)
+    i = _require_index(i, m, strict=True)
     zs = np.arange(ctx.size, dtype=np.int64)
     M = invert(FuncTable(ctx, zs ^ ctx.pow_many(zs, 1 << i) ^ ctx.trace_table())).as_array()
     # tr(x) is a multiple of the element 1, the basis coordinate 0 of each half

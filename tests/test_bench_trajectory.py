@@ -22,6 +22,7 @@ def bench(monkeypatch):
         "analyze-random-lut-m5": mod._analyze(mod._random_lut_arg(5, "function")),
         "analyze-random-lut-m13": mod._analyze(mod._random_lut_arg(13, "permutation")),
         "verify-thm1-m5": ["verify", "thm1", "--m", "5"],
+        "remark4-lut-gold-m4": ["verify", "remark4", "--lut", mod._family_lut_arg("gold", 4, 1)],
     })
     return mod
 
@@ -37,7 +38,8 @@ def test_bench_script_records_entries_stages_host_and_skips(bench, tmp_path):
     side = data["sides"]["a"]
     assert side["repeat"] == 2
     assert side["skipped"] == ["analyze-random-lut-m13"]
-    assert set(side["entries"]) == {"analyze-gold-m5", "analyze-random-lut-m5", "verify-thm1-m5"}
+    assert set(side["entries"]) == {"analyze-gold-m5", "analyze-random-lut-m5", "verify-thm1-m5",
+                                    "remark4-lut-gold-m4"}
     lut = side["entries"]["analyze-random-lut-m5"]
     assert lut["exit_codes"] == [0] and lut["command"].endswith("random-function5.lut --timing")
     gold = side["entries"]["analyze-gold-m5"]
@@ -45,6 +47,9 @@ def test_bench_script_records_entries_stages_host_and_skips(bench, tmp_path):
     assert gold["exit_codes"] == [0] and gold["spectra_from"] == "table"
     assert set(gold["stages_median_ms"]) == {"build", "io", "walsh", "differential", "degree_witness"}
     assert side["entries"]["verify-thm1-m5"]["last_line"] == "ok   graph witness identities"
+    gold4 = side["entries"]["remark4-lut-gold-m4"]
+    assert gold4["command"].endswith("gold4-i1.lut") and gold4["exit_codes"] == [0]
+    assert gold4["last_line"].startswith("ok   no linear completion")
     host = side["host"]
     assert {"cpu_count", "python", "numpy", "blas", "blas_threads", "commit"} <= set(host)
     assert data["sides"]["b"]["skipped"] == ["analyze-random-lut-m13", "verify-thm1-m5"]

@@ -929,6 +929,66 @@ def test_search_time_limit_trips():
         linear_completion_search(FuncTable(f, vals), time_limit=0.0)
 
 
+def _seeded_m4_table(seed: int) -> FuncTable:
+    return FuncTable(Field(4), np.random.default_rng(seed).integers(0, 16, size=16))
+
+
+@pytest.mark.parametrize(
+    "make, count, found",
+    [
+        (lambda: theorem1(Field(5), 1), 465, None),
+        (lambda: _seeded_m4_table(0), 14, [0xA, 0x1, 0x1, 0x2]),
+        (lambda: _seeded_m4_table(14), 39, None),
+        (lambda: _seeded_m4_table(23), 30, [0xC, 0xB, 0x2, 0xB]),
+    ],
+    ids=["thm1-m5", "m4-seed0", "m4-seed14", "m4-seed23"],
+)
+def test_search_node_counts_are_pinned(make, count, found):
+    # the nodes of the search on tables with no zero-free Walsh row: a
+    # budget of exactly that many passes and one fewer trips
+    tab = make()
+    got = linear_completion_search(tab, budget=count)
+    assert (None if got is None else list(got.rows)) == found
+    with pytest.raises(BudgetExceededError):
+        linear_completion_search(tab, budget=count - 1)
+
+
+def _first_zero_free_row(tab: FuncTable) -> int | None:
+    """The least b != 0 with W(a, b) != 0 for every a, from the dot-product
+    character sums taken one by one."""
+    n, vals = tab.ctx.size, tab.as_array().tolist()
+    for b in range(1, n):
+        if all(sum(-1 if ((a & x) ^ (b & y)).bit_count() & 1 else 1 for x, y in enumerate(vals))
+               for a in range(n)):
+            return b
+    return None
+
+
+@pytest.mark.parametrize("seed", [12, 36])
+def test_search_stops_at_the_block_with_a_zero_free_row(monkeypatch, seed):
+    # seed 12's first zero-free row is 8, in block [6, 9); seed 36's is 3, in
+    # block [3, 6).  Without the early stop the search visits 1 and 53 nodes.
+    tab = _seeded_m4_table(seed)
+    row = _first_zero_free_row(tab)
+    calls = []
+
+    def spy(mat):
+        calls.append(len(mat))
+        return fwht(mat)
+
+    fwht = spectra._fwht_rows
+    monkeypatch.setattr(spectra, "_block_rows", lambda n, floor=1: 3)
+    monkeypatch.setattr(spectra, "_fwht_rows", spy)
+    assert linear_completion_search(tab, budget=1) is None  # the root alone
+    assert len(calls) == row // 3 + 1 < 6  # 16 rows make 6 blocks
+
+
+def test_search_settled_by_a_zero_free_row_still_checks_its_deadline():
+    tab = _seeded_m4_table(36)
+    with pytest.raises(BudgetExceededError):
+        linear_completion_search(tab, time_limit=0.0)
+
+
 # -- the Theorem 1 search through the Gold graph -----------------------------
 
 
@@ -987,6 +1047,16 @@ def test_gold_graph_search_budgets_trip():
         gold_graph_completion_search(w.L, ctx, 1, time_limit=0.0)
     with pytest.raises(ValueError):
         gold_graph_completion_search(w.L, ctx, 1, budget=0)
+
+
+def test_index_taking_functions_read_a_huge_index_mod_m():
+    # only i mod m enters, so 2^i is never formed; here i = 1 (mod m)
+    ctx, even = Field(5), Field(6)
+    w = theorem12_ccz_witness(ctx, 1)
+    assert gold_graph_completion_search(w.L, ctx, 5 * 10**12 + 1, budget=32) is None
+    ident, ident6 = monomial(ctx, 1), monomial(even, 1)
+    assert gold_perm_criterion(ident, ident, 5 * 10**12 + 1) is gold_perm_criterion(ident, ident, 1)
+    assert gold_perm_criterion_even(ident6, 6 * 10**12 + 1) is gold_perm_criterion_even(ident6, 1)
 
 
 def test_gold_graph_search_rejects_what_it_cannot_decide():

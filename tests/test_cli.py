@@ -840,13 +840,17 @@ def test_verify_remark4_lut_fills_its_zero_table_in_blocks(
     assert run(capsys, "verify", "remark4", "--lut", str(path)) == (rc, line + "\n", "")
 
 
-def test_verify_remark4_rechecks_a_completion_on_the_table(capsys, monkeypatch):
-    # thm1 has no completion, so any map the search returned must fail the check
+def test_verify_remark4_rechecks_a_completion_on_the_table(tmp_path, capsys, monkeypatch):
+    # thm1 has no completion, so any map either search returned must fail the check
     monkeypatch.setattr(
         "vbfkit.cli.gold_graph_completion_search", lambda M, ctx, i, **kw: identity_map(ctx.m)
     )
-    rc, stdout, _ = run(capsys, "verify", "remark4", "--m", "5", "--i", "1")
-    assert (rc, stdout) == (1, "FAIL the completion found does not make the table a permutation\n")
+    monkeypatch.setattr("vbfkit.cli.linear_completion_search", lambda f, **kw: identity_map(f.ctx.m))
+    path = tmp_path / "thm1.lut"
+    assert run(capsys, "construct", "--family", "thm1", "--m", "5", "--i", "1", "--out", str(path))[0] == 0
+    failed = (1, "FAIL the completion found does not make the table a permutation\n")
+    assert run(capsys, "verify", "remark4", "--m", "5", "--i", "1")[:2] == failed
+    assert run(capsys, "verify", "remark4", "--lut", str(path))[:2] == failed
 
 
 def test_verify_example1(capsys):

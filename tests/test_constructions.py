@@ -413,6 +413,26 @@ def test_f8_side_condition_rejects_nonpositive_index(i):
         f8_side_condition(i)
 
 
+def test_builders_read_a_huge_index_mod_m():
+    # only i mod m enters, so 2^i is never formed; here i = 1 (mod m)
+    assert theorem1(Field(5), 10**12 + 1) == theorem1(Field(5), 1)
+    f5, f6, f9 = Field(5), Field(6), Field(9)
+    huge5, huge6, huge9 = (m * 10**12 + 1 for m in (5, 6, 9))
+    assert theorem2(f6, huge6) == theorem2(f6, 1)
+    assert theorem3(f6, huge6) == theorem3(f6, 1)
+    assert theorem3_f1(f6, huge6) == theorem3_f1(f6, 1)
+    assert theorem4(f9, 3, huge9) == theorem4(f9, 3, 1)
+    assert theorem4_f1_tables(f9, 3, huge9) == theorem4_f1_tables(f9, 3, 1)
+    assert theorem4_f1_inverse(f9, 3, huge9, 5) == theorem4_f1_inverse(f9, 3, 1, 5)
+    assert family_exponent("gold", 5, huge5) == family_exponent("gold", 5, 1) == 3
+    assert family_exponent("kasami", 5, huge5) == family_exponent("kasami", 5, 1)
+    assert theorem12_ccz_witness(f5, huge5) == theorem12_ccz_witness(f5, 1)
+    assert example1_witness(f5, huge5) == example1_witness(f5, 1)
+    assert f8_side_condition(huge6) is f8_side_condition(1)
+    with pytest.raises(GcdViolationError):  # i = 5 (mod 5)
+        theorem1(f5, huge5 + 4)
+
+
 def test_condition_error_is_the_ccz_class():
     assert ConditionViolatedError is ccz.ConditionViolatedError
 

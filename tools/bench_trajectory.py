@@ -57,6 +57,13 @@ def _random_lut_arg(m: int, kind: str) -> str:
     return f"<random m={m} {kind} LUT>"
 
 
+def _family_lut_arg(family: str, m: int, i: int) -> str:
+    """Placeholder for the LUT that ``construct --family`` writes for
+    ``family`` at degree m and index i, replaced by its path when its entry
+    runs."""
+    return f"<{family} m={m} i={i} LUT>"
+
+
 ENTRIES = {
     **{f"analyze-gold-m{m}": _analyze("--family", "gold", "--m", str(m), "--i", "1")
        for m in (9, 11, 13, 15, 17)},
@@ -70,6 +77,10 @@ ENTRIES = {
     "remark4-m7-i1": ["verify", "remark4", "--m", "7", "--i", "1"],
     "remark4-m7-i2": ["verify", "remark4", "--m", "7", "--i", "2"],
     **{f"remark4-m{m}": ["verify", "remark4", "--m", str(m), "--i", "1"] for m in (9, 11, 13)},
+    # the Walsh-zero search: thm1 has a zero in every row, so the tree is
+    # searched; the Gold table at even m has bent rows, which answer at once
+    "remark4-lut-thm1-m7": ["verify", "remark4", "--lut", _family_lut_arg("thm1", 7, 1)],
+    "remark4-lut-gold-m12": ["verify", "remark4", "--lut", _family_lut_arg("gold", 12, 1)],
     "tier1": None,  # the test suite, in a subprocess
 }
 
@@ -116,13 +127,20 @@ def host_facts(tree: Path) -> dict:
     }
 
 
-def _write_random_lut(directory: str, placeholder: str) -> str:
+def _write_lut(directory: str, placeholder: str) -> str:
     """Write the table a ``_random_lut_arg`` placeholder names, seeded by m,
-    and return its path."""
-    from vbfkit.cli import lut_text
+    or the one a ``_family_lut_arg`` placeholder names, and return its path."""
+    from vbfkit.cli import lut_text, main
     from vbfkit.gf2m import Field
     from vbfkit.vbf import FuncTable
 
+    family = re.fullmatch(r"<(\w+) m=(\d+) i=(\d+) LUT>", placeholder)
+    if family is not None:
+        name, m_text, i_text = family.groups()
+        path = os.path.join(directory, f"{name}{m_text}-i{i_text}.lut")
+        if main(["construct", "--family", name, "--m", m_text, "--i", i_text, "--out", path]):
+            raise RuntimeError(f"construct {placeholder} failed")
+        return path
     m_text, kind = re.fullmatch(r"<random m=(\d+) (permutation|function) LUT>", placeholder).groups()
     m = int(m_text)
     rng = random.Random(m)
@@ -210,7 +228,7 @@ def main(argv: list[str] | None = None) -> int:
             if name in args.skip:
                 continue
             if cmd is not None:
-                cmd = [_write_random_lut(tmp, a) if a.startswith("<random ") else a for a in cmd]
+                cmd = [_write_lut(tmp, a) if a.startswith("<") else a for a in cmd]
             side["entries"][name] = measure(tree, cmd, REPEAT)
             print(f"{name}: {side['entries'][name]['median_s']} s", file=sys.stderr)
     out = Path(args.out)
