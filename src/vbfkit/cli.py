@@ -27,8 +27,9 @@ Three subcommands:
     per check.
 
 Exit codes: 0 success / all checks confirmed; 1 a verification check
-failed or an internal identity broke; 2 usage or precondition error; 3 search
-budget exhausted.
+failed or an internal identity broke; 2 usage or precondition error, or
+memory ran out (one ``error: out of memory`` line); 3 search budget
+exhausted.
 """
 
 from __future__ import annotations
@@ -670,6 +671,9 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"error: search budget exceeded ({exc})", file=sys.stderr)
         return 3
+    except MemoryError as exc:  # numpy's _ArrayMemoryError names the array it could not allocate
+        print(f"error: out of memory ({str(exc) or 'no detail'})", file=sys.stderr)
+        return 2
     except RuntimeError as exc:
         # a failed internal identity, e.g. a graph witness or the AB cross-check
         print(f"FAIL {exc}")

@@ -341,16 +341,6 @@ class Field:
         return _linear_table([self._mul(c, 1 << k) for k in range(self.m)])
 
     @kept
-    def _generator_table(self) -> np.ndarray:
-        """``scale_table(generator)``, read-only."""
-        return self.scale_table(self.generator)
-
-    @kept
-    def _square_table(self) -> np.ndarray:
-        """int64 table of x -> x^2 (squaring is F_2-linear), read-only."""
-        return _linear_table([self._mul(1 << k, 1 << k) for k in range(self.m)])
-
-    @kept
     def _logexp(self) -> tuple[np.ndarray, np.ndarray]:
         """exp[k] = g^k for the generator g and 0 <= k < 2(2^m - 1), then
         zeros up to index 4(2^m - 1); log is its inverse on nonzero x, and
@@ -359,13 +349,14 @@ class Field:
         with log[0] lands in the zero tail.
 
         exp is filled by doubling: with step the table of x -> g^k * x,
+        which starts as ``scale_table(generator)`` and is not kept,
         exp[k:2k] = step[exp[:k]], then step[step] is the table for g^(2k).
-        Both tables are read-only.
+        Both log and exp are read-only.
         """
         order = self.order
         exp = np.zeros(4 * order + 1, dtype=np.uint32)
         exp[0] = 1
-        step = self._generator_table()
+        step = self.scale_table(self.generator)
         k = 1
         while k < order:
             span = min(k, order - k)

@@ -31,13 +31,17 @@ fiber sizes of direction a are those of a^2 and ga: each orbit's row is
 computed once and counted once per element.  For a power map the
 directions form one orbit, and the rows one orbit when
 gcd(d, 2^m - 1) = 1 (Gold at odd m, the inverse map).
-``_symmetry_orbits`` checks each identity on the whole table; a table
-with neither (a random table, say) still gets every row and an exact
+``_symmetry_orbits`` checks each identity on the whole table and finds
+the orbits in exponent coordinates, from the field's log/exp tables: with
+lam = g^ell, the cycles of b -> lam*b are the residue classes of log b
+modulo gcd(ell, 2^m - 1), and squaring doubles log b.  A table with neither
+identity (a random table, say) still gets every row and an exact
 spectrum.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -128,43 +132,47 @@ def _symmetry_orbits(f: FuncTable) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     table, kept on it, so a report that asks for both spectra checks the
     identities once.  The arrays are read-only.
 
-    If F(gx) = lam*F(x), the directions form one orbit, and the rows the
-    cycles of b -> lam*b: one if lam is primitive, else their minima come
-    from m rounds of pointer doubling, low = min(low, low[P]), P = P[P].
-    If F(x^2) = F(x)^2, the minimum of low[x], low[x^2], ... merges orbits,
-    through m - 1 gathers.  A table with neither gets every nonzero
-    element, each with size 1, for rows and directions alike.
+    Both identities are read through the log/exp tables, with q = 2^m - 1.
+    F(gx) = lam*F(x) on x != 0, for lam = F(g)/F(1) = g^ell, says
+    F(g^k) = lam^k F(1) = (g^k)^ell F(1), that is F(x) = F(1)*x^ell on
+    GF(2^m)*, which one gather of exp at ell*log x + log F(1) checks; at
+    x = 0 it asks F(0) = 0 or lam = 1.  On v[k] = F(g^k), F(x^2) = F(x)^2
+    is exp[2 log v[k]] = v[2k mod q], with F(0) in {0, 1}; as q is odd,
+    the list of v[2k mod q] is v's even positions, then its odd ones.  If
+    F scales, the directions form one orbit, and the rows the cycles of
+    b -> lam*b, which are the residue classes of log b modulo
+    d = gcd(ell, q): one if d = 1, else their minima are the column minima
+    of exp[:q] as q/d rows of d.  If F commutes with squaring, residue r
+    joins 2r mod d, and m - 1 re-listings of the d minima, as above, take
+    each minimum over its class's squares.  A table with neither gets every
+    nonzero element, each with size 1, for rows and directions alike.
     """
     ctx = f.ctx
-    n = ctx.size
+    order = ctx.order
+    log, exp = ctx._logexp()
     vals = f.as_array()
-    one = (np.ones(1, dtype=np.int64), np.full(1, n - 1, dtype=np.int64))
-    step = None  # the table of b -> lam*b while F(gx) = lam*F(x) holds
-    f1 = int(vals[1])
-    if f1:
-        lam = ctx.mul(int(vals[ctx.generator]), ctx.inv(f1))
-        step = ctx.scale_table(lam)
-        if not np.array_equal(vals[ctx._generator_table()], step[vals]):
-            step = None
-    if step is not None and ctx.is_primitive(lam):  # one cycle of b -> lam*b
+    f0, f1 = int(vals[0]), int(vals[1])
+    one = (np.ones(1, dtype=np.int64), np.full(1, order, dtype=np.int64))
+    ell = int(log[vals[ctx.generator]] - log[f1]) % order  # F(g)/F(1) = g^ell while F(1) != 0
+    scales = (f1 != 0 and (f0 == 0 or ell == 0)
+              and np.array_equal(exp[(log[1:] * ell) % order + log[f1]], vals[1:]))
+    d = math.gcd(ell, order) if scales else order
+    if d == 1:
         rows = one
     else:
-        low = np.arange(n, dtype=np.int64)
-        if step is not None:
-            for _ in range(ctx.m):  # each cycle is shorter than 2^m
-                np.minimum(low, low[step], out=low)
-                step = step[step]
-        sq = ctx._square_table()
-        if np.array_equal(vals[sq], sq[vals]):
-            base = low.copy()
-            cur = np.arange(n, dtype=np.int64)
+        powers = exp[:order].astype(np.intp)  # g^k; intp indices gather faster than uint32
+        v = vals[powers]
+        logv = log[v.astype(np.intp)]
+        low = powers.reshape(order // d, d).min(axis=0)
+        if f0 in (0, 1) and np.array_equal(exp[2 * logv], np.concatenate((v[::2], v[1::2]))):
+            cur = low
             for _ in range(ctx.m - 1):
-                cur = sq[cur]
-                np.minimum(low, base[cur], out=low)
-        sizes = np.bincount(low, minlength=n)
-        reps = np.flatnonzero(sizes)[1:]  # drop the orbit {0}
-        rows = (reps, sizes[reps])
-    return rows, (one if step is not None else rows)  # x -> gx is one cycle of directions
+                cur = np.concatenate((cur[::2], cur[1::2]))  # class 2^k r mod d at r
+                low = np.minimum(low, cur)
+        counts = np.bincount(low)
+        reps = np.flatnonzero(counts)
+        rows = (reps, counts[reps] * (order // d))
+    return rows, (one if scales else rows)  # x -> gx is one cycle of directions
 
 
 def _sign_rows(f: FuncTable, masks: np.ndarray) -> np.ndarray:

@@ -1049,6 +1049,21 @@ def test_gold_graph_search_budgets_trip():
         gold_graph_completion_search(w.L, ctx, 1, budget=0)
 
 
+@pytest.mark.parametrize(
+    "m,i,count",
+    [(5, 1, 7), (5, 2, 7), (7, 1, 13), (7, 2, 12), (9, 1, 14), (9, 2, 15),
+     (11, 1, 16), (11, 2, 16), (13, 1, 17), (13, 2, 17)],
+)
+def test_gold_graph_search_node_counts_are_pinned(m, i, count):
+    # thm1 has no completion: a budget of exactly its node count answers
+    # None, and one fewer trips
+    ctx = Field(m)
+    M = theorem12_ccz_witness(ctx, i).L
+    assert gold_graph_completion_search(M, ctx, i, budget=count) is None
+    with pytest.raises(BudgetExceededError):
+        gold_graph_completion_search(M, ctx, i, budget=count - 1)
+
+
 def test_index_taking_functions_read_a_huge_index_mod_m():
     # only i mod m enters, so 2^i is never formed; here i = 1 (mod m)
     ctx, even = Field(5), Field(6)

@@ -853,6 +853,48 @@ def test_verify_remark4_rechecks_a_completion_on_the_table(tmp_path, capsys, mon
     assert run(capsys, "verify", "remark4", "--lut", str(path))[:2] == failed
 
 
+def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
+    def exhausted(f, **kw):
+        raise MemoryError("Unable to allocate 256. MiB for an array")
+
+    monkeypatch.setattr("vbfkit.cli.linear_completion_search", exhausted)
+    path = tmp_path / "gold5.lut"
+    assert run(capsys, "construct", "--family", "gold", "--m", "5", "--i", "1", "--out", str(path))[0] == 0
+    rc, stdout, err = run(capsys, "verify", "remark4", "--lut", str(path))
+    assert (rc, stdout) == (2, "")
+    assert err.splitlines() == ["error: out of memory (Unable to allocate 256. MiB for an array)"]
+
+
+# the child caps its own address space 300 MiB above what it maps once
+# imported: room for the 64 MiB zero table of an m = 13 search and its
+# level-1 gather (a 128 MiB index array), not for the level-0 one (256 MiB)
+_CAPPED_REMARK4 = """
+import resource, sys
+from vbfkit.cli import main
+status = open("/proc/self/status").read().split("VmSize:")[1]
+cap = (int(status.split()[0]) << 10) + (300 << 20)
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+sys.exit(main(["verify", "remark4", "--lut", sys.argv[1]]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmSize from /proc")
+def test_remark4_lut_out_of_memory_is_one_error_line(tmp_path):
+    # a permutation is its own completion, L = 0, so the search descends
+    # straight to level 0, whose gather no longer fits under the cap
+    path = tmp_path / "perm13.lut"
+    path.write_text(lut_text(FuncTable(Field(13), np.random.default_rng(13).permutation(1 << 13))))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_REMARK4, str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "Traceback" not in proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: out of memory (Unable to allocate")
+
+
 def test_verify_example1(capsys):
     rc, _, _ = run(capsys, "verify", "example1", "--m", "5", "--i", "1")
     assert rc == 0

@@ -261,8 +261,6 @@ def test_scale_table_matches_scalar_mul():
         f = Field(m, poly)
         for c in (0, 1, 2, f.generator, f.size - 1):
             assert f.scale_table(c).tolist() == [f.mul(c, x) for x in range(f.size)]
-        assert f._generator_table().tolist() == f.scale_table(f.generator).tolist()
-        assert f._square_table().tolist() == [f.mul(x, x) for x in range(f.size)]
 
 
 def test_inverse_is_pow_14_in_gf16():
@@ -541,7 +539,7 @@ def _every_field_table(f: Field) -> dict:
     from vbfkit.gf2m import _dual_inverse, _dual_reindex
 
     f.generator, f._basis_trace_mask(), f._logexp(), f.trace_table()
-    f._generator_table(), f._square_table(), _dual_reindex(f), _dual_inverse(f), _linear_pieces(f)
+    _dual_reindex(f), _dual_inverse(f), _linear_pieces(f)
     return {build.__name__: value for build, value in f._tables.items()}
 
 
@@ -565,7 +563,7 @@ def test_every_kept_table_is_read_only(m, poly):
     tables = _every_field_table(Field(m, poly))
     arrays = [a for v in tables.values() for a in (v if isinstance(v, tuple) else (v,))
               if isinstance(a, np.ndarray)]
-    assert len(arrays) == 10  # log, exp, trace, generator, square, dual and its inverse, 3 linear pieces
+    assert len(arrays) == 8  # log, exp, trace, dual and its inverse, 3 linear pieces
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = arr[0]

@@ -597,32 +597,86 @@ def _closure(ctx: Field, x: int, lam: int | None, squaring: bool) -> set:
     return orbit
 
 
+def _assert_orbits_match_closure(tab: FuncTable) -> tuple[int | None, bool]:
+    """Check ``_symmetry_orbits`` of tab against the scalar orbits of
+    ``_closure``, and return the symmetries that ``_symmetries`` found."""
+    ctx, n = tab.ctx, tab.ctx.size
+    lam, squaring = _symmetries(tab)
+    rows, directions = _symmetry_orbits(tab)
+    reps, sizes = rows
+    assert reps.dtype == sizes.dtype == np.int64
+    assert int(sizes.sum()) == n - 1 and np.all(np.diff(reps) > 0)
+    seen = set()
+    for r, s in zip(reps.tolist(), sizes.tolist()):
+        orbit = _closure(ctx, r, lam, squaring)
+        assert min(orbit) == r and len(orbit) == s
+        seen.update(orbit)
+    assert seen == set(range(1, n))
+    dreps, dsizes = directions
+    if lam is None:
+        assert np.array_equal(dreps, reps) and np.array_equal(dsizes, sizes)
+    else:  # x -> gx is transitive on the directions
+        assert dreps.tolist() == [1] and dsizes.tolist() == [n - 1]
+    return lam, squaring
+
+
 @pytest.mark.parametrize("m", range(2, 11))
 def test_frobenius_orbits_partition_the_multiplicative_group(m):
     for poly in _two_polys(m):
         ctx = Field(m, poly)
-        n = ctx.size
         cases = (
             (monomial(ctx, 3), True, True),
             (monomial(ctx, 3, c=ctx.generator), True, False),  # scaling without squaring
             (evaluate(UnivariatePoly(ctx, {3: 1, 1: 1})), False, True),  # squaring only
         )
         for tab, want_scaling, want_squaring in cases:
-            lam, squaring = _symmetries(tab)
+            lam, squaring = _assert_orbits_match_closure(tab)
             assert (lam is not None, squaring) == (want_scaling, want_squaring)
-            reps, sizes = _symmetry_orbits(tab)[0]
-            assert int(sizes.sum()) == n - 1
-            seen = set()
-            for r, s in zip(reps.tolist(), sizes.tolist()):
-                orbit = _closure(ctx, r, lam, squaring)
-                assert min(orbit) == r and len(orbit) == s
-                seen.update(orbit)
-            assert seen == set(range(1, n))
-            dreps, dsizes = _symmetry_orbits(tab)[1]
-            if lam is None:
-                assert np.array_equal(dreps, reps) and np.array_equal(dsizes, sizes)
-            else:  # x -> gx is transitive on the directions
-                assert dreps.tolist() == [1] and dsizes.tolist() == [n - 1]
+
+
+def _with_value_at_zero(tab: FuncTable, y: int) -> FuncTable:
+    vals = tab.as_array().copy()
+    vals[0] = y
+    return FuncTable(tab.ctx, vals)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_orbits_at_the_edges_of_the_identities(m):
+    # each case names whether F(gx) = lam*F(x) and F(x^2) = F(x)^2 hold on
+    # the whole table; the first five break or keep one only through x = 0
+    for poly in _two_polys(m):
+        ctx = Field(m, poly)
+        g, c = ctx.generator, ctx.size - 1  # c is neither 0 nor 1
+        gf2 = evaluate(UnivariatePoly(ctx, {3: 1, 1: 1}))  # F(0) = 0
+        cases = {
+            "gf2 poly, F(0) = c": (_with_value_at_zero(gf2, c), False, False),
+            "gf2 poly, F(0) = 1": (_with_value_at_zero(gf2, 1), False, True),
+            "x^3, F(0) = 1": (_with_value_at_zero(monomial(ctx, 3), 1), False, True),
+            "g*x^3, F(0) = c": (_with_value_at_zero(monomial(ctx, 3, c=g), c), False, False),
+            "x^q, F(0) = c": (_with_value_at_zero(monomial(ctx, ctx.order), c), True, False),
+            "gf2 poly + c": (FuncTable(ctx, gf2.as_array() ^ c), False, False),
+            "constant 0": (FuncTable(ctx, np.zeros(ctx.size, dtype=np.int64)), False, True),
+            "constant 1": (FuncTable(ctx, np.ones(ctx.size, dtype=np.int64)), True, True),
+            "constant c": (FuncTable(ctx, np.full(ctx.size, c)), True, False),
+        }
+        for name, (tab, want_scaling, want_squaring) in cases.items():
+            lam, squaring = _assert_orbits_match_closure(tab)
+            assert (lam is not None, squaring) == (want_scaling, want_squaring), name
+
+
+@pytest.mark.parametrize("m", [6, 8, 9, 10])
+def test_orbits_of_power_maps_with_a_shared_factor(m):
+    # gcd(d, 2^m - 1) is neither 1 nor 2^m - 1: lam = g^d leaves that many
+    # residue classes of log b, which squaring merges when c = 1
+    ctx = Field(m)
+    q = ctx.order
+    shared = [d for d in range(3, q) if math.gcd(d, q) not in (1, q)]
+    for d in sorted({math.gcd(d, q): d for d in shared}.values()):  # one d per gcd
+        for c in (1, ctx.generator):
+            tab = monomial(ctx, d, c=c)
+            lam, squaring = _assert_orbits_match_closure(tab)
+            assert lam == ctx.pow(ctx.generator, d) and squaring == (c == 1)
+            assert len(_symmetry_orbits(tab)[0][0]) > 1
 
 
 @pytest.mark.parametrize("m", range(2, 11))

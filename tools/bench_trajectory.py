@@ -74,6 +74,13 @@ ENTRIES = {
     # tables without symmetry: every Walsh row and difference direction is scanned
     **{f"analyze-random-lut-m{m}": _analyze(_random_lut_arg(m, "function")) for m in (8, 9)},
     "analyze-random-lut-m13": _analyze(_random_lut_arg(13, "permutation")),
+    # the orbit path on a family's own table: thm1 commutes with squaring
+    # only; the Gold map at m = 16 scales by lam = g^3, which is not
+    # primitive, so its rows are three residue classes of log b before
+    # squaring merges two; thm1 at m = 17 takes about 19 s a run
+    "analyze-lut-thm1-m15": _analyze(_family_lut_arg("thm1", 15, 1)),
+    "analyze-lut-gold-m16": _analyze(_family_lut_arg("gold", 16, 1)),
+    "analyze-lut-thm1-m17": _analyze(_family_lut_arg("thm1", 17, 1)),
     "remark4-m7-i1": ["verify", "remark4", "--m", "7", "--i", "1"],
     "remark4-m7-i2": ["verify", "remark4", "--m", "7", "--i", "2"],
     **{f"remark4-m{m}": ["verify", "remark4", "--m", str(m), "--i", "1"] for m in (9, 11, 13)},
