@@ -14,6 +14,7 @@ the parity of ``rows[r] & x``.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -37,6 +38,7 @@ from .vbf import (
 )
 
 _MATRIX_LIMIT = 14  # linear_completion_search keeps a 2^m x 2^m table of Walsh zeros
+_GATHER_CELLS = 1 << 20  # zero-table cells a search node gathers at once
 
 
 class SingularError(ValueError):
@@ -386,6 +388,23 @@ def gold_perm_criterion_even(L: FuncTable, i: int) -> bool:
 # search for a linear summand making a table a permutation
 
 
+def _node_counter(budget: int | None, time_limit: float | None):
+    """The function a search calls at each node: it raises BudgetExceededError
+    past ``budget`` nodes, or ``time_limit`` seconds after this call."""
+    if budget is not None and budget < 1:
+        raise ValueError("budget must be a positive node count")
+    deadline = None if time_limit is None else time.monotonic() + float(time_limit)
+    nodes = itertools.count(1)  # counted only under a node budget
+
+    def visit() -> None:
+        if budget is not None and next(nodes) > budget:
+            raise BudgetExceededError(f"node budget of {budget} exhausted")
+        if deadline is not None and time.monotonic() >= deadline:
+            raise BudgetExceededError("time budget exhausted during search")
+
+    return visit
+
+
 @lru_cache(maxsize=None)
 def _level_offsets(m: int) -> tuple[np.ndarray, ...]:
     """Read-only offsets of the rows that level k of `linear_completion_search`
@@ -414,9 +433,10 @@ def linear_completion_search(
     Walsh-zero set of row u + e_k for every u in the span fixed so far.  The
     rows u + e_k of level k are fixed, so their offsets into the flat zero
     table are built once per m (`_level_offsets`), and a node tests all its
-    candidates with one gather.  Candidates are tried in ascending order, so
-    the result is the first witness of the row-major order on all 2^(m*m)
-    maps, and None means no map exists.  ``budget`` caps the search nodes
+    candidates in gathers of at most ``_GATHER_CELLS`` cells, until none is
+    left.  Candidates are tried in ascending order, so the result is the
+    first witness of the row-major order on all 2^(m*m) maps, and None
+    means no map exists.  ``budget`` caps the search nodes
     (partial assignments visited, the root included; a search that a
     zero-free row settles visits only the root) and ``time_limit`` the
     seconds; running out of either raises BudgetExceededError.
@@ -424,9 +444,7 @@ def linear_completion_search(
     m, n = f.ctx.m, f.ctx.size
     if m > _MATRIX_LIMIT:
         raise TooLargeError(f"the search holds 2^(2m) Walsh values; m={m} > {_MATRIX_LIMIT}")
-    if budget is not None and budget < 1:
-        raise ValueError("budget must be a positive node count")
-    deadline = None if time_limit is None else time.monotonic() + float(time_limit)
+    visit = _node_counter(budget, time_limit)
     xs = np.arange(n, dtype=np.int64)
     zero = np.empty((n, n), dtype=bool)  # zero[b, a]: W(a, b) = 0
     settled = False
@@ -437,17 +455,11 @@ def linear_completion_search(
             break
     flat, offsets = zero.ravel(), _level_offsets(m)
     images = np.zeros(n, dtype=np.int64)  # images[j] = L^T u_j, grown in place
-    rows = [0] * m
-    nodes = 0
+    rows, chunk = [0] * m, max(1, _GATHER_CELLS >> m)
 
     def extend(k: int) -> bool:
         # rows[k+1:] are fixed, and so are images[:2^(m-1-k)]
-        nonlocal nodes
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise BudgetExceededError(f"node budget of {budget} exhausted")
-        if deadline is not None and time.monotonic() >= deadline:
-            raise BudgetExceededError("time budget exhausted during search")
+        visit()
         if k < 0:
             return True
         if settled:  # the root: a row with no zero leaves it no candidate
@@ -455,7 +467,12 @@ def linear_completion_search(
         span = len(offsets[k])
         fixed, grown = images[:span], images[span:2 * span]
         # the offsets are multiples of n, so offset + (image ^ c) = (offset | image) ^ c
-        fits = flat[(offsets[k] | fixed)[:, None] ^ xs].all(axis=0)
+        starts = offsets[k] | fixed
+        fits = flat[starts[:chunk, None] ^ xs].all(axis=0)
+        for lo in range(chunk, span, chunk):
+            if not fits.any():
+                break
+            fits &= flat[starts[lo:lo + chunk, None] ^ xs].all(axis=0)
         for c in fits.nonzero()[0].tolist():
             rows[k] = c
             np.bitwise_xor(fixed, c, out=grown)
@@ -498,9 +515,7 @@ def gold_graph_completion_search(
     nodes (prefixes of h visited, the root included) and ``time_limit`` the
     seconds, as there.
     """
-    deadline = None if time_limit is None else time.monotonic() + float(time_limit)
-    if budget is not None and budget < 1:
-        raise ValueError("budget must be a positive node count")
+    visit = _node_counter(budget, time_limit)
     m, n = ctx.m, ctx.size
     if m % 2 == 0:
         raise ConditionViolatedError("the Gold radical roots need odd m")
@@ -527,7 +542,6 @@ def gold_graph_completion_search(
     spread = [0] * n  # spread[b] * r has r at the unknowns of every row j in b
     for b in range(1, n):
         spread[b] = spread[b & (b - 1)] | 1 << ((b & -b).bit_length() - 1) * m + 1
-    nodes = 0
 
     def equations(t: int, h: int) -> list[int]:
         v = dual[1 << t]
@@ -541,12 +555,7 @@ def gold_graph_completion_search(
         return eqs
 
     def extend(t: int, h: int, pivots: dict[int, int]) -> dict[int, int] | None:
-        nonlocal nodes
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise BudgetExceededError(f"node budget of {budget} exhausted")
-        if deadline is not None and time.monotonic() >= deadline:
-            raise BudgetExceededError("time budget exhausted during search")
+        visit()
         if t == m:
             return pivots
         for h_t in (h, h | 1 << t):

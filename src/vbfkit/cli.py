@@ -19,12 +19,12 @@ Three subcommands:
     the witness come from the family's own table.  A LUT file, a power
     family and a relaxed build keep the orbit path on their own table
     (``table``): a LUT carries no map to check, and the relaxed builds
-    have no witness.  ``verify`` never takes this path, so its spectrum
-    checks stay independent evidence.
+    have no witness.  `_analyzed_family` alone makes this choice.
 
 ``verify``
     Run a named bundle of identity and property checks, printing one line
-    per check.
+    per check.  The thm1-thm4 claims read a family's table and spectra
+    through `_analyzed_family`, as ``analyze --family`` does.
 
 Exit codes: 0 success / all checks confirmed; 1 a verification check
 failed or an internal identity broke; 2 usage or precondition error, or
@@ -178,17 +178,17 @@ def _read_options(
     return p
 
 
-def _family_options(args: argparse.Namespace) -> argparse.Namespace:
+def _family_options(args: argparse.Namespace) -> tuple[str, argparse.Namespace]:
     if args.family is None:
         raise ConditionViolatedError("--family is required")
-    return _read_options(args, f"family {args.family}", _FAMILY_READS[args.family])
+    return args.family, _read_options(args, f"family {args.family}", _FAMILY_READS[args.family])
 
 
 def _family_table(fam: str, p: argparse.Namespace) -> FuncTable:
     ctx = Field(p.m, p.poly)
     if fam in ("thm1", "thm2"):
         builder = theorem1 if fam == "thm1" else theorem2
-        return builder(ctx, p.i, relaxed=p.relaxed)
+        return builder(ctx, p.i, relaxed=vars(p).get("relaxed", False))  # no claim reads it
     if fam == "thm3":
         return theorem3(ctx, p.i)
     if fam == "thm4":
@@ -204,19 +204,19 @@ def _family_table(fam: str, p: argparse.Namespace) -> FuncTable:
     return monomial(ctx, family_exponent(fam, ctx.m, vars(p).get("i")))
 
 
-def _analyzed_family(args: argparse.Namespace) -> tuple[FuncTable, FuncTable | None]:
-    """The ``--family`` table for ``analyze``, and the Gold table x^(2^i+1)
-    to take its spectra from, or None to take them from the table itself.
+def _analyzed_family(fam: str, p: argparse.Namespace) -> tuple[FuncTable, FuncTable | None]:
+    """The table of family ``fam`` with options ``p``, and the Gold table
+    x^(2^i+1) to take its spectra from, or None to take them from the table
+    itself: for ``analyze --family`` and the claims thm1-thm4.
 
     Only the twisted families qualify: each is the image of the Gold graph
     under a linear map with no shift (see `vbfkit.constructions`).  thm1 and
-    thm2 come from `theorem12_ccz_witness`, whose whole-table check runs on
-    every call; a ``--relaxed`` build has no witness.
+    thm2 come from the a = 1 `theorem12_ccz_witness`, whose whole-table
+    check runs on every call; a ``--relaxed`` build has no witness.
     """
-    fam, p = args.family, _family_options(args)
     # The witness picks thm1 at odd m and thm2 at even m; the other parity
     # goes to _family_table, which rejects it.
-    if (fam, p.m % 2) in (("thm1", 1), ("thm2", 0)) and not p.relaxed:
+    if (fam, p.m % 2) in (("thm1", 1), ("thm2", 0)) and not vars(p).get("relaxed"):
         w = theorem12_ccz_witness(Field(p.m, p.poly), p.i)
         f = compose(w.F2, w.F1)  # F1 is an involution
     else:
@@ -276,7 +276,7 @@ def render_report(report: dict) -> str:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    text = lut_text(_family_table(args.family, _family_options(args)))
+    text = lut_text(_family_table(*_family_options(args)))
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(text)
@@ -292,7 +292,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         _read_options(args, f"analyze {args.path}", {})  # the LUT header fixes the field
     timings = {"build": 0.0, "io": 0.0}
     start = time.perf_counter()
-    f, gold = (read_lut(args.path), None) if args.path else _analyzed_family(args)
+    f, gold = (read_lut(args.path), None) if args.path else _analyzed_family(*_family_options(args))
     timings["io" if args.path else "build"] = time.perf_counter() - start
     report = analysis_report(f, timings, spectra_of=gold)
     if args.timing:
@@ -309,25 +309,20 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _emit_checks(checks: list[tuple[str, bool]]) -> int:
-    ok = True
     for name, passed in checks:
         print(("ok   " if passed else "FAIL ") + name)
-        ok = ok and bool(passed)
-    return 0 if ok else 1
-
-
-def _witness_points(ctx: Field, a: int | None) -> list[int]:
-    if a is not None:
-        return [a]
-    rng = random.Random(0xA5)
-    pts = {1, ctx.generator}
-    while len(pts) < min(3, ctx.order):
-        pts.add(rng.randrange(1, ctx.size))
-    return sorted(pts)
+    return 0 if all(passed for _, passed in checks) else 1
 
 
 def _witness_check(ctx: Field, i: int, a: int | None) -> tuple[str, bool]:
-    for point in _witness_points(ctx, a):
+    """The graph witness at ``a``, or at the generator and a seeded random
+    point; `_analyzed_family` checks a = 1, which the spectra rest on."""
+    points = {a}
+    if a is None:
+        rng, points = random.Random(0xA5), {1, ctx.generator}
+        while len(points) < 3:  # the witness needs m >= 4
+            points.add(rng.randrange(1, ctx.size))
+    for point in sorted(points - {1}):
         try:
             theorem12_ccz_witness(ctx, i, point)
         except RuntimeError as exc:
@@ -336,26 +331,24 @@ def _witness_check(ctx: Field, i: int, a: int | None) -> tuple[str, bool]:
 
 
 def verify_thm1(args: argparse.Namespace) -> int:
-    ctx = Field(args.m, args.poly)
-    f = theorem1(ctx, args.i)
+    f, gold = _analyzed_family("thm1", args)
     checks = [
-        ("almost bent", is_ab(f)),
+        ("almost bent", is_ab(f, walsh_spectrum(gold))),
         ("algebraic degree 3", algebraic_degree(f) == 3),
         ("unit component degree 2", component_degree(f, 1) == 2),
         ("EA-inequivalent to power maps", power_inequivalence_witness(f) is not None),
-        _witness_check(ctx, args.i, args.a),
+        _witness_check(f.ctx, args.i, args.a),
     ]
     return _emit_checks(checks)
 
 
 def verify_thm2(args: argparse.Namespace) -> int:
-    ctx = Field(args.m, args.poly)
-    f = theorem2(ctx, args.i)
+    f, gold = _analyzed_family("thm2", args)
     checks = [
-        ("differentially 2-uniform", is_apn(f)),
+        ("differentially 2-uniform", is_apn(f, differential_spectrum(gold))),
         ("algebraic degree 3", algebraic_degree(f) == 3),
         ("EA-inequivalent to power maps", power_inequivalence_witness(f) is not None),
-        _witness_check(ctx, args.i, args.a),
+        _witness_check(f.ctx, args.i, args.a),
     ]
     return _emit_checks(checks)
 
@@ -373,19 +366,18 @@ def verify_thm3(args: argparse.Namespace) -> int:
         return _emit_checks(checks)
     checks.append(("composition shift of order 6", True))
     checks.append(("sixth power is the identity", True))
-    f = theorem3(ctx, args.i)
-    checks.append(("differentially 2-uniform", is_apn(f)))
+    f, gold = _analyzed_family("thm3", args)
+    checks.append(("differentially 2-uniform", is_apn(f, differential_spectrum(gold))))
     checks.append(("algebraic degree 4", algebraic_degree(f) == 4))
     return _emit_checks(checks)
 
 
 def verify_thm4(args: argparse.Namespace) -> int:
-    ctx = Field(args.m, args.poly)
-    n, i = args.n, args.i
-    f = theorem4(ctx, n, i)
+    f, gold = _analyzed_family("thm4", args)
+    ctx, n, i = f.ctx, args.n, args.i
     undone = compose(*theorem4_f1_tables(ctx, n, i))
     checks = [
-        ("almost bent", is_ab(f)),
+        ("almost bent", is_ab(f, walsh_spectrum(gold))),
         (f"algebraic degree {n + 2}", algebraic_degree(f) == n + 2),
         ("closed-form shift inverse at every point", undone == monomial(ctx, 1)),
         ("EA-inequivalent to power maps", power_inequivalence_witness(f) is not None),
@@ -652,7 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = _subcommand(sub, "verify", cmd_verify, "run a named bundle of checks")
     pv.add_argument("claim", choices=_VERIFIERS)
-    pv.add_argument("--a", type=_int_literal, help="witness scaling point (default: sampled)")
+    pv.add_argument("--a", type=_int_literal, help="witness point besides a=1 (default: sampled)")
     pv.add_argument("--lut", help="table to search instead of a constructed one")
     pv.add_argument("--count", type=int, help="random trials for sampled bundles (default: 60)")
     pv.add_argument("--seed", type=int, help="seed for sampled bundles (default: 0)")

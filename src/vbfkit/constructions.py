@@ -17,12 +17,11 @@ references the witness identities are checked against on every call;
 
 Every such L is linear with no shift, so W_F(u) = W_G(L^T u) for the Gold
 map G, and the Walsh and difference-count distributions of all four
-families are Gold's.  `vbfkit analyze --family` takes both spectra from
-the Gold table on that ground: for thm3 and thm4 by construction, for thm1
-and thm2 through `theorem12_ccz_witness`, whose whole-table check runs on
-every call.  The builders here return the table alone, so `construct` and
-the `verify` claims do not pay for a witness; `verify remark4 --m` builds
-the a = 1 witness for its search through the Gold graph.
+families are Gold's.  `vbfkit analyze --family` and the claims thm1-thm4
+of `vbfkit verify` take both spectra from the Gold table on that ground:
+for thm3 and thm4 by construction, for thm1 and thm2 through the a = 1
+`theorem12_ccz_witness`, whose whole-table check runs on every call.  The
+builders here return the table alone, so `construct` pays for no witness.
 
 All builders take an explicit :class:`~vbfkit.gf2m.Field` context and return
 plain lookup tables, so outputs from different reduction polynomials can be

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vbfkit import constructions, spectra
+from vbfkit import ccz, constructions, spectra
 from vbfkit.ccz import (
     BinLinearMap,
     BudgetExceededError,
@@ -891,6 +891,42 @@ def test_search_in_blocks_of_three_rows_matches_sweep_oracle(monkeypatch, seed):
     tab = _search_case(seed)
     got = linear_completion_search(tab)
     assert (None if got is None else list(got.rows)) == _sweep_oracle(tab)
+
+
+@pytest.mark.parametrize("seed", range(0, 120, 7))
+def test_search_in_gathers_of_one_row_matches_sweep_oracle(monkeypatch, seed):
+    # a level's rows are gathered in chunks of _GATHER_CELLS cells; here
+    # every chunk is one row of 2^m cells
+    tab = _search_case(seed)
+    monkeypatch.setattr(ccz, "_GATHER_CELLS", tab.ctx.size)
+    got = linear_completion_search(tab)
+    assert (None if got is None else list(got.rows)) == _sweep_oracle(tab)
+
+
+def test_search_node_count_holds_in_gathers_of_one_row(monkeypatch):
+    # the chunks change neither the candidates nor the nodes: thm1 at m = 5
+    # still takes the 465 nodes that test_search_node_counts_are_pinned pins
+    monkeypatch.setattr(ccz, "_GATHER_CELLS", 1)
+    tab = theorem1(Field(5), 1)
+    assert linear_completion_search(tab, budget=465) is None
+    with pytest.raises(BudgetExceededError):
+        linear_completion_search(tab, budget=464)
+
+
+def test_search_gathers_a_level_in_bounded_chunks():
+    # a permutation is its own completion, L = 0, so the search descends
+    # to level 0: its 2^(m-1) rows of 2^m cells as one int64 index would
+    # take 4 n^2 = 16 MiB; a chunk of 2^20 cells takes 9 bytes a cell
+    n = 1 << 11
+    tab = FuncTable(Field(11), np.random.default_rng(11).permutation(n))
+    tracemalloc.start()
+    try:
+        got = linear_completion_search(tab)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert list(got.rows) == [0] * 11
+    assert peak < n * n + (10 << 20)  # the zero table and one chunk
 
 
 def test_search_holds_little_beyond_its_zero_table():

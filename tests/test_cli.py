@@ -760,6 +760,89 @@ def test_verify_thm3_lines_and_failed_shift(capsys, monkeypatch):
     ]
 
 
+def _claim_argv(fam: str, m: int, i: int, n: int | None) -> list[str]:
+    return [fam, "--m", str(m), "--i", str(i), *(() if n is None else ("--n", str(n)))]
+
+
+_VERIFY_ROUTE_CASES = (
+    [("thm1", m, i, None) for m in range(5, 14, 2) for i in (1, 2)]
+    + [("thm2", m, 1, None) for m in range(4, 13, 2)]
+    + [("thm3", 6, 1, None), ("thm3", 12, 1, None), ("thm4", 9, 1, 3), ("thm4", 9, 1, 1)]
+)
+
+
+@pytest.mark.parametrize(
+    "fam, m, i, n", _VERIFY_ROUTE_CASES, ids=lambda v: "" if v is None else str(v)
+)
+def test_verify_spectra_through_the_gold_map_are_the_own_tables(fam, m, i, n):
+    # the spectra the verify lines rest on, Gold's through the checked map,
+    # against the orbit path on the family's own closed-form or direct build
+    args = build_parser().parse_args(["verify", *_claim_argv(fam, m, i, n)])
+    f, gold = cli._analyzed_family(fam, cli._read_options(args, fam, _VERIFIERS[fam][1]))
+    own = _BUILDERS[fam](Field(m), i, n)
+    assert f == own
+    assert gold == monomial(Field(m), (1 << i) + 1)
+    assert walsh_spectrum(gold) == walsh_spectrum(own)
+    assert differential_spectrum(gold) == differential_spectrum(own)
+
+
+@pytest.mark.parametrize(
+    "fam, m, i, n, extra, points",
+    [
+        ("thm1", 7, 2, None, (), None),
+        ("thm2", 8, 1, None, (), None),
+        ("thm1", 9, 1, None, ("--a", "5"), [1, 5]),
+        ("thm2", 6, 5, None, ("--a", "1"), [1]),
+        ("thm3", 6, 1, None, (), []),
+        ("thm4", 9, 2, 3, (), []),
+    ],
+)
+def test_verify_builds_each_witness_point_once_and_reads_gold_spectra(
+    capsys, monkeypatch, fam, m, i, n, extra, points
+):
+    built, spectra_of = [], []
+    real = cli.theorem12_ccz_witness
+
+    def witness(ctx, index, a=1):
+        built.append(a)
+        return real(ctx, index, a)
+
+    monkeypatch.setattr(cli, "theorem12_ccz_witness", witness)
+    for name in ("walsh_spectrum", "differential_spectrum"):
+        real_spectrum = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda f, s=real_spectrum: spectra_of.append(f) or s(f))
+    rc, stdout, err = run(capsys, "verify", *_claim_argv(fam, m, i, n), *extra)
+    assert (rc, err) == (0, "")
+    assert "FAIL" not in stdout
+    ctx = Field(m)
+    assert len(built) == len(set(built))  # no point is built twice
+    if points is None:  # sampled: a = 1, the generator and one seeded draw
+        assert {1, ctx.generator} < set(built) and len(built) == 3
+    else:
+        assert sorted(built) == points
+    assert spectra_of == [monomial(ctx, (1 << i) + 1)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("thm1", "--m", "7"), ("thm2", "--m", "6", "--i", "5"), ("thm1", "--m", "5", "--a", "3")],
+)
+def test_verify_failed_unit_witness_is_a_fail_line(capsys, monkeypatch, argv):
+    # the spectrum line rests on the a = 1 witness, so its failure ends the
+    # claim, --a or not
+    real = cli.theorem12_ccz_witness
+
+    def broken(ctx, index, a=1):
+        if a == 1:
+            raise RuntimeError("scaling identity failed")
+        return real(ctx, index, a)
+
+    monkeypatch.setattr(cli, "theorem12_ccz_witness", broken)
+    rc, stdout, err = run(capsys, "verify", *argv)
+    assert (rc, stdout) == (1, "FAIL scaling identity failed\n")
+    assert "Traceback" not in stdout + err
+
+
 def test_verify_remark4_sampled(capsys):
     rc, stdout, _ = run(capsys, "verify", "remark4", "--m", "5", "--i", "1", "--budget", "2000")
     assert rc == 0
@@ -865,14 +948,14 @@ def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
     assert err.splitlines() == ["error: out of memory (Unable to allocate 256. MiB for an array)"]
 
 
-# the child caps its own address space 300 MiB above what it maps once
-# imported: room for the 64 MiB zero table of an m = 13 search and its
-# level-1 gather (a 128 MiB index array), not for the level-0 one (256 MiB)
+# the child caps its own address space 32 MiB above what it maps once
+# imported: room to read an m = 13 table, not for the 64 MiB zero table of
+# its search
 _CAPPED_REMARK4 = """
 import resource, sys
 from vbfkit.cli import main
 status = open("/proc/self/status").read().split("VmSize:")[1]
-cap = (int(status.split()[0]) << 10) + (300 << 20)
+cap = (int(status.split()[0]) << 10) + (32 << 20)
 resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 sys.exit(main(["verify", "remark4", "--lut", sys.argv[1]]))
 """
@@ -880,8 +963,7 @@ sys.exit(main(["verify", "remark4", "--lut", sys.argv[1]]))
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmSize from /proc")
 def test_remark4_lut_out_of_memory_is_one_error_line(tmp_path):
-    # a permutation is its own completion, L = 0, so the search descends
-    # straight to level 0, whose gather no longer fits under the cap
+    # the zero table is the search's first large array, and it does not fit
     path = tmp_path / "perm13.lut"
     path.write_text(lut_text(FuncTable(Field(13), np.random.default_rng(13).permutation(1 << 13))))
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
