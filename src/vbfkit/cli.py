@@ -60,6 +60,11 @@ from vbfkit.constructions import (
     ConditionViolatedError,
     _theorem1_preconditions,
     _theorem3_preconditions,
+    _theorem1_tables,
+    _theorem2_tables,
+    _theorem3_tables,
+    _theorem4_tables,
+    _theorem12_witness,
     example1_witness,
     f8_side_condition,
     family_exponent,
@@ -211,19 +216,21 @@ def _analyzed_family(fam: str, p: argparse.Namespace) -> tuple[FuncTable, FuncTa
 
     Only the twisted families qualify: each is the image of the Gold graph
     under a linear map with no shift (see `vbfkit.constructions`).  thm1 and
-    thm2 come from the a = 1 `theorem12_ccz_witness`, whose whole-table
-    check runs on every call; a ``--relaxed`` build has no witness.
+    thm2 are returned once the a = 1 graph witness is checked on both
+    tables; a ``--relaxed`` build has no witness.
     """
+    ctx = Field(p.m, p.poly)
     # The witness picks thm1 at odd m and thm2 at even m; the other parity
     # goes to _family_table, which rejects it.
     if (fam, p.m % 2) in (("thm1", 1), ("thm2", 0)) and not vars(p).get("relaxed"):
-        w = theorem12_ccz_witness(Field(p.m, p.poly), p.i)
-        f = compose(w.F2, w.F1)  # F1 is an involution
-    else:
-        f = _family_table(fam, p)
-        if fam not in ("thm3", "thm4"):
-            return f, None
-    return f, monomial(f.ctx, (1 << p.i) + 1)
+        f, gold = (_theorem1_tables if fam == "thm1" else _theorem2_tables)(ctx, p.i)
+        _theorem12_witness(f, gold, p.i, 1)
+        return f, gold
+    if fam == "thm3":
+        return _theorem3_tables(ctx, p.i)
+    if fam == "thm4":
+        return _theorem4_tables(ctx, p.n, p.i)
+    return _family_table(fam, p), None
 
 
 # -- analysis report ---------------------------------------------------------
@@ -314,9 +321,10 @@ def _emit_checks(checks: list[tuple[str, bool]]) -> int:
     return 0 if all(passed for _, passed in checks) else 1
 
 
-def _witness_check(ctx: Field, i: int, a: int | None) -> tuple[str, bool]:
+def _witness_check(f: FuncTable, gold: FuncTable, i: int, a: int | None) -> tuple[str, bool]:
     """The graph witness at ``a``, or at the generator and a seeded random
-    point; `_analyzed_family` checks a = 1, which the spectra rest on."""
+    point, on the tables `_analyzed_family` checked at a = 1."""
+    ctx = f.ctx
     points = {a}
     if a is None:
         rng, points = random.Random(0xA5), {1, ctx.generator}
@@ -324,7 +332,7 @@ def _witness_check(ctx: Field, i: int, a: int | None) -> tuple[str, bool]:
             points.add(rng.randrange(1, ctx.size))
     for point in sorted(points - {1}):
         try:
-            theorem12_ccz_witness(ctx, i, point)
+            _theorem12_witness(f, gold, i, point)
         except RuntimeError as exc:
             return (f"graph witness identities at a=0x{point:x} ({exc})", False)
     return ("graph witness identities", True)
@@ -337,7 +345,7 @@ def verify_thm1(args: argparse.Namespace) -> int:
         ("algebraic degree 3", algebraic_degree(f) == 3),
         ("unit component degree 2", component_degree(f, 1) == 2),
         ("EA-inequivalent to power maps", power_inequivalence_witness(f) is not None),
-        _witness_check(f.ctx, args.i, args.a),
+        _witness_check(f, gold, args.i, args.a),
     ]
     return _emit_checks(checks)
 
@@ -348,7 +356,7 @@ def verify_thm2(args: argparse.Namespace) -> int:
         ("differentially 2-uniform", is_apn(f, differential_spectrum(gold))),
         ("algebraic degree 3", algebraic_degree(f) == 3),
         ("EA-inequivalent to power maps", power_inequivalence_witness(f) is not None),
-        _witness_check(f.ctx, args.i, args.a),
+        _witness_check(f, gold, args.i, args.a),
     ]
     return _emit_checks(checks)
 
@@ -375,11 +383,12 @@ def verify_thm3(args: argparse.Namespace) -> int:
 def verify_thm4(args: argparse.Namespace) -> int:
     f, gold = _analyzed_family("thm4", args)
     ctx, n, i = f.ctx, args.n, args.i
-    undone = compose(*theorem4_f1_tables(ctx, n, i))
+    shift, inverse = theorem4_f1_tables(ctx, n, i)
+    undone = shift.as_array()[inverse.as_array()]
     checks = [
         ("almost bent", is_ab(f, walsh_spectrum(gold))),
         (f"algebraic degree {n + 2}", algebraic_degree(f) == n + 2),
-        ("closed-form shift inverse at every point", undone == monomial(ctx, 1)),
+        ("closed-form shift inverse at every point", np.array_equal(undone, np.arange(ctx.size))),
         ("EA-inequivalent to power maps", power_inequivalence_witness(f) is not None),
     ]
     if n == 1:

@@ -12,7 +12,7 @@ F_2^(2m) from the images of C at the basis.  `theorem3` and `theorem4` are
 (F1, F2) of the image, as the paper builds them.  The graph witnesses
 `theorem12_ccz_witness` and `example1_witness` return L with both
 projections.  `theorem1` and `theorem2` stay closed-form, so they are the
-references the witness identities are checked against on every call;
+references the witness identities are checked against at every point;
 `theorem3_f1` and `theorem4_f1_tables` give the shifts F1 in closed form.
 
 Every such L is linear with no shift, so W_F(u) = W_G(L^T u) for the Gold
@@ -20,8 +20,9 @@ map G, and the Walsh and difference-count distributions of all four
 families are Gold's.  `vbfkit analyze --family` and the claims thm1-thm4
 of `vbfkit verify` take both spectra from the Gold table on that ground:
 for thm3 and thm4 by construction, for thm1 and thm2 through the a = 1
-`theorem12_ccz_witness`, whose whole-table check runs on every call.  The
-builders here return the table alone, so `construct` pays for no witness.
+witness.  Each `_theorem<k>_tables` returns a family's table with its Gold
+table; the public builders return the table alone, so `construct` pays
+for no witness.
 
 All builders take an explicit :class:`~vbfkit.gf2m.Field` context and return
 plain lookup tables, so outputs from different reduction polynomials can be
@@ -43,8 +44,8 @@ from vbfkit.ccz import (
     ccz_transform,
     graph_image,
 )
-from vbfkit.gf2m import Field
-from vbfkit.vbf import FuncTable, compose, invert, is_permutation, monomial
+from vbfkit.gf2m import Field, _dual_reindex
+from vbfkit.vbf import FuncTable, invert, is_permutation
 
 __all__ = [
     "ConditionViolatedError",
@@ -136,6 +137,28 @@ def _theorem1_preconditions(ctx: Field, i: int, relaxed: bool = False) -> int:
     return _require_index(i, ctx.m, strict=not relaxed)
 
 
+def _gold_powers(ctx: Field, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """uint32 tables of x^(2^i) and x^(2^i+1) at every x, for 1 <= i <= m.
+    On x != 0, log x^(2^i) is log x rotated left by i of its m bits, as
+    2^m = 1 modulo 2^m - 1, and x^(2^i+1) is exp at that plus log x."""
+    log, exp = ctx._logexp()
+    logx = log[1:]
+    rotated = (logx << i | logx >> (ctx.m - i)) & ctx.order
+    frobenius, gold = np.zeros((2, ctx.size), dtype=np.uint32)
+    frobenius[1:] = exp[rotated]
+    gold[1:] = exp[rotated + logx]
+    return frobenius, gold
+
+
+def _theorem1_tables(ctx: Field, i: int, relaxed: bool = False) -> tuple[FuncTable, FuncTable]:
+    """`theorem1`'s table and the Gold table x^(2^i+1) it twists."""
+    i = _theorem1_preconditions(ctx, i, relaxed)
+    xs = np.arange(ctx.size, dtype=np.uint32)
+    x2i, xe = _gold_powers(ctx, i)
+    gate = ctx.trace_table()[xe ^ xs]
+    return FuncTable(ctx, xe ^ (x2i ^ xs) * gate), FuncTable(ctx, xe)
+
+
 def theorem1(ctx: Field, i: int, relaxed: bool = False) -> FuncTable:
     """Gold map twisted by its own trace gate, for odd extension degrees.
 
@@ -143,13 +166,22 @@ def theorem1(ctx: Field, i: int, relaxed: bool = False) -> FuncTable:
     result is AB of algebraic degree 3.  `relaxed` drops the gcd condition;
     the output is then merely plateaued, matching the power map's spectra.
     """
-    i = _theorem1_preconditions(ctx, i, relaxed)
-    xs = np.arange(ctx.size, dtype=np.int64)
-    e = (1 << i) + 1
-    xe = ctx.pow_many(xs, e)
-    x2i = ctx.pow_many(xs, 1 << i)
-    gate = ctx.trace_table()[xe ^ xs].astype(np.int64)
-    return FuncTable(ctx, xe ^ ((x2i ^ xs) * gate))
+    return _theorem1_tables(ctx, i, relaxed)[0]
+
+
+def _theorem2_tables(ctx: Field, i: int, relaxed: bool = False) -> tuple[FuncTable, FuncTable]:
+    """`theorem2`'s table and the Gold table x^(2^i+1) it twists."""
+    if ctx.m % 2:
+        raise ParityViolatedError("even extension degree required")
+    if ctx.m < 4:
+        raise ConditionViolatedError("the cubic twist needs m >= 4")
+    i = _require_index(i, ctx.m, strict=not relaxed)
+    if relaxed and (ctx.m // math.gcd(i, ctx.m)) % 2 == 0:
+        raise ConditionViolatedError("plateaued relaxation needs m / gcd(i, m) odd")
+    xs = np.arange(ctx.size, dtype=np.uint32)
+    x2i, xe = _gold_powers(ctx, i)
+    gate = ctx.trace_table()[xe]
+    return FuncTable(ctx, xe ^ (x2i ^ xs ^ 1) * gate), FuncTable(ctx, xe)
 
 
 def theorem2(ctx: Field, i: int, relaxed: bool = False) -> FuncTable:
@@ -159,19 +191,7 @@ def theorem2(ctx: Field, i: int, relaxed: bool = False) -> FuncTable:
     result is APN of algebraic degree 3.  `relaxed` allows gcd(i, m) = s > 1
     whenever m/s is odd; the output then shares the power map's spectra.
     """
-    if ctx.m % 2:
-        raise ParityViolatedError("even extension degree required")
-    if ctx.m < 4:
-        raise ConditionViolatedError("the cubic twist needs m >= 4")
-    i = _require_index(i, ctx.m, strict=not relaxed)
-    if relaxed and (ctx.m // math.gcd(i, ctx.m)) % 2 == 0:
-        raise ConditionViolatedError("plateaued relaxation needs m / gcd(i, m) odd")
-    xs = np.arange(ctx.size, dtype=np.int64)
-    e = (1 << i) + 1
-    xe = ctx.pow_many(xs, e)
-    x2i = ctx.pow_many(xs, 1 << i)
-    gate = ctx.trace_table()[xe].astype(np.int64)
-    return FuncTable(ctx, xe ^ ((x2i ^ xs ^ 1) * gate))
+    return _theorem2_tables(ctx, i, relaxed)[0]
 
 
 def f8_side_condition(i: int) -> bool:
@@ -200,16 +220,27 @@ def theorem3_f1(ctx: Field, i: int) -> FuncTable:
     """
     i = _theorem3_preconditions(ctx, i)
     xs = np.arange(ctx.size, dtype=np.int64)
-    t = ctx.subfield_trace_many(ctx.pow_many(xs, (1 << i) + 1), 3)
+    t = ctx.subfield_trace_many(_gold_powers(ctx, i)[1], 3)
     f1 = FuncTable(ctx, xs ^ ctx.mul_many(t, t) ^ ctx.pow_many(t, 4))
     if not is_permutation(f1):
         raise RuntimeError("subfield shift unexpectedly failed to permute")
-    acc = f1
+    shift = acc = f1.as_array()
     for _ in range(5):
-        acc = compose(f1, acc)
-    if acc != monomial(ctx, 1):
+        acc = shift[acc]
+    if not np.array_equal(acc, xs):
         raise RuntimeError("sixth compositional power is not the identity")
     return f1
+
+
+def _theorem3_tables(ctx: Field, i: int) -> tuple[FuncTable, FuncTable]:
+    """`theorem3`'s table and the Gold table it is the image of."""
+    i = _theorem3_preconditions(ctx, i)
+    if not f8_side_condition(i):
+        raise ConditionViolatedError("octic side condition fails for this index")
+    traces = [ctx.subfield_trace(1 << k, 3) for k in range(ctx.m)]
+    shifts = [ctx.mul(t, t) ^ ctx.pow(t, 4) for t in traces]
+    gold = FuncTable(ctx, _gold_powers(ctx, i)[1])
+    return ccz_transform(_graph_map([0] * ctx.m, shifts), gold), gold
 
 
 def theorem3(ctx: Field, i: int) -> FuncTable:
@@ -219,12 +250,7 @@ def theorem3(ctx: Field, i: int) -> FuncTable:
     T = tr_{m/3}(y): the Gold map composed with the inverse of the order-6
     shift `theorem3_f1`, which the F_8 side condition makes a permutation.
     """
-    i = _theorem3_preconditions(ctx, i)
-    if not f8_side_condition(i):
-        raise ConditionViolatedError("octic side condition fails for this index")
-    traces = [ctx.subfield_trace(1 << k, 3) for k in range(ctx.m)]
-    shifts = [ctx.mul(t, t) ^ ctx.pow(t, 4) for t in traces]
-    return ccz_transform(_graph_map([0] * ctx.m, shifts), monomial(ctx, (1 << i) + 1))
+    return _theorem3_tables(ctx, i)[0]
 
 
 def _theorem4_preconditions(ctx: Field, n: int, i: int) -> int:
@@ -238,6 +264,15 @@ def _theorem4_preconditions(ctx: Field, n: int, i: int) -> int:
     if ctx.m <= 3:  # then n = 1, Theorem 1's formula, which fails at m = 3
         raise ConditionViolatedError("the subfield-trace family needs m > 3")
     return i
+
+
+def _theorem4_tables(ctx: Field, n: int, i: int) -> tuple[FuncTable, FuncTable]:
+    """`theorem4`'s table and the Gold table it is the image of."""
+    i = _theorem4_preconditions(ctx, n, i)
+    m = ctx.m
+    mixes = [t | t << m for t in (ctx.subfield_trace(1 << k, n) for k in range(m))]
+    gold = FuncTable(ctx, _gold_powers(ctx, i)[1])
+    return ccz_transform(_graph_map(mixes, mixes), gold), gold
 
 
 def theorem4(ctx: Field, n: int, i: int) -> FuncTable:
@@ -256,10 +291,7 @@ def theorem4(ctx: Field, n: int, i: int) -> FuncTable:
     F2(z) = z^(2^i+1) + tr_{m/n}(z) + tr_{m/n}(z^(2^i+1)), and the table is
     F2 o F1^(-1).
     """
-    i = _theorem4_preconditions(ctx, n, i)
-    m = ctx.m
-    mixes = [t | t << m for t in (ctx.subfield_trace(1 << k, n) for k in range(m))]
-    return ccz_transform(_graph_map(mixes, mixes), monomial(ctx, (1 << i) + 1))
+    return _theorem4_tables(ctx, n, i)[0]
 
 
 def theorem4_f1_tables(ctx: Field, n: int, i: int) -> tuple[FuncTable, FuncTable]:
@@ -269,7 +301,7 @@ def theorem4_f1_tables(ctx: Field, n: int, i: int) -> tuple[FuncTable, FuncTable
     xs = np.arange(ctx.size, dtype=np.int64)
     e = (1 << i) + 1
     t = ctx.subfield_trace_many(xs, n)
-    te = ctx.subfield_trace_many(ctx.pow_many(xs, e), n)
+    te = ctx.subfield_trace_many(_gold_powers(ctx, i)[1], n)
     root = ctx.pow_many(ctx.pow_many(t, e) ^ te ^ t, ctx.inverse_exponent(e))
     return FuncTable(ctx, xs ^ t ^ te), FuncTable(ctx, xs ^ root ^ t)
 
@@ -298,35 +330,51 @@ def theorem12_ccz_witness(ctx: Field, i: int, a: int = 1) -> CczWitness:
     of `theorem1`, L(x, y) = (x, y) + (tr(x/a) + tr(y/a^e)) (a, a^e), and
     even m that of `theorem2`, L(x, y) = (x + a tr(y/a^e), y).  L and its
     first projection F1 are involutions, and F2 o F1^(-1) equals the twisted
-    table scaled by a — all three identities are re-verified here on every
-    call, against the direct `theorem1`/`theorem2` output.  `a` = 1 gives
+    table scaled by a — `_theorem12_witness` checks all three identities at
+    a, against the closed-form `theorem1`/`theorem2` table.  `a` = 1 gives
     the twisted table exactly.
     """
+    _require_scaling(ctx, a)
+    tables = _theorem1_tables if ctx.m % 2 else _theorem2_tables
+    return _theorem12_witness(*tables(ctx, i), i, a)
+
+
+def _require_scaling(ctx: Field, a: int) -> None:
     if not 0 <= a < ctx.size:
         raise ValueError("element outside the field")
     if a == 0:
         raise ZeroElementError("the scaling element must be nonzero")
-    m = ctx.m
-    base = theorem1(ctx, i) if m % 2 else theorem2(ctx, i)  # checks i before 2^i
-    e = (1 << _require_index(i, m)) + 1
-    ae = ctx.pow(a, e)
-    x_mask = ctx.trace_mask(ctx.inv(a)) if m % 2 else 0
-    y_mask = ctx.trace_mask(ctx.inv(ae))
+
+
+def _theorem12_witness(base: FuncTable, gold: FuncTable, i: int, a: int) -> CczWitness:
+    """`theorem12_ccz_witness` at a, on the closed form and the Gold table
+    of `_theorem1_tables` or `_theorem2_tables`, which a caller that checks
+    several points builds once.  Each identity is an array comparison."""
+    ctx = base.ctx
+    _require_scaling(ctx, a)
+    m, order = ctx.m, ctx.order
+    log, exp = ctx._logexp()
+    la = int(log[a])
+    le = la * ((1 << _require_index(i, m)) + 1) % order  # log a^e
+    ae = int(exp[le])
+    x_mask = int(_dual_reindex(ctx)[exp[order - la]]) if m % 2 else 0  # of tr(x/a)
+    y_mask = int(_dual_reindex(ctx)[exp[order - le]])  # of tr(y/a^e)
     image = a | ae << m if m % 2 else a
     L = _graph_map(
         [image * ((x_mask >> k) & 1) for k in range(m)],
         [image * ((y_mask >> k) & 1) for k in range(m)],
     )
-    w = graph_image(L, monomial(ctx, e))
+    w = graph_image(L, gold)
     if any(L.apply(col) != 1 << j for j, col in enumerate(L.columns)):
         raise RuntimeError("graph-side map is not an involution")
-    if compose(w.F1, w.F1) != monomial(ctx, 1):
+    f1 = w.F1.as_array()
+    if not np.array_equal(f1[f1], np.arange(ctx.size)):
         raise RuntimeError("first projection is not an involution")
     scaled = base.as_array()
     if a != 1:  # a^e * base(x / a); at a = 1 both products are the identity
         xs = np.arange(ctx.size, dtype=np.int64)
-        scaled = ctx.mul_many(ae, scaled[ctx.mul_many(xs, ctx.inv(a))])
-    if compose(w.F2, w.F1) != FuncTable(ctx, scaled):  # F1 is its own inverse
+        scaled = ctx.mul_many(ae, scaled[ctx.mul_many(xs, exp[order - la])])
+    if not np.array_equal(w.F2.as_array()[f1], scaled):  # F1 is its own inverse
         raise RuntimeError("scaling identity failed")
     return w
 
@@ -344,9 +392,10 @@ def example1_witness(ctx: Field, i: int) -> CczWitness:
     if m % 2 == 0:
         raise ParityViolatedError("odd extension degree required")
     i = _require_index(i, m, strict=True)
-    zs = np.arange(ctx.size, dtype=np.int64)
-    M = invert(FuncTable(ctx, zs ^ ctx.pow_many(zs, 1 << i) ^ ctx.trace_table())).as_array()
+    zs = np.arange(ctx.size, dtype=np.uint32)
+    frobenius, gold = _gold_powers(ctx, i)
+    M = invert(FuncTable(ctx, zs ^ frobenius ^ ctx.trace_table())).as_array()
     # tr(x) is a multiple of the element 1, the basis coordinate 0 of each half
     mixes = [t | t << m for t in (ctx.trace(1 << k) for k in range(m))]
     L = _graph_map(mixes, [int(M[1 << k]) for k in range(m)])
-    return graph_image(L, monomial(ctx, (1 << i) + 1))
+    return graph_image(L, FuncTable(ctx, gold))

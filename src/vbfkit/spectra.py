@@ -198,8 +198,8 @@ def _walsh_blocks(f: FuncTable, masks: np.ndarray):
     """(start, block) pairs of the transformed sign rows of ``masks``, in
     int32 blocks of ``_block_rows(2^m, floor=16)`` rows, one alive at a time:
     entry a of row j is the dot-product W(a, masks[start + j]).  The floor
-    serves ``walsh_spectrum``, whose tally passes over 2^(m+1) + 1 counts a
-    block (at m = 17, blocks of 2 rows spent about 40 % of the time there)."""
+    serves ``walsh_spectrum``, whose tally of a block has up to 2^(m+1) + 1
+    bins (at m = 17, blocks of 2 rows spent about 40 % of the time there)."""
     block = _block_rows(f.ctx.size, floor=16)
     for start in range(0, len(masks), block):
         yield start, _fwht_rows(_sign_rows(f, masks[start:start + block]))
@@ -210,21 +210,27 @@ def walsh_spectrum(f: FuncTable) -> WalshSpectrum:
 
     Trace row b is the transformed dot-product sign row of mask D[b]; its
     values, all in [-2^m, 2^m], are tallied with one bincount per block of
-    ``_walsh_blocks``.  Only the row orbit minima b from ``_symmetry_orbits``
-    are transformed, each tally counted once per orbit element: rows b, b^2
-    (if F(x^2) = F(x)^2) and lam*b (if F(gx) = lam*F(x)) hold the same
-    multiset.  A table without either symmetry gets every row b != 0.
+    ``_walsh_blocks``, up to the block's largest value.  Only the row orbit
+    minima b from ``_symmetry_orbits`` are transformed, each tally counted
+    once per orbit element: rows b, b^2 (if F(x^2) = F(x)^2) and lam*b (if
+    F(gx) = lam*F(x)) hold the same multiset.  A table without either
+    symmetry gets every row b != 0.
     """
     ctx = f.ctx
     n = ctx.size
     reps, sizes = _symmetry_orbits(f)[0]
     masks = _dual_reindex(ctx)[reps]
     counts = np.zeros(2 * n + 1, dtype=np.int64)
+    used = 0  # counts[used:] is still zero
     for size in np.unique(sizes).tolist():
         for _, mat in _walsh_blocks(f, masks[sizes == size]):
             mat += n
-            counts += size * np.bincount(mat.ravel(), minlength=2 * n + 1)
-    values = np.flatnonzero(counts)
+            tally = np.bincount(mat.ravel())
+            if size != 1:
+                tally *= size
+            counts[:len(tally)] += tally
+            used = max(used, len(tally))
+    values = np.flatnonzero(counts[:used])
     dist = {int(v) - n: int(counts[v]) for v in values}
     max_abs = max(abs(v) for v in dist)
     return WalshSpectrum(ctx.m, dist, max_abs)
@@ -301,8 +307,10 @@ def differential_spectrum(f: FuncTable) -> DifferentialSpectrum:
                 a = group[lo:min(lo + rows, stop)]
                 keys = vals[half ^ a[:, None]]
                 keys ^= base[:len(a)]
-                pair_counts = np.bincount(keys.ravel(), minlength=len(a) * n)
-                hist += size * np.bincount(pair_counts, minlength=n // 2 + 1)
+                tally = np.bincount(np.bincount(keys.ravel(), minlength=len(a) * n))
+                if size != 1:
+                    tally *= size
+                hist[:len(tally)] += tally
             start = stop
     pairs = np.flatnonzero(hist)
     dist = {2 * int(c): int(hist[c]) for c in pairs}

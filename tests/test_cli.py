@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vbfkit import ccz, cli, spectra, vbf
+from vbfkit import ccz, cli, constructions, spectra, vbf
 from vbfkit.ccz import identity_map
 from vbfkit.cli import (
     _VERIFIERS,
@@ -801,13 +801,13 @@ def test_verify_builds_each_witness_point_once_and_reads_gold_spectra(
     capsys, monkeypatch, fam, m, i, n, extra, points
 ):
     built, spectra_of = [], []
-    real = cli.theorem12_ccz_witness
+    real = cli._theorem12_witness
 
-    def witness(ctx, index, a=1):
+    def witness(base, gold, index, a):
         built.append(a)
-        return real(ctx, index, a)
+        return real(base, gold, index, a)
 
-    monkeypatch.setattr(cli, "theorem12_ccz_witness", witness)
+    monkeypatch.setattr(cli, "_theorem12_witness", witness)
     for name in ("walsh_spectrum", "differential_spectrum"):
         real_spectrum = getattr(cli, name)
         monkeypatch.setattr(cli, name, lambda f, s=real_spectrum: spectra_of.append(f) or s(f))
@@ -830,17 +830,97 @@ def test_verify_builds_each_witness_point_once_and_reads_gold_spectra(
 def test_verify_failed_unit_witness_is_a_fail_line(capsys, monkeypatch, argv):
     # the spectrum line rests on the a = 1 witness, so its failure ends the
     # claim, --a or not
-    real = cli.theorem12_ccz_witness
+    real = cli._theorem12_witness
 
-    def broken(ctx, index, a=1):
+    def broken(base, gold, index, a):
         if a == 1:
             raise RuntimeError("scaling identity failed")
-        return real(ctx, index, a)
+        return real(base, gold, index, a)
 
-    monkeypatch.setattr(cli, "theorem12_ccz_witness", broken)
+    monkeypatch.setattr(cli, "_theorem12_witness", broken)
     rc, stdout, err = run(capsys, "verify", *argv)
     assert (rc, stdout) == (1, "FAIL scaling identity failed\n")
     assert "Traceback" not in stdout + err
+
+
+def _count_calls(monkeypatch, owner, name: str, log: list) -> None:
+    """Record the arguments of every call of ``owner.name`` in ``log``."""
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: log.append(args[1:]) or real(*args))
+
+
+@pytest.mark.parametrize(
+    "argv, points",
+    [
+        (("analyze", "--family", "thm1", "--m", "9", "--i", "2"), [1]),
+        (("analyze", "--family", "thm2", "--m", "8", "--i", "3"), [1]),
+        (("analyze", "--family", "thm3", "--m", "6", "--i", "1"), []),
+        (("analyze", "--family", "thm4", "--m", "9", "--n", "3", "--i", "2"), []),
+        (("verify", "thm1", "--m", "9", "--i", "2"), None),
+        (("verify", "thm2", "--m", "8", "--i", "3"), None),
+        (("verify", "thm1", "--m", "7", "--a", "5"), [1, 5]),
+    ],
+)
+def test_twisted_families_build_gold_and_the_closed_form_once(capsys, monkeypatch, argv, points):
+    # x^(2^i+1) is built once per report or claim; the closed form is built
+    # from that one `_gold_powers` call, so it is built once per claim too,
+    # and every witness point is still checked, once
+    powers, built, evaluated = [], [], []
+    _count_calls(monkeypatch, constructions, "_gold_powers", powers)
+    _count_calls(monkeypatch, vbf, "evaluate", evaluated)  # monomial's route
+    _count_calls(monkeypatch, cli, "_theorem12_witness", built)
+    rc, stdout, err = run(capsys, *argv)
+    assert (rc, err) == (0, "") and "FAIL" not in stdout
+    m = int(argv[argv.index("--m") + 1])
+    assert len(powers) == 1 and evaluated == []
+    built = [a for _, _, a in built]
+    if points is None:  # sampled: a = 1, the generator and one seeded draw
+        assert built[0] == 1 and len(set(built)) == len(built) == 3 and Field(m).generator in built
+    else:
+        assert built == points
+
+
+@pytest.mark.parametrize(
+    "argv", [("thm1", "--m", "7"), ("thm2", "--m", "6", "--i", "5", "--a", "3")]
+)
+def test_verify_corrupted_closed_form_ends_the_claim_at_a_1(capsys, monkeypatch, argv):
+    # a wrong x^(2^i) changes the closed form and leaves the Gold table
+    real = constructions._gold_powers
+
+    def corrupted(ctx, i):
+        frobenius, gold = real(ctx, i)
+        frobenius ^= 1
+        return frobenius, gold
+
+    monkeypatch.setattr(constructions, "_gold_powers", corrupted)
+    rc, stdout, err = run(capsys, "verify", *argv)
+    assert (rc, stdout) == (1, "FAIL scaling identity failed\n")
+    assert "Traceback" not in stdout + err
+
+
+@pytest.mark.parametrize("fam, m", [("thm1", 7), ("thm2", 8)])
+def test_verify_corrupted_witness_at_another_point_is_its_fail_line(capsys, monkeypatch, fam, m):
+    # the F1 table of the second point checked (the first is a = 1) is
+    # corrupted: the claim prints its other lines and that point's FAIL line
+    real, calls = constructions.graph_image, []
+
+    def corrupted(L, f):
+        w = real(L, f)
+        calls.append(L)
+        if len(calls) == 1:
+            return w
+        f1 = w.F1.as_array().copy()
+        f1[3] ^= 1
+        return ccz.CczWitness(w.L, FuncTable(w.F1.ctx, f1), w.F2)
+
+    monkeypatch.setattr(constructions, "graph_image", corrupted)
+    rc, stdout, err = run(capsys, "verify", fam, "--m", str(m), "--a", "0x3")
+    lines = stdout.splitlines()
+    assert (rc, err) == (1, "")
+    assert all(line.startswith("ok   ") for line in lines[:-1]) and len(lines) > 2
+    assert lines[-1] == (
+        "FAIL graph witness identities at a=0x3 (first projection is not an involution)"
+    )
 
 
 def test_verify_remark4_sampled(capsys):

@@ -691,6 +691,66 @@ def test_witness_rejects_a_graph_map_that_is_not_an_involution(monkeypatch, m):
         theorem12_ccz_witness(Field(m), 1, 3)
 
 
+@pytest.mark.parametrize("m", range(2, 11))
+def test_gold_powers_match_scalar_powers(m):
+    # log x^(2^i) is log x rotated by i bits, i = m included
+    ctx = Field(m)
+    for i in range(1, m + 1):
+        frobenius, gold = constructions._gold_powers(ctx, i)
+        assert frobenius.tolist() == [ctx.pow(x, 1 << i) for x in range(ctx.size)]
+        assert gold.tolist() == [ctx.pow(x, (1 << i) + 1) for x in range(ctx.size)]
+
+
+def _non_involution_flip(L: BinLinearMap) -> tuple[int, int]:
+    """(column k, bit r) of a flip that leaves L = I + c u^T invertible but
+    no involution: with u_r = 1 and c_k = 0, k != r, the flipped map L'
+    has L'^2 = I + c e_k^T, which is invertible and not I."""
+    C = [col ^ (1 << k) for k, col in enumerate(L.columns)]  # column k is c u_k
+    c = next(col for col in C if col)
+    r = next(r for r, col in enumerate(C) if col)
+    return next(k for k in range(L.n_in) if k != r and not c >> k & 1), r
+
+
+def _corrupt_first_projection(monkeypatch) -> None:
+    """Make the witness's graph image flip one entry of its F1 table."""
+    real = constructions.graph_image
+
+    def corrupted(L, f):
+        w = real(L, f)
+        f1 = w.F1.as_array().copy()
+        f1[3] ^= 1
+        return ccz.CczWitness(w.L, FuncTable(w.F1.ctx, f1), w.F2)
+
+    monkeypatch.setattr(constructions, "graph_image", corrupted)
+
+
+@pytest.mark.parametrize("m, i", [(5, 1), (7, 3), (6, 1), (8, 3)])
+def test_shared_witness_tables_still_check_every_identity_at_every_point(monkeypatch, m, i):
+    # the closed form and the Gold table are built once and shared by all
+    # points; each point still fails on a corrupted closed form, F1 or L
+    ctx = Field(m)
+    tables = constructions._theorem1_tables if m % 2 else constructions._theorem2_tables
+    base, gold = tables(ctx, i)
+    assert base == (theorem1 if m % 2 else theorem2)(ctx, i)
+    assert gold == monomial(ctx, (1 << i) + 1)
+    wrong = base.as_array().copy()
+    wrong[5] ^= 1
+    wrong = FuncTable(ctx, wrong)
+    for a in (1, ctx.generator, random.Random(m).randrange(2, ctx.size)):
+        w = constructions._theorem12_witness(base, gold, i, a)
+        assert w == theorem12_ccz_witness(ctx, i, a)
+        with pytest.raises(RuntimeError, match="^scaling identity failed$"):
+            constructions._theorem12_witness(wrong, gold, i, a)
+        with monkeypatch.context() as patch:
+            _corrupt_first_projection(patch)
+            with pytest.raises(RuntimeError, match="^first projection is not an involution$"):
+                constructions._theorem12_witness(base, gold, i, a)
+        with monkeypatch.context() as patch:
+            _flip_one_correction_bit(patch, *_non_involution_flip(w.L))
+            with pytest.raises(RuntimeError, match="^graph-side map is not an involution$"):
+                constructions._theorem12_witness(base, gold, i, a)
+
+
 def test_witness_odd_field_identities_at_unit():
     ctx = Field(5)
     w = theorem12_ccz_witness(ctx, 1, 1)

@@ -381,6 +381,15 @@ def test_trace_mask_gives_trace_of_scaled_element(m, poly):
             f.trace_mask(c)
 
 
+@pytest.mark.parametrize("m", range(2, 11))
+def test_dual_reindex_entries_are_the_trace_masks(m):
+    # the graph witnesses read the mask of x -> tr(cx) from the dual index map
+    from vbfkit.gf2m import _dual_reindex
+
+    f = Field(m)
+    assert _dual_reindex(f).tolist() == [f.trace_mask(c) for c in range(f.size)]
+
+
 @pytest.mark.parametrize("m, poly", [(2, None), (6, None), (6, 0b1011011), (9, None), (12, None)])
 def test_subfield_trace_many_matches_scalar(m, poly):
     f = Field(m, poly)

@@ -82,8 +82,10 @@ ENTRIES = {
     "analyze-lut-gold-m16": _analyze(_family_lut_arg("gold", 16, 1)),
     "analyze-lut-thm1-m17": _analyze(_family_lut_arg("thm1", 17, 1)),
     # the twisted claims: Gold's spectra through the checked graph map, or
-    # in an older tree the orbit path on their own table (about 13 and 24 s)
+    # in an older tree the orbit path on their own table (about 13 and 24 s);
+    # thm1 at m = 21 checks three witness points on one closed form
     "verify-thm1-m17": ["verify", "thm1", "--m", "17", "--i", "1"],
+    "verify-thm1-m21": ["verify", "thm1", "--m", "21", "--i", "1"],
     "verify-thm3-m18": ["verify", "thm3", "--m", "18", "--i", "1"],
     "remark4-m7-i1": ["verify", "remark4", "--m", "7", "--i", "1"],
     "remark4-m7-i2": ["verify", "remark4", "--m", "7", "--i", "2"],
