@@ -19,7 +19,7 @@ Three subcommands:
     the witness come from the family's own table.  A LUT file, a power
     family and a relaxed build keep the orbit path on their own table
     (``table``): a LUT carries no map to check, and the relaxed builds
-    have no witness.  `_analyzed_family` alone makes this choice.
+    have no witness.  `_family_table` alone makes this choice.
 
 ``verify``
     Run a named bundle of identity and property checks, printing one line
@@ -58,7 +58,6 @@ from vbfkit.ccz import (
 )
 from vbfkit.constructions import (
     ConditionViolatedError,
-    _theorem1_preconditions,
     _theorem3_preconditions,
     _theorem1_tables,
     _theorem2_tables,
@@ -69,10 +68,7 @@ from vbfkit.constructions import (
     f8_side_condition,
     family_exponent,
     theorem1,
-    theorem2,
-    theorem3,
     theorem3_f1,
-    theorem4,
     theorem4_f1_tables,
     theorem12_ccz_witness,
 )
@@ -90,7 +86,6 @@ from vbfkit.vbf import (
     NotAPermutationError,
     algebraic_degree,
     component_degree,
-    compose,
     is_permutation,
     monomial,
 )
@@ -189,48 +184,39 @@ def _family_options(args: argparse.Namespace) -> tuple[str, argparse.Namespace]:
     return args.family, _read_options(args, f"family {args.family}", _FAMILY_READS[args.family])
 
 
-def _family_table(fam: str, p: argparse.Namespace) -> FuncTable:
+def _family_table(fam: str, p: argparse.Namespace) -> tuple[FuncTable, FuncTable | None]:
+    """The table of family ``fam`` with options ``p``, and the Gold table
+    x^(2^i+1) that a linear graph map with no shift carries onto it, or None
+    for a power family and a ``--relaxed`` build, which have no witness.
+    The one place that branches on a family's name to build its table."""
     ctx = Field(p.m, p.poly)
     if fam in ("thm1", "thm2"):
-        builder = theorem1 if fam == "thm1" else theorem2
-        return builder(ctx, p.i, relaxed=vars(p).get("relaxed", False))  # no claim reads it
-    if fam == "thm3":
-        return theorem3(ctx, p.i)
-    if fam == "thm4":
-        return theorem4(ctx, p.n, p.i)
-    if fam == "power":
-        if not 0 <= p.d < ctx.size:  # the raw exponent, not reduced as the formulas' are
-            raise ValueError(f"exponent {p.d} outside [0, {ctx.size})")
-        return monomial(ctx, p.d)
-    if fam == "inverse" and ctx.m % 2 == 0:
-        # Table slot only covers odd degrees; on even ones serve the
-        # proper multiplicative inverse x^(2^m - 2).
-        return monomial(ctx, ctx.size - 2)
-    return monomial(ctx, family_exponent(fam, ctx.m, vars(p).get("i")))
-
-
-def _analyzed_family(fam: str, p: argparse.Namespace) -> tuple[FuncTable, FuncTable | None]:
-    """The table of family ``fam`` with options ``p``, and the Gold table
-    x^(2^i+1) to take its spectra from, or None to take them from the table
-    itself: for ``analyze --family`` and the claims thm1-thm4.
-
-    Only the twisted families qualify: each is the image of the Gold graph
-    under a linear map with no shift (see `vbfkit.constructions`).  thm1 and
-    thm2 are returned once the a = 1 graph witness is checked on both
-    tables; a ``--relaxed`` build has no witness.
-    """
-    ctx = Field(p.m, p.poly)
-    # The witness picks thm1 at odd m and thm2 at even m; the other parity
-    # goes to _family_table, which rejects it.
-    if (fam, p.m % 2) in (("thm1", 1), ("thm2", 0)) and not vars(p).get("relaxed"):
-        f, gold = (_theorem1_tables if fam == "thm1" else _theorem2_tables)(ctx, p.i)
-        _theorem12_witness(f, gold, p.i, 1)
-        return f, gold
+        relaxed = vars(p).get("relaxed", False)  # no claim reads it
+        f, gold = (_theorem1_tables if fam == "thm1" else _theorem2_tables)(ctx, p.i, relaxed)
+        return f, None if relaxed else gold
     if fam == "thm3":
         return _theorem3_tables(ctx, p.i)
     if fam == "thm4":
         return _theorem4_tables(ctx, p.n, p.i)
-    return _family_table(fam, p), None
+    if fam == "power":
+        if not 0 <= p.d < ctx.size:  # the raw exponent, not reduced as the formulas' are
+            raise ValueError(f"exponent {p.d} outside [0, {ctx.size})")
+        return monomial(ctx, p.d), None
+    if fam == "inverse" and ctx.m % 2 == 0:
+        # Table slot only covers odd degrees; on even ones serve the
+        # proper multiplicative inverse x^(2^m - 2).
+        return monomial(ctx, ctx.size - 2), None
+    return monomial(ctx, family_exponent(fam, ctx.m, vars(p).get("i"))), None
+
+
+def _analyzed_family(fam: str, p: argparse.Namespace) -> tuple[FuncTable, FuncTable | None]:
+    """`_family_table` for ``analyze --family`` and the claims thm1-thm4,
+    which take the spectra from the Gold table: a thm1 or thm2 pair is
+    returned once the a = 1 graph witness is checked on both tables."""
+    f, gold = _family_table(fam, p)
+    if fam in ("thm1", "thm2") and gold is not None:
+        _theorem12_witness(f, gold, p.i, 1)
+    return f, gold
 
 
 # -- analysis report ---------------------------------------------------------
@@ -283,7 +269,7 @@ def render_report(report: dict) -> str:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    text = lut_text(_family_table(*_family_options(args)))
+    text = lut_text(_family_table(*_family_options(args))[0])
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(text)
@@ -414,24 +400,23 @@ def _parse_budget(text: str | None) -> tuple[int | None, float | None]:
 
 def verify_remark4(args: argparse.Namespace) -> int:
     """A --lut table is searched over its own Walsh zeros.  The thm1 table is
-    searched through its graph witness from the Gold map.  A completion
-    found either way is checked on the table before it is reported."""
+    searched through its a = 1 graph witness, checked on it and its Gold
+    table.  A completion found either way is checked on the table before
+    it is reported."""
     if args.lut:
         f = read_lut(args.lut)
-        ctx = f.ctx
         nodes, seconds = _parse_budget(args.budget)
         found = linear_completion_search(f, budget=nodes, time_limit=seconds)
     else:
-        ctx = Field(args.m, args.poly)
-        _theorem1_preconditions(ctx, args.i)  # rejects m and i before the witness does
+        f, gold = _family_table("thm1", args)
         nodes, seconds = _parse_budget(args.budget)
-        w = theorem12_ccz_witness(ctx, args.i)
-        found = gold_graph_completion_search(w.L, ctx, args.i, budget=nodes, time_limit=seconds)
+        L = _theorem12_witness(f, gold, args.i, 1).L
+        found = gold_graph_completion_search(L, f.ctx, args.i, budget=nodes, time_limit=seconds)
+    ctx = f.ctx
     if found is None:
         print(f"ok   no linear completion to a permutation among all 2^{ctx.m ** 2} linear maps")
         return 0
-    table = f if args.lut else compose(w.F2, w.F1)  # F1 is an involution: F2 o F1 is thm1
-    if not is_permutation(FuncTable(ctx, table.as_array() ^ _linear_table(list(found.columns)))):
+    if not is_permutation(FuncTable(ctx, f.as_array() ^ _linear_table(list(found.columns)))):
         raise RuntimeError("the completion found does not make the table a permutation")
     rows = ", ".join(f"0x{r:x}" for r in found.rows)
     print(f"FAIL linear completion found: rows [{rows}]")

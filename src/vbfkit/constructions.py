@@ -21,8 +21,9 @@ families are Gold's.  `vbfkit analyze --family` and the claims thm1-thm4
 of `vbfkit verify` take both spectra from the Gold table on that ground:
 for thm3 and thm4 by construction, for thm1 and thm2 through the a = 1
 witness.  Each `_theorem<k>_tables` returns a family's table with its Gold
-table; the public builders return the table alone, so `construct` pays
-for no witness.
+table, and the public builders the table alone.  The CLI reaches every
+family through the pairs: `construct` writes the table and checks no
+witness, and `verify remark4 --m` searches the a = 1 witness of the pair.
 
 All builders take an explicit :class:`~vbfkit.gf2m.Field` context and return
 plain lookup tables, so outputs from different reduction polynomials can be
@@ -128,15 +129,6 @@ def _graph_map(x_images: list[int], y_images: list[int]) -> BinLinearMap:
     return BinLinearMap(len(cols), len(cols), _transpose_bits(cols, len(cols)))
 
 
-def _theorem1_preconditions(ctx: Field, i: int, relaxed: bool = False) -> int:
-    """Check m and i for `theorem1`; return i as `_require_index` reduces it."""
-    if ctx.m % 2 == 0:
-        raise ParityViolatedError("odd extension degree required")
-    if ctx.m <= 3:
-        raise ConditionViolatedError("the cubic twist needs m > 3")
-    return _require_index(i, ctx.m, strict=not relaxed)
-
-
 def _gold_powers(ctx: Field, i: int) -> tuple[np.ndarray, np.ndarray]:
     """uint32 tables of x^(2^i) and x^(2^i+1) at every x, for 1 <= i <= m.
     On x != 0, log x^(2^i) is log x rotated left by i of its m bits, as
@@ -152,7 +144,11 @@ def _gold_powers(ctx: Field, i: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _theorem1_tables(ctx: Field, i: int, relaxed: bool = False) -> tuple[FuncTable, FuncTable]:
     """`theorem1`'s table and the Gold table x^(2^i+1) it twists."""
-    i = _theorem1_preconditions(ctx, i, relaxed)
+    if ctx.m % 2 == 0:
+        raise ParityViolatedError("odd extension degree required")
+    if ctx.m <= 3:
+        raise ConditionViolatedError("the cubic twist needs m > 3")
+    i = _require_index(i, ctx.m, strict=not relaxed)
     xs = np.arange(ctx.size, dtype=np.uint32)
     x2i, xe = _gold_powers(ctx, i)
     gate = ctx.trace_table()[xe ^ xs]

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vbfkit import ccz, cli, constructions, spectra, vbf
-from vbfkit.ccz import identity_map
+from vbfkit.ccz import BinLinearMap, identity_map
 from vbfkit.cli import (
     _VERIFIERS,
     FAMILIES,
@@ -402,6 +402,7 @@ def test_analyze_timing_breakdown(tmp_path, capsys, source):
         (("--family", "thm1", "--m", "5", "--i", "1", "--relaxed"), "table"),
         (("--family", "gold", "--m", "5", "--i", "1"), "table"),
         (("--family", "inverse", "--m", "5"), "table"),
+        (("--family", "thm2", "--m", "6", "--i", "2", "--relaxed"), "table"),
     ],
 )
 def test_analyze_timing_names_the_spectrum_source(capsys, argv, path):
@@ -507,6 +508,19 @@ def test_index_above_m_acts_as_index_mod_m(capsys, argv, reduced):
     rc, stdout, err = run(capsys, *argv)
     assert (rc, err) == (0, "")
     assert (rc, stdout, err) == run(capsys, *argv[:at], reduced, *argv[at + 1:])
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify", "thm1", "--m", "5", "--i", "10"), "gcd(5, 5) != 1"),
+        (("construct", "--family", "gold", "--m", "6", "--i", "9"), "gcd(3, 6) != 1"),
+    ],
+)
+def test_gcd_error_names_the_index_mod_m(capsys, argv, message):
+    # the options are read with i mod m, so the error names the index that
+    # is checked, not the one given
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_analyze_json_out_file(tmp_path, capsys):
@@ -825,11 +839,16 @@ def test_verify_builds_each_witness_point_once_and_reads_gold_spectra(
 
 @pytest.mark.parametrize(
     "argv",
-    [("thm1", "--m", "7"), ("thm2", "--m", "6", "--i", "5"), ("thm1", "--m", "5", "--a", "3")],
+    [
+        ("thm1", "--m", "7"),
+        ("thm2", "--m", "6", "--i", "5"),
+        ("thm1", "--m", "5", "--a", "3"),
+        ("remark4", "--m", "7", "--i", "2"),
+    ],
 )
 def test_verify_failed_unit_witness_is_a_fail_line(capsys, monkeypatch, argv):
-    # the spectrum line rests on the a = 1 witness, so its failure ends the
-    # claim, --a or not
+    # the spectrum line, and the map remark4 searches, rest on the a = 1
+    # witness, so its failure ends the claim, --a or not
     real = cli._theorem12_witness
 
     def broken(base, gold, index, a):
@@ -878,6 +897,29 @@ def test_twisted_families_build_gold_and_the_closed_form_once(capsys, monkeypatc
         assert built[0] == 1 and len(set(built)) == len(built) == 3 and Field(m).generator in built
     else:
         assert built == points
+
+
+@pytest.mark.parametrize(
+    "family_args, digest",
+    [
+        (("thm1", "--m", "7", "--i", "2"),
+         "2ba0254ddb090250ca6893eabcfe0301bb8bf7bb904bf4a29d144e42e194144d"),
+        (("thm2", "--m", "8", "--i", "3"),
+         "f1de4aa0158be6a97dccd17f365b26c759bb16d3f24c1cb10cec4552211095cc"),
+        (("thm3", "--m", "6", "--i", "1"),
+         "f8e62561963fef523efa80de6281cdd96c47b05250fd44b260ef7549b38f9dda"),
+        (("thm4", "--m", "9", "--n", "3", "--i", "2"),
+         "197ec8ff089a4bc7337694d947e6b3a130eee8646103f70827543c106cda1188"),
+    ],
+    ids=["thm1", "thm2", "thm3", "thm4"],
+)
+def test_construct_twisted_family_checks_no_witness(capsys, monkeypatch, family_args, digest):
+    # construct writes the table of the pair it builds; no witness is checked
+    built = []
+    _count_calls(monkeypatch, cli, "_theorem12_witness", built)
+    rc, stdout, err = run(capsys, "construct", "--family", *family_args)
+    assert (rc, err, built) == (0, "", [])
+    assert hashlib.sha256(stdout.encode("ascii")).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
@@ -941,6 +983,18 @@ def test_verify_remark4_exhaustive_at_m7(capsys):
     rc, stdout, _ = run(capsys, "verify", "remark4", "--m", "7", "--i", "1")
     assert rc == 0
     assert stdout == "ok   no linear completion to a permutation among all 2^49 linear maps\n"
+
+
+def test_verify_remark4_searches_the_checked_unit_witness(capsys, monkeypatch):
+    # the thm1 table and its Gold table are built once, and the map searched
+    # is the a = 1 witness checked on them
+    powers, built = [], []
+    _count_calls(monkeypatch, constructions, "_gold_powers", powers)
+    _count_calls(monkeypatch, cli, "_theorem12_witness", built)
+    rc, stdout, err = run(capsys, "verify", "remark4", "--m", "7", "--i", "2")
+    line = "ok   no linear completion to a permutation among all 2^49 linear maps\n"
+    assert (rc, stdout, err) == (0, line, "")
+    assert len(powers) == 1 and [a for _, _, a in built] == [1]
 
 
 def test_verify_remark4_node_budget_exit3(capsys):
@@ -1014,6 +1068,17 @@ def test_verify_remark4_rechecks_a_completion_on_the_table(tmp_path, capsys, mon
     failed = (1, "FAIL the completion found does not make the table a permutation\n")
     assert run(capsys, "verify", "remark4", "--m", "5", "--i", "1")[:2] == failed
     assert run(capsys, "verify", "remark4", "--lut", str(path))[:2] == failed
+
+
+def test_verify_remark4_checks_a_completion_on_thm1_not_on_gold(capsys, monkeypatch):
+    # the zero map completes the Gold table x^3 but not thm1, so only a
+    # check on the thm1 table itself rejects it
+    monkeypatch.setattr(
+        "vbfkit.cli.gold_graph_completion_search",
+        lambda M, ctx, i, **kw: BinLinearMap(ctx.m, ctx.m, [0] * ctx.m),
+    )
+    failed = (1, "FAIL the completion found does not make the table a permutation\n", "")
+    assert run(capsys, "verify", "remark4", "--m", "5", "--i", "1") == failed
 
 
 def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
