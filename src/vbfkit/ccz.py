@@ -83,7 +83,8 @@ def _require_index(i: int, m: int, strict: bool = True) -> int:
 class BinLinearMap:
     """F_2-linear map given by row masks: output bit r = parity(rows[r] & x).
     The rows are fixed, so the columns are built once, on first use, and
-    kept on the map."""
+    kept on the map; a map made from its columns (``_map_from_columns``)
+    keeps those."""
 
     __slots__ = ("n_in", "n_out", "rows", "_tables")
 
@@ -153,6 +154,16 @@ def _transpose_bits(vectors, width: int) -> list[int]:
     return _bit_columns(np.frombuffer(raw, dtype=np.uint8).reshape(len(vectors), size), width)
 
 
+def _map_from_columns(columns: list[int]) -> BinLinearMap:
+    """The square map whose column j is columns[j]: its rows are one
+    transpose of the columns, which it keeps, so ``columns`` never
+    transposes them back."""
+    n = len(columns)
+    L = BinLinearMap(n, n, _transpose_bits(columns, n))
+    BinLinearMap.columns.fget.keep(L, tuple(columns))
+    return L
+
+
 def identity_map(n: int) -> BinLinearMap:
     return BinLinearMap(n, n, [1 << r for r in range(n)])
 
@@ -200,7 +211,9 @@ def graph_image(L: BinLinearMap, f: FuncTable) -> CczWitness:
         raise WrongDimensionError("map must act on the doubled space")
     if not map_invertible(L):
         raise SingularError("graph map is singular")
-    out = _linear_table(L.columns[:m]) ^ _linear_table(L.columns[m:])[f.as_array()]
+    cols = L.columns
+    halves = _linear_table([cols[:m], cols[m:]])  # the tables of L_x and L_y
+    out = halves[0] ^ halves[1][f.as_array()]
     return CczWitness(L, FuncTable(ctx, out & (n - 1)), FuncTable(ctx, out >> m))
 
 

@@ -40,8 +40,8 @@ from vbfkit.ccz import (
     BinLinearMap,
     CczWitness,
     ConditionViolatedError,
+    _map_from_columns,
     _require_index,
-    _transpose_bits,
     ccz_transform,
     graph_image,
 )
@@ -124,9 +124,9 @@ def family_exponent(family: str, m: int, i: int | None = None) -> int:
 
 def _graph_map(x_images: list[int], y_images: list[int]) -> BinLinearMap:
     """The map L = I + C of F_2^(2m) from the packed images C(2^k, 0) and
-    C(0, 2^k), k < m, of a linear C; a point (x, y) is packed as x | y << m."""
-    cols = [(1 << j) ^ c for j, c in enumerate(x_images + y_images)]
-    return BinLinearMap(len(cols), len(cols), _transpose_bits(cols, len(cols)))
+    C(0, 2^k), k < m, of a linear C; a point (x, y) is packed as x | y << m.
+    Those images give L's columns, which L keeps (``ccz._map_from_columns``)."""
+    return _map_from_columns([(1 << j) ^ c for j, c in enumerate(x_images + y_images)])
 
 
 def _gold_powers(ctx: Field, i: int) -> tuple[np.ndarray, np.ndarray]:

@@ -147,15 +147,21 @@ def kept(build):
     runs once per owner, its value is kept in that dict, so it dies with its
     owner, and every array in it, in nested tuples too, is made read-only.
     An exception is not kept; the next call runs ``build`` again.  Threads
-    that build the same value at once all get the one kept first."""
+    that build the same value at once all get the one kept first.  An owner
+    made from the value at hand keeps it with ``cached.keep(owner, value)``,
+    and ``build`` never runs for it."""
     @wraps(build)
     def cached(owner):
         tables = owner._tables
         if build in tables:
             return tables[build]
-        value = build(owner)
+        return keep(owner, build(owner))
+
+    def keep(owner, value):
         _freeze(value)
-        return tables.setdefault(build, value)
+        return owner._tables.setdefault(build, value)
+
+    cached.keep = keep
     return cached
 
 

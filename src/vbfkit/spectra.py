@@ -37,6 +37,18 @@ lam = g^ell, the cycles of b -> lam*b are the residue classes of log b
 modulo gcd(ell, 2^m - 1), and squaring doubles log b.  A table with neither
 identity (a random table, say) still gets every row and an exact
 spectrum.
+
+Small tables skip the orbits: while the n x n block of an n-entry table
+has at most ``_ONE_BLOCK_CELLS`` = 2^12 cells (m <= 6), each spectrum is
+one block of every row.  The Walsh block takes the dot-product masks
+1..n - 1 in their natural order rather than the masks D[b]: as D is a
+bijection fixing 0, {D[b] : b != 0} is the same set of masks, so the
+multiset is the same.  The difference block keys each ordered pair
+(x, y) by G(x) ^ G(y) on the graph G(x) = x << m | F(x), which packs
+(a, F(x + a) + F(x)) for a = x ^ y.  At m = 6 one block took at most
+half the time of the orbits on every table measured; at m = 7 the orbits
+of x^3 took under half the time of one block (figures beside
+``_ONE_BLOCK_CELLS``), so the cut-off sits at m <= 6.
 """
 
 from __future__ import annotations
@@ -181,6 +193,17 @@ def _sign_rows(f: FuncTable, masks: np.ndarray) -> np.ndarray:
     return 1 - 2 * (np.bitwise_count(prods) & 1).astype(np.int32)
 
 
+# Both spectra take every row at once, with no orbits, while the n x n
+# block of an n-entry table has at most this many cells: m <= 6.  Both
+# spectra of a fresh table, median of 300 calls on a 2-core Xeon with one
+# BLAS thread, over runs in two host states: at m = 6, 55-86 us one block
+# against 117-361 us through the orbits (random, x^3, x^3 + x^5, thm2);
+# at m = 7, x^3 took 72-147 us through the orbits against 188-285 us one
+# block.  From m = 7 on the orbit path wins for power maps, whose rows and
+# directions are one orbit each.
+_ONE_BLOCK_CELLS = 1 << 12
+
+
 def _block_rows(n: int, floor: int = 1) -> int:
     """Rows of a spectrum scan per block, for rows of length n: about 2^14
     cells, so that a block's temporaries stay in L2, but at least
@@ -215,23 +238,35 @@ def walsh_spectrum(f: FuncTable) -> WalshSpectrum:
     once per orbit element: rows b, b^2 (if F(x^2) = F(x)^2) and lam*b (if
     F(gx) = lam*F(x)) hold the same multiset.  A table without either
     symmetry gets every row b != 0.
+
+    Up to m = 6 (``_ONE_BLOCK_CELLS``) there are no orbits: the sign rows
+    of the masks 1..n - 1, which are the masks D[b] in another order, are
+    the Sylvester matrix's rows 1..n - 1 gathered at the columns F(x), and
+    one product with that matrix and one bincount give the multiset.
     """
     ctx = f.ctx
     n = ctx.size
-    reps, sizes = _symmetry_orbits(f)[0]
-    masks = _dual_reindex(ctx)[reps]
-    counts = np.zeros(2 * n + 1, dtype=np.int64)
-    used = 0  # counts[used:] is still zero
-    for size in np.unique(sizes).tolist():
-        for _, mat in _walsh_blocks(f, masks[sizes == size]):
-            mat += n
-            tally = np.bincount(mat.ravel())
-            if size != 1:
-                tally *= size
-            counts[:len(tally)] += tally
-            used = max(used, len(tally))
-    values = np.flatnonzero(counts[:used])
-    dist = {int(v) - n: int(counts[v]) for v in values}
+    if n * n <= _ONE_BLOCK_CELLS:
+        h = _sylvester(ctx.m)  # sign row b is column F(x) of H's row b, at every x
+        mat = h[1:, f.as_array()] @ h
+        mat += n
+        counts = np.bincount(mat.astype(np.intp).ravel())
+    else:
+        reps, sizes = _symmetry_orbits(f)[0]
+        masks = _dual_reindex(ctx)[reps]
+        counts = np.zeros(2 * n + 1, dtype=np.int64)
+        used = 0  # counts[used:] is still zero
+        for size in np.unique(sizes).tolist():
+            for _, mat in _walsh_blocks(f, masks[sizes == size]):
+                mat += n
+                tally = np.bincount(mat.ravel())
+                if size != 1:
+                    tally *= size
+                counts[:len(tally)] += tally
+                used = max(used, len(tally))
+        counts = counts[:used]
+    values = np.flatnonzero(counts)
+    dist = dict(zip((values - n).tolist(), counts[values].tolist()))
     max_abs = max(abs(v) for v in dist)
     return WalshSpectrum(ctx.m, dist, max_abs)
 
@@ -285,11 +320,24 @@ def differential_spectrum(f: FuncTable) -> DifferentialSpectrum:
     (x, a) as r*2^m + F(x + a) + F(x), one bincount of the keys gives the
     pair counts of every (a, b) in the block, and a second one their
     histogram.  From m = 14 on a block is one direction.
+
+    Up to m = 6 (``_ONE_BLOCK_CELLS``) there are no orbits or half
+    domains: the key of an ordered pair (x, y) is G(x) ^ G(y) for the graph
+    G(x) = x << m | F(x), that is (x ^ y) << m | F(x) ^ F(y), so with
+    a = x ^ y one bincount of all n^2 keys gives every fiber size
+    |{x : F(x + a) + F(x) = b}| at key a << m | b, and a second one, past
+    the n keys of a = 0, their histogram.
     """
     ctx = f.ctx
     n = ctx.size
     vals = f.as_array().astype(np.intp)
     xs = np.arange(n, dtype=np.intp)
+    if n * n <= _ONE_BLOCK_CELLS:
+        graph = xs << ctx.m | vals
+        keys = graph[:, None] ^ graph[None, :]  # (x ^ y) << m | F(x) ^ F(y)
+        # fiber sizes are even, so every other bin of their histogram is 0
+        hist = np.bincount(np.bincount(keys.ravel(), minlength=n * n)[n:])[::2]
+        return _differential_distribution(ctx, hist)
     hist = np.zeros(n // 2 + 1, dtype=np.int64)  # pair count -> number of (a, b)
     block = _block_rows(n)
     reps, sizes = _symmetry_orbits(f)[1]
@@ -312,10 +360,14 @@ def differential_spectrum(f: FuncTable) -> DifferentialSpectrum:
                     tally *= size
                 hist[:len(tally)] += tally
             start = stop
+    return _differential_distribution(ctx, hist)
+
+
+def _differential_distribution(ctx, hist: np.ndarray) -> DifferentialSpectrum:
+    """The spectrum whose (a, b) pairs with c pairs {x, x + a} number hist[c]."""
     pairs = np.flatnonzero(hist)
-    dist = {2 * int(c): int(hist[c]) for c in pairs}
-    dmax = 2 * int(pairs[-1])
-    return DifferentialSpectrum(ctx.m, dist, dmax)
+    dist = dict(zip((2 * pairs).tolist(), hist[pairs].tolist()))
+    return DifferentialSpectrum(ctx.m, dist, 2 * int(pairs[-1]))
 
 
 def differential_uniformity(f: FuncTable, spectrum: DifferentialSpectrum | None = None) -> int:

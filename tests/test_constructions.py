@@ -3,6 +3,7 @@ and the catalogue of power-function exponents."""
 
 import hashlib
 import math
+import pickle
 import random
 
 import numpy as np
@@ -642,6 +643,40 @@ WITNESS_ROWS = [
 @pytest.mark.parametrize(("m", "i", "a", "rows"), WITNESS_ROWS)
 def test_witness_rows_are_pinned(m, i, a, rows):
     assert list(theorem12_ccz_witness(Field(m), i, a).L.rows) == rows
+
+
+@pytest.mark.parametrize("m", range(4, 10))
+def test_graph_maps_keep_the_columns_they_are_built_from(monkeypatch, m):
+    ctx = Field(m)
+    images = []
+    real = constructions._graph_map
+    monkeypatch.setattr(constructions, "_graph_map", lambda *a: images.append(a) or real(*a))
+    theorem12_ccz_witness(ctx, 1)
+    theorem12_ccz_witness(ctx, 1, ctx.generator)
+    if m % 2:
+        example1_witness(ctx, 1)
+        for n in (n for n in range(1, m) if m % n == 0):
+            theorem4(ctx, n, 1)
+    if m % 6 == 0:
+        theorem3(ctx, 1)
+    assert len(images) >= 2
+    transposes = []
+    real_transpose = ccz._transpose_bits
+    monkeypatch.setattr(ccz, "_transpose_bits", lambda *a: transposes.append(a) or real_transpose(*a))
+    gold = FuncTable(ctx, constructions._gold_powers(ctx, 1)[1])
+    for x_images, y_images in images:
+        L = real(x_images, y_images)
+        transposes.clear()
+        graph_image(L, gold)
+        assert not transposes  # the kept columns, not a transpose of the rows
+        cols = L.columns
+        assert L.rows == tuple(real_transpose(list(cols), L.n_in))
+        assert list(cols) == real_transpose(list(L.rows), L.n_in)
+        twin = BinLinearMap(L.n_in, L.n_out, L.rows)
+        assert twin == L and hash(twin) == hash(L) and len({twin, L}) == 1
+        copy = pickle.loads(pickle.dumps(L))
+        assert copy == L and hash(copy) == hash(L) and not copy._tables
+        assert copy.columns == twin.columns == cols
 
 
 def _flip_one_correction_bit(monkeypatch, column: int, bit: int) -> None:

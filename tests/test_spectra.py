@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vbfkit import spectra
-from vbfkit.constructions import theorem1
+from vbfkit.constructions import theorem1, theorem2
 from vbfkit.gf2m import Field, _linear_table, is_irreducible
 from vbfkit.spectra import (
     TooLargeError,
@@ -640,7 +640,7 @@ def _with_value_at_zero(tab: FuncTable, y: int) -> FuncTable:
     return FuncTable(tab.ctx, vals)
 
 
-@pytest.mark.parametrize("m", [3, 4, 5, 6])
+@pytest.mark.parametrize("m", [3, 4, 5, 6, 7])
 def test_orbits_at_the_edges_of_the_identities(m):
     # each case names whether F(gx) = lam*F(x) and F(x^2) = F(x)^2 hold on
     # the whole table; the first five break or keep one only through x = 0
@@ -662,6 +662,7 @@ def test_orbits_at_the_edges_of_the_identities(m):
         for name, (tab, want_scaling, want_squaring) in cases.items():
             lam, squaring = _assert_orbits_match_closure(tab)
             assert (lam is not None, squaring) == (want_scaling, want_squaring), name
+            _assert_matches_all_rows(tab)  # the orbit tally from m = 7 on
 
 
 @pytest.mark.parametrize("m", [6, 8, 9, 10])
@@ -745,3 +746,62 @@ def test_dual_reindex_is_cached_read_only_and_exact():
             for x in range(ctx.size):
                 assert ctx.trace(ctx.mul(a, x)) == int(dual[a] & x).bit_count() & 1
     assert not np.array_equal(_dual_reindex(Field(5)), _dual_reindex(Field(5, 0b101001)))
+
+
+# ---------------------------------------------------------------- one block
+
+def _walsh_value_distribution(f: FuncTable) -> dict:
+    """The Walsh multiset over every (a, b), b != 0, from ``walsh_value``."""
+    dist = {}
+    for b in range(1, f.ctx.size):
+        for a in range(f.ctx.size):
+            v = walsh_value(f, a, b)
+            dist[v] = dist.get(v, 0) + 1
+    return dist
+
+
+def _one_block_cases(ctx: Field) -> dict:
+    """Tables of every kind the one-block spectra must get right: with no
+    symmetry, with both, with a power map's scaling at a shared factor."""
+    n, q = ctx.size, ctx.order
+    rng = np.random.default_rng(500 + ctx.m)
+    coprime = next(d for d in range(2, n) if math.gcd(d, q) == 1)
+    shared = next(d for d in range(3, n) if math.gcd(d, q) > 1)  # q itself if q is prime
+    cases = {
+        "random": FuncTable(ctx, rng.integers(0, n, size=n)),
+        "permutation": FuncTable(ctx, rng.permutation(n)),
+        "constant": FuncTable(ctx, np.full(n, n - 1)),
+        "linear": FuncTable(ctx, _linear_table(rng.integers(0, n, size=ctx.m).tolist())),
+        f"x^{coprime}": monomial(ctx, coprime),
+        f"g*x^{shared}": monomial(ctx, shared, c=ctx.generator),
+    }
+    if ctx.m % 2 and ctx.m > 3:
+        cases["thm1"] = theorem1(ctx, 1)
+    if ctx.m % 2 == 0 and ctx.m >= 4:
+        cases["thm2"] = theorem2(ctx, 1)
+    return cases
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_one_block_spectra_match_walsh_value_and_the_full_domain_oracle(monkeypatch, m):
+    # up to m = 6 neither spectrum reads the orbits
+    monkeypatch.setattr(spectra, "_symmetry_orbits", None)
+    for name, tab in _one_block_cases(Field(m)).items():
+        wspec, dspec = walsh_spectrum(tab), differential_spectrum(tab)
+        if m <= 5 or name in ("random", "thm2"):  # walsh_value takes 0.6 s a table at m = 6
+            assert wspec.distribution == _walsh_value_distribution(tab), name
+        diff = _difference_counts_oracle(tab)
+        assert dspec.distribution == diff and dspec.max == max(diff), name
+        assert wspec.max_abs == max(abs(v) for v in wspec.distribution), name
+
+
+@pytest.mark.parametrize("m", [6, 7])
+def test_spectra_on_both_sides_of_the_one_block_cut_off(monkeypatch, m):
+    calls = []
+    real = spectra._symmetry_orbits
+    monkeypatch.setattr(spectra, "_symmetry_orbits", lambda f: calls.append(f) or real(f))
+    cases = _one_block_cases(Field(m))
+    for name, tab in cases.items():
+        _assert_matches_all_rows(tab)
+    # the orbit path from m = 7 on, once per spectrum
+    assert len(calls) == (2 * len(cases) if m == 7 else 0)

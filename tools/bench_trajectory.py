@@ -71,8 +71,9 @@ ENTRIES = {
        for m in (13, 15, 17, 21)},
     "analyze-thm4-m15-n5": _analyze("--family", "thm4", "--m", "15", "--n", "5", "--i", "1"),
     "analyze-inverse-m17": _analyze("--family", "inverse", "--m", "17"),
-    # tables without symmetry: every Walsh row and difference direction is scanned
-    **{f"analyze-random-lut-m{m}": _analyze(_random_lut_arg(m, "function")) for m in (8, 9)},
+    # tables without symmetry: every Walsh row and difference direction is scanned;
+    # up to m = 6 both spectra are one block of every row, with no orbits
+    **{f"analyze-random-lut-m{m}": _analyze(_random_lut_arg(m, "function")) for m in (6, 8, 9)},
     "analyze-random-lut-m13": _analyze(_random_lut_arg(13, "permutation")),
     # the orbit path on a family's own table: thm1 commutes with squaring
     # only; the Gold map at m = 16 scales by lam = g^3, which is not
@@ -84,9 +85,14 @@ ENTRIES = {
     # the twisted claims: Gold's spectra through the checked graph map, or
     # in an older tree the orbit path on their own table (about 13 and 24 s);
     # thm1 at m = 21 checks three witness points on one closed form
+    "verify-thm1-m7": ["verify", "thm1", "--m", "7", "--i", "1"],
     "verify-thm1-m17": ["verify", "thm1", "--m", "17", "--i", "1"],
     "verify-thm1-m21": ["verify", "thm1", "--m", "21", "--i", "1"],
     "verify-thm3-m18": ["verify", "thm3", "--m", "18", "--i", "1"],
+    # four spectra and about seven graph images of 32-entry tables: the
+    # slowest tenth of the perfbench `criteria` workload's ops
+    "verify-ccz-invariance-m5": ["verify", "ccz-invariance", "--m", "5", "--count", "8",
+                                 "--seed", "0"],
     "remark4-m7-i1": ["verify", "remark4", "--m", "7", "--i", "1"],
     "remark4-m7-i2": ["verify", "remark4", "--m", "7", "--i", "2"],
     **{f"remark4-m{m}": ["verify", "remark4", "--m", str(m), "--i", "1"] for m in (9, 11, 13)},
