@@ -33,7 +33,6 @@ from .vbf import (
     compose,
     invert,
     is_permutation,
-    monomial,
     packed_anf,
 )
 
@@ -499,15 +498,17 @@ def linear_completion_search(
 
 
 def gold_graph_completion_search(
-    M: BinLinearMap, ctx: Field, i: int, budget: int | None = None, time_limit: float | None = None
+    w: CczWitness, i: int, budget: int | None = None, time_limit: float | None = None
 ) -> BinLinearMap | None:
     """Find a linear map L with F + L a permutation, or None, for the table F
-    whose graph is the image of the Gold graph {(x, x^(2^i+1))} under
-    M = I + c u^T, without F's Walsh matrix.
+    whose graph is w = graph_image(M, G), the image of the graph of the Gold
+    map G(x) = x^(2^i+1) under M = I + c u^T, without F's Walsh matrix.  It
+    reads M off w, as `constructions.theorem12_ccz_witness` returns it, and
+    checks that w.F1 permutes, rather than imaging G's graph again.
 
     As in `linear_completion_search`, F + L permutes exactly when
-    W_F(L^T b, b) = 0 for every b != 0, and W_F(w) = W_G(M^T w) for the Gold
-    map G, where (a', b') = M^T(a, b) = (a, b) + (c.(a, b)) u.  At odd m
+    W_F(L^T b, b) = 0 for every b != 0, and W_F(v) = W_G(M^T v), where
+    (a', b') = M^T(a, b) = (a, b) + (c.(a, b)) u.  At odd m
     with gcd(i, m) = 1, the component b'.G has the radical {0, r} with
     r^(2^(2i)-1) = beta^(1-2^i) for tr(beta y) = b'.y, so for b' != 0,
     W_G(a', b') = 0 exactly when a'.r != b'.G(r): one affine hyperplane of
@@ -526,9 +527,12 @@ def gold_graph_completion_search(
     of a full h with its free entries 0.  Every L lies in exactly one
     branch h, so None means no map exists.  ``budget`` caps the search
     nodes (prefixes of h visited, the root included) and ``time_limit`` the
-    seconds, as there.
+    seconds, as there.  Level t reads D(beta) only at beta < 2^(t+1), so
+    the search grows its lists of them a level at a time: thm1's searches
+    stop by level 5 at m = 5-23, and no Python loop runs over 2^m entries.
     """
     visit = _node_counter(budget, time_limit)
+    M, ctx = w.L, w.F1.ctx
     m, n = ctx.m, ctx.size
     if m % 2 == 0:
         raise ConditionViolatedError("the Gold radical roots need odd m")
@@ -540,31 +544,33 @@ def gold_graph_completion_search(
     rank1 = {row ^ (1 << r) for r, row in enumerate(M.rows)} - {0}
     if len(rank1) > 1:
         raise ValueError("graph map is not I + c u^T")
-    if not is_permutation(graph_image(M, monomial(ctx, e)).F1):
+    if not is_permutation(w.F1):
         raise NotAPermutationError("the image of the Gold graph is not a graph")
     u = max(rank1, default=0)
     c = sum(1 << r for r, row in enumerate(M.rows) if row != 1 << r)
     cx, cy, ux, uy = c & (n - 1), c >> m, u & (n - 1), u >> m
     dual = _dual_reindex(ctx)  # tr(beta y) = D(beta).y
     exponent = (1 - (1 << i)) * ctx.inverse_exponent((1 << 2 * i) - 1) % ctx.order
-    roots = ctx.pow_many(_dual_inverse(ctx)[1:], exponent)  # r = D^-1(b') for each b' >= 1
-    # the Walsh zeros of row b' are the a' with a'.r = side[b'] = 1 + b'.G(r)
-    sides = 1 ^ np.bitwise_count(np.arange(1, n) & ctx.pow_many(roots, e)) & 1
-    root, side, dual = [0, *roots.tolist()], [0, *sides.tolist()], dual.tolist()
-    # entry (j, k) of L, bit k of L's row j, is unknown j*m + k at bit j*m + k + 1
-    spread = [0] * n  # spread[b] * r has r at the unknowns of every row j in b
-    for b in range(1, n):
-        spread[b] = spread[b & (b - 1)] | 1 << ((b & -b).bit_length() - 1) * m + 1
+    roots = ctx.pow_many(_dual_inverse(ctx), exponent)  # r = D^-1(b') for each b'
+    # the Walsh zeros of row b' != 0 are the a' with a'.r = side[b'] = 1 + b'.G(r)
+    sides = 1 ^ np.bitwise_count(np.arange(n, dtype=np.uint32) & ctx.pow_many(roots, e)) & 1
+    root, side = roots.tolist(), sides.tolist()
+    # entry (j, k) of L, bit k of L's row j, is unknown j*m + k at bit j*m + k + 1;
+    # spread[beta] * r has r at the unknowns of every row j in bs[beta] = D(beta)
+    bs, spread = [0], [0]
 
     def equations(t: int, h: int) -> list[int]:
-        v = dual[1 << t]
-        eqs = [cx * spread[v] | ((h >> t) ^ (cy & v).bit_count()) & 1]
+        if len(bs) == 1 << t:  # the first visit of level t; spread o D is linear
+            bs.extend(dual[1 << t:2 << t].tolist())
+            top = sum(1 << j * m + 1 for j in range(m) if bs[1 << t] >> j & 1)
+            spread.extend([s ^ top for s in spread])
+        eqs = [cx * spread[1 << t] | ((h >> t) ^ (cy & bs[1 << t]).bit_count()) & 1]
         for beta in range(1 << t, 2 << t):
-            b, s = dual[beta], (h & beta).bit_count() & 1
+            b, s = bs[beta], (h & beta).bit_count() & 1
             bp = b ^ uy if s else b
             if bp:  # b' = 0 asks nothing, see above
                 r = root[bp]
-                eqs.append(r * spread[b] | side[bp] ^ (s & (ux & r).bit_count() & 1))
+                eqs.append(r * spread[beta] | side[bp] ^ (s & (ux & r).bit_count() & 1))
         return eqs
 
     def extend(t: int, h: int, pivots: dict[int, int]) -> dict[int, int] | None:
@@ -583,7 +589,6 @@ def gold_graph_completion_search(
     if pivots is None:
         return None
     sol = 0
-    for top in sorted(pivots):  # back-substitution, free unknowns 0
-        v = pivots[top]
+    for top, v in sorted(pivots.items()):  # back-substitution, free unknowns 0
         sol |= ((v ^ (v & sol).bit_count()) & 1) << (top - 1)
     return BinLinearMap(m, m, [(sol >> j * m + 1) & (n - 1) for j in range(m)])

@@ -49,8 +49,8 @@ from vbfkit.ccz import (
     _gold_perm_even_rows,
     _gold_perm_rows,
     _require_index,
-    ccz_transform,
     gold_graph_completion_search,
+    graph_image,
     identity_map,
     linear_completion_search,
     map_invertible,
@@ -83,9 +83,10 @@ from vbfkit.spectra import (
 )
 from vbfkit.vbf import (
     FuncTable,
-    NotAPermutationError,
     algebraic_degree,
     component_degree,
+    compose,
+    invert,
     is_permutation,
     monomial,
 )
@@ -410,8 +411,8 @@ def verify_remark4(args: argparse.Namespace) -> int:
     else:
         f, gold = _family_table("thm1", args)
         nodes, seconds = _parse_budget(args.budget)
-        L = _theorem12_witness(f, gold, args.i, 1).L
-        found = gold_graph_completion_search(L, f.ctx, args.i, budget=nodes, time_limit=seconds)
+        w = _theorem12_witness(f, gold, args.i, 1)
+        found = gold_graph_completion_search(w, args.i, budget=nodes, time_limit=seconds)
     ctx = f.ctx
     if found is None:
         print(f"ok   no linear completion to a permutation among all 2^{ctx.m ** 2} linear maps")
@@ -426,10 +427,10 @@ def verify_remark4(args: argparse.Namespace) -> int:
 def verify_example1(args: argparse.Namespace) -> int:
     ctx = Field(args.m, args.poly)
     g = monomial(ctx, (1 << args.i) + 1)
-    try:
-        transformed = ccz_transform(example1_witness(ctx, args.i).L, g)
-    except NotAPermutationError:
+    w = example1_witness(ctx, args.i)  # the image of g's graph
+    if not is_permutation(w.F1):
         return _emit_checks([("first graph projection permutes", False)])
+    transformed = compose(w.F2, invert(w.F1))
     checks = [
         ("first graph projection permutes", True),
         (
@@ -525,23 +526,22 @@ def verify_ccz_invariance(args: argparse.Namespace) -> int:
     f = monomial(ctx, 3)
     base_w = walsh_spectrum(f).distribution
     base_d = differential_spectrum(f).distribution
-    movers = [identity_map(2 * ctx.m)]
+    images = [graph_image(identity_map(2 * ctx.m), f)]  # each an image of f's graph
     if ctx.m >= 4:  # the twisted families behind Theorems 1 and 2 need m >= 4
-        movers.append(theorem12_ccz_witness(ctx, 1).L)
+        images.append(theorem12_ccz_witness(ctx, 1))
     if ctx.m % 2:
-        movers.append(example1_witness(ctx, 1).L)
+        images.append(example1_witness(ctx, 1))
     rng = random.Random(args.seed)
     for _ in range(args.count):
         rows = [rng.randrange(1, 1 << (2 * ctx.m)) for _ in range(2 * ctx.m)]
         L = BinLinearMap(2 * ctx.m, 2 * ctx.m, rows)
         if map_invertible(L):
-            movers.append(L)
+            images.append(graph_image(L, f))
     produced = changed = 0
-    for L in movers:
-        try:
-            g = ccz_transform(L, f)
-        except NotAPermutationError:
+    for w in images:
+        if not is_permutation(w.F1):
             continue
+        g = compose(w.F2, invert(w.F1))
         produced += 1
         if (
             walsh_spectrum(g).distribution != base_w
@@ -549,7 +549,7 @@ def verify_ccz_invariance(args: argparse.Namespace) -> int:
         ):
             changed += 1
     checks = [
-        (f"at least one of {len(movers)} graph maps produced a function", produced > 0),
+        (f"at least one of {len(images)} graph maps produced a function", produced > 0),
         (f"spectra preserved by all {produced} produced functions", changed == 0),
     ]
     return _emit_checks(checks)

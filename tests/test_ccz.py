@@ -39,6 +39,7 @@ from vbfkit.vbf import (
     FuncTable,
     NotAPermutationError,
     UnivariatePoly,
+    compose,
     evaluate,
     invert,
     is_permutation,
@@ -1035,18 +1036,18 @@ def _completes(f: FuncTable, L: BinLinearMap) -> bool:
 
 
 def _rank1_gold_image(rng: random.Random, ctx: Field, i: int):
-    """A random involution M = I + c u^T (u.c = 0) that carries the Gold
-    graph of index i onto a graph, and the table of that graph."""
-    m = ctx.m
+    """The image of the Gold graph of index i under a random involution
+    M = I + c u^T (u.c = 0) that carries it onto a graph, and the table of
+    that graph."""
+    m, gold = ctx.m, monomial(ctx, (1 << i) + 1)
     while True:
         c, u = rng.randrange(1, 1 << 2 * m), rng.randrange(1, 1 << 2 * m)
         if (c & u).bit_count() & 1:
             continue
         M = BinLinearMap(2 * m, 2 * m, [(1 << r) ^ (u * ((c >> r) & 1)) for r in range(2 * m)])
-        try:
-            return M, ccz_transform(M, monomial(ctx, (1 << i) + 1))
-        except NotAPermutationError:
-            continue
+        w = graph_image(M, gold)
+        if is_permutation(w.F1):
+            return w, ccz_transform(M, gold)
 
 
 @pytest.mark.parametrize("m,i", [(5, 1), (5, 2), (7, 3), (9, 1), (9, 4), (11, 1), (13, 2)])
@@ -1055,7 +1056,7 @@ def test_gold_graph_search_settles_thm1(m, i):
     # The budget pins the pruning: the trace-dual order needs at most 17
     # nodes here, the order of b's own bits 1023 at m = 11
     ctx = Field(m)
-    assert gold_graph_completion_search(theorem12_ccz_witness(ctx, i).L, ctx, i, budget=32) is None
+    assert gold_graph_completion_search(theorem12_ccz_witness(ctx, i), i, budget=32) is None
 
 
 @pytest.mark.parametrize("m,count,seed", [(5, 120, 1705), (7, 8, 1707)])
@@ -1065,8 +1066,8 @@ def test_gold_graph_search_agrees_with_the_dfs_on_rank1_images(m, count, seed):
     verdicts = []
     for _ in range(count):
         i = rng.choice([k for k in range(1, m) if math.gcd(k, m) == 1])
-        M, f = _rank1_gold_image(rng, ctx, i)
-        found = gold_graph_completion_search(M, ctx, i)
+        w, f = _rank1_gold_image(rng, ctx, i)
+        found = gold_graph_completion_search(w, i)
         assert (found is None) == (linear_completion_search(f) is None)
         if found is not None:
             assert _completes(f, found)
@@ -1074,15 +1075,58 @@ def test_gold_graph_search_agrees_with_the_dfs_on_rank1_images(m, count, seed):
     assert set(verdicts) == {True, False}
 
 
+@pytest.mark.parametrize("m,i", [(5, 1), (5, 2), (7, 1), (7, 2)])
+def test_gold_graph_search_settles_the_scaled_thm1_witnesses(m, i):
+    # the witness at a carries the Gold graph onto thm1's table scaled by a,
+    # x -> a^e f(x/a), which a completion L of f would turn into the
+    # completion x -> a^e L(x/a): every a answers as a = 1, and the DFS agrees
+    ctx = Field(m)
+    for a in (ctx.generator, random.Random(10 * m + i).randrange(2, ctx.size)):
+        w = theorem12_ccz_witness(ctx, i, a)
+        assert gold_graph_completion_search(w, i) is None
+        assert linear_completion_search(compose(w.F2, invert(w.F1))) is None
+
+
+def test_gold_graph_search_completes_every_scaled_image():
+    # S(x, y) = (a x, a^e y) fixes the Gold graph, so S M S^-1 carries it onto
+    # the graph of x -> a^e f(x/a), which x -> a^e L(x/a) completes when L
+    # completes f; the search finds a completion of that image too
+    rng, ctx, m, e = random.Random(1709), Field(5), 5, 3
+    xs = range(ctx.size)
+
+    def scaling(c: int, d: int) -> BinLinearMap:
+        return _from_columns(2 * m, 2 * m, [ctx.mul(c, 1 << k) for k in range(m)]
+                             + [ctx.mul(d, 1 << k) << m for k in range(m)])
+
+    completed = 0
+    while completed < 4:
+        w, f = _rank1_gold_image(rng, ctx, 1)
+        L = gold_graph_completion_search(w, 1)
+        if L is None:
+            continue
+        completed += 1
+        a = rng.randrange(2, ctx.size)
+        ae, a_inv = ctx.pow(a, e), ctx.inv(a)
+        S, S_inv = scaling(a, ae), scaling(a_inv, ctx.inv(ae))
+        Ma = _from_columns(2 * m, 2 * m, [S.apply(w.L.apply(S_inv.apply(1 << j))) for j in range(2 * m)])
+        wa = graph_image(Ma, monomial(ctx, e))
+        fa = FuncTable(ctx, [ctx.mul(ae, int(f.as_array()[ctx.mul(x, a_inv)])) for x in xs])
+        assert compose(wa.F2, invert(wa.F1)) == fa
+        La = _from_columns(m, m, [ctx.mul(ae, L.apply(ctx.mul(1 << k, a_inv))) for k in range(m)])
+        assert _completes(fa, La)
+        found = gold_graph_completion_search(wa, 1)
+        assert found is not None and _completes(fa, found)
+
+
 def test_gold_graph_search_budgets_trip():
     ctx = Field(5)
     w = theorem12_ccz_witness(ctx, 1)
     with pytest.raises(BudgetExceededError):
-        gold_graph_completion_search(w.L, ctx, 1, budget=3)
+        gold_graph_completion_search(w, 1, budget=3)
     with pytest.raises(BudgetExceededError):
-        gold_graph_completion_search(w.L, ctx, 1, time_limit=0.0)
+        gold_graph_completion_search(w, 1, time_limit=0.0)
     with pytest.raises(ValueError):
-        gold_graph_completion_search(w.L, ctx, 1, budget=0)
+        gold_graph_completion_search(w, 1, budget=0)
 
 
 @pytest.mark.parametrize(
@@ -1094,17 +1138,17 @@ def test_gold_graph_search_node_counts_are_pinned(m, i, count):
     # thm1 has no completion: a budget of exactly its node count answers
     # None, and one fewer trips
     ctx = Field(m)
-    M = theorem12_ccz_witness(ctx, i).L
-    assert gold_graph_completion_search(M, ctx, i, budget=count) is None
+    w = theorem12_ccz_witness(ctx, i)
+    assert gold_graph_completion_search(w, i, budget=count) is None
     with pytest.raises(BudgetExceededError):
-        gold_graph_completion_search(M, ctx, i, budget=count - 1)
+        gold_graph_completion_search(w, i, budget=count - 1)
 
 
 def test_index_taking_functions_read_a_huge_index_mod_m():
     # only i mod m enters, so 2^i is never formed; here i = 1 (mod m)
     ctx, even = Field(5), Field(6)
     w = theorem12_ccz_witness(ctx, 1)
-    assert gold_graph_completion_search(w.L, ctx, 5 * 10**12 + 1, budget=32) is None
+    assert gold_graph_completion_search(w, 5 * 10**12 + 1, budget=32) is None
     ident, ident6 = monomial(ctx, 1), monomial(even, 1)
     assert gold_perm_criterion(ident, ident, 5 * 10**12 + 1) is gold_perm_criterion(ident, ident, 1)
     assert gold_perm_criterion_even(ident6, 6 * 10**12 + 1) is gold_perm_criterion_even(ident6, 1)
@@ -1112,16 +1156,16 @@ def test_index_taking_functions_read_a_huge_index_mod_m():
 
 def test_gold_graph_search_rejects_what_it_cannot_decide():
     ctx = Field(5)
-    w = theorem12_ccz_witness(ctx, 1)
+    w, cube = theorem12_ccz_witness(ctx, 1), monomial(ctx, 3)
     with pytest.raises(ConditionViolatedError):
-        gold_graph_completion_search(w.L, Field(6), 1)
+        gold_graph_completion_search(theorem12_ccz_witness(Field(6), 1), 1)
     with pytest.raises(GcdViolationError):
-        gold_graph_completion_search(w.L, ctx, 5)
+        gold_graph_completion_search(w, 5)
     rank2 = BinLinearMap(10, 10, [(1 << r) ^ (0x100 << r if r < 2 else 0) for r in range(10)])
     for M in (rank2, _swap_map(5)):
         with pytest.raises(ValueError, match="I \\+ c u\\^T"):
-            gold_graph_completion_search(M, ctx, 1)
+            gold_graph_completion_search(graph_image(M, cube), 1)
     # c = e_0, u = e_5: the first projection x + (bit 0 of x^3) e_0 does not permute
     not_a_graph = BinLinearMap(10, 10, [(1 << r) ^ (0x20 if r == 0 else 0) for r in range(10)])
     with pytest.raises(NotAPermutationError):
-        gold_graph_completion_search(not_a_graph, ctx, 1)
+        gold_graph_completion_search(graph_image(not_a_graph, cube), 1)

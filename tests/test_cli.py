@@ -997,6 +997,38 @@ def test_verify_remark4_searches_the_checked_unit_witness(capsys, monkeypatch):
     assert len(powers) == 1 and [a for _, _, a in built] == [1]
 
 
+def _spy(monkeypatch, name: str, owners) -> list:
+    """Record the positional arguments of every call of ``name`` through
+    each of ``owners`` that holds it, in one list."""
+    calls = []
+    for owner in owners:
+        real = getattr(owner, name, None)
+        if real is not None:
+            spy = lambda *args, real=real, **kw: calls.append(args) or real(*args, **kw)  # noqa: E731
+            monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+def test_witness_consumers_image_each_map_once(capsys, monkeypatch):
+    # the search, example1 and ccz-invariance read the tables of the witness
+    # they hold: one graph image per map, and no Gold table built again
+    owners = (ccz, constructions, cli, vbf)
+    images, transforms = _spy(monkeypatch, "graph_image", owners), _spy(monkeypatch, "ccz_transform", owners)
+    gold = (_spy(monkeypatch, "monomial", owners), _spy(monkeypatch, "evaluate", owners))
+    assert run(capsys, "verify", "remark4", "--m", "7", "--i", "2")[0] == 0
+    assert (len(images), gold) == (1, ([], []))
+    images.clear()
+    assert run(capsys, "verify", "example1", "--m", "7")[0] == 0
+    assert len(images) == 1
+    images.clear()
+    rc, stdout, _ = run(capsys, "verify", "ccz-invariance", "--m", "5", "--count", "8")
+    assert (rc, stdout.splitlines()) == (0, [
+        "ok   at least one of 5 graph maps produced a function",
+        "ok   spectra preserved by all 3 produced functions",
+    ])
+    assert (len(images), transforms) == (5, [])
+
+
 def test_verify_remark4_node_budget_exit3(capsys):
     rc, _, err = run(capsys, "verify", "remark4", "--m", "5", "--i", "1", "--budget", "3")
     assert rc == 3
@@ -1060,7 +1092,7 @@ def test_verify_remark4_lut_fills_its_zero_table_in_blocks(
 def test_verify_remark4_rechecks_a_completion_on_the_table(tmp_path, capsys, monkeypatch):
     # thm1 has no completion, so any map either search returned must fail the check
     monkeypatch.setattr(
-        "vbfkit.cli.gold_graph_completion_search", lambda M, ctx, i, **kw: identity_map(ctx.m)
+        "vbfkit.cli.gold_graph_completion_search", lambda w, i, **kw: identity_map(w.F1.ctx.m)
     )
     monkeypatch.setattr("vbfkit.cli.linear_completion_search", lambda f, **kw: identity_map(f.ctx.m))
     path = tmp_path / "thm1.lut"
@@ -1075,7 +1107,7 @@ def test_verify_remark4_checks_a_completion_on_thm1_not_on_gold(capsys, monkeypa
     # check on the thm1 table itself rejects it
     monkeypatch.setattr(
         "vbfkit.cli.gold_graph_completion_search",
-        lambda M, ctx, i, **kw: BinLinearMap(ctx.m, ctx.m, [0] * ctx.m),
+        lambda w, i, **kw: BinLinearMap(w.F1.ctx.m, w.F1.ctx.m, [0] * w.F1.ctx.m),
     )
     failed = (1, "FAIL the completion found does not make the table a permutation\n", "")
     assert run(capsys, "verify", "remark4", "--m", "5", "--i", "1") == failed
