@@ -1253,20 +1253,30 @@ def test_sampled_claims_reach_no_polynomial(capsys, monkeypatch):
         assert (rc, out[:5]) == (0, "ok   ")
 
 
+def _traced_peak(capsys, *argv) -> int:
+    """The peak of memory that tracemalloc sees while ``argv`` runs; it must pass."""
+    tracemalloc.start()
+    try:
+        assert run(capsys, *argv)[0] == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("claim", ["prop-gold-perm", "prop-gold-perm-even"])
 def test_sampled_claims_decide_in_chunks_of_bounded_memory(capsys, claim):
     argv = ["verify", claim, "--m", "8", "--i", "1", "--seed", "4", "--count"]
-
-    def peak(count: int) -> int:
-        tracemalloc.start()
-        try:
-            assert run(capsys, *argv, str(count))[0] == 0
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     run(capsys, *argv, "1")  # the field's tables are built once, outside the peaks
-    assert peak(2000) < 2 * peak(200)
+    assert _traced_peak(capsys, *argv, "2000") < 2 * _traced_peak(capsys, *argv, "200")
+
+
+def test_verify_ccz_invariance_checks_each_image_as_it_is_made(capsys):
+    # no image is kept once its spectra are compared, so memory does not grow with --count
+    argv = ["verify", "ccz-invariance", "--m", "6", "--seed", "4", "--count"]
+    # the field's tables, and the interpreter's free lists of the maps' row
+    # tuples, are filled outside the peaks
+    run(capsys, *argv, "2000")
+    assert _traced_peak(capsys, *argv, "2000") < 2 * _traced_peak(capsys, *argv, "200")
 
 
 def test_verify_ccz_invariance(capsys):
