@@ -35,6 +35,7 @@ exhausted.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import random
 import sys
@@ -46,6 +47,7 @@ import numpy as np
 from vbfkit.ccz import (
     BinLinearMap,
     BudgetExceededError,
+    SingularError,
     _gold_perm_even_rows,
     _gold_perm_rows,
     _require_index,
@@ -53,7 +55,6 @@ from vbfkit.ccz import (
     graph_image,
     identity_map,
     linear_completion_search,
-    map_invertible,
     power_inequivalence_witness,
 )
 from vbfkit.constructions import (
@@ -94,24 +95,55 @@ from vbfkit.vbf import (
 # -- LUT files ---------------------------------------------------------------
 
 
+# The hex digits that lut_text writes, and from them the bytes.translate
+# table that read_lut reads with: each byte to the value of the digit it is,
+# in either case, and to 16 if it is none.
+_HEX_DIGITS = b"0123456789abcdef"
+_HEX_VALUE = bytes(
+    _HEX_DIGITS.index(c) if c in _HEX_DIGITS else 16 for c in bytes(range(256)).lower()
+)
+
+
 def lut_text(f: FuncTable) -> str:
+    """The LUT file of f: its header line, then each entry as
+    ``f"0x{v:0{width}x}"`` with width (m + 3) // 4, one line each."""
     ctx = f.ctx
     width = (ctx.m + 3) // 4
-    lines = [f"m={ctx.m} poly=0x{ctx.poly:x}"]
-    lines.extend(f"0x{v:0{width}x}" for v in f.as_array().tolist())
-    return "\n".join(lines) + "\n"
+    shifts = np.arange(4 * width - 4, -1, -4, dtype=np.uint32)
+    rows = np.empty((ctx.size, width + 3), dtype=np.uint8)
+    rows[:, :2] = np.frombuffer(b"0x", dtype=np.uint8)
+    digits = np.frombuffer(_HEX_DIGITS, dtype=np.uint8)
+    rows[:, 2:-1] = digits[(f.as_array()[:, None] >> shifts) & 15]
+    rows[:, -1] = ord("\n")
+    return f"m={ctx.m} poly=0x{ctx.poly:x}\n" + rows.tobytes().decode("ascii")
 
 
-def read_lut(path: str) -> FuncTable:
-    try:
-        with open(path, encoding="ascii") as fh:
-            lines = [ln for ln in map(str.strip, fh) if ln]
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not ASCII text (byte 0x{exc.object[exc.start]:02x})") from None
-    if not lines:
-        raise ValueError(f"{path}: empty LUT file")
+def _canonical_entries(body: bytes) -> np.ndarray | None:
+    """The entries of a LUT body in the form lut_text writes, every line
+    ``0x``, then one number of hex digits in either case, then a newline;
+    None for any other body.  Up to 15 digits, so that every entry fits an
+    int64."""
+    width = body.find(b"\n") + 1  # that of every line, if the body is canonical
+    n = len(body) // width if 4 <= width <= 18 else 0
+    if not n or n * width != len(body) or body.count(b"\n") != n:
+        return None
+    # n newlines, none of them in a prefix or a digit, can only be the n line ends
+    if body[::width] != b"0" * n or body[1::width] != b"x" * n:
+        return None
+    digits = np.frombuffer(body.translate(_HEX_VALUE), dtype=np.uint8).reshape(n, width)[:, 2:-1]
+    if digits.max() > 15:
+        return None
+    values = digits[:, 0].astype(np.int64)
+    for column in digits.T[1:]:
+        values <<= 4
+        values |= column
+    return values
+
+
+def _lut_field(path: str, header: str) -> Field:
+    """The field that a LUT file's header line names."""
     head = {}
-    for key, _, value in (tok.partition("=") for tok in lines[0].split()):
+    for key, _, value in (tok.partition("=") for tok in header.split()):
         if key in head:
             raise ValueError(f"{path}: header field {key} given more than once")
         head[key] = value
@@ -123,11 +155,40 @@ def read_lut(path: str) -> FuncTable:
         except ValueError:
             raise ValueError(f"{path}: field {key} is not a {kind} number: {head[key]!r}") from None
     try:
-        ctx = Field(head["m"], head["poly"])
+        return Field(head["m"], head["poly"])
     except ValueError as exc:
         # Field checks the degree first, then the polynomial
         key = "poly" if _MIN_DEGREE <= head["m"] <= _MAX_DEGREE else "m"
         raise ValueError(f"{path}: header field {key}: {exc}") from None
+
+
+def read_lut(path: str) -> FuncTable:
+    """The table of a LUT file.  A body in the form lut_text writes, under a
+    first line that is the header, is read in one array pass; any other
+    file by `_lut_by_lines`."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    head, _, body = data.partition(b"\n")
+    # the first line is the header exactly when the line reader would take it
+    header = head.decode("ascii").strip() if head.isascii() and b"\r" not in head else ""
+    values = _canonical_entries(body) if header else None
+    if values is None:
+        return _lut_by_lines(path, data)
+    return FuncTable(_lut_field(path, header), values)
+
+
+def _lut_by_lines(path: str, data: bytes) -> FuncTable:
+    """The table of any LUT file, read as ASCII text with universal newlines:
+    blank lines are skipped, the first other line is the header, and each
+    line after it is one entry, as ``int(tok, 16)`` reads it."""
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not ASCII text (byte 0x{exc.object[exc.start]:02x})") from None
+    lines = [ln for ln in map(str.strip, io.StringIO(text, newline=None)) if ln]
+    if not lines:
+        raise ValueError(f"{path}: empty LUT file")
+    ctx = _lut_field(path, lines[0])
     try:
         values = [int(tok, 16) for tok in lines[1:]]
     except ValueError:
@@ -535,9 +596,11 @@ def verify_ccz_invariance(args: argparse.Namespace) -> int:
         rng = random.Random(args.seed)
         for _ in range(args.count):
             rows = [rng.randrange(1, 1 << (2 * ctx.m)) for _ in range(2 * ctx.m)]
-            L = BinLinearMap(2 * ctx.m, 2 * ctx.m, rows)
-            if map_invertible(L):
-                yield graph_image(L, f)
+            try:
+                w = graph_image(BinLinearMap(2 * ctx.m, 2 * ctx.m, rows), f)
+            except SingularError:
+                continue
+            yield w
 
     maps = produced = changed = 0
     for w in images():

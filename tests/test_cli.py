@@ -1021,12 +1021,15 @@ def test_witness_consumers_image_each_map_once(capsys, monkeypatch):
     assert run(capsys, "verify", "example1", "--m", "7")[0] == 0
     assert len(images) == 1
     images.clear()
+    ranks = _spy(monkeypatch, "map_invertible", owners)
     rc, stdout, _ = run(capsys, "verify", "ccz-invariance", "--m", "5", "--count", "8")
     assert (rc, stdout.splitlines()) == (0, [
         "ok   at least one of 5 graph maps produced a function",
         "ok   spectra preserved by all 3 produced functions",
     ])
-    assert (len(images), transforms) == (5, [])
+    # the three structured maps and the 8 random ones, 6 of them singular,
+    # each imaged and ranked once
+    assert (len(images), len(ranks), transforms) == (11, 11, [])
 
 
 def test_verify_remark4_node_budget_exit3(capsys):
@@ -1533,3 +1536,95 @@ def test_lut_round_trip_is_the_same_table(f):
             fh.write(lut_text(f))
         back = read_lut(path)
     assert back == f  # equal fields (degree and polynomial) and entries
+
+
+def _lut_file(tmp_path, data: bytes) -> str:
+    path = tmp_path / "f.lut"
+    path.write_bytes(data)
+    return str(path)
+
+
+# spellings of one table that the line reader accepts, from its head line
+# and its canonical entry lines; "upper-digits" is canonical too
+_LUT_SPELLINGS = {
+    "upper-digits": lambda head, lines: [head, *(ln.upper().replace("X", "x") for ln in lines)],
+    "uppercase": lambda head, lines: [head, *(ln.upper() for ln in lines)],
+    "0X-prefix": lambda head, lines: [head, *(ln.replace("0x", "0X") for ln in lines)],
+    "no-prefix": lambda head, lines: [head, *(ln[2:] for ln in lines)],
+    "blank-lines": lambda head, lines: ["", head, "", *lines[:7], "  ", *lines[7:], ""],
+    "padded-lines": lambda head, lines: [f" {head}\t", *(f"  {ln} " for ln in lines)],
+    "mixed-widths": lambda head, lines: [head, *(f"0x{int(ln, 16):x}" for ln in lines)],
+    "wide-entries": lambda head, lines: [head, *(f"0x{int(ln, 16):020x}" for ln in lines)],
+    # a bare CR ends the header line: the first LF-ended line is no header
+    "CR-after-header": lambda head, lines: [f"{head}\r{lines[0]}", *lines[1:]],
+}
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+@pytest.mark.parametrize("spelling", _LUT_SPELLINGS)
+@pytest.mark.parametrize("m", [4, 9])
+def test_lut_spellings_read_as_the_same_table(tmp_path, m, spelling, ending):
+    f = FuncTable(Field(m), np.random.default_rng(m).permutation(1 << m))
+    head, *lines = lut_text(f).splitlines()
+    text = ending.join(_LUT_SPELLINGS[spelling](head, lines))
+    for data in (text + ending, text):  # with and without a final line end
+        path = _lut_file(tmp_path, data.encode())
+        assert read_lut(path) == f == cli._lut_by_lines(path, data.encode())
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (b"0x" + b"f" * 20 + b"\n" + b"0x00\n" * 31, "table entry 1208925819614629174706175 outside [0, 32)"),
+        (b"0x0g\n" + b"0x00\n" * 31, "{path}: table entries must be hex integers"),
+        (b"0x00\n" * 31, "table needs 32 entries, got 31"),
+        (b"0x00\n" * 31 + b"0x1\xe9\n", "{path}: not ASCII text (byte 0xe9)"),
+        (b"0x00\n" * 31 + b"0x20\n", "table entry 32 outside [0, 32)"),
+        (b"0x00\n" * 33, "table needs 32 entries, got 33"),
+        # lines of the canonical width that are not in the canonical form
+        (b"0x00\n" + b"0x00 0x00\n" + b"0x00\n" * 29, "{path}: table entries must be hex integers"),
+        (b"0x00\n" * 31 + b"1x00\n", "{path}: table entries must be hex integers"),
+        (b"0x00\n" * 31 + b"0100\n", "table entry 256 outside [0, 32)"),
+        # the widest canonical entries, and one digit more, beyond int64
+        (b"0x" + b"f" * 15 + (b"\n0x" + b"0" * 15) * 31 + b"\n", "table entry 1152921504606846975 outside [0, 32)"),
+        (b"0x" + b"f" * 16 + (b"\n0x" + b"0" * 16) * 31 + b"\n", "table entry 18446744073709551615 outside [0, 32)"),
+    ],
+    ids=["20-digits", "non-hex-at-width", "one-short", "non-ascii-body", "out-of-range", "one-over",
+         "two-on-a-line", "1x-prefix", "no-prefix-at-width", "15-digits", "16-digits"],
+)
+def test_malformed_lut_body_is_one_error_line(tmp_path, capsys, body, message):
+    path = _lut_file(tmp_path, b"m=5 poly=0x25\n" + body)
+    rc, stdout, err = run(capsys, "analyze", path)
+    assert (rc, stdout, err) == (2, "", f"error: {message.format(path=path)}\n")
+
+
+def _two_irreducibles(m: int) -> list[int]:
+    return [p for p in range((1 << m) + 1, 2 << m, 2) if is_irreducible(p)][:2]
+
+
+@pytest.mark.parametrize("m", range(2, 17))
+def test_lut_text_is_the_formatted_entries(m):
+    values = np.random.default_rng(m).integers(0, 1 << m, size=1 << m)
+    values[:2] = 0, (1 << m) - 1  # the widest and the most padded entry
+    width = (m + 3) // 4
+    for poly in _two_irreducibles(m):
+        f = FuncTable(Field(m, poly), values)
+        lines = [f"m={m} poly=0x{poly:x}", *(f"0x{v:0{width}x}" for v in values.tolist())]
+        assert lut_text(f) == "\n".join(lines) + "\n"
+
+
+def test_canonical_lut_never_reaches_the_line_reader(tmp_path, monkeypatch):
+    reference = cli._lut_by_lines
+    by_lines = _spy(monkeypatch, "_lut_by_lines", (cli,))
+    for argv in (("gold", "4", "--i", "1"), ("gold", "9", "--i", "2"), ("thm1", "7", "--i", "1"),
+                 ("inverse", "10")):
+        path = tmp_path / f"{argv[0]}{argv[1]}.lut"
+        assert main(["construct", "--family", argv[0], "--m", *argv[1:], "--out", str(path)]) == 0
+        head, body = path.read_bytes().split(b"\n", 1)
+        for data in (head + b"\n" + body, head + b"\n" + body.upper().replace(b"X", b"x")):
+            path.write_bytes(data)  # upper-case digits are canonical too
+            assert read_lut(str(path)) == reference(str(path), data)
+            assert by_lines == []
+    path.write_bytes(data.replace(b"\n", b"\r\n"))
+    read_lut(str(path))
+    assert len(by_lines) == 1
