@@ -101,9 +101,10 @@ ENTRIES = {
     # searched; the Gold table at even m has bent rows, which answer at once
     "remark4-lut-thm1-m7": ["verify", "remark4", "--lut", _family_lut_arg("thm1", 7, 1)],
     "remark4-lut-gold-m12": ["verify", "remark4", "--lut", _family_lut_arg("gold", 12, 1)],
-    # as CI runs it: the search answers at once, so reading the LUT is most of it
+    # as CI runs it: a bent row in the first Walsh block ends the search, so
+    # reading the 2^14-line LUT is a large share of the time
     "remark4-lut-gold-m14": ["verify", "remark4", "--lut", _family_lut_arg("gold", 14, 1)],
-    # the LUT writer on 2^20 entries, after the table is built
+    # writing 2^20 LUT lines, next to building the Gold table
     "construct-gold-m20": ["construct", "--family", "gold", "--m", "20", "--i", "1",
                            "--out", os.devnull],
     "tier1": None,  # the test suite, in a subprocess
