@@ -38,17 +38,22 @@ modulo gcd(ell, 2^m - 1), and squaring doubles log b.  A table with neither
 identity (a random table, say) still gets every row and an exact
 spectrum.
 
-Small tables skip the orbits: while the n x n block of an n-entry table
-has at most ``_ONE_BLOCK_CELLS`` = 2^12 cells (m <= 6), each spectrum is
-one block of every row.  The Walsh block takes the dot-product masks
-1..n - 1 in their natural order rather than the masks D[b]: as D is a
-bijection fixing 0, {D[b] : b != 0} is the same set of masks, so the
-multiset is the same.  The difference block keys each ordered pair
-(x, y) by G(x) ^ G(y) on the graph G(x) = x << m | F(x), which packs
-(a, F(x + a) + F(x)) for a = x ^ y.  At m = 6 one block took at most
-half the time of the orbits on every table measured; at m = 7 the orbits
-of x^3 took under half the time of one block (figures beside
-``_ONE_BLOCK_CELLS``), so the cut-off sits at m <= 6.
+Some tables skip the orbits, and each spectrum takes every row at once
+(``_every_row``; the figures are beside ``_ONE_BLOCK_CELLS``).  Every
+table does while the n x n block of an n-entry table has at most 2^12
+cells (m <= 6): from m = 7 on, the orbits of x^3 take under half the time
+of every row.  A table whose orbits are all trivial, as when neither
+identity holds, has every row to take anyway; its Walsh rows take them at
+once up to m = 10, and its difference directions at m = 7.  The Walsh
+rows come from the Sylvester matrix H, whose row F(x), sliced to a block
+of masks, holds the signs (-1)^parity(b & F(x)) of those masks: H times
+the rows gathered at every x is W(a, b) for every a, and the blocks
+together hold the masks 0..n - 1, whose column b = 0 is taken out once.
+The masks 1..n - 1 come in their natural order rather than as the masks
+D[b]; as D is a bijection fixing 0, {D[b] : b != 0} is the same set of
+masks, so the multiset is the same.  The difference block keys each
+ordered pair (x, y) by G(x) ^ G(y) on the graph G(x) = x << m | F(x),
+which packs (a, F(x + a) + F(x)) for a = x ^ y.
 """
 
 from __future__ import annotations
@@ -105,6 +110,13 @@ def _sylvester(k: int) -> np.ndarray:
     return h
 
 
+def _factor_widths(k: int) -> list[int]:
+    """Bit widths s_0 <= ... <= s_(t-1) of the t near-equal factors
+    H_(2^s_j) of H_(2^k): t = 2 below k = 12 and t = 3 from there on."""
+    t = 2 if k < 12 else 3
+    return [(k + j) // t for j in range(t)]
+
+
 def _fwht_rows(mat: np.ndarray) -> np.ndarray:
     """Walsh-Hadamard transform of each +-1 row (length 2^k), as a new int32 array.
 
@@ -124,8 +136,7 @@ def _fwht_rows(mat: np.ndarray) -> np.ndarray:
     k = n.bit_length() - 1
     if k > _MAX_DEGREE:
         raise TooLargeError(f"float32 transform is exact up to 2^{_MAX_DEGREE}; row length 2^{k}")
-    t = 2 if k < 12 else 3
-    widths = [(k + j) // t for j in range(t)]
+    widths = _factor_widths(k)
     outer, inner = k - widths[-1], widths[-1]
     y = mat.astype(np.float32).reshape(rows << outer, 1 << inner) @ _sylvester(inner)
     for s in reversed(widths[:-1]):
@@ -193,15 +204,37 @@ def _sign_rows(f: FuncTable, masks: np.ndarray) -> np.ndarray:
     return 1 - 2 * (np.bitwise_count(prods) & 1).astype(np.int32)
 
 
-# Both spectra take every row at once, with no orbits, while the n x n
-# block of an n-entry table has at most this many cells: m <= 6.  Both
-# spectra of a fresh table, median of 300 calls on a 2-core Xeon with one
-# BLAS thread, over runs in two host states: at m = 6, 55-86 us one block
-# against 117-361 us through the orbits (random, x^3, x^3 + x^5, thm2);
-# at m = 7, x^3 took 72-147 us through the orbits against 188-285 us one
-# block.  From m = 7 on the orbit path wins for power maps, whose rows and
-# directions are one orbit each.
+# Every-row routes.  Both spectra take every row at once, with no orbits,
+# while the n x n block of an n-entry table has at most _ONE_BLOCK_CELLS
+# cells: m <= 6.  Both spectra of a fresh table, median of 300 calls on a
+# 2-core Xeon with one BLAS thread, over runs in two host states: at m = 6,
+# 55-86 us one block against 117-361 us through the orbits (random, x^3,
+# x^3 + x^5, thm2); at m = 7, x^3 took 72-147 us through the orbits against
+# 188-285 us one block.  From m = 7 on the orbit path wins for power maps,
+# whose rows and directions are one orbit each, and ties on tables that
+# only commute with squaring.  A table whose orbits (of Walsh rows, or of
+# difference directions) are all trivial has every row to take anyway, and
+# takes it at once while its n x n block has at most _NO_SYMMETRY_CELLS
+# cells, one cap per spectrum.  The Walsh gather kernel serves up to 2^20
+# cells (m <= 10), where the kept H_n is at most 4 MiB: on a random table,
+# median of 3 rounds with one BLAS thread, the orbit path took 123, 382,
+# 1427 and 5773 us at m = 7-10 and the gather kernel 79, 254, 887 and
+# 4182 us (with two threads, 8 rounds: 476 -> 323 us at m = 8 and
+# 6162 -> 4510 us at m = 10).  The difference graph keys serve up to 2^14
+# cells (m = 7): a random table took 0.09 ms one block against 0.16 ms
+# through the orbits, and at m = 8 0.59 against 0.39 ms (medians of 50).
 _ONE_BLOCK_CELLS = 1 << 12
+_NO_SYMMETRY_CELLS = (1 << 20, 1 << 14)  # Walsh rows, difference directions
+
+
+def _every_row(f: FuncTable, spectrum: int) -> bool:
+    """Whether spectrum 0 (Walsh) or 1 (differences) of f takes every row
+    at once, by the rule above; index ``spectrum`` of ``_symmetry_orbits``
+    holds that spectrum's orbits, which are read only from m = 7 on."""
+    n = f.ctx.size
+    if n * n <= _ONE_BLOCK_CELLS:
+        return True
+    return n * n <= _NO_SYMMETRY_CELLS[spectrum] and len(_symmetry_orbits(f)[spectrum][0]) == n - 1
 
 
 def _block_rows(n: int, floor: int = 1) -> int:
@@ -228,6 +261,37 @@ def _walsh_blocks(f: FuncTable, masks: np.ndarray):
         yield start, _fwht_rows(_sign_rows(f, masks[start:start + block]))
 
 
+def _gather_walsh_blocks(f: FuncTable):
+    """(start, block) pairs of the dot-product Walsh values of every mask,
+    in float32 blocks of ``_block_rows(2^m, floor=64)`` masks, one alive at
+    a time: entry (a, j) is W(a, b) for mask b = start + j, the mask b = 0
+    included.
+
+    Row F(x) of the Sylvester matrix H = H_(2^m), sliced to a block of
+    masks, holds (-1)^parity(b & F(x)) for every mask b of the block, so
+    the rows gathered at every x are the block's sign rows as columns, with
+    no popcount.  H times them is W(a, b) at row a: one product per factor
+    of the split (``_factor_widths``, or H itself up to
+    ``_ONE_BLOCK_CELLS``), down the x axis, with the fields above the
+    factor's as the batch.  Every partial sum is an integer of magnitude at
+    most 2^m, exact in float32.  With two OpenBLAS threads, blocks of 128
+    masks at m = 9 stalled for about 30 ms a call, and blocks of 64 did not.
+    """
+    ctx = f.ctx
+    n = ctx.size
+    h = _sylvester(ctx.m)
+    vals = f.as_array()
+    widths = [ctx.m] if n * n <= _ONE_BLOCK_CELLS else _factor_widths(ctx.m)
+    block = _block_rows(n, floor=64)
+    for start in range(0, n, block):
+        y = h[vals, start:start + block]
+        outer = 1
+        for s in widths:
+            y = np.matmul(_sylvester(s), y.reshape(outer, 1 << s, -1))
+            outer <<= s
+        yield start, y.reshape(n, -1)
+
+
 def walsh_spectrum(f: FuncTable) -> WalshSpectrum:
     """Multiset of walsh(a, b) over all a and all b != 0.
 
@@ -239,18 +303,21 @@ def walsh_spectrum(f: FuncTable) -> WalshSpectrum:
     F(gx) = lam*F(x)) hold the same multiset.  A table without either
     symmetry gets every row b != 0.
 
-    Up to m = 6 (``_ONE_BLOCK_CELLS``) there are no orbits: the sign rows
-    of the masks 1..n - 1, which are the masks D[b] in another order, are
-    the Sylvester matrix's rows 1..n - 1 gathered at the columns F(x), and
-    one product with that matrix and one bincount give the multiset.
+    Where ``_every_row`` holds (every table up to m = 6, and up to m = 10 a
+    table whose row orbits are all trivial), ``_gather_walsh_blocks`` takes
+    the dot-product rows of the masks 1..n - 1 in their natural order
+    instead, with one bincount per block and column b = 0 taken out once at
+    the end: the masks are the D[b] in another order, so the multiset is the
+    same.
     """
     ctx = f.ctx
     n = ctx.size
-    if n * n <= _ONE_BLOCK_CELLS:
-        h = _sylvester(ctx.m)  # sign row b is column F(x) of H's row b, at every x
-        mat = h[1:, f.as_array()] @ h
-        mat += n
-        counts = np.bincount(mat.astype(np.intp).ravel())
+    if _every_row(f, 0):
+        counts = np.zeros(2 * n + 1, dtype=np.int64)
+        counts[n], counts[2 * n] = 1 - n, -1  # column b = 0: W(0, 0) = n, else W(a, 0) = 0
+        for _, mat in _gather_walsh_blocks(f):
+            mat += n
+            counts += np.bincount(mat.astype(np.intp).ravel(), minlength=2 * n + 1)
     else:
         reps, sizes = _symmetry_orbits(f)[0]
         masks = _dual_reindex(ctx)[reps]
@@ -267,8 +334,7 @@ def walsh_spectrum(f: FuncTable) -> WalshSpectrum:
         counts = counts[:used]
     values = np.flatnonzero(counts)
     dist = dict(zip((values - n).tolist(), counts[values].tolist()))
-    max_abs = max(abs(v) for v in dist)
-    return WalshSpectrum(ctx.m, dist, max_abs)
+    return WalshSpectrum(ctx.m, dist, int(max(n - values[0], values[-1] - n)))
 
 
 def nonlinearity(f: FuncTable, spectrum: WalshSpectrum | None = None) -> int:
@@ -321,8 +387,9 @@ def differential_spectrum(f: FuncTable) -> DifferentialSpectrum:
     pair counts of every (a, b) in the block, and a second one their
     histogram.  From m = 14 on a block is one direction.
 
-    Up to m = 6 (``_ONE_BLOCK_CELLS``) there are no orbits or half
-    domains: the key of an ordered pair (x, y) is G(x) ^ G(y) for the graph
+    Where ``_every_row`` holds (every table up to m = 6, and at m = 7 a
+    table whose direction orbits are all trivial) there are no orbits or
+    half domains: the key of an ordered pair (x, y) is G(x) ^ G(y) for the graph
     G(x) = x << m | F(x), that is (x ^ y) << m | F(x) ^ F(y), so with
     a = x ^ y one bincount of all n^2 keys gives every fiber size
     |{x : F(x + a) + F(x) = b}| at key a << m | b, and a second one, past
@@ -332,7 +399,7 @@ def differential_spectrum(f: FuncTable) -> DifferentialSpectrum:
     n = ctx.size
     vals = f.as_array().astype(np.intp)
     xs = np.arange(n, dtype=np.intp)
-    if n * n <= _ONE_BLOCK_CELLS:
+    if _every_row(f, 1):
         graph = xs << ctx.m | vals
         keys = graph[:, None] ^ graph[None, :]  # (x ^ y) << m | F(x) ^ F(y)
         # fiber sizes are even, so every other bin of their histogram is 0

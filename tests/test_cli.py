@@ -922,6 +922,36 @@ def test_construct_twisted_family_checks_no_witness(capsys, monkeypatch, family_
     assert hashlib.sha256(stdout.encode("ascii")).hexdigest() == digest
 
 
+_RANDOM_LUT_REPORTS = [
+        (7, "function", "268a952f7c4a883d40adba058e0add99fc32010452714c554edd00a6c2be9b38"),
+        (7, "permutation", "407b51c5ab89154953e455e946c709debf00d70b058fcedf0bb43a611837e69b"),
+        (8, "function", "8b0802268ff2c4edc17b9aa9ddfb53ce6286adf01e223c1315fd6b80aa490c07"),
+        (8, "permutation", "f27fde557a63816e08a680476df09b935b46c4b5b79cc0c9fa8f465e271b8832"),
+        (9, "function", "76d4adece78bf443993017ffc047d8dea5c4a3a6e6c451277549db6df173417d"),
+        (9, "permutation", "0f3b088ed3493e837b3b7ca734b08f502222db5f441698e704d97869670858dd"),
+        (10, "function", "02f3386c09041499bcabf3ca854239c4ab90a589adf7d2f59105c24e9115ce05"),
+        (10, "permutation", "602e39d3a07dd1f388bc72ce92efc6b64d6d73911f40d69444a7d192f8877a6c"),
+        (11, "function", "6297054b377090c2b4cfc496692bf76987d85f6f0d619feffb2f79720fadff4e"),
+        (11, "permutation", "e0fdd9024443f7d043c30dc8dc5bfc37f41af054c8a9467f0b099275a23b376c"),
+]
+
+
+@pytest.mark.parametrize("m, kind, digest", _RANDOM_LUT_REPORTS,
+                         ids=[f"{k}-m{m}" for m, k, _ in _RANDOM_LUT_REPORTS])
+def test_random_lut_report_bytes_are_pinned(tmp_path, capsys, m, kind, digest):
+    # tables with no symmetry, on both sides of the Walsh gather kernel's
+    # cap (m <= 10) and at the m = 7 difference block; the digests were
+    # taken before those routes existed, from the orbit path
+    n = 1 << m
+    rng = np.random.default_rng(3400 + m)
+    vals = rng.integers(0, n, size=n) if kind == "function" else rng.permutation(n)
+    path = tmp_path / "random.lut"
+    path.write_text(lut_text(FuncTable(Field(m), vals)))
+    rc, stdout, err = run(capsys, "analyze", str(path))
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(stdout.encode("ascii")).hexdigest() == digest
+
+
 @pytest.mark.parametrize(
     "argv", [("thm1", "--m", "7"), ("thm2", "--m", "6", "--i", "5", "--a", "3")]
 )

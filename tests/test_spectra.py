@@ -795,13 +795,93 @@ def test_one_block_spectra_match_walsh_value_and_the_full_domain_oracle(monkeypa
         assert wspec.max_abs == max(abs(v) for v in wspec.distribution), name
 
 
+def _route_spy(monkeypatch) -> tuple[list, list]:
+    """Lists that record each table whose Walsh spectrum takes the gather
+    kernel, and each (spectrum, table) that ``_every_row`` sends through
+    every row at once (spectrum 0 Walsh, 1 differences)."""
+    gathered, every_row = [], []
+    gather, rule = spectra._gather_walsh_blocks, spectra._every_row
+
+    def gather_spy(f):
+        gathered.append(f)
+        return gather(f)
+
+    def rule_spy(f, spectrum):
+        taken = rule(f, spectrum)
+        if taken:
+            every_row.append((spectrum, f))
+        return taken
+
+    monkeypatch.setattr(spectra, "_gather_walsh_blocks", gather_spy)
+    monkeypatch.setattr(spectra, "_every_row", rule_spy)
+    return gathered, every_row
+
+
 @pytest.mark.parametrize("m", [6, 7])
 def test_spectra_on_both_sides_of_the_one_block_cut_off(monkeypatch, m):
-    calls = []
-    real = spectra._symmetry_orbits
-    monkeypatch.setattr(spectra, "_symmetry_orbits", lambda f: calls.append(f) or real(f))
+    gathered, every_row = _route_spy(monkeypatch)
     cases = _one_block_cases(Field(m))
     for name, tab in cases.items():
         _assert_matches_all_rows(tab)
-    # the orbit path from m = 7 on, once per spectrum
-    assert len(calls) == (2 * len(cases) if m == 7 else 0)
+    walsh = {name for name, tab in cases.items() if any(tab is f for f in gathered)}
+    diff = {name for name, tab in cases.items() if any(tab is f for s, f in every_row if s == 1)}
+    if m == 6:  # every table, with no orbits
+        assert walsh == diff == set(cases)
+    else:  # from m = 7 on, only the tables whose rows or directions are all trivial orbits
+        assert walsh == {"random", "permutation", "constant", "linear", f"g*x^{Field(m).order}"}
+        assert diff == {"random", "permutation", "linear"}
+
+
+def _no_symmetry_cases(ctx: Field) -> dict:
+    """Tables with neither symmetry: a random function, a random permutation
+    and x^3 + x^5 with one entry changed at x >= 2."""
+    n = ctx.size
+    rng = np.random.default_rng(700 + ctx.m + ctx.poly)
+    vals = evaluate(UnivariatePoly(ctx, {3: 1, 5: 1})).as_array().copy()
+    vals[rng.integers(2, n)] ^= rng.integers(1, n)
+    return {
+        "random": FuncTable(ctx, rng.integers(0, n, size=n)),
+        "permutation": FuncTable(ctx, rng.permutation(n)),
+        "perturbed": FuncTable(ctx, vals),
+    }
+
+
+@pytest.mark.parametrize("m", range(7, 11))
+def test_every_row_walsh_matches_all_rows_oracle_and_walsh_value(monkeypatch, m):
+    gathered, _ = _route_spy(monkeypatch)
+    for poly in _two_polys(m):
+        ctx = Field(m, poly)
+        n = ctx.size
+        dual = _dual_reindex(ctx)
+        inverse = np.argsort(dual)  # the trace row b is the dot-product row of mask dual[b]
+        rng = np.random.default_rng(m)
+        for name, tab in _no_symmetry_cases(ctx).items():
+            assert _is_fallback(tab), name
+            _assert_matches_all_rows(tab)
+            assert gathered[-1] is tab, name
+            if m > 8:  # walsh_value takes about 1 ms a cell at m = 8
+                continue
+            # entry (a, j) of a block is the dot-product W(a, start + j), mask 0 included
+            for start, block in spectra._gather_walsh_blocks(tab):
+                if start == 0:
+                    assert block[:, 0].tolist() == [n] + [0] * (n - 1), name
+                rows, cols = rng.integers(0, n, size=6), rng.integers(0, block.shape[1], size=6)
+                for a, j in zip(rows.tolist(), cols.tolist()):
+                    want = walsh_value(tab, int(inverse[a]), int(inverse[start + j]))
+                    assert block[a, j] == want, (name, a, start + j)
+
+
+@pytest.mark.parametrize("m", [7, 10, 11])
+def test_gather_kernel_route_stops_after_m10(monkeypatch, m):
+    gathered, every_row = _route_spy(monkeypatch)
+    ctx = Field(m)
+    n = ctx.size
+    random_table = FuncTable(ctx, np.random.default_rng(800 + m).integers(0, n, size=n))
+    symmetric = [monomial(ctx, 3), theorem1(ctx, 1) if m % 2 else theorem2(ctx, 1)]
+    for tab in (random_table, *symmetric):
+        walsh_spectrum(tab), differential_spectrum(tab)
+    assert [f is random_table for f in gathered] == ([True] if m <= 10 else [])
+    assert [(s, f is random_table) for s, f in every_row] == {
+        7: [(0, True), (1, True)], 10: [(0, True)], 11: []}[m]
+    if m == 11:  # the orbit path still gives every row
+        _assert_matches_all_rows(random_table)

@@ -72,9 +72,11 @@ ENTRIES = {
     "analyze-thm4-m15-n5": _analyze("--family", "thm4", "--m", "15", "--n", "5", "--i", "1"),
     "analyze-inverse-m17": _analyze("--family", "inverse", "--m", "17"),
     # tables without symmetry: every Walsh row and difference direction is scanned;
-    # up to m = 6 both spectra are one block of every row, with no orbits
+    # up to m = 6 both spectra are one block of every row, with no orbits, and
+    # up to m = 10 the Walsh rows are gathered from the Sylvester matrix:
+    # m = 10 is that route's top and m = 11 the first size past it
     **{f"analyze-random-lut-m{m}": _analyze(_random_lut_arg(m, "function")) for m in (6, 8, 9)},
-    "analyze-random-lut-m13": _analyze(_random_lut_arg(13, "permutation")),
+    **{f"analyze-random-lut-m{m}": _analyze(_random_lut_arg(m, "permutation")) for m in (10, 11, 13)},
     # the orbit path on a family's own table: thm1 commutes with squaring
     # only; the Gold map at m = 16 scales by lam = g^3, which is not
     # primitive, so its rows are three residue classes of log b before
