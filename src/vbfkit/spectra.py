@@ -271,22 +271,26 @@ def _gather_walsh_blocks(f: FuncTable):
     masks, holds (-1)^parity(b & F(x)) for every mask b of the block, so
     the rows gathered at every x are the block's sign rows as columns, with
     no popcount.  H times them is W(a, b) at row a: one product per factor
-    of the split (``_factor_widths``, or H itself up to
-    ``_ONE_BLOCK_CELLS``), down the x axis, with the fields above the
-    factor's as the batch.  Every partial sum is an integer of magnitude at
-    most 2^m, exact in float32.  With two OpenBLAS threads, blocks of 128
-    masks at m = 9 stalled for about 30 ms a call, and blocks of 64 did not.
+    of the split (``_factor_widths``), down the x axis, with the fields
+    above the factor's as the batch.  Up to ``_ONE_BLOCK_CELLS`` the block
+    holds every mask and H itself is the one factor; that case skips the
+    loop, whose Python steps cost about 1.3 us of a 15 us spectrum at m = 5.
+    Every partial sum is an integer of magnitude at most 2^m, exact in
+    float32.  With two OpenBLAS threads, blocks of 128 masks at m = 9
+    stalled for about 30 ms a call, and blocks of 64 did not.
     """
     ctx = f.ctx
     n = ctx.size
     h = _sylvester(ctx.m)
     vals = f.as_array()
-    widths = [ctx.m] if n * n <= _ONE_BLOCK_CELLS else _factor_widths(ctx.m)
+    if n * n <= _ONE_BLOCK_CELLS:  # one block, with H itself as the one factor
+        yield 0, h @ h[vals]
+        return
     block = _block_rows(n, floor=64)
     for start in range(0, n, block):
         y = h[vals, start:start + block]
         outer = 1
-        for s in widths:
+        for s in _factor_widths(ctx.m):
             y = np.matmul(_sylvester(s), y.reshape(outer, 1 << s, -1))
             outer <<= s
         yield start, y.reshape(n, -1)
