@@ -923,16 +923,16 @@ def test_construct_twisted_family_checks_no_witness(capsys, monkeypatch, family_
 
 
 _RANDOM_LUT_REPORTS = [
-        (7, "function", "268a952f7c4a883d40adba058e0add99fc32010452714c554edd00a6c2be9b38"),
-        (7, "permutation", "407b51c5ab89154953e455e946c709debf00d70b058fcedf0bb43a611837e69b"),
-        (8, "function", "8b0802268ff2c4edc17b9aa9ddfb53ce6286adf01e223c1315fd6b80aa490c07"),
-        (8, "permutation", "f27fde557a63816e08a680476df09b935b46c4b5b79cc0c9fa8f465e271b8832"),
-        (9, "function", "76d4adece78bf443993017ffc047d8dea5c4a3a6e6c451277549db6df173417d"),
-        (9, "permutation", "0f3b088ed3493e837b3b7ca734b08f502222db5f441698e704d97869670858dd"),
-        (10, "function", "02f3386c09041499bcabf3ca854239c4ab90a589adf7d2f59105c24e9115ce05"),
-        (10, "permutation", "602e39d3a07dd1f388bc72ce92efc6b64d6d73911f40d69444a7d192f8877a6c"),
-        (11, "function", "6297054b377090c2b4cfc496692bf76987d85f6f0d619feffb2f79720fadff4e"),
-        (11, "permutation", "e0fdd9024443f7d043c30dc8dc5bfc37f41af054c8a9467f0b099275a23b376c"),
+    (7, "function", "268a952f7c4a883d40adba058e0add99fc32010452714c554edd00a6c2be9b38"),
+    (7, "permutation", "407b51c5ab89154953e455e946c709debf00d70b058fcedf0bb43a611837e69b"),
+    (8, "function", "8b0802268ff2c4edc17b9aa9ddfb53ce6286adf01e223c1315fd6b80aa490c07"),
+    (8, "permutation", "f27fde557a63816e08a680476df09b935b46c4b5b79cc0c9fa8f465e271b8832"),
+    (9, "function", "76d4adece78bf443993017ffc047d8dea5c4a3a6e6c451277549db6df173417d"),
+    (9, "permutation", "0f3b088ed3493e837b3b7ca734b08f502222db5f441698e704d97869670858dd"),
+    (10, "function", "02f3386c09041499bcabf3ca854239c4ab90a589adf7d2f59105c24e9115ce05"),
+    (10, "permutation", "602e39d3a07dd1f388bc72ce92efc6b64d6d73911f40d69444a7d192f8877a6c"),
+    (11, "function", "6297054b377090c2b4cfc496692bf76987d85f6f0d619feffb2f79720fadff4e"),
+    (11, "permutation", "e0fdd9024443f7d043c30dc8dc5bfc37f41af054c8a9467f0b099275a23b376c"),
 ]
 
 
