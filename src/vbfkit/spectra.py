@@ -44,16 +44,21 @@ table does while the n x n block of an n-entry table has at most 2^12
 cells (m <= 6): from m = 7 on, the orbits of x^3 take under half the time
 of every row.  A table whose orbits are all trivial, as when neither
 identity holds, has every row to take anyway; its Walsh rows take them at
-once up to m = 10, and its difference directions at m = 7.  The Walsh
+once up to m = 10, and so do its difference directions.  The Walsh
 rows come from the Sylvester matrix H, whose row F(x), sliced to a block
 of masks, holds the signs (-1)^parity(b & F(x)) of those masks: H times
 the rows gathered at every x is W(a, b) for every a, and the blocks
 together hold the masks 0..n - 1, whose column b = 0 is taken out once.
 The masks 1..n - 1 come in their natural order rather than as the masks
 D[b]; as D is a bijection fixing 0, {D[b] : b != 0} is the same set of
-masks, so the multiset is the same.  The difference block keys each
-ordered pair (x, y) by G(x) ^ G(y) on the graph G(x) = x << m | F(x),
-which packs (a, F(x + a) + F(x)) for a = x ^ y.
+masks, so the multiset is the same.  The difference counts key a pair
+{x, y} by G(x) ^ G(y) on the graph G(x) = x << m | F(x), which packs
+(a, F(x + a) + F(x)) for a = x ^ y.  Up to m = 7 the block keys every
+ordered pair, and a bincount of the keys gives the fiber sizes, a second
+one their histogram.  From m = 8 each unordered pair is keyed once, a
+bincount gives the pair counts, and the counts, sorted in place, are
+tallied by binary search: most of them are 0, and a second bincount's
+repeated increments of one bin run one after another.
 """
 
 from __future__ import annotations
@@ -215,16 +220,24 @@ def _sign_rows(f: FuncTable, masks: np.ndarray) -> np.ndarray:
 # only commute with squaring.  A table whose orbits (of Walsh rows, or of
 # difference directions) are all trivial has every row to take anyway, and
 # takes it at once while its n x n block has at most _NO_SYMMETRY_CELLS
-# cells, one cap per spectrum.  The Walsh gather kernel serves up to 2^20
-# cells (m <= 10), where the kept H_n is at most 4 MiB: on a random table,
-# median of 3 rounds with one BLAS thread, the orbit path took 123, 382,
-# 1427 and 5773 us at m = 7-10 and the gather kernel 79, 254, 887 and
-# 4182 us (with two threads, 8 rounds: 476 -> 323 us at m = 8 and
-# 6162 -> 4510 us at m = 10).  The difference graph keys serve up to 2^14
-# cells (m = 7): a random table took 0.09 ms one block against 0.16 ms
-# through the orbits, and at m = 8 0.59 against 0.39 ms (medians of 50).
+# cells (m <= 10).  The Walsh gather kernel keeps H_n, at most 4 MiB: on a
+# random table, median of 3 rounds with one BLAS thread, the orbit path
+# took 123, 382, 1427 and 5773 us at m = 7-10 and the gather kernel 79,
+# 254, 887 and 4182 us (with two threads, 8 rounds: 476 -> 323 us at m = 8
+# and 6162 -> 4510 us at m = 10).  The difference directions take the
+# ordered graph block while it has at most _GRAPH_BLOCK_CELLS cells (m = 7;
+# a random table took 0.09 ms one block against 0.16 ms through the
+# orbits, and at m = 8 0.59 against 0.39 ms, medians of 50), and from
+# m = 8 the unordered pair keys, with n(n - 1)/2 keys of 8 bytes and n^2
+# pair counts, 12 MiB at m = 10: differential_spectrum of a fresh random
+# permutation, its orbits taken first, one BLAS thread, medians of 300,
+# 100 and 30 calls, took 198-201, 774-820 and 3430-3635 us at m = 8-10
+# against 414-609, 1297-1770 and 4907-6234 us through the orbits.  At
+# m = 11 the pair keys took 16.2-17.9 ms against 16.6-17.6 ms through the
+# orbits (three rounds), so there the orbit loop stays.
 _ONE_BLOCK_CELLS = 1 << 12
-_NO_SYMMETRY_CELLS = (1 << 20, 1 << 14)  # Walsh rows, difference directions
+_NO_SYMMETRY_CELLS = 1 << 20
+_GRAPH_BLOCK_CELLS = 1 << 14
 
 
 def _every_row(f: FuncTable, spectrum: int) -> bool:
@@ -234,7 +247,7 @@ def _every_row(f: FuncTable, spectrum: int) -> bool:
     n = f.ctx.size
     if n * n <= _ONE_BLOCK_CELLS:
         return True
-    return n * n <= _NO_SYMMETRY_CELLS[spectrum] and len(_symmetry_orbits(f)[spectrum][0]) == n - 1
+    return n * n <= _NO_SYMMETRY_CELLS and len(_symmetry_orbits(f)[spectrum][0]) == n - 1
 
 
 def _block_rows(n: int, floor: int = 1) -> int:
@@ -391,13 +404,17 @@ def differential_spectrum(f: FuncTable) -> DifferentialSpectrum:
     pair counts of every (a, b) in the block, and a second one their
     histogram.  From m = 14 on a block is one direction.
 
-    Where ``_every_row`` holds (every table up to m = 6, and at m = 7 a
-    table whose direction orbits are all trivial) there are no orbits or
-    half domains: the key of an ordered pair (x, y) is G(x) ^ G(y) for the graph
-    G(x) = x << m | F(x), that is (x ^ y) << m | F(x) ^ F(y), so with
-    a = x ^ y one bincount of all n^2 keys gives every fiber size
-    |{x : F(x + a) + F(x) = b}| at key a << m | b, and a second one, past
-    the n keys of a = 0, their histogram.
+    Where ``_every_row`` holds (every table up to m = 6, and up to m = 10
+    a table whose direction orbits are all trivial) there are no orbits or
+    half domains: the key of a pair (x, y) is G(x) ^ G(y) for the graph
+    G(x) = x << m | F(x), that is (x ^ y) << m | F(x) ^ F(y), at
+    a << m | b for a = x ^ y and b = F(x + a) + F(x).  Up to
+    ``_GRAPH_BLOCK_CELLS`` (m = 7) every ordered pair is keyed, so one
+    bincount of all n^2 keys gives every fiber size, and a second one,
+    past the n keys of a = 0, their histogram.  Above it
+    ``_pair_keys`` keys every unordered pair once, one bincount past the
+    a = 0 keys gives every pair count, and the counts, sorted in place,
+    are tallied up to n/2 by binary search.
     """
     ctx = f.ctx
     n = ctx.size
@@ -405,9 +422,14 @@ def differential_spectrum(f: FuncTable) -> DifferentialSpectrum:
     xs = np.arange(n, dtype=np.intp)
     if _every_row(f, 1):
         graph = xs << ctx.m | vals
-        keys = graph[:, None] ^ graph[None, :]  # (x ^ y) << m | F(x) ^ F(y)
-        # fiber sizes are even, so every other bin of their histogram is 0
-        hist = np.bincount(np.bincount(keys.ravel(), minlength=n * n)[n:])[::2]
+        if n * n <= _GRAPH_BLOCK_CELLS:
+            keys = graph[:, None] ^ graph[None, :]  # (x ^ y) << m | F(x) ^ F(y)
+            # fiber sizes are even, so every other bin of their histogram is 0
+            hist = np.bincount(np.bincount(keys.ravel(), minlength=n * n)[n:])[::2]
+            return _differential_distribution(ctx, hist)
+        pairs = np.bincount(_pair_keys(graph, ctx.m), minlength=n * n)[n:]
+        pairs.sort()  # in place: a second bincount serializes on its many zeros
+        hist = np.diff(np.searchsorted(pairs, np.arange(n // 2 + 2)))
         return _differential_distribution(ctx, hist)
     hist = np.zeros(n // 2 + 1, dtype=np.int64)  # pair count -> number of (a, b)
     block = _block_rows(n)
@@ -432,6 +454,26 @@ def differential_spectrum(f: FuncTable) -> DifferentialSpectrum:
                 hist[:len(tally)] += tally
             start = stop
     return _differential_distribution(ctx, hist)
+
+
+def _pair_keys(graph: np.ndarray, m: int) -> np.ndarray:
+    """The key G(x) ^ G(y) = (x ^ y) << m | F(x) ^ F(y) of every unordered
+    pair {x, y} of the graph G(x) = x << m | F(x), once each.
+
+    The pairs whose top differing bit is h pair x, with bit h clear, and
+    y = x + 2^h + t for t < 2^h within each block of 2^(h+1) entries: the
+    graph seen as (n / 2^(h+1), 2, 2^h) gives them as one broadcast xor of
+    its two halves, written into the run of n * 2^(h-1) keys for h.
+    """
+    n = len(graph)
+    keys = np.empty(n * (n - 1) // 2, dtype=graph.dtype)
+    start = 0
+    for h in range(m):
+        g = graph.reshape(-1, 2, 1 << h)
+        stop = start + (n << h >> 1)
+        np.bitwise_xor(g[:, 0, :, None], g[:, 1, None, :], out=keys[start:stop].reshape(-1, 1 << h, 1 << h))
+        start = stop
+    return keys
 
 
 def _differential_distribution(ctx, hist: np.ndarray) -> DifferentialSpectrum:

@@ -795,12 +795,13 @@ def test_one_block_spectra_match_walsh_value_and_the_full_domain_oracle(monkeypa
         assert wspec.max_abs == max(abs(v) for v in wspec.distribution), name
 
 
-def _route_spy(monkeypatch) -> tuple[list, list]:
+def _route_spy(monkeypatch) -> tuple[list, list, list]:
     """Lists that record each table whose Walsh spectrum takes the gather
-    kernel, and each (spectrum, table) that ``_every_row`` sends through
-    every row at once (spectrum 0 Walsh, 1 differences)."""
-    gathered, every_row = [], []
-    gather, rule = spectra._gather_walsh_blocks, spectra._every_row
+    kernel, each (spectrum, table) that ``_every_row`` sends through every
+    row at once (spectrum 0 Walsh, 1 differences), and the degree m of each
+    graph whose difference counts take the unordered pair keys."""
+    gathered, every_row, paired = [], [], []
+    gather, rule, pair_keys = spectra._gather_walsh_blocks, spectra._every_row, spectra._pair_keys
 
     def gather_spy(f):
         gathered.append(f)
@@ -812,14 +813,19 @@ def _route_spy(monkeypatch) -> tuple[list, list]:
             every_row.append((spectrum, f))
         return taken
 
+    def pair_keys_spy(graph, m):
+        paired.append(m)
+        return pair_keys(graph, m)
+
     monkeypatch.setattr(spectra, "_gather_walsh_blocks", gather_spy)
     monkeypatch.setattr(spectra, "_every_row", rule_spy)
-    return gathered, every_row
+    monkeypatch.setattr(spectra, "_pair_keys", pair_keys_spy)
+    return gathered, every_row, paired
 
 
 @pytest.mark.parametrize("m", [6, 7])
 def test_spectra_on_both_sides_of_the_one_block_cut_off(monkeypatch, m):
-    gathered, every_row = _route_spy(monkeypatch)
+    gathered, every_row, paired = _route_spy(monkeypatch)
     cases = _one_block_cases(Field(m))
     for name, tab in cases.items():
         _assert_matches_all_rows(tab)
@@ -830,25 +836,42 @@ def test_spectra_on_both_sides_of_the_one_block_cut_off(monkeypatch, m):
     else:  # from m = 7 on, only the tables whose rows or directions are all trivial orbits
         assert walsh == {"random", "permutation", "constant", "linear", f"g*x^{Field(m).order}"}
         assert diff == {"random", "permutation", "linear"}
+    assert paired == []  # up to m = 7 the every-row differences are the ordered graph block
+
+
+def _linear_permutation(ctx: Field, rng: np.random.Generator) -> np.ndarray:
+    """Table of a random invertible F_2-linear map of GF(2^m)."""
+    while True:
+        tab = _linear_table(rng.integers(1, ctx.size, size=ctx.m))
+        if len(np.unique(tab)) == ctx.size:
+            return tab
 
 
 def _no_symmetry_cases(ctx: Field) -> dict:
-    """Tables with neither symmetry: a random function, a random permutation
-    and x^3 + x^5 with one entry changed at x >= 2."""
+    """Tables with neither symmetry: a random function, a random
+    permutation, x^3 + x^5 with one entry changed at x >= 2, and two edge
+    tables of the difference counts.  An EA image A(B(x)^3) + c of the APN
+    map x^3, with A and B random linear permutations, has at most one pair
+    {x, x + a} in each cell (a, b); a periodic table, F(x + 2^(m-1)) = F(x),
+    has all n/2 pairs of its period in cell (2^(m-1), 0)."""
     n = ctx.size
     rng = np.random.default_rng(700 + ctx.m + ctx.poly)
     vals = evaluate(UnivariatePoly(ctx, {3: 1, 5: 1})).as_array().copy()
     vals[rng.integers(2, n)] ^= rng.integers(1, n)
+    outer, inner = _linear_permutation(ctx, rng), _linear_permutation(ctx, rng)
+    half = rng.integers(0, n, size=n // 2)
     return {
         "random": FuncTable(ctx, rng.integers(0, n, size=n)),
         "permutation": FuncTable(ctx, rng.permutation(n)),
         "perturbed": FuncTable(ctx, vals),
+        "ea-cube": FuncTable(ctx, outer[monomial(ctx, 3).as_array()[inner]] ^ rng.integers(0, n)),
+        "periodic": FuncTable(ctx, np.concatenate((half, half))),
     }
 
 
 @pytest.mark.parametrize("m", range(7, 11))
 def test_every_row_walsh_matches_all_rows_oracle_and_walsh_value(monkeypatch, m):
-    gathered, _ = _route_spy(monkeypatch)
+    gathered, _, _ = _route_spy(monkeypatch)
     for poly in _two_polys(m):
         ctx = Field(m, poly)
         n = ctx.size
@@ -871,9 +894,23 @@ def test_every_row_walsh_matches_all_rows_oracle_and_walsh_value(monkeypatch, m)
                     assert block[a, j] == want, (name, a, start + j)
 
 
-@pytest.mark.parametrize("m", [7, 10, 11])
+@pytest.mark.parametrize("m", range(8, 11))
+def test_pair_keys_match_both_difference_oracles(monkeypatch, m):
+    _, _, paired = _route_spy(monkeypatch)
+    for poly in _two_polys(m):
+        ctx = Field(m, poly)
+        edge_max = {"ea-cube": 2, "periodic": ctx.size}  # pair counts at most 1; n/2, the tally's top
+        for name, tab in _no_symmetry_cases(ctx).items():
+            assert _is_fallback(tab), name
+            spec = differential_spectrum(tab)
+            assert paired[-1] == m, name
+            assert spec.distribution == _difference_counts_oracle(tab) == _per_direction_oracle(tab), name
+            assert spec.max == max(spec.distribution) == edge_max.get(name, spec.max), name
+
+
+@pytest.mark.parametrize("m", [7, 8, 10, 11])
 def test_gather_kernel_route_stops_after_m10(monkeypatch, m):
-    gathered, every_row = _route_spy(monkeypatch)
+    gathered, every_row, paired = _route_spy(monkeypatch)
     ctx = Field(m)
     n = ctx.size
     random_table = FuncTable(ctx, np.random.default_rng(800 + m).integers(0, n, size=n))
@@ -881,7 +918,26 @@ def test_gather_kernel_route_stops_after_m10(monkeypatch, m):
     for tab in (random_table, *symmetric):
         walsh_spectrum(tab), differential_spectrum(tab)
     assert [f is random_table for f in gathered] == ([True] if m <= 10 else [])
-    assert [(s, f is random_table) for s, f in every_row] == {
-        7: [(0, True), (1, True)], 10: [(0, True)], 11: []}[m]
+    assert [(s, f is random_table) for s, f in every_row] == ([(0, True), (1, True)] if m <= 10 else [])
+    # the ordered graph block serves m = 7, and the unordered pair keys m = 8-10
+    assert paired == ([m] if 8 <= m <= 10 else [])
     if m == 11:  # the orbit path still gives every row
         _assert_matches_all_rows(random_table)
+
+
+@pytest.mark.parametrize("m", range(7, 11))
+def test_fourth_moment_links_walsh_and_difference_counts(m):
+    """Chabaud-Vaudenay: sum over all (a, b) of W(a, b)^4 is 2^(2m) times
+    the sum of delta(a, b)^2.  With the column b = 0 (W(0, 0) = n) and the
+    row a = 0 (delta(0, 0) = n) added back, both every-row kernels must
+    agree on it, and the fiber sizes must count each (a, x), a != 0, once."""
+    ctx = Field(m)
+    n = ctx.size
+    rng = np.random.default_rng(900 + m)
+    for tab in (FuncTable(ctx, rng.integers(0, n, size=n)), FuncTable(ctx, rng.permutation(n))):
+        walsh = walsh_spectrum(tab).distribution
+        delta = differential_spectrum(tab).distribution
+        fourth = sum(v**4 * c for v, c in walsh.items())
+        second = sum(d * d * c for d, c in delta.items())
+        assert fourth + n**4 == n * n * (second + n * n)
+        assert sum(d * c for d, c in delta.items()) == (n - 1) * n
