@@ -460,10 +460,10 @@ def _pair_keys(graph: np.ndarray, m: int) -> np.ndarray:
     """The key G(x) ^ G(y) = (x ^ y) << m | F(x) ^ F(y) of every unordered
     pair {x, y} of the graph G(x) = x << m | F(x), once each.
 
-    The pairs whose top differing bit is h pair x, with bit h clear, and
-    y = x + 2^h + t for t < 2^h within each block of 2^(h+1) entries: the
-    graph seen as (n / 2^(h+1), 2, 2^h) gives them as one broadcast xor of
-    its two halves, written into the run of n * 2^(h-1) keys for h.
+    The pairs whose top differing bit is h join each x in the lower half
+    of a block of 2^(h+1) entries to each y in its upper half: the graph
+    seen as (n / 2^(h+1), 2, 2^h) gives them as one broadcast xor of its
+    two halves, written into the run of n * 2^(h-1) keys for h.
     """
     n = len(graph)
     keys = np.empty(n * (n - 1) // 2, dtype=graph.dtype)

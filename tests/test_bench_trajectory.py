@@ -21,6 +21,7 @@ def bench(monkeypatch):
         "analyze-gold-m5": mod._analyze("--family", "gold", "--m", "5", "--i", "1"),
         "analyze-random-lut-m5": mod._analyze(mod._random_lut_arg(5, "function")),
         "analyze-random-lut-m13": mod._analyze(mod._random_lut_arg(13, "permutation")),
+        "analyze-ea-cube-lut-m5": mod._analyze(mod._ea_cube_lut_arg(5)),
         "verify-thm1-m5": ["verify", "thm1", "--m", "5"],
         "remark4-lut-gold-m4": ["verify", "remark4", "--lut", mod._family_lut_arg("gold", 4, 1)],
     })
@@ -38,10 +39,12 @@ def test_bench_script_records_entries_stages_host_and_skips(bench, tmp_path):
     side = data["sides"]["a"]
     assert side["repeat"] == 2
     assert side["skipped"] == ["analyze-random-lut-m13"]
-    assert set(side["entries"]) == {"analyze-gold-m5", "analyze-random-lut-m5", "verify-thm1-m5",
-                                    "remark4-lut-gold-m4"}
+    assert set(side["entries"]) == {"analyze-gold-m5", "analyze-random-lut-m5", "analyze-ea-cube-lut-m5",
+                                    "verify-thm1-m5", "remark4-lut-gold-m4"}
     lut = side["entries"]["analyze-random-lut-m5"]
     assert lut["exit_codes"] == [0] and lut["command"].endswith("random-function5.lut --timing")
+    ea = side["entries"]["analyze-ea-cube-lut-m5"]
+    assert ea["exit_codes"] == [0] and ea["command"].endswith("ea-cube5.lut --timing")
     gold = side["entries"]["analyze-gold-m5"]
     assert len(gold["runs_s"]) == 2 and gold["median_s"] > 0
     assert gold["exit_codes"] == [0] and gold["spectra_from"] == "table"
@@ -53,6 +56,16 @@ def test_bench_script_records_entries_stages_host_and_skips(bench, tmp_path):
     host = side["host"]
     assert {"cpu_count", "python", "numpy", "blas", "blas_threads", "commit"} <= set(host)
     assert data["sides"]["b"]["skipped"] == ["analyze-random-lut-m13", "verify-thm1-m5"]
+
+
+def test_ea_cube_lut_is_an_apn_table_with_no_symmetry(bench, tmp_path):
+    from vbfkit.cli import read_lut
+    from vbfkit.spectra import _symmetry_orbits, differential_spectrum
+
+    tab = read_lut(bench._write_lut(str(tmp_path), bench._ea_cube_lut_arg(9)))
+    assert differential_spectrum(tab).max == 2
+    for reps, _ in _symmetry_orbits(tab):
+        assert len(reps) == tab.ctx.size - 1
 
 
 def test_bench_script_rejects_an_unknown_entry(bench, tmp_path):

@@ -57,6 +57,13 @@ def _random_lut_arg(m: int, kind: str) -> str:
     return f"<random m={m} {kind} LUT>"
 
 
+def _ea_cube_lut_arg(m: int) -> str:
+    """Placeholder for a seeded EA image A(B(x)^3) + c of the APN map x^3 at
+    degree m, with A and B linear permutations, replaced by its path when
+    its entry runs."""
+    return f"<ea-cube m={m} LUT>"
+
+
 def _family_lut_arg(family: str, m: int, i: int) -> str:
     """Placeholder for the LUT that ``construct --family`` writes for
     ``family`` at degree m and index i, replaced by its path when its entry
@@ -77,6 +84,9 @@ ENTRIES = {
     # m = 10 is that route's top and m = 11 the first size past it
     **{f"analyze-random-lut-m{m}": _analyze(_random_lut_arg(m, "function")) for m in (6, 8, 9)},
     **{f"analyze-random-lut-m{m}": _analyze(_random_lut_arg(m, "permutation")) for m in (10, 11, 13)},
+    # an APN table of the paper's EA class with neither symmetry: from m = 8
+    # to 10 its difference counts come from the unordered pair keys
+    "analyze-ea-cube-lut-m9": _analyze(_ea_cube_lut_arg(9)),
     # the orbit path on a family's own table: thm1 commutes with squaring
     # only; the Gold map at m = 16 scales by lam = g^3, which is not
     # primitive, so its rows are three residue classes of log b before
@@ -155,12 +165,23 @@ def host_facts(tree: Path) -> dict:
     }
 
 
+def _linear_permutation(m: int, rng: random.Random) -> list[int]:
+    """Table of a random invertible F_2-linear map on m bits."""
+    while True:
+        table = [0]
+        for image in [rng.randrange(1, 1 << m) for _ in range(m)]:
+            table += [t ^ image for t in table]
+        if len(set(table)) == len(table):
+            return table
+
+
 def _write_lut(directory: str, placeholder: str) -> str:
-    """Write the table a ``_random_lut_arg`` placeholder names, seeded by m,
-    or the one a ``_family_lut_arg`` placeholder names, and return its path."""
+    """Write the table a ``_random_lut_arg`` or ``_ea_cube_lut_arg``
+    placeholder names, seeded by m, or the one a ``_family_lut_arg``
+    placeholder names, and return its path."""
     from vbfkit.cli import lut_text, main
     from vbfkit.gf2m import Field
-    from vbfkit.vbf import FuncTable
+    from vbfkit.vbf import FuncTable, monomial
 
     family = re.fullmatch(r"<(\w+) m=(\d+) i=(\d+) LUT>", placeholder)
     if family is not None:
@@ -168,6 +189,16 @@ def _write_lut(directory: str, placeholder: str) -> str:
         path = os.path.join(directory, f"{name}{m_text}-i{i_text}.lut")
         if main(["construct", "--family", name, "--m", m_text, "--i", i_text, "--out", path]):
             raise RuntimeError(f"construct {placeholder} failed")
+        return path
+    ea_cube = re.fullmatch(r"<ea-cube m=(\d+) LUT>", placeholder)
+    if ea_cube is not None:
+        m = int(ea_cube.group(1))
+        rng = random.Random(m)
+        outer, inner = _linear_permutation(m, rng), _linear_permutation(m, rng)
+        cube, c = monomial(Field(m), 3).as_array().tolist(), rng.randrange(1 << m)
+        path = os.path.join(directory, f"ea-cube{m}.lut")
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(lut_text(FuncTable(Field(m), [outer[cube[x]] ^ c for x in inner])))
         return path
     m_text, kind = re.fullmatch(r"<random m=(\d+) (permutation|function) LUT>", placeholder).groups()
     m = int(m_text)
