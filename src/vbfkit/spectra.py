@@ -230,11 +230,12 @@ def _sign_rows(f: FuncTable, masks: np.ndarray) -> np.ndarray:
 # orbits, and at m = 8 0.59 against 0.39 ms, medians of 50), and from
 # m = 8 the unordered pair keys, with n(n - 1)/2 keys of 8 bytes and n^2
 # pair counts, 12 MiB at m = 10: differential_spectrum of a fresh random
-# permutation, its orbits taken first, one BLAS thread, medians of 300,
-# 100 and 30 calls, took 198-201, 774-820 and 3430-3635 us at m = 8-10
-# against 414-609, 1297-1770 and 4907-6234 us through the orbits.  At
-# m = 11 the pair keys took 16.2-17.9 ms against 16.6-17.6 ms through the
-# orbits (three rounds), so there the orbit loop stays.
+# permutation, its orbits taken first, median of 3 rounds with one BLAS
+# thread, took 180, 803 and 3162 us at m = 8-10 against 372, 1185 and
+# 4420 us through the orbits.  At m = 11 the pair keys took 16.2-17.9 ms
+# against 16.6-17.6 ms through the orbits (three rounds), so there the
+# orbit loop stays.  The in-place sort is fast with numpy's AVX2 and
+# AVX-512 sort kernels; without AVX2 the pair keys took 3.9 ms at m = 9.
 _ONE_BLOCK_CELLS = 1 << 12
 _NO_SYMMETRY_CELLS = 1 << 20
 _GRAPH_BLOCK_CELLS = 1 << 14

@@ -858,15 +858,16 @@ def _no_symmetry_cases(ctx: Field) -> dict:
     rng = np.random.default_rng(700 + ctx.m + ctx.poly)
     vals = evaluate(UnivariatePoly(ctx, {3: 1, 5: 1})).as_array().copy()
     vals[rng.integers(2, n)] ^= rng.integers(1, n)
-    outer, inner = _linear_permutation(ctx, rng), _linear_permutation(ctx, rng)
-    half = rng.integers(0, n, size=n // 2)
-    return {
+    cases = {
         "random": FuncTable(ctx, rng.integers(0, n, size=n)),
         "permutation": FuncTable(ctx, rng.permutation(n)),
         "perturbed": FuncTable(ctx, vals),
-        "ea-cube": FuncTable(ctx, outer[monomial(ctx, 3).as_array()[inner]] ^ rng.integers(0, n)),
-        "periodic": FuncTable(ctx, np.concatenate((half, half))),
     }
+    outer, inner = _linear_permutation(ctx, rng), _linear_permutation(ctx, rng)
+    cases["ea-cube"] = FuncTable(ctx, outer[monomial(ctx, 3).as_array()[inner]] ^ rng.integers(0, n))
+    half = rng.integers(0, n, size=n // 2)
+    cases["periodic"] = FuncTable(ctx, np.concatenate((half, half)))
+    return cases
 
 
 @pytest.mark.parametrize("m", range(7, 11))
