@@ -427,10 +427,10 @@ def differential_spectrum(f: FuncTable) -> DifferentialSpectrum:
             keys = graph[:, None] ^ graph[None, :]  # (x ^ y) << m | F(x) ^ F(y)
             # fiber sizes are even, so every other bin of their histogram is 0
             hist = np.bincount(np.bincount(keys.ravel(), minlength=n * n)[n:])[::2]
-            return _differential_distribution(ctx, hist)
-        pairs = np.bincount(_pair_keys(graph, ctx.m), minlength=n * n)[n:]
-        pairs.sort()  # in place: a second bincount serializes on its many zeros
-        hist = np.diff(np.searchsorted(pairs, np.arange(n // 2 + 2)))
+        else:
+            pairs = np.bincount(_pair_keys(graph, ctx.m), minlength=n * n)[n:]
+            pairs.sort()  # in place: a second bincount serializes on its many zeros
+            hist = np.diff(np.searchsorted(pairs, np.arange(n // 2 + 2)))
         return _differential_distribution(ctx, hist)
     hist = np.zeros(n // 2 + 1, dtype=np.int64)  # pair count -> number of (a, b)
     block = _block_rows(n)
