@@ -460,7 +460,7 @@ def linear_completion_search(
     xs = np.arange(n, dtype=np.int64)
     zero = np.empty((n, n), dtype=bool)  # zero[b, a]: W(a, b) = 0
     settled = False
-    for start, mat in _walsh_blocks(f, xs):
+    for start, mat in _walsh_blocks(f):
         block = np.equal(mat, 0, out=zero[start:start + len(mat)])
         if not block.any(axis=1).all():
             settled = True

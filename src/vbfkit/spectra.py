@@ -1,11 +1,12 @@
 """Walsh and differential spectra, nonlinearity, and APN/AB verdicts.
 
-The fast Walsh path builds one sign row (-1)^parity(b & F(x)) per
-dot-product output mask b, with no field multiplication, and transforms the
-rows with dense matrix products: the Sylvester-Hadamard matrix factors as
-H_(2^k) = H_(2^s_0) (x) ... (x) H_(2^s_(t-1)) into t near-equal factors
+Every Walsh value comes from one block generator, ``_walsh_blocks``,
+with no field multiplication: the sign rows (-1)^parity(b & F(x)) of
+dot-product output masks b, gathered from the Sylvester-Hadamard matrix or
+built by popcount, are transformed by dense matrix products.  H_(2^k)
+factors as H_(2^s_0) (x) ... (x) H_(2^s_(t-1)) into t near-equal factors
 (t = 2 below k = 12, t = 3 from there on), and each factor is one product
-along its axis of the row reshaped to a 2^s_0 x ... x 2^s_(t-1) array.
+along its axis of the rows reshaped to a 2^s_0 x ... x 2^s_(t-1) array.
 The products run in float32, which is exact here because every partial
 sum, in any factor order, is an integer of magnitude at most 2^k <= 2^24.
 The difference counts visit each pair {x, x + a} once, so a direction
@@ -45,13 +46,8 @@ cells (m <= 6): from m = 7 on, the orbits of x^3 take under half the time
 of every row.  A table whose orbits are all trivial, as when neither
 identity holds, has every row to take anyway; its Walsh rows take them at
 once up to m = 10, and so do its difference directions.  The Walsh
-rows come from the Sylvester matrix H, whose row F(x), sliced to a block
-of masks, holds the signs (-1)^parity(b & F(x)) of those masks: H times
-the rows gathered at every x is W(a, b) for every a, and the blocks
-together hold the masks 0..n - 1, whose column b = 0 is taken out once.
-The masks 1..n - 1 come in their natural order rather than as the masks
-D[b]; as D is a bijection fixing 0, {D[b] : b != 0} is the same set of
-masks, so the multiset is the same.  The difference counts key a pair
+rows are then every mask, in natural order (``walsh_spectrum``), with
+mask 0's row taken out once.  The difference counts key a pair
 {x, y} by G(x) ^ G(y) on the graph G(x) = x << m | F(x), which packs
 (a, F(x + a) + F(x)) for a = x ^ y.  Up to m = 7 the block keys every
 ordered pair, and a bincount of the keys gives the fiber sizes, a second
@@ -203,12 +199,6 @@ def _symmetry_orbits(f: FuncTable) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return rows, (one if scales else rows)  # x -> gx is one cycle of directions
 
 
-def _sign_rows(f: FuncTable, masks: np.ndarray) -> np.ndarray:
-    """Rows of (-1)^parity(b & F(x)) for each dot-product mask b, as int32."""
-    prods = masks.astype(np.uint32)[:, None] & f.as_array()[None, :]
-    return 1 - 2 * (np.bitwise_count(prods) & 1).astype(np.int32)
-
-
 # Every-row routes.  Both spectra take every row at once, with no orbits,
 # while the n x n block of an n-entry table has at most _ONE_BLOCK_CELLS
 # cells: m <= 6.  Both spectra of a fresh table, median of 300 calls on a
@@ -220,11 +210,15 @@ def _sign_rows(f: FuncTable, masks: np.ndarray) -> np.ndarray:
 # only commute with squaring.  A table whose orbits (of Walsh rows, or of
 # difference directions) are all trivial has every row to take anyway, and
 # takes it at once while its n x n block has at most _NO_SYMMETRY_CELLS
-# cells (m <= 10).  The Walsh gather kernel keeps H_n, at most 4 MiB: on a
-# random table, median of 3 rounds with one BLAS thread, the orbit path
-# took 123, 382, 1427 and 5773 us at m = 7-10 and the gather kernel 79,
-# 254, 887 and 4182 us (with two threads, 8 rounds: 476 -> 323 us at m = 8
-# and 6162 -> 4510 us at m = 10).  The difference directions take the
+# cells (m <= 10).  Every mask is gathered from the kept H_n up to the same
+# size, at most 4 MiB, for the Walsh rows and for the Walsh-zero table of
+# the completion search alike: on a random table, median of 3 rounds with
+# one BLAS thread, the orbit path took 123, 382, 1427 and 5773 us at
+# m = 7-10 and the gathered blocks 79, 254, 887 and 4182 us (with two
+# threads, 8 rounds: 476 -> 323 us at m = 8 and 6162 -> 4510 us at
+# m = 10).  A zero table that a zero-free row settles early stops at a
+# block of 64 gathered masks rather than 16 popcount rows, a coarser stop
+# (a random m = 10 table: 66 -> 217 us).  The difference directions take the
 # ordered graph block while it has at most _GRAPH_BLOCK_CELLS cells (m = 7;
 # a random table took 0.09 ms one block against 0.16 ms through the
 # orbits, and at m = 8 0.59 against 0.39 ms, medians of 50), and from
@@ -264,50 +258,54 @@ def _block_rows(n: int, floor: int = 1) -> int:
     return max((1 << 14) // n, min(floor, (1 << 22) // n), 1)
 
 
-def _walsh_blocks(f: FuncTable, masks: np.ndarray):
-    """(start, block) pairs of the transformed sign rows of ``masks``, in
-    int32 blocks of ``_block_rows(2^m, floor=16)`` rows, one alive at a time:
-    entry a of row j is the dot-product W(a, masks[start + j]).  The floor
-    serves ``walsh_spectrum``, whose tally of a block has up to 2^(m+1) + 1
-    bins (at m = 17, blocks of 2 rows spent about 40 % of the time there)."""
-    block = _block_rows(f.ctx.size, floor=16)
-    for start in range(0, len(masks), block):
-        yield start, _fwht_rows(_sign_rows(f, masks[start:start + block]))
+def _walsh_blocks(f: FuncTable, masks: np.ndarray | None = None):
+    """(start, block) pairs of dot-product Walsh values, one block alive at
+    a time: entry (j, a) of a block is W(a, b_j) for the mask
+    b_j = masks[start + j].  ``masks=None`` asks for every mask, 0 included,
+    in natural order (b_j = start + j).  The sign source follows from that:
 
-
-def _gather_walsh_blocks(f: FuncTable):
-    """(start, block) pairs of the dot-product Walsh values of every mask,
-    in float32 blocks of ``_block_rows(2^m, floor=64)`` masks, one alive at
-    a time: entry (a, j) is W(a, b) for mask b = start + j, the mask b = 0
-    included.
-
-    Row F(x) of the Sylvester matrix H = H_(2^m), sliced to a block of
-    masks, holds (-1)^parity(b & F(x)) for every mask b of the block, so
-    the rows gathered at every x are the block's sign rows as columns, with
-    no popcount.  H times them is W(a, b) at row a: one product per factor
-    of the split (``_factor_widths``), down the x axis, with the fields
-    above the factor's as the batch.  Up to ``_ONE_BLOCK_CELLS`` the block
-    holds every mask and H itself is the one factor; that case skips the
-    loop, whose Python steps cost about 1.3 us of a 15 us spectrum at m = 5.
-    Every partial sum is an integer of magnitude at most 2^m, exact in
-    float32.  With two OpenBLAS threads, blocks of 128 masks at m = 9
-    stalled for about 30 ms a call, and blocks of 64 did not.
+    - every mask while the n x n block of an n-entry table has at most
+      ``_NO_SYMMETRY_CELLS`` cells (m <= 10): gathered from the kept
+      Sylvester matrix H = H_(2^m).  Row F(x) of H, sliced to a block of
+      masks, holds (-1)^parity(b & F(x)) for every mask b of the block, so
+      the rows gathered at every x are the block's sign rows as columns,
+      with no popcount.  H times them is W(a, b) at row a: one product per
+      factor of the split (``_factor_widths``), down the x axis, with the
+      fields above the factor's as the batch, in float32 blocks of
+      ``_block_rows(2^m, floor=64)`` masks, each yielded as its transpose,
+      a view.  Up to ``_ONE_BLOCK_CELLS`` the block holds every mask and H
+      itself is the one factor; that case skips the loop, whose Python
+      steps cost about 1.3 us of a 15 us spectrum at m = 5.  With two
+      OpenBLAS threads, blocks of 128 masks at m = 9 stalled for about
+      30 ms a call, and blocks of 64 did not;
+    - otherwise: popcount sign rows, transformed by ``_fwht_rows`` in int32
+      blocks of ``_block_rows(2^m, floor=16)`` masks.  The floor serves
+      ``walsh_spectrum``, whose tally of a block has up to 2^(m+1) + 1 bins
+      (at m = 17, blocks of 2 rows spent about 40 % of the time there).
     """
     ctx = f.ctx
     n = ctx.size
-    h = _sylvester(ctx.m)
     vals = f.as_array()
-    if n * n <= _ONE_BLOCK_CELLS:  # one block, with H itself as the one factor
-        yield 0, h @ h[vals]
+    if masks is None and n * n <= _NO_SYMMETRY_CELLS:
+        h = _sylvester(ctx.m)
+        if n * n <= _ONE_BLOCK_CELLS:  # one block, with H itself as the one factor
+            yield 0, (h @ h[vals]).T
+            return
+        block = _block_rows(n, floor=64)
+        for start in range(0, n, block):
+            y = h[vals, start:start + block]
+            outer = 1
+            for s in _factor_widths(ctx.m):
+                y = np.matmul(_sylvester(s), y.reshape(outer, 1 << s, -1))
+                outer <<= s
+            yield start, y.reshape(n, -1).T
         return
-    block = _block_rows(n, floor=64)
-    for start in range(0, n, block):
-        y = h[vals, start:start + block]
-        outer = 1
-        for s in _factor_widths(ctx.m):
-            y = np.matmul(_sylvester(s), y.reshape(outer, 1 << s, -1))
-            outer <<= s
-        yield start, y.reshape(n, -1)
+    if masks is None:
+        masks = np.arange(n)
+    block = _block_rows(n, floor=16)
+    for start in range(0, len(masks), block):
+        prods = masks[start:start + block].astype(np.uint32)[:, None] & vals[None, :]
+        yield start, _fwht_rows(1 - 2 * (np.bitwise_count(prods) & 1).astype(np.int32))
 
 
 def walsh_spectrum(f: FuncTable) -> WalshSpectrum:
@@ -322,34 +320,31 @@ def walsh_spectrum(f: FuncTable) -> WalshSpectrum:
     symmetry gets every row b != 0.
 
     Where ``_every_row`` holds (every table up to m = 6, and up to m = 10 a
-    table whose row orbits are all trivial), ``_gather_walsh_blocks`` takes
-    the dot-product rows of the masks 1..n - 1 in their natural order
-    instead, with one bincount per block and column b = 0 taken out once at
-    the end: the masks are the D[b] in another order, so the multiset is the
-    same.
+    table whose row orbits are all trivial) the rows are every mask
+    0..n - 1 in natural order instead, and the row of mask 0 is taken out
+    of the tally once: the masks 1..n - 1 are the D[b] in another order,
+    so the multiset is the same.
     """
     ctx = f.ctx
     n = ctx.size
+    counts = np.zeros(2 * n + 1, dtype=np.int64)
     if _every_row(f, 0):
-        counts = np.zeros(2 * n + 1, dtype=np.int64)
-        counts[n], counts[2 * n] = 1 - n, -1  # column b = 0: W(0, 0) = n, else W(a, 0) = 0
-        for _, mat in _gather_walsh_blocks(f):
-            mat += n
-            counts += np.bincount(mat.astype(np.intp).ravel(), minlength=2 * n + 1)
+        groups = [(None, 1)]
+        counts[n], counts[2 * n] = 1 - n, -1  # mask 0: W(0, 0) = n, else W(a, 0) = 0
     else:
         reps, sizes = _symmetry_orbits(f)[0]
         masks = _dual_reindex(ctx)[reps]
-        counts = np.zeros(2 * n + 1, dtype=np.int64)
-        used = 0  # counts[used:] is still zero
-        for size in np.unique(sizes).tolist():
-            for _, mat in _walsh_blocks(f, masks[sizes == size]):
-                mat += n
-                tally = np.bincount(mat.ravel())
-                if size != 1:
-                    tally *= size
-                counts[:len(tally)] += tally
-                used = max(used, len(tally))
-        counts = counts[:used]
+        groups = [(masks[sizes == size], size) for size in np.unique(sizes).tolist()]
+    used = 0  # counts[used:] is zero once mask 0's block, which reaches bin 2n, is tallied
+    for masks, size in groups:
+        for _, mat in _walsh_blocks(f, masks):
+            mat += n
+            tally = np.bincount(mat.astype(np.intp).ravel("K"))
+            if size != 1:
+                tally *= size
+            counts[:len(tally)] += tally
+            used = max(used, len(tally))
+    counts = counts[:used]
     values = np.flatnonzero(counts)
     dist = dict(zip((values - n).tolist(), counts[values].tolist()))
     return WalshSpectrum(ctx.m, dist, int(max(n - values[0], values[-1] - n)))

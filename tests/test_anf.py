@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from anf_oracle import component_degree as component_degree_oracle
 from anf_oracle import component_degrees, mobius_transform
+from walsh_oracle import walsh_rows
 from vbfkit import vbf
 from vbfkit.ccz import BinLinearMap, power_inequivalence_witness
 from vbfkit.cli import analysis_report
@@ -27,8 +28,6 @@ from vbfkit.constructions import theorem1, theorem4
 from vbfkit.gf2m import Field
 from vbfkit.spectra import (
     _dual_reindex,
-    _fwht_rows,
-    _sign_rows,
     _symmetry_orbits,
     walsh_spectrum,
     walsh_value,
@@ -225,7 +224,7 @@ def test_walsh_distribution_matches_matrix_and_pointwise_oracle(f):
     spec = walsh_spectrum(f)
     # the trace rows and columns are the dot-product ones permuted by the
     # dual index, so every nonzero mask's transformed row has the same tally
-    from_matrix = Counter(_fwht_rows(_sign_rows(f, np.arange(1, n))).ravel().tolist())
+    from_matrix = Counter(walsh_rows(f, np.arange(1, n)).ravel().tolist())
     pointwise = Counter(walsh_value(f, a, b) for b in range(1, n) for a in range(n))
     assert spec.distribution == dict(from_matrix) == dict(pointwise)
     assert spec.max_abs == max(abs(v) for v in pointwise)

@@ -992,32 +992,42 @@ def test_search_node_counts_are_pinned(make, count, found):
 
 def _first_zero_free_row(tab: FuncTable) -> int | None:
     """The least b != 0 with W(a, b) != 0 for every a, from the dot-product
-    character sums taken one by one."""
-    n, vals = tab.ctx.size, tab.as_array().tolist()
+    character sums of one row b at a time."""
+    n = tab.ctx.size
+    xs, vals = np.arange(n), tab.as_array().astype(np.int64)
+    chars = 1 - 2 * (np.bitwise_count(xs[:, None] & xs[None, :]) & 1).astype(np.int64)  # (-1)^(a.x)
     for b in range(1, n):
-        if all(sum(-1 if ((a & x) ^ (b & y)).bit_count() & 1 else 1 for x, y in enumerate(vals))
-               for a in range(n)):
+        if (chars @ (1 - 2 * (np.bitwise_count(b & vals) & 1).astype(np.int64))).all():
             return b
     return None
 
 
-@pytest.mark.parametrize("seed", [12, 36])
-def test_search_stops_at_the_block_with_a_zero_free_row(monkeypatch, seed):
-    # seed 12's first zero-free row is 8, in block [6, 9); seed 36's is 3, in
-    # block [3, 6).  Without the early stop the search visits 1 and 53 nodes.
-    tab = _seeded_m4_table(seed)
-    row = _first_zero_free_row(tab)
-    calls = []
+@pytest.mark.parametrize("row", [8, 128])
+def test_search_stops_at_the_block_with_a_zero_free_row(monkeypatch, row):
+    # a permutation's entries XOR to 0; with ``row`` xored into entry 0 they
+    # XOR to ``row``, so each mask b with b & row != 0 has a component of odd
+    # weight, whose Walsh values are all 2 mod 4, and mask ``row`` is the
+    # first zero-free row.  The m = 8 zero table is gathered in 4 blocks of
+    # 64 masks, or 86 blocks of 3, and the search reads the blocks up to
+    # the one holding ``row``
+    vals = np.random.default_rng(row).permutation(256)
+    vals[0] ^= row
+    tab = FuncTable(Field(8), vals)
+    assert _first_zero_free_row(tab) == row
+    starts, blocks = [], ccz._walsh_blocks
 
-    def spy(mat):
-        calls.append(len(mat))
-        return fwht(mat)
+    def spy(f, masks=None):
+        for start, block in blocks(f, masks):
+            starts.append(start)
+            yield start, block
 
-    fwht = spectra._fwht_rows
-    monkeypatch.setattr(spectra, "_block_rows", lambda n, floor=1: 3)
-    monkeypatch.setattr(spectra, "_fwht_rows", spy)
-    assert linear_completion_search(tab, budget=1) is None  # the root alone
-    assert len(calls) == row // 3 + 1 < 6  # 16 rows make 6 blocks
+    monkeypatch.setattr(ccz, "_walsh_blocks", spy)
+    for size, total in ((64, 4), (3, 86)):  # the gather's own blocks, then blocks of 3
+        if size == 3:
+            monkeypatch.setattr(spectra, "_block_rows", lambda n, floor=1: 3)
+        starts.clear()
+        assert linear_completion_search(tab, budget=1) is None  # the root alone
+        assert starts == list(range(0, row + 1, size)) and len(starts) < total
 
 
 def test_search_settled_by_a_zero_free_row_still_checks_its_deadline():

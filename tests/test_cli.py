@@ -36,7 +36,7 @@ from vbfkit.constructions import (
     theorem4,
     theorem4_f1_tables,
 )
-from vbfkit.gf2m import Field, is_irreducible
+from vbfkit.gf2m import Field, _linear_table, is_irreducible
 from vbfkit.spectra import differential_spectrum, walsh_spectrum
 from vbfkit.vbf import FuncTable, monomial
 
@@ -1106,19 +1106,25 @@ def test_verify_remark4_m_path_matches_the_lut_search(tmp_path, capsys, m, i, po
 @pytest.mark.parametrize(
     "seed, rc, line",
     [
-        (0, 1, "FAIL linear completion found: rows [0xa, 0x1, 0x1, 0x2]"),
-        (1, 0, "ok   no linear completion to a permutation among all 2^16 linear maps"),
+        (0, 1, "FAIL linear completion found: rows [0x9c, 0xaf, 0x55, 0x4c, 0x48, 0x88, 0x5d, 0xe9]"),
+        (1, 0, "ok   no linear completion to a permutation among all 2^64 linear maps"),
     ],
 )
 def test_verify_remark4_lut_fills_its_zero_table_in_blocks(
     tmp_path, capsys, monkeypatch, rows_per_block, seed, rc, line
 ):
-    # the lines are those of the Walsh-zero table built in one transform;
-    # blocks of 3 of its 16 rows end off every power-of-two boundary
+    # a random permutation plus a random linear map L has the completion L;
+    # seed << 7 xored into entry 0 makes the entries XOR to 0x80 at seed 1,
+    # so mask 0x80 is the first Walsh row with no zero (odd weight).  The
+    # m = 8 zero table is gathered in 4 blocks of 64 masks, or 86 blocks of
+    # 3, which end off every power-of-two boundary
     if rows_per_block:
         monkeypatch.setattr(spectra, "_block_rows", lambda n, floor=1: rows_per_block)
+    rng = np.random.default_rng(seed)
+    vals = rng.permutation(256) ^ _linear_table(rng.integers(0, 256, size=8))
+    vals[0] ^= seed << 7
     path = tmp_path / "seeded.lut"
-    path.write_text(lut_text(FuncTable(Field(4), np.random.default_rng(seed).integers(0, 16, size=16))))
+    path.write_text(lut_text(FuncTable(Field(8), vals)))
     assert run(capsys, "verify", "remark4", "--lut", str(path)) == (rc, line + "\n", "")
 
 

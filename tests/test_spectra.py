@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from walsh_oracle import butterfly, walsh_rows
 
 from vbfkit import spectra
 from vbfkit.constructions import theorem1, theorem2
@@ -18,7 +19,6 @@ from vbfkit.spectra import (
     _block_rows,
     _dual_reindex,
     _fwht_rows,
-    _sign_rows,
     _symmetry_orbits,
     _walsh_blocks,
     differential_spectrum,
@@ -47,7 +47,7 @@ def _random_table(f: Field, rng: random.Random) -> FuncTable:
 def _walsh_matrix(tab: FuncTable) -> np.ndarray:
     """W[b-1, a] = walsh(a, b) in the trace convention of ``walsh_value``."""
     dual = _dual_reindex(tab.ctx)
-    return _fwht_rows(_sign_rows(tab, dual[1:]))[:, dual]
+    return walsh_rows(tab, dual[1:])[:, dual]
 
 
 def _diff_count_oracle(tab: FuncTable, a: int, b: int) -> int:
@@ -112,21 +112,6 @@ def test_fast_spectrum_matches_oracle_sampled_gf64():
         assert int(mat[b - 1, a]) == walsh_value(tab, a, b)
 
 
-def _butterfly_oracle(mat: np.ndarray) -> np.ndarray:
-    """Walsh-Hadamard transform along axis 1 by log2(n) int butterfly passes on a copy."""
-    mat = mat.copy()
-    rows, n = mat.shape
-    h = 1
-    while h < n:
-        m3 = mat.reshape(rows, -1, 2, h)
-        top = m3[:, :, 0, :].copy()
-        bot = m3[:, :, 1, :]
-        m3[:, :, 0, :] = top + bot
-        m3[:, :, 1, :] = top - bot
-        h *= 2
-    return mat
-
-
 def test_fwht_rows_matches_butterfly_oracle():
     rng = np.random.default_rng(21)
     # two factors below k = 12 and three from there on, each residue of k
@@ -135,7 +120,7 @@ def test_fwht_rows_matches_butterfly_oracle():
         rows = (1 - 2 * rng.integers(0, 2, size=(max(1, min(7, (1 << 16) >> k)), 1 << k))).astype(np.int32)
         got = _fwht_rows(rows)
         assert got.dtype == np.int32
-        assert np.array_equal(got, _butterfly_oracle(rows))
+        assert np.array_equal(got, butterfly(rows))
 
 
 def test_fwht_rows_all_ones_row_is_exact():
@@ -145,18 +130,40 @@ def test_fwht_rows_all_ones_row_is_exact():
     assert not got[0, 1:].any()
 
 
-@pytest.mark.parametrize("m", range(3, 10))
+@pytest.mark.parametrize("m", range(2, 13))
 def test_walsh_blocks_match_one_transform_of_all_rows(monkeypatch, m):
-    # the Walsh-zero table of the completion search is filled from these
-    # blocks; 3 rows a block end off every power-of-two boundary
-    monkeypatch.setattr(spectra, "_block_rows", lambda n, floor=1: 3)
+    # every mask is gathered from H up to m = 10, in one block up to m = 6,
+    # and built by popcount from m = 11 on; the Walsh-zero table of the
+    # completion search is filled from these blocks.  3 rows a block end off
+    # every power-of-two boundary (m = 11 covers them on the popcount route,
+    # whose oracle takes about 0.5 s a pass at m = 12)
     n = 1 << m
-    tab = FuncTable(Field(m), np.random.default_rng(m).integers(0, n, size=n))
-    xs = np.arange(n, dtype=np.int64)
-    blocks = list(_walsh_blocks(tab, xs))
-    assert [start for start, _ in blocks] == list(range(0, n, 3))
-    whole = np.concatenate([block for _, block in blocks])
-    assert np.array_equal(whole, _fwht_rows(_sign_rows(tab, xs)))
+    for rows_per_block in (None, 3) if m < 12 else (None,):
+        for poly in _two_polys(m):
+            ctx = Field(m, poly)
+            tab = FuncTable(ctx, monomial(ctx, 3).as_array() ^ np.arange(n) % 3)
+            with monkeypatch.context() as patch:
+                if rows_per_block:
+                    patch.setattr(spectra, "_block_rows", lambda n, floor=1: rows_per_block)
+                starts, stop = [], 0
+                for start, block in _walsh_blocks(tab):  # row j is mask start + j, mask 0 first
+                    assert start == stop and block.shape[1] == n
+                    assert block.dtype == (np.float32 if m <= 10 else np.int32)  # gathered, or popcount
+                    assert np.array_equal(block, walsh_rows(tab, np.arange(start, start + len(block))))
+                    if start == 0:
+                        assert block[0].tolist() == [n] + [0] * (n - 1)
+                    starts.append(start)
+                    stop += len(block)
+                assert stop == n
+                if m <= 6:
+                    assert starts == [0]  # one block, whatever _block_rows says
+                elif rows_per_block:
+                    assert starts == list(range(0, n, 3))
+                # given masks take the orbit route: row j is mask masks[start + j]
+                masks = np.random.default_rng(m).permutation(n)[: n // 8 + 3]
+                blocks = list(_walsh_blocks(tab, masks))
+                assert [start for start, _ in blocks] == list(range(0, len(masks), len(blocks[0][1])))
+                assert np.array_equal(np.concatenate([block for _, block in blocks]), walsh_rows(tab, masks))
 
 
 def test_fwht_rows_refuses_rows_beyond_float32_exactness():
@@ -169,12 +176,10 @@ def test_walsh_spectrum_multi_block_matches_butterfly_oracle():
     for m in (11, 12):  # more than one block of rows each
         n = 1 << m
         tab = FuncTable(Field(m), rng.integers(0, n, size=n))
-        vals = tab.as_array()
         counts = np.zeros(2 * n + 1, dtype=np.int64)
         for start in range(1, n, 512):
-            bs = np.arange(start, min(start + 512, n), dtype=np.uint32)
-            signs = 1 - 2 * (np.bitwise_count(bs[:, None] & vals[None, :]) & 1).astype(np.int32)
-            counts += np.bincount((_butterfly_oracle(signs) + n).ravel(), minlength=2 * n + 1)
+            rows = walsh_rows(tab, np.arange(start, min(start + 512, n)))
+            counts += np.bincount((rows + n).ravel(), minlength=2 * n + 1)
         want = {int(v) - n: int(counts[v]) for v in np.flatnonzero(counts)}
         assert walsh_spectrum(tab).distribution == want
 
@@ -388,7 +393,7 @@ def _all_rows_oracle(f: FuncTable) -> tuple[dict, dict]:
     counts = np.zeros(2 * n + 1, dtype=np.int64)
     for start in range(1, n, block):
         bs = np.arange(start, min(start + block, n), dtype=np.int64)
-        mat = _fwht_rows(_sign_rows(f, bs))
+        mat = walsh_rows(f, bs)
         mat += n
         counts += np.bincount(mat.ravel(), minlength=2 * n + 1)
     walsh = {int(v) - n: int(counts[v]) for v in np.flatnonzero(counts)}
@@ -796,16 +801,18 @@ def test_one_block_spectra_match_walsh_value_and_the_full_domain_oracle(monkeypa
 
 
 def _route_spy(monkeypatch) -> tuple[list, list, list]:
-    """Lists that record each table whose Walsh spectrum takes the gather
-    kernel, each (spectrum, table) that ``_every_row`` sends through every
-    row at once (spectrum 0 Walsh, 1 differences), and the degree m of each
-    graph whose difference counts take the unordered pair keys."""
+    """Lists that record each table whose Walsh blocks are asked for every
+    mask (``masks`` None, the every-row route), each (spectrum, table) that
+    ``_every_row`` sends through every row at once (spectrum 0 Walsh, 1
+    differences), and the degree m of each graph whose difference counts
+    take the unordered pair keys."""
     gathered, every_row, paired = [], [], []
-    gather, rule, pair_keys = spectra._gather_walsh_blocks, spectra._every_row, spectra._pair_keys
+    blocks, rule, pair_keys = spectra._walsh_blocks, spectra._every_row, spectra._pair_keys
 
-    def gather_spy(f):
-        gathered.append(f)
-        return gather(f)
+    def blocks_spy(f, masks=None):
+        if masks is None:
+            gathered.append(f)
+        return blocks(f, masks)
 
     def rule_spy(f, spectrum):
         taken = rule(f, spectrum)
@@ -817,7 +824,7 @@ def _route_spy(monkeypatch) -> tuple[list, list, list]:
         paired.append(m)
         return pair_keys(graph, m)
 
-    monkeypatch.setattr(spectra, "_gather_walsh_blocks", gather_spy)
+    monkeypatch.setattr(spectra, "_walsh_blocks", blocks_spy)
     monkeypatch.setattr(spectra, "_every_row", rule_spy)
     monkeypatch.setattr(spectra, "_pair_keys", pair_keys_spy)
     return gathered, every_row, paired
@@ -885,14 +892,14 @@ def test_every_row_walsh_matches_all_rows_oracle_and_walsh_value(monkeypatch, m)
             assert gathered[-1] is tab, name
             if m > 8:  # walsh_value takes about 1 ms a cell at m = 8
                 continue
-            # entry (a, j) of a block is the dot-product W(a, start + j), mask 0 included
-            for start, block in spectra._gather_walsh_blocks(tab):
+            # entry (j, a) of a block is the dot-product W(a, start + j), mask 0 included
+            for start, block in _walsh_blocks(tab):
                 if start == 0:
-                    assert block[:, 0].tolist() == [n] + [0] * (n - 1), name
-                rows, cols = rng.integers(0, n, size=6), rng.integers(0, block.shape[1], size=6)
-                for a, j in zip(rows.tolist(), cols.tolist()):
+                    assert block[0].tolist() == [n] + [0] * (n - 1), name
+                rows, cols = rng.integers(0, len(block), size=6), rng.integers(0, n, size=6)
+                for j, a in zip(rows.tolist(), cols.tolist()):
                     want = walsh_value(tab, int(inverse[a]), int(inverse[start + j]))
-                    assert block[a, j] == want, (name, a, start + j)
+                    assert block[j, a] == want, (name, a, start + j)
 
 
 @pytest.mark.parametrize("m", range(8, 11))
